@@ -26,11 +26,12 @@ from .scalars import Scalar, omega
 def _load_config(path):
     out = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
+                print(f"error: {path}:{lineno}: expected key=value", file=sys.stderr)
                 raise SystemExit(2)
             key, value = line.split("=", 1)
             out[key.strip().replace("-", "_")] = value.strip()
@@ -144,17 +145,20 @@ def cmd_un(args):
 def cmd_spaceform(args):
     _log_config(args)
     n = args.dim
+    if args.lambda_eval is not None and (args.family != "real"
+                                         or Fraction(args.lambda_eval) != 1):
+        print("error: --lambda-eval takes only the value 1, and only for the "
+              "real family (sphere values at unit curvature)", file=sys.stderr)
+        return 2
     if args.family == "real":
         algebra = spaceforms.real_space_form(n)
         table = algebra.kinematic()
         lines = []
         if args.lambda_eval is not None:
-            lam = Fraction(args.lambda_eval)
-            if lam == 1:
-                for j in range(n + 1):
-                    vals = [emitters.scalar_to_string(
-                        algebra.sphere_value(algebra.tau(i), j)) for i in range(n + 1)]
-                    lines.append(f"INFO sphere S^{j}: tau values {vals}")
+            for j in range(n + 1):
+                vals = [emitters.scalar_to_string(
+                    algebra.sphere_value(algebra.tau(i), j)) for i in range(n + 1)]
+                lines.append(f"INFO sphere S^{j}: tau values {vals}")
         data = emitters.emit_table(table, args.format)
         if lines:
             data += emitters.emit_report(lines, [])

@@ -4,8 +4,10 @@ A ``QuotientAlgebra`` is built from a generator set with positive integer
 weights, a list of ideal generators, and a truncation degree D.  Construction
 enumerates every monomial of degree <= D, row-reduces the span of all ideal
 multiples over an exact field, and keeps the non-pivot monomials as the
-normal-form basis.  The monomial order eliminates high exponents of heavier
-generators first, so low-s monomials survive as basis representatives.
+normal-form basis.  The reduction runs block by block: a homogeneous ideal
+never links two degrees, so each degree is reduced on its own.  The monomial
+order eliminates high exponents of heavier generators first, so low-s
+monomials survive as basis representatives.
 
 Ideal generators may be inhomogeneous (a filtered quotient); the truncation
 then silently kills every monomial of degree > D instead of raising.
@@ -157,7 +159,11 @@ class GradedElement:
 
 
 class QuotientAlgebra:
-    """Truncated quotient of a weighted polynomial ring by per-degree row reduction."""
+    """Truncated quotient of a weighted polynomial ring.
+
+    ``rref`` reduces the ideal multiples per independent block: per degree
+    for a homogeneous ideal, per group of linked degrees for a filtered one.
+    """
 
     def __init__(self, gens, ideal, truncation, field_zero=Fraction(0),
                  field_one=Fraction(1), require_homogeneous=True,
@@ -201,15 +207,13 @@ class QuotientAlgebra:
             w = min(gens.degree(m) for m in g)
             for d in range(D - w + 1):
                 for m in gens.monomials_of_degree(d):
-                    prod = {}
-                    for mg, c in g.items():
-                        mm = mono_mul(m, mg)
-                        if gens.degree(mm) <= D:
-                            prod[mm] = prod.get(mm, self.field_zero) + c
+                    # distinct generator monomials give distinct products,
+                    # so no entry of the row is written twice
                     row = [self.field_zero] * ncols
                     nonzero = False
-                    for mm, c in prod.items():
-                        if not _is_zero(c):
+                    for mg, c in g.items():
+                        mm = mono_mul(m, mg)
+                        if gens.degree(mm) <= D and not _is_zero(c):
                             row[self.col_index[mm]] = c
                             nonzero = True
                     if nonzero:

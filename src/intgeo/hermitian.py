@@ -150,28 +150,23 @@ def tasaki_monomial_rows(k):
     return rows
 
 
-def _degree_monomials(k):
-    # all (a, b) with 2a + b = k, ascending in a
-    return [(a, k - 2 * a) for a in range(k // 2 + 1)]
-
-
-@lru_cache(maxsize=None)
-def tasaki_matrix(k):
-    """Matrix T with T[q][a] the coefficient of s^a t^(k-2a) in tau_{k,q}."""
-    monos = _degree_monomials(k)
-    rows = tasaki_monomial_rows(k)
-    return [[row.get(m, _SZERO) for m in monos] for row in rows]
-
-
 @lru_cache(maxsize=None)
 def monomial_to_sigma(k):
-    """Inverse of tasaki_matrix: columns give sigma-coordinates of monomials.
+    """Inverse of the Tasaki matrix T, whose entry T[q][a] is the coefficient
+    of s^a t^(k-2a) in tau_{k,q}: columns give sigma-coordinates of monomials.
 
     The Klain function of s^a t^(k-2a), as an element of weighted degree k in
     variables cos^2 of the Kaehler angles of a k-plane, is the linear
     combination of elementary symmetric functions read off column a.
+
+    T = D L with D the diagonal of Tasaki prefactors and
+    L[q][a] = C(q,a) 4^a (-1)^(q-a) the substitution z -> 4z - 1, whose
+    inverse z -> (z + 1)/4 gives T^-1[a][q] = C(a,q) 4^-a / prefactor(k, q).
     """
-    return invert_exact(tasaki_matrix(k), _SONE, _SZERO)
+    p = k // 2
+    inv_pref = [tasaki_prefactor(k, q).inverse() for q in range(p + 1)]
+    return [[inv_pref[q] * Fraction(binomial(a, q), 4 ** a) for q in range(p + 1)]
+            for a in range(p + 1)]
 
 
 def sigma_substitute_ones(coeffs, m_ones, p_out):

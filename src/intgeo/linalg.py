@@ -1,10 +1,12 @@
-"""Exact dense linear algebra over the coefficient rings.
+"""Exact linear algebra over the coefficient rings.
 
 Two routines carry the whole load: a fraction-free (Bareiss) inverse used for
 the Poincare-pairing matrices, and reduced row echelon form over an exact
-field used to build quotient-algebra normal forms.  Matrices are plain lists
-of lists; entries only need ring operators (+, -, *), equality with 0 via
-``is_zero``/falsiness, and ``exact_div`` for the fraction-free path.
+field used to build quotient-algebra normal forms.  The row reduction splits
+the columns into the independent blocks of the rows' nonzero pattern and
+reduces each block densely.  Matrices are plain lists of lists; entries only
+need ring operators (+, -, *), equality with 0 via ``is_zero``/falsiness,
+and ``exact_div`` for the fraction-free path.
 """
 
 from __future__ import annotations
@@ -83,13 +85,14 @@ def invert_exact(m, one, zero):
     return [[_exact_div(a[i][n + j], det) for j in range(n)] for i in range(n)]
 
 
-def rref(rows, ncols, zero=Fraction(0), one=Fraction(1)):
-    """Reduced row echelon form over an exact field.
+def _rref_dense(rows, ncols):
+    """Gauss-Jordan reduction of one dense block, column by column.
 
-    Returns (reduced_rows, pivot_columns).  Zero rows are dropped.  Entries
-    must support true division (Fraction, RatFunc).
+    Returns (reduced_rows, pivot_columns); zero rows never become pivot rows,
+    so they are dropped.  A pivot row is zero left of its pivot, and row
+    operations touch only the pivot row's nonzero columns.
     """
-    work = [list(r) for r in rows if any(not _is_zero(x) for x in r)]
+    work = [list(r) for r in rows]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -97,18 +100,73 @@ def rref(rows, ncols, zero=Fraction(0), one=Fraction(1)):
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = work[r][c]
-        work[r] = [x / inv for x in work[r]]
+        prow = work[r]
+        support = [j for j in range(c, ncols) if not _is_zero(prow[j])]
+        inv = prow[c]
+        for j in support:
+            prow[j] = prow[j] / inv
         for i in range(len(work)):
-            if i != r and not _is_zero(work[i][c]):
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+            row = work[i]
+            if i != r and not _is_zero(row[c]):
+                f = row[c]
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    work = work[:r]
-    return work, pivots
+    return work[:r], pivots
+
+
+def rref(rows, ncols, zero=Fraction(0), one=Fraction(1)):
+    """Reduced row echelon form over an exact field.
+
+    Returns (reduced_rows, pivot_columns).  Zero rows are dropped.  Entries
+    must support true division (Fraction, RatFunc).
+
+    Two columns are linked when some row is nonzero in both; row operations
+    never leave a connected component of these links, so each component is
+    reduced on its own and its rows are expanded back to full width.  RREF is
+    unique for a fixed column order, so the result equals the reduction of
+    the whole matrix at once.  The components of a homogeneous ideal are its
+    degrees; those of the lam-filtered ideals are the two parities.
+    """
+    parent = list(range(ncols))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    supported = []
+    for row in rows:
+        cols = [j for j, x in enumerate(row) if not _is_zero(x)]
+        if cols:
+            supported.append((row, cols[0]))
+            root = find(cols[0])
+            for j in cols[1:]:
+                parent[find(j)] = root
+
+    block_cols = {}
+    for c in range(ncols):
+        block_cols.setdefault(find(c), []).append(c)
+    block_rows = {}
+    for row, first in supported:
+        block_rows.setdefault(find(first), []).append(row)
+
+    out = []
+    for root, members in block_rows.items():
+        cols = block_cols[root]
+        reduced, pivots = _rref_dense([[row[j] for j in cols] for row in members],
+                                      len(cols))
+        for sub, p in zip(reduced, pivots):
+            full = [zero] * ncols
+            for j, x in zip(cols, sub):
+                full[j] = x
+            out.append((cols[p], full))
+    out.sort(key=lambda item: item[0])
+    return [full for _, full in out], [p for p, _ in out]
 
 
 def kernel_basis(matrix, ncols, zero=Fraction(0), one=Fraction(1)):

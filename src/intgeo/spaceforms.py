@@ -13,6 +13,8 @@ equations.
 
 lam carries formal weight -2, so ideal generators are weighted-homogeneous;
 generic-lam row reduction happens over the rational-function field Q(lam).
+Each generator mixes degrees of one parity only, so both the Q(lam) and the
+lam = 1 reductions split into an even and an odd block.
 """
 
 from __future__ import annotations

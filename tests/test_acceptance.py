@@ -51,12 +51,12 @@ def test_criterion_03_mu_products_two_routes():
 
 def test_criterion_04_hilbert_series():
     t0 = time.time()
-    for n in range(1, 9):
+    for n in range(1, 17):
         assert hermitian.un_algebra(n).hilbert_series() \
             == hermitian.poincare_series_coefficients(n), n
     assert time.time() - t0 < 10
     report(4, "hermitian Hilbert functions match the rational generating "
-              "function, n <= 8")
+              "function, n <= 16")
 
 
 def test_criterion_05_reduction_consistency():
@@ -71,9 +71,9 @@ def test_criterion_05_reduction_consistency():
 
 
 def test_criterion_06_presentations_agree():
-    for n in range(1, 7):
+    for n in range(1, 11):
         hermitian.un_algebra(n, "evaluation-kernel")
-    report(6, "relation and evaluation-kernel presentations coincide, n <= 6")
+    report(6, "relation and evaluation-kernel presentations coincide, n <= 10")
 
 
 def test_criterion_07_binomial_identity():
@@ -156,12 +156,12 @@ def test_criterion_11_real_space_forms():
 
 def test_criterion_12_curved_ideal_equals_projective_kernel():
     t0 = time.time()
-    for n in range(1, 6):
+    for n in range(1, 7):
         ok, _ = spaceforms.curved_ideal_matches_projective_kernel(n)
         assert ok, n
     assert time.time() - t0 < 300
     report(12, "curved relation ideal at lam=1 equals the projective "
-               "evaluation kernel, n <= 5")
+               "evaluation kernel, n <= 6")
 
 
 def test_criterion_13_chapoton():

@@ -132,6 +132,26 @@ def test_cli_config_and_outdir(tmp_path, monkeypatch):
     assert lines[1].split(",")[2] == "15000"
 
 
+def test_cli_malformed_config_line_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "intgeo.cfg"
+    cfg.write_text("# defaults\nseed=3\nbogus line\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "so", "kinematic", "--dim", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"error: {cfg}:3: expected key=value"
+    assert captured.out == ""
+
+
+def test_cli_lambda_eval_other_than_one_exits_2(capsys):
+    for argv in (["spaceform", "real", "--dim", "2", "--lambda-eval", "2"],
+                 ["spaceform", "complex", "--dim", "2", "--lambda-eval", "1"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("error: --lambda-eval")
+
+
 def test_cli_spaceform_checks(capsys):
     assert cli.main(["spaceform", "complex", "--dim", "2", "--check", "bfs"]) == 0
     assert cli.main(["spaceform", "complex", "--dim", "2", "--check",

@@ -6,6 +6,7 @@ import pytest
 from intgeo import euclid as E
 from intgeo import hermitian as H
 from intgeo.graded import poly_mul
+from intgeo.linalg import invert_exact
 from intgeo.scalars import Scalar, binomial, factorial, omega
 
 
@@ -35,7 +36,7 @@ def test_fk_recursion():
 
 
 def test_hilbert_series_and_palindrome():
-    for n in range(1, 9):
+    for n in range(1, 17):
         hs = H.un_algebra(n).hilbert_series()
         assert hs == H.poincare_series_coefficients(n)
         assert hs == hs[::-1]
@@ -44,7 +45,7 @@ def test_hilbert_series_and_palindrome():
 
 
 def test_presentations_agree():
-    for n in range(1, 7):
+    for n in range(1, 11):
         H.un_algebra(n, "evaluation-kernel")
     with pytest.raises(ValueError):
         H.un_algebra(2, "mystery")
@@ -100,6 +101,19 @@ def test_tasaki_monomial_examples():
     assert H.tasaki_monomial_rows(1)[0] == {(0, 1): Scalar.pi_power(1, Fraction(1, 2))}
 
 
+def tasaki_matrix(k):
+    """T[q][a]: the coefficient of s^a t^(k-2a) in tau_{k,q}."""
+    monos = [(a, k - 2 * a) for a in range(k // 2 + 1)]
+    return [[row.get(m, Scalar.zero()) for m in monos]
+            for row in H.tasaki_monomial_rows(k)]
+
+
+def test_monomial_to_sigma_closed_form_matches_bareiss():
+    for k in range(29):
+        assert H.monomial_to_sigma(k) == invert_exact(
+            tasaki_matrix(k), Scalar.one(), Scalar.zero()), k
+
+
 def test_hermitian_tasaki_change():
     m2 = H.un_model(2)
     assert m2.hermitian_element(2, 1) == m2.tasaki_element(2, 1)
@@ -122,7 +136,6 @@ def test_basis_round_trips():
                 rows, labels = model.basis_rows(k, tag)
                 assert len(rows) == model.alg.dimension(k) == len(labels)
                 # invertibility: random coordinates round-trip through rows
-                from intgeo.linalg import invert_exact
                 inv = invert_exact(rows, Scalar.one(), Scalar.zero())
                 vec = [Scalar.from_rational(rng.randint(-3, 3))
                        for _ in range(len(rows))]

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intgeo.linalg import (SingularMatrixError, identity, invert_exact,
-                           kernel_basis, mat_mul, rref)
+from intgeo.linalg import (SingularMatrixError, _rref_dense, identity,
+                           invert_exact, kernel_basis, mat_mul, rref)
 from intgeo.scalars import Scalar
+from intgeo.spaceforms import RatFunc
 
 F0, F1 = Fraction(0), Fraction(1)
 
@@ -71,3 +72,81 @@ def test_lambda_polynomial_inverse():
     twist = [[one, lam * lam], [lam, one + lam * lam * lam]]
     inv2 = invert_exact(twist, one, zero)
     assert mat_mul(twist, inv2, zero) == identity(2, one, zero)
+
+
+def reference_rref(rows, ncols):
+    """Textbook Gauss-Jordan over the whole width: the oracle for both the
+    block split and the sparse row updates of the dense helper."""
+    work = [list(r) for r in rows if any(x != 0 for x in r)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = work[r][c]
+        work[r] = [x / inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return work[:r], pivots
+
+
+@st.composite
+def interleaved_blocks(draw):
+    """2-4 random blocks on disjoint columns, the columns shuffled together,
+    plus zero rows and one repeated row, in random row order."""
+    entry = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    blocks = []
+    for _ in range(draw(st.integers(2, 4))):
+        width = draw(st.integers(1, 4))
+        blocks.append(draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                                    min_size=1, max_size=4)))
+    ncols = sum(len(b[0]) for b in blocks)
+    perm = draw(st.permutations(range(ncols)))
+    rows = []
+    offset = 0
+    for block in blocks:
+        for sub in block:
+            row = [F0] * ncols
+            for j, x in enumerate(sub):
+                row[perm[offset + j]] = x
+            rows.append(row)
+        offset += len(block[0])
+    rows += [[F0] * ncols for _ in range(draw(st.integers(1, 2)))]
+    rows.append(list(draw(st.sampled_from(rows))))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], ncols
+
+
+@given(interleaved_blocks())
+@settings(max_examples=40, deadline=None)
+def test_block_rref_matches_dense(case):
+    rows, ncols = case
+    expected = reference_rref(rows, ncols)
+    assert _rref_dense(rows, ncols) == expected
+    assert rref(rows, ncols) == expected
+
+
+def test_block_rref_single_dense_block():
+    rows = [[Fraction(2), Fraction(1), Fraction(-1), Fraction(3)],
+            [Fraction(1), Fraction(1, 2), Fraction(4), F1],
+            [Fraction(3), Fraction(3, 2), Fraction(3), Fraction(4)]]
+    reduced, pivots = rref(rows, 4)
+    assert (reduced, pivots) == _rref_dense(rows, 4) == reference_rref(rows, 4)
+    assert pivots == [0, 2]
+
+
+def test_block_rref_ratfunc_entries():
+    lam, one, zero = RatFunc.lam(), RatFunc.one(), RatFunc.zero()
+    rows = [[one, zero, lam, zero],
+            [zero, lam + one, zero, lam * lam],
+            [lam, zero, one, zero],
+            [zero, one, zero, one - lam]]
+    reduced, pivots = rref(rows, 4, zero, one)
+    assert (reduced, pivots) == _rref_dense(rows, 4) == reference_rref(rows, 4)
+    assert pivots == [0, 1, 2, 3]

@@ -146,7 +146,7 @@ def test_cp_values():
 
 
 def test_curved_ideal_matches_projective_kernel():
-    for n in range(1, 6):
+    for n in range(1, 7):
         ok, dims = SF.curved_ideal_matches_projective_kernel(n)
         assert ok, n
         hs = SF.poincare_series_coefficients(n)
