@@ -1,22 +1,38 @@
-"""Concrete convex bodies and the geometric predicates the estimators need.
+"""Concrete convex bodies and the batched intersection kernel the estimators need.
 
 Bodies keep exact rational parameters (so the verification harness can ask
-for exact intrinsic volumes) next to cached float arrays for the numeric
-kernels.  Intersection tests are exact closed forms for ball/box pairs and a
-support-function search (GJK) with tolerance 1e-10 for polytopes; tangency
-counts as intersection.
+for exact intrinsic volumes) next to float views for the numeric kernels.  The
+float views, and the facet and edge data of boxes and polytopes, are computed
+once per body and handed out as read-only arrays.
+
+``kinematic_indicator(a, b)`` decides, for a whole batch of translations x and
+rotations R at once, whether A meets x + R B.  Ball/ball and ball/box pairs
+use exact closed forms.  Every other pair is a separating-axis test
+(Gottschalk, Lin and Manocha 1996): the facet normals of both bodies and, in
+space, the cross products of their edge directions, which is the complete
+axis set of two polytopes in the plane or in space.  A ball against a
+polytope uses the closest-feature axes (facet normals, vertex-to-center
+directions, edge perpendiculars through the center), so that test is exact
+too.  Separation is strict: tangency counts as intersection.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+import math
 
 import numpy as np
 
 from .euclid import TemplateBody, intrinsic_volume
 
-GJK_TOL = 1e-10
+# Largest float temporary a kernel builds at once, in array elements: about
+# one chunk of 3 x 3 rotation matrices, so blocks cost no more memory than
+# the chunk arrays the estimators already hold.
+BLOCK_ELEMENTS = 1 << 20
+
+# Unit vectors closer than this (componentwise) are treated as parallel.
+PARALLEL_TOL = 1e-9
 
 
 def _frac(x):
@@ -25,12 +41,20 @@ def _frac(x):
     return Fraction(x)
 
 
+def _readonly(values):
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 class ConvexBody:
     """Ball, axis-aligned box, or polytope (vertex list) in R^n."""
 
     def __init__(self, kind, dimension, **params):
         self.kind = kind
         self.dimension = dimension
+        self._vertices = None
+        self._geometry = None
         if kind == "ball":
             self.center = tuple(_frac(c) for c in params["center"])
             self.radius = _frac(params["radius"])
@@ -38,6 +62,7 @@ class ConvexBody:
                 raise ValueError("ball radius must be positive")
             if len(self.center) != dimension:
                 raise ValueError("center dimension mismatch")
+            self._center = _readonly([float(c) for c in self.center])
         elif kind == "box":
             self.lo = tuple(_frac(c) for c in params["lo"])
             self.hi = tuple(_frac(c) for c in params["hi"])
@@ -45,6 +70,8 @@ class ConvexBody:
                 raise ValueError("box corner dimension mismatch")
             if any(a >= b for a, b in zip(self.lo, self.hi)):
                 raise ValueError("box must be nondegenerate")
+            self._lo = _readonly([float(c) for c in self.lo])
+            self._hi = _readonly([float(c) for c in self.hi])
         elif kind == "polytope":
             self.vertices = tuple(tuple(_frac(c) for c in v)
                                   for v in params["vertices"])
@@ -52,6 +79,8 @@ class ConvexBody:
                 raise ValueError("polytope needs at least one vertex")
             if any(len(v) != dimension for v in self.vertices):
                 raise ValueError("vertex dimension mismatch")
+            self._vertices = _readonly([[float(c) for c in v]
+                                        for v in self.vertices])
         else:
             raise ValueError(f"unknown body kind {kind!r}")
 
@@ -77,28 +106,30 @@ class ConvexBody:
             raise ValueError("polytope needs at least one vertex")
         return ConvexBody("polytope", len(tuple(vertices[0])), vertices=vertices)
 
-    # -- float views --------------------------------------------------------
+    # -- float views (read-only, computed once) --------------------------------
 
     def center_f(self):
-        return np.array([float(c) for c in self.center])
+        return self._center
 
     def lo_f(self):
-        return np.array([float(c) for c in self.lo])
+        return self._lo
 
     def hi_f(self):
-        return np.array([float(c) for c in self.hi])
+        return self._hi
 
     def vertices_f(self):
-        if self.kind == "box":
-            corners = []
+        if self.kind == "ball":
+            raise ValueError("a ball has no vertex list")
+        if self._vertices is None:  # box corners, built on first use
             n = self.dimension
-            for mask in range(2 ** n):
-                corners.append([float(self.hi[i] if mask >> i & 1 else self.lo[i])
-                                for i in range(n)])
-            return np.array(corners)
-        if self.kind == "polytope":
-            return np.array([[float(c) for c in v] for v in self.vertices])
-        raise ValueError("a ball has no vertex list")
+            self._vertices = _readonly(
+                [[float(self.hi[i] if mask >> i & 1 else self.lo[i])
+                  for i in range(n)] for mask in range(2 ** n)])
+        return self._vertices
+
+    @property
+    def is_point(self):
+        return self.kind == "polytope" and len(set(self.vertices)) == 1
 
     def circumradius(self):
         """Exact-ish bound max |x| over the body, measured from the origin."""
@@ -106,16 +137,11 @@ class ConvexBody:
             return float(np.linalg.norm(self.center_f())) + float(self.radius)
         return float(np.max(np.linalg.norm(self.vertices_f(), axis=1)))
 
-    def support(self, d):
-        """Farthest point of the body in direction d."""
-        d = np.asarray(d, dtype=float)
-        if self.kind == "ball":
-            nrm = np.linalg.norm(d)
-            if nrm == 0:
-                return self.center_f()
-            return self.center_f() + float(self.radius) * d / nrm
-        verts = self.vertices_f()
-        return verts[int(np.argmax(verts @ d))]
+    def geometry(self):
+        """Facet and edge data of a box or polytope in the plane or in space."""
+        if self._geometry is None:
+            self._geometry = _build_geometry(self)
+        return self._geometry
 
     def to_template(self):
         """Template body with the same intrinsic volumes, when one exists."""
@@ -123,7 +149,7 @@ class ConvexBody:
             return TemplateBody.ball(self.radius)
         if self.kind == "box":
             return TemplateBody.box(*[b - a for a, b in zip(self.lo, self.hi)])
-        if self.kind == "polytope" and len(set(self.vertices)) == 1:
+        if self.is_point:
             return TemplateBody.point()
         raise ValueError("no exact template for a general polytope")
 
@@ -155,114 +181,334 @@ def body_from_spec(doc):
     raise ValueError(f"unknown body kind {kind!r}")
 
 
-# -- exact pairwise tests -------------------------------------------------------
+# -- facet and edge data ------------------------------------------------------------
 
-def _ball_ball(a, b):
-    gap = a.center_f() - b.center_f()
-    return float(np.dot(gap, gap)) <= (float(a.radius) + float(b.radius)) ** 2
+@dataclass(frozen=True)
+class Geometry:
+    """Float facet and edge data of a box or polytope; arrays are read-only.
+
+    In the plane the facets are the edges, and the edge fields are empty.
+    """
+    vertices: np.ndarray       # (k, n) extreme points; counterclockwise in the plane
+    facet_normals: np.ndarray  # (f, n) outward unit normals
+    facet_areas: np.ndarray    # (f,) facet (n-1)-volumes
+    axes: np.ndarray           # facet normals, parallel duplicates dropped
+    edge_dirs: np.ndarray      # unit edge directions, parallel duplicates dropped
+    edge_points: np.ndarray    # (e, n) one endpoint of every edge
+    edge_units: np.ndarray     # (e, n) unit direction of every edge
+    volumes: tuple             # float intrinsic volumes V_0 .. V_n
 
 
-def _ball_box(ball, box):
-    c = ball.center_f()
-    q = np.clip(c, box.lo_f(), box.hi_f())
-    return float(np.dot(c - q, c - q)) <= float(ball.radius) ** 2
+def _distinct(units, signed):
+    """Representatives of the unit vectors up to PARALLEL_TOL (and up to sign
+    unless signed), and the index of each vector's representative."""
+    diff = np.abs(units[:, None, :] - units[None, :, :]).max(axis=2) < PARALLEL_TOL
+    if not signed:
+        diff |= np.abs(units[:, None, :] + units[None, :, :]).max(axis=2) < PARALLEL_TOL
+    first = diff.argmax(axis=1) if len(units) else np.zeros(0, dtype=int)
+    keep = np.unique(first)
+    return units[keep], np.searchsorted(keep, first)
 
 
-def _box_box(a, b):
-    return bool(np.all(a.lo_f() <= b.hi_f()) and np.all(b.lo_f() <= a.hi_f()))
+def _geometry(vertices, normals, areas, edge_points, edge_units, volumes):
+    n = vertices.shape[1]
+    normals = np.asarray(normals, dtype=float).reshape(-1, n)
+    edge_units = np.asarray(edge_units, dtype=float).reshape(-1, n)
+    return Geometry(_readonly(vertices), _readonly(normals), _readonly(areas),
+                    _readonly(_distinct(normals, signed=False)[0]),
+                    _readonly(_distinct(edge_units, signed=False)[0]),
+                    _readonly(np.reshape(edge_points, (-1, n))),
+                    _readonly(edge_units), tuple(float(v) for v in volumes))
 
 
-def _nearest_on_simplex(pts):
-    """Closest point of the convex hull of pts (list of arrays) to the origin,
-    with the supporting sub-simplex."""
-    best = None
-    for r in range(1, len(pts) + 1):
-        for idx in combinations(range(len(pts)), r):
-            sub = np.array([pts[i] for i in idx])
-            if r == 1:
-                coords = np.array([1.0])
-            else:
-                # barycentric coordinates of the projection of the origin
-                diffs = sub[1:] - sub[0]
-                g = diffs @ diffs.T
-                rhs = -diffs @ sub[0]
-                try:
-                    sol = np.linalg.lstsq(g, rhs, rcond=None)[0]
-                except np.linalg.LinAlgError:
-                    continue
-                coords = np.concatenate(([1.0 - sol.sum()], sol))
-            if np.any(coords < -1e-12):
+def _cross2(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _hull_2d(points):
+    """Extreme points of a finite planar set, exactly (Andrew's monotone chain)."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross2(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(reversed(pts))
+
+
+def _polygon_geometry(points):
+    v = ccw_order(np.array([[float(c) for c in p] for p in _hull_2d(points)]))
+    if len(v) == 1:
+        return _geometry(v, [], [], [], [], (1, 0, 0))
+    _, normals, lengths = polygon_edges(v)
+    return _geometry(v, normals, lengths, [], [],
+                     (1, lengths.sum() / 2, polygon_area(v)))
+
+
+def _box_geometry(box):
+    """A box in space: faces and edges along the coordinate axes, no hull."""
+    corners = box.vertices_f()  # corner `mask` takes hi[i] where bit i is set
+    sides = box.hi_f() - box.lo_f()
+    eye = np.eye(3)
+    normals = [s * eye[i] for i in range(3) for s in (-1.0, 1.0)]
+    areas = [sides[(i + 1) % 3] * sides[(i + 2) % 3] for i in range(3) for _ in (0, 1)]
+    starts = [(corners[mask], eye[i]) for i in range(3)
+              for mask in range(8) if not mask >> i & 1]
+    volumes = (1, sides.sum(), sides[0] * sides[1] + sides[0] * sides[2]
+               + sides[1] * sides[2], sides.prod())
+    return _geometry(corners, normals, areas, [p for p, _ in starts],
+                     [u for _, u in starts], volumes)
+
+
+def _hull_geometry(points):
+    """A full-dimensional polytope in space, from one convex hull."""
+    from scipy.spatial import ConvexHull
+    hull = ConvexHull(points)
+    normals = hull.equations[:, :3]
+    tri = hull.points[hull.simplices]
+    areas = np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]),
+                           axis=1) / 2
+    facet_normals, labels = _distinct(normals, signed=True)
+    facet_areas = np.bincount(labels, weights=areas, minlength=len(facet_normals))
+    # a hull edge is a polytope edge when its two triangles lie in different
+    # facets; its external angle is the angle between the facet normals
+    starts, units, mean_width = [], [], 0.0
+    for t, across in enumerate(hull.neighbors):
+        for i, u in enumerate(across):
+            if u < t or labels[u] == labels[t]:
                 continue
-            point = coords @ sub
-            d = float(np.dot(point, point))
-            if best is None or d < best[0] - 1e-18:
-                best = (d, point, [pts[i] for i in idx])
-    return best[1], best[2]
+            p, q = hull.points[np.delete(hull.simplices[t], i)]
+            length = float(np.linalg.norm(q - p))
+            cos = float(np.dot(facet_normals[labels[t]], facet_normals[labels[u]]))
+            mean_width += length * math.acos(min(1.0, max(-1.0, cos)))
+            starts.append(p)
+            units.append((q - p) / length)
+    volumes = (1, mean_width / (2 * math.pi), hull.area / 2, hull.volume)
+    return _geometry(hull.points[hull.vertices], facet_normals, facet_areas,
+                     starts, units, volumes)
 
 
-def gjk_intersects(a, b, tol=GJK_TOL, max_iter=200):
-    """Boolean convex intersection via support-function separation search."""
-    def support(d):
-        return a.support(d) - b.support(-d)
+def _build_geometry(body):
+    n = body.dimension
+    if body.kind == "ball":
+        raise ValueError("a ball has no facets or edges")
+    if n not in (2, 3):
+        raise ValueError(f"facet and edge data exist only in the plane and in "
+                         f"space; a {body.kind} in R^{n} has none here")
+    if n == 2:
+        if body.kind == "box":
+            corners = [(a, b) for a in (body.lo[0], body.hi[0])
+                       for b in (body.lo[1], body.hi[1])]
+            return _polygon_geometry(corners)
+        return _polygon_geometry(body.vertices)
+    if body.kind == "box":
+        return _box_geometry(body)
+    v = body.vertices_f()
+    rank = np.linalg.matrix_rank(v - v[0]) if len(v) > 1 else 0
+    if rank == 0:
+        return _geometry(v[:1], [], [], [], [], (1, 0, 0, 0))
+    if rank < 3:
+        raise ValueError("a polytope in R^3 must be full-dimensional or a single point")
+    return _hull_geometry(v)
 
-    d0 = a.center_f() - b.center_f() if a.kind == "ball" and b.kind == "ball" \
-        else np.ones(a.dimension)
-    if not np.any(d0):
-        d0 = np.ones(a.dimension)
-    simplex = [support(d0)]
-    for _ in range(max_iter):
-        v, simplex = _nearest_on_simplex(simplex)
-        dist = float(np.linalg.norm(v))
-        if dist <= tol:
-            return True
-        w = support(-v)
-        # every difference point x satisfies <x, v>/|v| >= <w, v>/|v|, a lower
-        # bound on the distance to the origin
-        lower = float(np.dot(w, v)) / dist
-        if lower > tol:
-            return False
-        if dist - lower <= tol:
-            return True
-        simplex.append(w)
-    return dist <= tol
+
+# -- the batched intersection kernel ---------------------------------------------
+
+def kinematic_indicator(a, b):
+    """The batched test of whether A meets x + R B.
+
+    Returns ``hits(xs, rots)``, a boolean array over translations xs (m, n)
+    and rotations rots (m, n, n).  Raises ValueError at once, before any
+    sampling, for a pair it has no complete test for: two boxes in R^n with
+    n >= 4 (their face axes miss the edge-edge directions), a polytope
+    outside the plane and space, a flat polytope in space, and two single
+    points (they meet on a null set of motions).
+    """
+    if a.dimension != b.dimension:
+        raise ValueError("bodies live in different dimensions")
+    n = a.dimension
+    kinds = (a.kind, b.kind)
+    if kinds == ("ball", "ball"):
+        return lambda xs, rots: _hits_ball_ball(a, b, xs, rots)
+    if kinds == ("ball", "box"):
+        return lambda xs, rots: _hits_ball_box(a, b, xs, rots)
+    if kinds == ("box", "ball"):
+        return lambda xs, rots: _hits_box_ball(a, b, xs, rots)
+    if kinds == ("box", "box"):
+        if n > 3:
+            raise ValueError(f"no complete separating-axis test for two boxes "
+                             f"in R^{n}: face axes suffice only for n <= 3")
+        return lambda xs, rots: _hits_box_box(a, b, xs, rots)
+    if a.kind == "ball":
+        gb, c, r = b.geometry(), a.center_f(), float(a.radius)
+        # the ball center in the moved body's frame
+        return lambda xs, rots: _hits_ball_polytope(
+            gb, np.einsum("mji,mj->mi", rots, c - xs), r)
+    if b.kind == "ball":
+        ga, c, r = a.geometry(), b.center_f(), float(b.radius)
+        return lambda xs, rots: _hits_ball_polytope(
+            ga, xs + np.einsum("mij,j->mi", rots, c), r)
+    ga, gb = a.geometry(), b.geometry()
+    if not (len(ga.axes) or len(gb.axes)):
+        raise ValueError("two single points meet only on a null set of motions")
+    return lambda xs, rots: _hits_polytopes(ga, gb, xs, rots)
 
 
 def intersects(a, b):
-    """Whether two convex bodies meet (closed-set convention)."""
-    if a.dimension != b.dimension:
-        raise ValueError("bodies live in different dimensions")
-    kinds = (a.kind, b.kind)
-    if kinds == ("ball", "ball"):
-        return _ball_ball(a, b)
-    if kinds == ("ball", "box"):
-        return _ball_box(a, b)
-    if kinds == ("box", "ball"):
-        return _ball_box(b, a)
-    if kinds == ("box", "box"):
-        return _box_box(a, b)
-    return gjk_intersects(a, b)
+    """Whether two convex bodies meet (closed-set convention): the batched
+    kernel at the identity motion."""
+    test = kinematic_indicator(a, b)
+    n = a.dimension
+    return bool(test(np.zeros((1, n)), np.eye(n)[None])[0])
 
 
-# -- Minkowski sums --------------------------------------------------------------
+def _hits_ball_ball(a, b, xs, rots):
+    centers = xs + np.einsum("mij,j->mi", rots, b.center_f())
+    gap = centers - a.center_f()
+    rr = float(a.radius) + float(b.radius)
+    return np.einsum("mi,mi->m", gap, gap) <= rr * rr
+
+
+def _hits_ball_box(a, b, xs, rots):
+    # coordinates of the ball center in the moved box's frame
+    local = np.einsum("mji,mj->mi", rots, a.center_f() - xs)
+    q = np.clip(local, b.lo_f(), b.hi_f())
+    gap = local - q
+    return np.einsum("mi,mi->m", gap, gap) <= float(a.radius) ** 2
+
+
+def _hits_box_ball(a, b, xs, rots):
+    centers = xs + np.einsum("mij,j->mi", rots, b.center_f())
+    q = np.clip(centers, a.lo_f(), a.hi_f())
+    gap = centers - q
+    return np.einsum("mi,mi->m", gap, gap) <= float(b.radius) ** 2
+
+
+def _hits_box_box(a, b, xs, rots):
+    """Separating-axis test for an axis-aligned box against moved boxes."""
+    n = a.dimension
+    ac = (a.lo_f() + a.hi_f()) / 2
+    ah = (a.hi_f() - a.lo_f()) / 2
+    bc = (b.lo_f() + b.hi_f()) / 2
+    bh = (b.hi_f() - b.lo_f()) / 2
+    centers = xs + np.einsum("mij,j->mi", rots, bc)
+    diff = centers - ac
+    m = len(xs)
+    separated = np.zeros(m, dtype=bool)
+
+    def test_axes(axes, valid=None):
+        nonlocal separated
+        # axes: (m, k, n), possibly unnormalized; zero axes carry no information
+        proj_d = np.abs(np.einsum("mkn,mn->mk", axes, diff))
+        ra = np.einsum("mkn,n->mk", np.abs(axes), ah)
+        rb = np.einsum("mkj,j->mk", np.abs(np.einsum("mkn,mnj->mkj", axes, rots)), bh)
+        sep = proj_d > ra + rb
+        if valid is not None:
+            sep &= valid
+        separated |= np.any(sep, axis=1)
+
+    eye = np.broadcast_to(np.eye(n), (m, n, n)).copy()
+    test_axes(eye)
+    test_axes(np.transpose(rots, (0, 2, 1)))
+    if n == 3:
+        cross_axes = []
+        for i in range(3):
+            for j in range(3):
+                e = np.zeros(3)
+                e[i] = 1.0
+                axis = np.cross(e[None, :], rots[:, :, j])
+                cross_axes.append(axis)
+        axes = np.stack(cross_axes, axis=1)
+        norms = np.linalg.norm(axes, axis=2)
+        valid = norms > 1e-9
+        test_axes(axes, valid)
+    return ~separated
+
+
+def sample_blocks(m, per_sample):
+    """Sample ranges whose temporaries stay within BLOCK_ELEMENTS."""
+    step = max(1, BLOCK_ELEMENTS // max(1, per_sample))
+    for lo in range(0, m, step):
+        yield lo, min(m, lo + step)
+
+
+def _separated(pa, pb):
+    """Whether some axis strictly separates two point sets, given their
+    projections (samples, points, axes); a zero axis projects everything to 0
+    and never separates."""
+    return ((pa.max(axis=1) < pb.min(axis=1))
+            | (pb.max(axis=1) < pa.min(axis=1))).any(axis=1)
+
+
+def _cross_axes(fixed, turned):
+    """Columns e x f for every fixed e (p, 3) and every column f of turned
+    (s, 3, q), as (s, 3, p * q): e x f is the skew matrix of e times f."""
+    zero = np.zeros(len(fixed))
+    x, y, z = fixed.T
+    skew = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3)
+    s, _, q = turned.shape
+    p = len(fixed)
+    return (skew @ turned).reshape(s, p, 3, q).transpose(0, 2, 1, 3).reshape(s, 3, p * q)
+
+
+def _hits_polytopes(ga, gb, xs, rots):
+    """Separating axes of a fixed polytope A against the moved x + R B.
+
+    The facet normals of A and the rotated facet normals of B go first; in
+    space, the samples they leave unseparated are then tested on the cross
+    products of A's edge directions with B's rotated edge directions.
+    Axes are columns: projections are (samples, points, axes).
+    """
+    m, n = xs.shape
+    hits = np.empty(m, dtype=bool)
+    count = len(ga.axes) + len(gb.axes) + len(ga.edge_dirs) * len(gb.edge_dirs)
+    for lo, hi in sample_blocks(m, count * (len(ga.vertices) + len(gb.vertices))):
+        r = rots[lo:hi]
+        moved = xs[lo:hi, None, :] + gb.vertices @ np.transpose(r, (0, 2, 1))
+        axes = np.concatenate([np.broadcast_to(ga.axes.T, (hi - lo, n, len(ga.axes))),
+                               r @ gb.axes.T], axis=2)
+        live = ~_separated(ga.vertices @ axes, moved @ axes)
+        if len(ga.edge_dirs) and len(gb.edge_dirs):
+            idx = np.flatnonzero(live)
+            axes = _cross_axes(ga.edge_dirs, r[idx] @ gb.edge_dirs.T)
+            live[idx] = ~_separated(ga.vertices @ axes, moved[idx] @ axes)
+        hits[lo:hi] = live
+    return hits
+
+
+def _hits_ball_polytope(g, centers, radius):
+    """A fixed polytope against the balls B(c_m, radius), on the axes through
+    every possible closest feature: facet normals, vertex-to-center
+    directions and, in space, edge perpendiculars through the center."""
+    m, n = centers.shape
+    hits = np.empty(m, dtype=bool)
+    count = len(g.axes) + len(g.vertices) + len(g.edge_points)
+    for lo, hi in sample_blocks(m, count * (len(g.vertices) + 2)):
+        c = centers[lo:hi, :, None]
+        w = c - g.edge_points.T
+        w -= (w * g.edge_units.T).sum(axis=1, keepdims=True) * g.edge_units.T
+        axes = np.concatenate([np.broadcast_to(g.axes.T, (hi - lo, n, len(g.axes))),
+                               c - g.vertices.T, w], axis=2)
+        mid = (c * axes).sum(axis=1, keepdims=True)
+        reach = radius * np.sqrt((axes * axes).sum(axis=1, keepdims=True))
+        hits[lo:hi] = ~_separated(g.vertices @ axes,
+                                  np.concatenate([mid - reach, mid + reach], axis=1))
+    return hits
+
+
+# -- polygons ------------------------------------------------------------------------
 
 def polygon_area(vertices):
     """Shoelace area of a convex polygon given in counterclockwise order."""
     v = np.asarray(vertices, dtype=float)
     x, y = v[:, 0], v[:, 1]
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
-def convex_hull_volume(points):
-    from scipy.spatial import ConvexHull
-    return float(ConvexHull(points).volume)
-
-
-def minkowski_sum_volume(a_vertices, b_vertices):
-    """Volume of the Minkowski sum of two convex polytopes (vertex lists)."""
-    a = np.asarray(a_vertices, dtype=float)
-    b = np.asarray(b_vertices, dtype=float)
-    sums = (a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1])
-    return convex_hull_volume(sums)
 
 
 def polygon_edges(vertices):

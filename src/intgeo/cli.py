@@ -67,6 +67,11 @@ def _log_config(args):
     print(f"config: {resolved}", file=sys.stderr)
 
 
+def _unused_flag(flag, where):
+    print(f"error: {flag} has no effect on {where}", file=sys.stderr)
+    return 2
+
+
 # -- so ------------------------------------------------------------------------
 
 def cmd_so(args):
@@ -90,7 +95,9 @@ def cmd_so(args):
 def cmd_un(args):
     _log_config(args)
     n = args.dim
-    fmt = args.format
+    fmt = args.format or "json"
+    if args.format is not None and args.table not in ("kinematic", "additive"):
+        return _unused_flag("--format", f"un {args.table}, which has one output form")
     if args.table == "kinematic":
         table = hermitian.convert_un_table(hermitian.kinematic_un(n), n, args.basis)
         _write_output(emitters.emit_table(table, fmt), args.out)
@@ -150,6 +157,12 @@ def cmd_spaceform(args):
         print("error: --lambda-eval takes only the value 1, and only for the "
               "real family (sphere values at unit curvature)", file=sys.stderr)
         return 2
+    if args.family == "real" and args.check is not None:
+        return _unused_flag("--check", "spaceform real; the checks are for "
+                            "the complex family")
+    if args.family == "complex" and args.format is not None:
+        return _unused_flag("--format", "spaceform complex, which prints a "
+                            "check report")
     if args.family == "real":
         algebra = spaceforms.real_space_form(n)
         table = algebra.kinematic()
@@ -159,7 +172,7 @@ def cmd_spaceform(args):
                 vals = [emitters.scalar_to_string(
                     algebra.sphere_value(algebra.tau(i), j)) for i in range(n + 1)]
                 lines.append(f"INFO sphere S^{j}: tau values {vals}")
-        data = emitters.emit_table(table, args.format)
+        data = emitters.emit_table(table, args.format or "json")
         if lines:
             data += emitters.emit_report(lines, [])
         _write_output(data, args.out)
@@ -522,16 +535,19 @@ def build_parser():
     un.add_argument("--deg-b", type=int, default=None)
     un.add_argument("--space", default="euclidean",
                     choices=["euclidean", "projective"])
-    un.add_argument("--format", default="json", choices=["json", "csv", "latex"])
+    un.add_argument("--format", choices=["json", "csv", "latex"],
+                    help="kinematic and additive tables only (default json)")
     un.add_argument("--out")
     un.set_defaults(func=cmd_un)
 
     sf = sub.add_parser("spaceform", help="constant-curvature families")
     sf.add_argument("family", choices=["real", "complex"])
     sf.add_argument("--dim", type=int, required=True)
-    sf.add_argument("--check", choices=["bfs", "conjecture", "chapoton"])
+    sf.add_argument("--check", choices=["bfs", "conjecture", "chapoton"],
+                    help="complex family only (default bfs)")
     sf.add_argument("--lambda-eval", default=None)
-    sf.add_argument("--format", default="json", choices=["json", "csv", "latex"])
+    sf.add_argument("--format", choices=["json", "csv", "latex"],
+                    help="real family only (default json)")
     sf.add_argument("--out")
     sf.set_defaults(func=cmd_spaceform)
 

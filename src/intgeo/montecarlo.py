@@ -20,8 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import euclid
-from .bodies import ConvexBody, gjk_intersects, polygon_edges, ccw_order, \
-    minkowski_sum_volume
+from .bodies import ConvexBody, kinematic_indicator, sample_blocks
 from .scalars import Scalar
 
 CHUNK = 1 << 17
@@ -155,130 +154,48 @@ def _chunks(samples):
         index += 1
 
 
-# -- intersection indicator kernels ---------------------------------------------
+# -- principal kinematic formula -------------------------------------------------
 
-def _hits_kinematic(a, b, xs, rots):
-    """Indicator of a meeting x + R b, vectorized over samples."""
-    kinds = (a.kind, b.kind)
-    if kinds == ("ball", "ball"):
-        centers = xs + np.einsum("mij,j->mi", rots, b.center_f())
-        gap = centers - a.center_f()
-        rr = float(a.radius) + float(b.radius)
-        return np.einsum("mi,mi->m", gap, gap) <= rr * rr
-    if kinds == ("ball", "box"):
-        # coordinates of the ball center in the moved box's frame
-        local = np.einsum("mji,mj->mi", rots, a.center_f() - xs)
-        q = np.clip(local, b.lo_f(), b.hi_f())
-        gap = local - q
-        return np.einsum("mi,mi->m", gap, gap) <= float(a.radius) ** 2
-    if kinds == ("box", "ball"):
-        centers = xs + np.einsum("mij,j->mi", rots, b.center_f())
-        q = np.clip(centers, a.lo_f(), a.hi_f())
-        gap = centers - q
-        return np.einsum("mi,mi->m", gap, gap) <= float(b.radius) ** 2
-    if kinds == ("box", "box"):
-        return _hits_box_box(a, b, xs, rots)
-    hits = np.empty(len(xs), dtype=bool)
-    bverts = b.vertices_f() if b.kind != "ball" else None
-    for i in range(len(xs)):
-        if bverts is None:
-            moved = _MovedBall(xs[i] + rots[i] @ b.center_f(), float(b.radius),
-                               b.dimension)
-        else:
-            moved = _MovedPolytope(xs[i] + bverts @ rots[i].T, b.dimension)
-        hits[i] = gjk_intersects(a, moved)
-    return hits
+def _intrinsic_volumes(body):
+    """V_0 .. V_n: exact Scalars for template bodies (balls, boxes, points),
+    floats from the facet and edge data for a general polytope."""
+    n = body.dimension
+    try:
+        return [body.exact_intrinsic_volume(i) for i in range(n + 1)]
+    except ValueError:
+        return list(body.geometry().volumes)
 
 
-class _MovedPolytope:
-    """Minimal support-function view of a rigidly moved polytope."""
-
-    kind = "polytope"
-
-    def __init__(self, vertices, dimension):
-        self._v = vertices
-        self.dimension = dimension
-
-    def support(self, d):
-        return self._v[int(np.argmax(self._v @ np.asarray(d, dtype=float)))]
-
-
-class _MovedBall:
-    kind = "ball"
-
-    def __init__(self, center, radius, dimension):
-        self._c = center
-        self._r = radius
-        self.dimension = dimension
-
-    def center_f(self):
-        return self._c
-
-    def support(self, d):
-        d = np.asarray(d, dtype=float)
-        nrm = np.linalg.norm(d)
-        if nrm == 0:
-            return self._c
-        return self._c + self._r * d / nrm
-
-
-def _hits_box_box(a, b, xs, rots):
-    """Separating-axis test for an axis-aligned box against moved boxes."""
-    n = a.dimension
-    ac = (a.lo_f() + a.hi_f()) / 2
-    ah = (a.hi_f() - a.lo_f()) / 2
-    bc = (b.lo_f() + b.hi_f()) / 2
-    bh = (b.hi_f() - b.lo_f()) / 2
-    centers = xs + np.einsum("mij,j->mi", rots, bc)
-    diff = centers - ac
-    m = len(xs)
-    separated = np.zeros(m, dtype=bool)
-
-    def test_axes(axes, valid=None):
-        nonlocal separated
-        # axes: (m, k, n), possibly unnormalized; zero axes carry no information
-        proj_d = np.abs(np.einsum("mkn,mn->mk", axes, diff))
-        ra = np.einsum("mkn,n->mk", np.abs(axes), ah)
-        rb = np.einsum("mkj,j->mk", np.abs(np.einsum("mkn,mnj->mkj", axes, rots)), bh)
-        sep = proj_d > ra + rb
-        if valid is not None:
-            sep &= valid
-        separated |= np.any(sep, axis=1)
-
-    eye = np.broadcast_to(np.eye(n), (m, n, n)).copy()
-    test_axes(eye)
-    test_axes(np.transpose(rots, (0, 2, 1)))
-    if n == 3:
-        cross_axes = []
-        for i in range(3):
-            for j in range(3):
-                e = np.zeros(3)
-                e[i] = 1.0
-                axis = np.cross(e[None, :], rots[:, :, j])
-                cross_axes.append(axis)
-        axes = np.stack(cross_axes, axis=1)
-        norms = np.linalg.norm(axes, axis=2)
-        valid = norms > 1e-9
-        test_axes(axes, valid)
-    return ~separated
-
-
-def principal_kinematic_prediction(a, b):
-    """Exact motion-measure of intersections: sum of the chi-table pairings
-    of the two bodies' intrinsic volumes."""
-    n = a.dimension
-    table = euclid.kinematic_so(n, basis="mu")
+def _pairing(table, a, b):
+    """Sum of table[i, j] V_i(A) V_j(B): an exact Scalar when both bodies
+    have templates, a float otherwise."""
+    va, vb = _intrinsic_volumes(a), _intrinsic_volumes(b)
+    if isinstance(va[0], float) or isinstance(vb[0], float):
+        return math.fsum(scalar_float(c) * scalar_float(va[i]) * scalar_float(vb[j])
+                         for ((i, _), (j, _)), c in table.entries.items())
     total = Scalar.zero()
     for ((i, _), (j, _)), c in table.entries.items():
-        total = total + c * a.exact_intrinsic_volume(i) * b.exact_intrinsic_volume(j)
+        total = total + c * va[i] * vb[j]
     return total
 
 
+def principal_kinematic_prediction(a, b):
+    """Motion-measure of intersections: sum of the chi-table pairings of the
+    two bodies' intrinsic volumes (exact for template bodies)."""
+    return _pairing(euclid.kinematic_so(a.dimension, basis="mu"), a, b)
+
+
 def estimate_principal_kinematic(a, b, samples, seed, name="kinematic"):
-    """Window-uniform translations + Haar rotations against chi(A cap gB)."""
+    """Window-uniform translations + Haar rotations against chi(A cap gB).
+
+    The prediction and the batched indicator are both built before the first
+    chunk, so an input without either fails before any sampling.
+    """
     if a.dimension != b.dimension:
         raise ValueError("bodies live in different dimensions")
     n = a.dimension
+    pred = scalar_float(principal_kinematic_prediction(a, b))
+    hits_of = kinematic_indicator(a, b)
     half = a.circumradius() + b.circumradius()
     if half <= 0:
         raise ValueError("window underflow: degenerate bodies")
@@ -290,14 +207,13 @@ def estimate_principal_kinematic(a, b, samples, seed, name="kinematic"):
         gen = rng_chunk(seed, index)
         rots = random_rotations(n, gen, m)
         xs = gen.uniform(-half, half, size=(m, n))
-        hits = _hits_kinematic(a, b, xs, rots)
+        hits = hits_of(xs, rots)
         if np.any(hits):
             worst = float(np.max(np.linalg.norm(xs[hits], axis=1)))
             if worst > support_bound:
                 raise AssertionError("window does not dominate the integrand")
         total += float(np.count_nonzero(hits))
         count += m
-    pred = scalar_float(principal_kinematic_prediction(a, b))
     # indicator values are vol_w * {0,1}
     hits_total = total
     mean_ind = hits_total / count
@@ -364,6 +280,7 @@ def estimate_crofton(a, k, samples, seed, name="crofton"):
     n = a.dimension
     if not 1 <= k <= n - 1:
         raise ValueError("crofton estimator needs 1 <= k <= n-1")
+    pred = scalar_float(a.exact_intrinsic_volume(k))
     rho = a.circumradius()
     from .scalars import omega
     fiber_vol = scalar_float(omega(k)) * rho ** k
@@ -390,7 +307,6 @@ def estimate_crofton(a, k, samples, seed, name="crofton"):
                 raise AssertionError("fiber ball does not dominate the integrand")
         hits_total += float(np.count_nonzero(hits))
         count += m
-    pred = scalar_float(a.exact_intrinsic_volume(k))
     scale = fiber_vol * const
     est = _estimate_from_values(name, scale * hits_total, scale ** 2 * hits_total,
                                 count, seed, pred, {"fiber_radius": rho})
@@ -454,77 +370,78 @@ def steiner_mc(box, r, samples, seed, name="steiner"):
 # -- additive (Minkowski sum) formula -------------------------------------------------
 
 def additive_volume_prediction(a, b):
-    """Exact rotation-average of the volume of A + gB."""
-    n = a.dimension
-    table = euclid.additive_so(n, basis="mu")
-    total = Scalar.zero()
-    for ((i, _), (j, _)), c in table.entries.items():
-        total = total + c * a.exact_intrinsic_volume(i) * b.exact_intrinsic_volume(j)
-    return total
+    """Rotation-average of the volume of A + gB (exact for template bodies)."""
+    return _pairing(euclid.additive_so(a.dimension, basis="mu"), a, b)
+
+
+def _support_sum(normals, areas, vertices):
+    """sum_F |F| max_v <v, u_F> per sample, for normals u_F of shape (m, F, n)."""
+    return np.max(normals @ vertices.T, axis=2) @ areas
+
+
+def minkowski_volumes(ga, gb, rots):
+    """vol(A + R B) for each rotation, exact for two polytopes in space.
+
+    With F over the facets of A and G over the facets of B,
+    vol(A + RB) = V(A) + V(B) + sum_F |F| h_RB(u_F) + sum_G |G| h_A(R u_G),
+    the mixed-volume expansion written with support functions.
+    """
+    vals = np.empty(len(rots))
+    base = ga.volumes[3] + gb.volumes[3]
+    per_sample = (len(ga.facet_areas) * len(gb.vertices)
+                  + len(gb.facet_areas) * len(ga.vertices))
+    for lo, hi in sample_blocks(len(rots), per_sample):
+        r = rots[lo:hi]
+        # u_F^T R is (R^T u_F)^T, and u_G^T R^T is (R u_G)^T
+        vals[lo:hi] = (base
+                       + _support_sum(ga.facet_normals @ r, ga.facet_areas, gb.vertices)
+                       + _support_sum(gb.facet_normals @ np.transpose(r, (0, 2, 1)),
+                                      gb.facet_areas, ga.vertices))
+    return vals
 
 
 def estimate_additive(a, b, samples, seed, name="additive"):
     """Mean volume of A + gB over Haar rotations.
 
-    Ball pairs are rotation-invariant (zero variance); polygon pairs use the
-    exact mixed-area support formula; 3-dimensional polytope pairs fall back
-    to convex hulls of pairwise vertex sums.
+    Ball pairs, and pairs with a single point, never vary (zero variance).
+    Otherwise A and B are boxes or polytopes in the plane or in space, and
+    each sample's volume is exact: the mixed-area support formula in the
+    plane, ``minkowski_volumes`` in space.
     """
     n = a.dimension
-    try:
-        pred = scalar_float(additive_volume_prediction(a, b))
-    except ValueError:
-        pred = None  # general polytopes have no exact template prediction
+    pred = scalar_float(additive_volume_prediction(a, b))
     if a.kind == "ball" and b.kind == "ball":
         from .scalars import omega
         rr = a.radius + b.radius
         val = scalar_float(omega(n)) * float(rr) ** n
         return MCEstimate(name, val, 0.0, samples, seed, prediction=pred,
                           extra={"zero_variance": True})
-    if b.kind == "polytope" and len(set(b.vertices)) == 1:
-        # a single point only translates: the volume never varies
-        val = scalar_float(a.exact_intrinsic_volume(n))
+    if a.is_point or b.is_point:
+        # a single point only translates the other body: the volume never varies
+        other = b if a.is_point else a
+        val = scalar_float(_intrinsic_volumes(other)[n])
         return MCEstimate(name, val, 0.0, samples, seed, prediction=pred,
                           extra={"zero_variance": True})
-    if n == 2:
-        av = ccw_order(a.vertices_f())
-        bv = ccw_order(b.vertices_f())
-        area_a = _shoelace(av)
-        area_b = _shoelace(bv)
-        _, b_normals, b_lengths = polygon_edges(bv)
-        total = 0.0
-        total_sq = 0.0
-        count = 0
-        for index, m in _chunks(samples):
-            gen = rng_chunk(seed, index)
-            rots = random_rotations(2, gen, m)
-            normals = np.einsum("mij,kj->mki", rots, b_normals)
-            h = np.max(np.einsum("vi,mki->mkv", av, normals), axis=2)
-            mixed = np.einsum("mk,k->m", h, b_lengths)
-            vals = area_a + area_b + mixed
-            total += float(vals.sum())
-            total_sq += float(np.dot(vals, vals))
-            count += m
-        return _estimate_from_values(name, total, total_sq, count, seed, pred, {})
-    if n == 3:
-        av = a.vertices_f()
-        bv = b.vertices_f()
-        vals = []
-        for index, m in _chunks(samples):
-            gen = rng_chunk(seed, index)
-            rots = random_rotations(3, gen, m)
-            for i in range(m):
-                vals.append(minkowski_sum_volume(av, (rots[i] @ bv.T).T))
-        vals = np.array(vals)
-        return _estimate_from_values(name, float(vals.sum()),
-                                     float(np.dot(vals, vals)),
-                                     len(vals), seed, pred, {})
-    raise ValueError("additive estimator supports dimensions 2 and 3")
-
-
-def _shoelace(v):
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    if n not in (2, 3):
+        raise ValueError("additive estimator supports dimensions 2 and 3")
+    ga, gb = a.geometry(), b.geometry()
+    total = 0.0
+    total_sq = 0.0
+    count = 0
+    for index, m in _chunks(samples):
+        gen = rng_chunk(seed, index)
+        rots = random_rotations(n, gen, m)
+        if n == 2:
+            normals = np.einsum("mij,kj->mki", rots, gb.facet_normals)
+            h = np.max(np.einsum("vi,mki->mkv", ga.vertices, normals), axis=2)
+            vals = ga.volumes[2] + gb.volumes[2] + np.einsum("mk,k->m", h,
+                                                             gb.facet_areas)
+        else:
+            vals = minkowski_volumes(ga, gb, rots)
+        total += float(vals.sum())
+        total_sq += float(np.dot(vals, vals))
+        count += m
+    return _estimate_from_values(name, total, total_sq, count, seed, pred, {})
 
 
 # -- the default verification suite ----------------------------------------------------

@@ -1,0 +1,130 @@
+"""Slow reference implementations the batched kernels are checked against.
+
+GJK (Gilbert, Johnson and Keerthi 1988): a support-function search for the
+point of the Minkowski difference nearest the origin, with tolerance 1e-10,
+one pair of bodies at a time.  The Minkowski-sum volume is the volume of the
+convex hull of all pairwise vertex sums.
+"""
+
+from itertools import combinations
+
+import numpy as np
+
+GJK_TOL = 1e-10
+
+
+def support(body, d):
+    """Farthest point of a ConvexBody (or a moved view) in direction d."""
+    d = np.asarray(d, dtype=float)
+    if body.kind == "ball":
+        nrm = np.linalg.norm(d)
+        if nrm == 0:
+            return body.center_f()
+        return body.center_f() + float(body.radius) * d / nrm
+    verts = body.vertices_f()
+    return verts[int(np.argmax(verts @ d))]
+
+
+class MovedPolytope:
+    """Vertex view of a rigidly moved polytope."""
+
+    kind = "polytope"
+
+    def __init__(self, vertices):
+        self._v = np.asarray(vertices, dtype=float)
+        self.dimension = self._v.shape[1]
+
+    def vertices_f(self):
+        return self._v
+
+
+class MovedBall:
+    kind = "ball"
+
+    def __init__(self, center, radius):
+        self._c = np.asarray(center, dtype=float)
+        self.radius = radius
+        self.dimension = len(self._c)
+
+    def center_f(self):
+        return self._c
+
+
+def moved(body, x, rot, scale=1.0):
+    """x + rot(body), optionally scaled about the body's center or vertex
+    centroid, as a view the oracle can query."""
+    if body.kind == "ball":
+        return MovedBall(x + rot @ body.center_f(), scale * float(body.radius))
+    v = body.vertices_f()
+    if scale != 1.0:
+        c = v.mean(axis=0)
+        v = c + scale * (v - c)
+    return MovedPolytope(x + v @ rot.T)
+
+
+def _nearest_on_simplex(pts):
+    """Closest point of the convex hull of pts (list of arrays) to the origin,
+    with the supporting sub-simplex."""
+    best = None
+    for r in range(1, len(pts) + 1):
+        for idx in combinations(range(len(pts)), r):
+            sub = np.array([pts[i] for i in idx])
+            if r == 1:
+                coords = np.array([1.0])
+            else:
+                # barycentric coordinates of the projection of the origin
+                diffs = sub[1:] - sub[0]
+                g = diffs @ diffs.T
+                rhs = -diffs @ sub[0]
+                try:
+                    sol = np.linalg.lstsq(g, rhs, rcond=None)[0]
+                except np.linalg.LinAlgError:
+                    continue
+                coords = np.concatenate(([1.0 - sol.sum()], sol))
+            if np.any(coords < -1e-12):
+                continue
+            point = coords @ sub
+            d = float(np.dot(point, point))
+            if best is None or d < best[0] - 1e-18:
+                best = (d, point, [pts[i] for i in idx])
+    return best[1], best[2]
+
+
+def gjk_intersects(a, b, tol=GJK_TOL, max_iter=200):
+    """Boolean convex intersection via support-function separation search."""
+    def sup(d):
+        return support(a, d) - support(b, -d)
+
+    d0 = a.center_f() - b.center_f() if a.kind == "ball" and b.kind == "ball" \
+        else np.ones(a.dimension)
+    if not np.any(d0):
+        d0 = np.ones(a.dimension)
+    simplex = [sup(d0)]
+    for _ in range(max_iter):
+        v, simplex = _nearest_on_simplex(simplex)
+        dist = float(np.linalg.norm(v))
+        if dist <= tol:
+            return True
+        w = sup(-v)
+        # every difference point x satisfies <x, v>/|v| >= <w, v>/|v|, a lower
+        # bound on the distance to the origin
+        lower = float(np.dot(w, v)) / dist
+        if lower > tol:
+            return False
+        if dist - lower <= tol:
+            return True
+        simplex.append(w)
+    return dist <= tol
+
+
+def convex_hull_volume(points):
+    from scipy.spatial import ConvexHull
+    return float(ConvexHull(points).volume)
+
+
+def minkowski_sum_volume(a_vertices, b_vertices):
+    """Volume of the Minkowski sum of two convex polytopes (vertex lists)."""
+    a = np.asarray(a_vertices, dtype=float)
+    b = np.asarray(b_vertices, dtype=float)
+    sums = (a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1])
+    return convex_hull_volume(sums)

@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from intgeo import montecarlo as MC
 from intgeo.bodies import (ConvexBody, body_from_spec, ccw_order,
-                           gjk_intersects, intersects, minkowski_sum_volume,
-                           polygon_area, polygon_edges)
+                           intersects, kinematic_indicator, polygon_area,
+                           polygon_edges)
 from intgeo.scalars import Scalar
+from oracles import gjk_intersects, minkowski_sum_volume, moved
 
 
 def test_ball_ball():
@@ -35,6 +37,11 @@ def test_polytope_pairs():
     near = ConvexBody.polytope([[0.5, 0.5], [3, 0], [2.5, 1]])
     assert not intersects(sq, far)
     assert intersects(sq, near)
+    # tangency counts (closed convention)
+    assert intersects(sq, ConvexBody.polytope([[1, 0], [2, 0], [2, 1], [1, 1]]))
+    assert intersects(ConvexBody.cube(3, 2),
+                      ConvexBody.polytope([[1, 0, 0], [2, 0, 0], [2, 1, 0], [2, 0, 1]]))
+    assert intersects(ConvexBody.ball([0, 0], 1), ConvexBody.polytope([[1, 0], [2, 0], [2, 1]]))
 
 
 def test_gjk_against_exact_balls():
@@ -106,3 +113,135 @@ def test_validation_errors():
         ConvexBody.box([0, 0], [0, 1])
     with pytest.raises(ValueError):
         ConvexBody.polytope([])
+
+
+# -- the batched kernel against the GJK oracle ---------------------------------------
+
+PENTAGON = [[1, 0], [Fraction(3, 10), Fraction(19, 20)], [Fraction(-4, 5), Fraction(3, 5)],
+            [Fraction(-4, 5), Fraction(-3, 5)], [Fraction(3, 10), Fraction(-19, 20)]]
+QUAD = [[0, 0], [1, 0], [Fraction(3, 2), 1], [0, Fraction(7, 10)]]
+TETRA = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+OCTA = [[1, 0, 0], [-1, 0, 0], [0, Fraction(1, 2), 0], [0, Fraction(-1, 2), 0],
+        [0, 0, Fraction(3, 4)], [0, 0, Fraction(-3, 4)]]
+
+
+def _random_polytope(gen, count):
+    return ConvexBody.polytope(np.round(gen.normal(size=(count, 3)), 3).tolist())
+
+
+def _check_against_gjk(a, b, count=150, seed=1):
+    """The kernel's verdicts on seeded draws equal GJK's, except on draws
+    within ~1e-9 of tangency, where GJK on B scaled by 1 -+ 1e-9 disagrees."""
+    n = a.dimension
+    gen = MC.rng_chunk(seed, 0)
+    rots = MC.random_rotations(n, gen, count)
+    half = a.circumradius() + b.circumradius()
+    xs = gen.uniform(-half, half, size=(count, n))
+    hits = kinematic_indicator(a, b)(xs, rots)
+    compared = 0
+    for x, r, hit in zip(xs, rots, hits):
+        near = {gjk_intersects(a, moved(b, x, r, scale))
+                for scale in (1 - 1e-9, 1 + 1e-9)}
+        if len(near) == 1:
+            assert hit == near.pop()
+            compared += 1
+    assert compared >= count - 2
+    assert 0 < np.count_nonzero(hits) < count
+    return hits
+
+
+def test_sat_polygon_pairs():
+    pentagon, quad = ConvexBody.polytope(PENTAGON), ConvexBody.polytope(QUAD)
+    _check_against_gjk(pentagon, quad, 300)
+    point = ConvexBody.polytope([[Fraction(1, 5), Fraction(1, 10)]])
+    _check_against_gjk(pentagon, point, 300)
+    _check_against_gjk(point, quad, 300)
+    # interior, repeated and collinear vertices change nothing
+    cloud = ConvexBody.polytope(QUAD + [[Fraction(1, 2), Fraction(1, 2)], [0, 0],
+                                        [Fraction(1, 2), 0]])
+    assert np.array_equal(cloud.geometry().vertices, quad.geometry().vertices)
+
+
+def test_sat_box_point():
+    for box in (ConvexBody.box([-1, 0], [1, Fraction(1, 2)]),
+                ConvexBody.box([-1, 0, Fraction(-1, 4)], [1, Fraction(1, 2), 2])):
+        point = ConvexBody.polytope([[Fraction(1, 3)] * box.dimension])
+        _check_against_gjk(box, point, 300)
+
+
+def test_sat_ball_polytope():
+    disk = ConvexBody.ball([Fraction(1, 10), Fraction(1, 5)], Fraction(7, 10))
+    pentagon = ConvexBody.polytope(PENTAGON)
+    _check_against_gjk(disk, pentagon)
+    _check_against_gjk(pentagon, disk)
+    _check_against_gjk(disk, ConvexBody.polytope([[Fraction(1, 2), 0]]))
+    ball = ConvexBody.ball([Fraction(1, 10), 0, Fraction(1, 5)], Fraction(7, 10))
+    octa = ConvexBody.polytope(OCTA)
+    _check_against_gjk(ball, octa)
+    _check_against_gjk(octa, ball)
+
+
+def test_sat_polytopes_in_space():
+    gen = np.random.default_rng(3)
+    for seed in range(3):
+        _check_against_gjk(_random_polytope(gen, 10), _random_polytope(gen, 7),
+                           seed=seed)
+    _check_against_gjk(ConvexBody.polytope(TETRA), ConvexBody.polytope(OCTA))
+    _check_against_gjk(ConvexBody.box([-1, 0, 0], [1, Fraction(1, 2), 2]),
+                       ConvexBody.polytope(OCTA))
+
+
+def test_kernel_rejects_incomplete_pairs():
+    with pytest.raises(ValueError):
+        kinematic_indicator(ConvexBody.cube(4), ConvexBody.cube(4))
+    with pytest.raises(ValueError):
+        kinematic_indicator(ConvexBody.polytope([[0, 0]]), ConvexBody.polytope([[1, 0]]))
+    with pytest.raises(ValueError):
+        kinematic_indicator(ConvexBody.cube(4), ConvexBody.polytope([[0] * 4]))
+    flat = ConvexBody.polytope([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError):
+        kinematic_indicator(ConvexBody.cube(3), flat)
+    # a ball meets a box in any dimension by its closed form
+    kinematic_indicator(ConvexBody.ball([0] * 5, 1), ConvexBody.cube(5))
+
+
+# -- polytope intrinsic volumes ----------------------------------------------------------
+
+def test_polytope_volumes_of_boxes():
+    cube = ConvexBody.polytope(ConvexBody.cube(3, 1).vertices_f().tolist())
+    assert cube.geometry().volumes == pytest.approx((1, 3, 3, 1), rel=1e-12)
+    for box in (ConvexBody.box([0, -1], [Fraction(3, 2), Fraction(1, 4)]),
+                ConvexBody.box([0, -1, 2], [Fraction(3, 2), Fraction(1, 4), 5])):
+        n = box.dimension
+        as_polytope = ConvexBody.polytope(box.vertices_f().tolist())
+        exact = [MC.scalar_float(box.exact_intrinsic_volume(i)) for i in range(n + 1)]
+        assert as_polytope.geometry().volumes == pytest.approx(exact, rel=1e-12)
+        assert box.geometry().volumes == pytest.approx(exact, rel=1e-12)
+
+
+def test_polytope_volumes_closed_forms():
+    for k in (3, 5, 8):
+        poly = ConvexBody.polytope([[math.cos(2 * math.pi * j / k),
+                                     math.sin(2 * math.pi * j / k)] for j in range(k)])
+        v = poly.geometry().volumes
+        assert v[1] == pytest.approx(k * math.sin(math.pi / k), rel=1e-9)
+        assert v[2] == pytest.approx(k / 2 * math.sin(2 * math.pi / k), rel=1e-9)
+    # regular tetrahedron of edge 2 sqrt 2: external angle pi - arccos(1/3)
+    v = ConvexBody.polytope(TETRA).geometry().volumes
+    edge = 2 * math.sqrt(2)
+    assert v[1] == pytest.approx(6 * edge * (math.pi - math.acos(1 / 3))
+                                 / (2 * math.pi), rel=1e-12)
+    assert v[2] == pytest.approx(math.sqrt(3) * edge ** 2 / 2, rel=1e-12)
+    assert v[3] == pytest.approx(edge ** 3 / (6 * math.sqrt(2)), rel=1e-12)
+    segment = ConvexBody.polytope([[0, 0], [3, 4], [Fraction(3, 2), 2]])
+    assert segment.geometry().volumes == pytest.approx((1, 5, 0))
+
+
+def test_float_views_cached_read_only():
+    box = ConvexBody.box([0, 0, 0], [1, 2, 3])
+    assert box.vertices_f() is box.vertices_f() and box.lo_f() is box.lo_f()
+    assert box.geometry() is box.geometry()
+    with pytest.raises(ValueError):
+        box.vertices_f()[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        box.geometry().facet_normals[0, 0] = 5.0

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -179,3 +180,60 @@ def test_document_json_round_trip_lossless():
     table = hermitian.convert_un_table(hermitian.kinematic_un(2), 2, "tasaki")
     doc = emitters.table_document(table)
     assert json.loads(emitters.emit_json(doc).decode()) == doc
+
+
+def test_cli_flags_without_effect_exit_2(capsys):
+    for argv, flag in ((["un", "tasaki-matrices", "--dim", "2", "--format", "csv"], "--format"),
+                       (["un", "firstorder", "--dim", "2", "--deg-a", "2", "--deg-b", "2",
+                         "--format", "json"], "--format"),
+                       (["spaceform", "complex", "--dim", "2", "--format", "csv"], "--format"),
+                       (["spaceform", "real", "--dim", "2", "--check", "conjecture"], "--check")):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(f"error: {flag} has no effect")
+    # without the flag, the defaults still apply
+    assert cli.main(["un", "tasaki-matrices", "--dim", "2"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "tasaki_n2.json").read_bytes()
+
+
+POLYTOPE_PAIRS = {
+    "polygons": {"A": {"kind": "polytope",
+                       "vertices": [["1", "0"], ["3/10", "19/20"], ["-4/5", "3/5"],
+                                    ["-4/5", "-3/5"], ["3/10", "-19/20"]]},
+                 "B": {"kind": "polytope",
+                       "vertices": [["0", "0"], ["1", "0"], ["3/2", "1"], ["0", "7/10"]]}},
+    "space": {"A": {"kind": "polytope",
+                    "vertices": [["1", "1", "1"], ["1", "-1", "-1"], ["-1", "1", "-1"],
+                                 ["-1", "-1", "1"]]},
+              "B": {"kind": "polytope",
+                    "vertices": [["1", "0", "0"], ["-1", "0", "0"], ["0", "1/2", "0"],
+                                 ["0", "-1/2", "0"], ["0", "0", "3/4"], ["0", "0", "-3/4"]]}},
+}
+
+
+@pytest.mark.parametrize("pair", sorted(POLYTOPE_PAIRS))
+@pytest.mark.parametrize("test", ["kinematic", "additive"])
+def test_cli_mc_polytope_pairs(tmp_path, pair, test):
+    bodies = tmp_path / "bodies.json"
+    bodies.write_text(json.dumps(POLYTOPE_PAIRS[pair]))
+    out = tmp_path / "results.csv"
+    rc = cli.main(["mc", test, "--bodies", str(bodies), "--samples", "20000",
+                   "--seed", "5", "--out", str(out)])
+    assert rc == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[5] != "" and abs(float(row[6])) <= 4
+
+
+def test_cli_mc_box_pair_in_4d_fails_before_sampling(tmp_path, capsys):
+    spec = {"A": {"kind": "box", "min": ["0"] * 4, "max": ["1"] * 4},
+            "B": {"kind": "box", "min": ["0"] * 4, "max": ["1"] * 4}}
+    bodies = tmp_path / "bodies.json"
+    bodies.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    rc = cli.main(["mc", "kinematic", "--bodies", str(bodies), "--samples", "200000"])
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: ")

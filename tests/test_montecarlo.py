@@ -6,8 +6,9 @@ import pytest
 from scipy import stats
 
 from intgeo import montecarlo as MC
-from intgeo.bodies import ConvexBody
+from intgeo.bodies import ConvexBody, kinematic_indicator
 from intgeo.scalars import Scalar
+from oracles import gjk_intersects, minkowski_sum_volume, moved
 
 SAMPLES = 100_000
 
@@ -132,25 +133,46 @@ def test_additive_3d_cubes():
 
 def test_box_box_sat_against_gjk():
     # the vectorized separating-axis kernel agrees with the generic search
-    from intgeo.bodies import gjk_intersects
-    from intgeo.montecarlo import _MovedPolytope
     sq = unit_square()
     gen = MC.rng_chunk(77, 0)
     rots = MC.random_rotations(2, gen, 300)
     xs = gen.uniform(-1.5, 1.5, size=(300, 2))
-    hits = MC._hits_kinematic(sq, sq, xs, rots)
-    verts = sq.vertices_f()
+    hits = kinematic_indicator(sq, sq)(xs, rots)
     for i in range(300):
-        moved = _MovedPolytope(xs[i] + verts @ rots[i].T, 2)
-        assert hits[i] == gjk_intersects(sq, moved), i
+        assert hits[i] == gjk_intersects(sq, moved(sq, xs[i], rots[i])), i
     cube = ConvexBody.cube(3, 1)
     rots3 = MC.random_rotations(3, gen, 200)
     xs3 = gen.uniform(-1.5, 1.5, size=(200, 3))
-    hits3 = MC._hits_kinematic(cube, cube, xs3, rots3)
-    verts3 = cube.vertices_f()
+    hits3 = kinematic_indicator(cube, cube)(xs3, rots3)
     for i in range(200):
-        moved = _MovedPolytope(xs3[i] + verts3 @ rots3[i].T, 3)
-        assert hits3[i] == gjk_intersects(cube, moved), i
+        assert hits3[i] == gjk_intersects(cube, moved(cube, xs3[i], rots3[i])), i
+
+
+def test_minkowski_volumes_against_hull():
+    gen = np.random.default_rng(5)
+    pairs = [(ConvexBody.cube(3, 1), ConvexBody.box([0, 0, 0], [1, 2, Fraction(1, 2)]))]
+    for _ in range(3):
+        pairs.append(tuple(ConvexBody.polytope(np.round(gen.normal(size=(k, 3)), 3).tolist())
+                           for k in (9, 6)))
+    rots = MC.random_rotations(3, MC.rng_chunk(8, 0), 60)
+    for a, b in pairs:
+        vals = MC.minkowski_volumes(a.geometry(), b.geometry(), rots)
+        hull = [minkowski_sum_volume(a.vertices_f(), b.vertices_f() @ r.T)
+                for r in rots]
+        assert vals == pytest.approx(hull, rel=1e-9)
+
+
+def test_polytope_float_predictions():
+    pentagon = ConvexBody.polytope([[1, 0], [0, 1], [-1, 0], [0, -1], [1, -1]])
+    tetra = ConvexBody.polytope([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+    for a, b in ((pentagon, unit_square()), (tetra, ConvexBody.cube(3, 1))):
+        est = MC.estimate_principal_kinematic(a, b, 20_000, 61)
+        assert est.prediction is not None and abs(est.z) <= 4
+        est = MC.estimate_additive(a, b, 20_000, 62)
+        assert est.prediction is not None and abs(est.z) <= 4
+    # template bodies keep their exact prediction
+    pred = MC.principal_kinematic_prediction(ConvexBody.ball([0, 0], 1), unit_square())
+    assert pred == Scalar.from_rational(5) + Scalar.pi_power(1)
 
 
 def test_default_suite_small():
