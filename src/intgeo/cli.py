@@ -6,8 +6,9 @@ exact check battery plus a statistical gate).
 
 Exit codes: 0 success, 1 verification failure (an exact check failed or some
 |z| > 4), 2 usage error.  Every run logs its resolved configuration to
-stderr.  A config file of key=value lines can supply defaults for any long
-flag; the INTGEO_OUT_DIR environment variable prefixes relative output paths.
+stderr.  A config file of key=value lines supplies defaults for the chosen
+command's long flags, required ones included; the command line wins.  The
+INTGEO_OUT_DIR environment variable prefixes relative output paths.
 """
 
 from __future__ import annotations
@@ -38,16 +39,21 @@ def _load_config(path):
     return out
 
 
-def _apply_config(args, config):
-    for key, value in config.items():
-        if not hasattr(args, key):
-            continue
-        current = getattr(args, key)
-        if current is None:
-            if key in ("samples", "seed", "dim", "max_dim", "mc_samples", "jobs"):
-                value = int(value)
-            setattr(args, key, value)
-    return args
+def _apply_config(command_parser, path):
+    """Make each key of the config file the default of the flag it names, so
+    the command line still wins and a required flag may come from the file."""
+    flags = {a.dest: a for a in command_parser._actions
+             if a.option_strings and a.dest != "help"}
+    for key, value in _load_config(path).items():
+        if key not in flags:
+            print(f"error: {path}: unknown key {key}", file=sys.stderr)
+            raise SystemExit(2)
+        if flags[key].choices is not None and value not in flags[key].choices:
+            print(f"error: {path}: {key} must be one of "
+                  f"{', '.join(flags[key].choices)}", file=sys.stderr)
+            raise SystemExit(2)
+        flags[key].default = value
+        flags[key].required = False
 
 
 def _write_output(data, out):
@@ -96,14 +102,18 @@ def cmd_un(args):
     _log_config(args)
     n = args.dim
     fmt = args.format or "json"
-    if args.format is not None and args.table not in ("kinematic", "additive"):
-        return _unused_flag("--format", f"un {args.table}, which has one output form")
+    basis = args.basis or "tasaki"
+    if args.table not in ("kinematic", "additive"):
+        if args.format is not None:
+            return _unused_flag("--format", f"un {args.table}, which has one output form")
+        if args.basis is not None:
+            return _unused_flag("--basis", f"un {args.table}, which has one basis")
     if args.table == "kinematic":
-        table = hermitian.convert_un_table(hermitian.kinematic_un(n), n, args.basis)
+        table = hermitian.convert_un_table(hermitian.kinematic_un(n), n, basis)
         _write_output(emitters.emit_table(table, fmt), args.out)
         return 0
     if args.table == "additive":
-        table = hermitian.convert_un_table(hermitian.additive_un(n), n, args.basis)
+        table = hermitian.convert_un_table(hermitian.additive_un(n), n, basis)
         _write_output(emitters.emit_table(table, fmt), args.out)
         return 0
     if args.table == "tasaki-matrices":
@@ -239,6 +249,16 @@ def cmd_mc(args):
     _log_config(args)
     samples = args.samples or 10 ** 6
     seed = args.seed if args.seed is not None else 20260809
+    where = f"mc {args.test}"
+    if args.k is not None and args.test != "crofton":
+        return _unused_flag("--k", where)
+    if args.radius is not None and args.test != "steiner":
+        return _unused_flag("--radius", where)
+    if args.test == "suite" and args.bodies:
+        return _unused_flag("--bodies", "mc suite, which has its own bodies")
+    if args.dim is not None and (args.test == "suite" or args.bodies):
+        return _unused_flag("--dim", "mc suite or mc with --bodies, whose "
+                            "bodies fix the dimension")
     if args.test == "suite":
         runs = montecarlo.default_suite(samples=samples, seed=seed)
     else:
@@ -508,10 +528,8 @@ def build_parser():
         prog="intgeo",
         description="exact kinematic formulas with Monte Carlo verification")
     parser.add_argument("--config", help="key=value defaults file")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker hint; chunked random streams keep "
-                             "results identical for any value")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     so = sub.add_parser("so", help="euclidean rotation-group tables")
     so.add_argument("table", choices=["kinematic", "additive"])
@@ -529,8 +547,8 @@ def build_parser():
     un.add_argument("table", choices=["kinematic", "additive", "tasaki-matrices",
                                       "firstorder", "verify"])
     un.add_argument("--dim", type=int, required=True)
-    un.add_argument("--basis", default="tasaki",
-                    choices=["monomial", "tasaki", "hermitian"])
+    un.add_argument("--basis", choices=["monomial", "tasaki", "hermitian"],
+                    help="kinematic and additive tables only (default tasaki)")
     un.add_argument("--deg-a", type=int, default=None)
     un.add_argument("--deg-b", type=int, default=None)
     un.add_argument("--space", default="euclidean",
@@ -554,17 +572,17 @@ def build_parser():
     mc = sub.add_parser("mc", help="Monte Carlo estimators")
     mc.add_argument("test", choices=["kinematic", "crofton", "cauchy",
                                      "steiner", "additive", "suite"])
-    mc.add_argument("--dim", type=int, default=2)
+    mc.add_argument("--dim", type=int,
+                    help="dimension of the default bodies (default 2)")
     mc.add_argument("--bodies", help="JSON body specification file")
     mc.add_argument("--samples", type=int, default=None)
     mc.add_argument("--seed", type=int, default=None)
-    mc.add_argument("--k", type=int, default=None)
-    mc.add_argument("--radius", default=None)
+    mc.add_argument("--k", type=int, default=None, help="crofton only (default 1)")
+    mc.add_argument("--radius", default=None, help="steiner only (default 1)")
     mc.add_argument("--out")
     mc.set_defaults(func=cmd_mc)
 
     ver = sub.add_parser("verify", help="run the exact check battery")
-    ver.add_argument("--all", action="store_true")
     ver.add_argument("--max-dim", type=int, default=None)
     ver.add_argument("--mc-samples", type=int, default=None)
     ver.add_argument("--seed", type=int, default=None)
@@ -575,9 +593,13 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    pre = argparse.ArgumentParser(prog="intgeo", add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("command", nargs="?")
+    known, _ = pre.parse_known_args(argv)
+    if known.config and known.command in parser.commands:
+        _apply_config(parser.commands[known.command], known.config)
     args = parser.parse_args(argv)
-    if args.config:
-        _apply_config(args, _load_config(args.config))
     if args.command == "un" and args.table == "firstorder":
         if args.deg_a is None or args.deg_b is None:
             parser.error("firstorder needs --deg-a and --deg-b")

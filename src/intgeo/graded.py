@@ -3,11 +3,11 @@
 A ``QuotientAlgebra`` is built from a generator set with positive integer
 weights, a list of ideal generators, and a truncation degree D.  Construction
 enumerates every monomial of degree <= D, row-reduces the span of all ideal
-multiples over an exact field, and keeps the non-pivot monomials as the
-normal-form basis.  The reduction runs block by block: a homogeneous ideal
-never links two degrees, so each degree is reduced on its own.  The monomial
-order eliminates high exponents of heavier generators first, so low-s
-monomials survive as basis representatives.
+multiples over Q, and keeps the non-pivot monomials as the normal-form basis.
+The reduction runs block by block: a homogeneous ideal never links two
+degrees, so each degree is reduced on its own.  The monomial order eliminates
+high exponents of heavier generators first, so low-s monomials survive as
+basis representatives.
 
 Ideal generators may be inhomogeneous (a filtered quotient); the truncation
 then silently kills every monomial of degree > D instead of raising.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import rref
+from .linalg import _is_zero, rref
 from .scalars import Scalar
 
 
@@ -27,12 +27,6 @@ class DegreeOverflow(ArithmeticError):
 
 class NonHomogeneousIdeal(ValueError):
     pass
-
-
-def _is_zero(x):
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return x == 0
 
 
 class GeneratorSet:
@@ -116,12 +110,6 @@ class GradedElement:
     def degrees(self):
         return sorted({self.algebra.gens.degree(m) for m in self.terms})
 
-    def homogeneous_part(self, d):
-        gens = self.algebra.gens
-        return GradedElement(self.algebra,
-                             {m: c for m, c in self.terms.items()
-                              if gens.degree(m) == d})
-
     def __add__(self, other):
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -165,13 +153,10 @@ class QuotientAlgebra:
     for a homogeneous ideal, per group of linked degrees for a filtered one.
     """
 
-    def __init__(self, gens, ideal, truncation, field_zero=Fraction(0),
-                 field_one=Fraction(1), require_homogeneous=True,
+    def __init__(self, gens, ideal, truncation, require_homogeneous=True,
                  zero_above_truncation=False):
         self.gens = gens
         self.truncation = int(truncation)
-        self.field_zero = field_zero
-        self.field_one = field_one
         self.require_homogeneous = require_homogeneous
         # set when every monomial above the truncation degree genuinely
         # vanishes in the quotient, so products may be truncated silently
@@ -209,7 +194,7 @@ class QuotientAlgebra:
                 for m in gens.monomials_of_degree(d):
                     # distinct generator monomials give distinct products,
                     # so no entry of the row is written twice
-                    row = [self.field_zero] * ncols
+                    row = [Fraction(0)] * ncols
                     nonzero = False
                     for mg, c in g.items():
                         mm = mono_mul(m, mg)
@@ -219,7 +204,7 @@ class QuotientAlgebra:
                     if nonzero:
                         rows.append(row)
 
-        reduced, pivots = rref(rows, ncols, self.field_zero, self.field_one)
+        reduced, pivots = rref(rows, ncols)
         pivot_set = set(pivots)
 
         self.basis = {d: [] for d in range(D + 1)}
@@ -238,13 +223,13 @@ class QuotientAlgebra:
                 self.reduction[m] = None  # filled below
         for m in self.reduction:
             if self.col_index[m] not in pivot_set:
-                self.reduction[m] = {m: self.field_one}
+                self.reduction[m] = {m: Fraction(1)}
         for row, p in zip(reduced, pivots):
             mono = self.columns[p]
             expansion = {}
             for j, c in enumerate(row):
                 if j != p and not _is_zero(c):
-                    expansion[self.columns[j]] = self.field_zero - c
+                    expansion[self.columns[j]] = -c
             self.reduction[mono] = expansion
 
         self.basis_index = {
@@ -403,13 +388,6 @@ class TensorTable:
 
     def is_swap_symmetric(self):
         return self.swapped().entries == self.entries
-
-    def scaled(self, c):
-        out = TensorTable(self.group, self.dim, self.normalization, self.basis,
-                          basis_labels=self.basis_labels)
-        for (l, r), v in self.entries.items():
-            out.add(l, r, c * v)
-        return out
 
     def map_legs(self, left_map=None, right_map=None, basis=None):
         """Apply per-degree linear maps (deg, i) -> {(deg', i'): coeff} to the legs."""

@@ -1,12 +1,12 @@
 """Exact linear algebra over the coefficient rings.
 
 Two routines carry the whole load: a fraction-free (Bareiss) inverse used for
-the Poincare-pairing matrices, and reduced row echelon form over an exact
-field used to build quotient-algebra normal forms.  The row reduction splits
-the columns into the independent blocks of the rows' nonzero pattern and
-reduces each block densely.  Matrices are plain lists of lists; entries only
-need ring operators (+, -, *), equality with 0 via ``is_zero``/falsiness,
-and ``exact_div`` for the fraction-free path.
+the Poincare-pairing matrices, and reduced row echelon form over Q used to
+build quotient-algebra normal forms.  The row reduction splits the columns
+into the independent blocks of the rows' nonzero pattern and reduces each
+block densely.  Matrices are plain lists of lists.  The inverse needs only
+ring operators (+, -, *), equality with 0 via ``is_zero``/falsiness, and
+``exact_div``; the row reduction takes Fraction entries.
 """
 
 from __future__ import annotations
@@ -96,18 +96,18 @@ def _rref_dense(rows, ncols):
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if not _is_zero(work[i][c])), None)
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
         prow = work[r]
-        support = [j for j in range(c, ncols) if not _is_zero(prow[j])]
+        support = [j for j in range(c, ncols) if prow[j]]
         inv = prow[c]
         for j in support:
             prow[j] = prow[j] / inv
         for i in range(len(work)):
             row = work[i]
-            if i != r and not _is_zero(row[c]):
+            if i != r and row[c]:
                 f = row[c]
                 for j in support:
                     row[j] = row[j] - f * prow[j]
@@ -118,11 +118,10 @@ def _rref_dense(rows, ncols):
     return work[:r], pivots
 
 
-def rref(rows, ncols, zero=Fraction(0), one=Fraction(1)):
-    """Reduced row echelon form over an exact field.
+def rref(rows, ncols):
+    """Reduced row echelon form over Q.
 
-    Returns (reduced_rows, pivot_columns).  Zero rows are dropped.  Entries
-    must support true division (Fraction, RatFunc).
+    Returns (reduced_rows, pivot_columns).  Zero rows are dropped.
 
     Two columns are linked when some row is nonzero in both; row operations
     never leave a connected component of these links, so each component is
@@ -141,7 +140,7 @@ def rref(rows, ncols, zero=Fraction(0), one=Fraction(1)):
 
     supported = []
     for row in rows:
-        cols = [j for j, x in enumerate(row) if not _is_zero(x)]
+        cols = [j for j, x in enumerate(row) if x]
         if cols:
             supported.append((row, cols[0]))
             root = find(cols[0])
@@ -161,7 +160,7 @@ def rref(rows, ncols, zero=Fraction(0), one=Fraction(1)):
         reduced, pivots = _rref_dense([[row[j] for j in cols] for row in members],
                                       len(cols))
         for sub, p in zip(reduced, pivots):
-            full = [zero] * ncols
+            full = [Fraction(0)] * ncols
             for j, x in zip(cols, sub):
                 full[j] = x
             out.append((cols[p], full))
@@ -169,16 +168,16 @@ def rref(rows, ncols, zero=Fraction(0), one=Fraction(1)):
     return [full for _, full in out], [p for p, _ in out]
 
 
-def kernel_basis(matrix, ncols, zero=Fraction(0), one=Fraction(1)):
-    """Basis of the right null space of ``matrix`` (rows over an exact field)."""
-    reduced, pivots = rref(matrix, ncols, zero, one)
+def kernel_basis(matrix, ncols):
+    """Basis of the right null space of ``matrix`` (rows over Q)."""
+    reduced, pivots = rref(matrix, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        v = [zero] * ncols
-        v[f] = one
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
         for row, p in zip(reduced, pivots):
-            v[p] = zero - row[f]
+            v[p] = -row[f]
         basis.append(v)
     return basis

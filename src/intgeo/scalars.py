@@ -39,16 +39,6 @@ def factorial(k):
     return math.factorial(k)
 
 
-def double_factorial(k):
-    if k <= 0:
-        return 1
-    r = 1
-    while k > 1:
-        r *= k
-        k -= 2
-    return r
-
-
 def _coerce_fraction(x):
     if isinstance(x, Fraction):
         return x
@@ -93,16 +83,6 @@ class Scalar:
 
     def is_zero(self):
         return not self.terms
-
-    def is_rational(self):
-        return set(self.terms) <= {0}
-
-    def as_rational(self):
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_rational():
-            raise ScalarError(f"{self} is not a plain rational")
-        return self.terms[0]
 
     def is_single_term(self):
         return len(self.terms) == 1
@@ -444,5 +424,3 @@ class LambdaScalar:
         return {"terms": [{"lam_pow": j, "scalar": self.terms[j].to_json()}
                           for j in sorted(self.terms)]}
 
-
-LAMBDA = LambdaScalar.lam_power(1)

@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-
-def _is_zero(x):
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return x == 0
+from .linalg import _is_zero
 
 
 def binomial_coefficient_general(alpha, m):
@@ -74,13 +70,6 @@ class FormalSeries:
                 if not _is_zero(b):
                     out[i + j] = out[i + j] + a * b
         return FormalSeries(out, self.order, self.zero)
-
-    def shift(self, k):
-        """Multiply by x^k."""
-        return FormalSeries([self.zero] * k + self.coeffs, self.order, self.zero)
-
-    def truncated(self, order):
-        return FormalSeries(self.coeffs[: order + 1], order, self.zero)
 
     def compose(self, inner):
         """self(inner(x)); inner must have zero constant term."""

@@ -11,10 +11,12 @@ lam = 1 against the kernel of projective-space evaluations, plus the
 conjectural closed-form relation series and its Chapoton functional
 equations.
 
-lam carries formal weight -2, so ideal generators are weighted-homogeneous;
-generic-lam row reduction happens over the rational-function field Q(lam).
-Each generator mixes degrees of one parity only, so both the Q(lam) and the
-lam = 1 reductions split into an even and an odd block.
+lam carries formal weight -2, so ideal generators are weighted-homogeneous
+and lam acts as a grading: the generic-lam normal form of a monomial m is its
+lam = 1 normal form with lam^((deg bm - deg m)/2) on each basis term bm, so
+only the rational lam = 1 quotient is row-reduced.  Each generator mixes
+degrees of one parity only, so that reduction splits into an even and an odd
+block.
 """
 
 from __future__ import annotations
@@ -28,172 +30,6 @@ from .scalars import LambdaScalar, Scalar, alpha, binomial
 from .series import FormalSeries, binomial_coefficient_general, binomial_power
 from .hermitian import fk, poincare_series_coefficients
 from . import euclid
-
-
-# -- rational functions in lam over Q ----------------------------------------
-
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return _poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                       for i in range(n)])
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        if len(a) < len(b) + i:
-            continue
-        f = a[len(b) + i - 1] / b[-1]
-        q[i] = f
-        if f:
-            for j, y in enumerate(b):
-                a[i + j] -= f * y
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_gcd(a, b):
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = tuple(x / lead for x in a)
-    return a
-
-
-class RatFunc:
-    """Element of Q(lam), reduced with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=(Fraction(1),)):
-        num = _poly_trim(Fraction(x) for x in num)
-        den = _poly_trim(Fraction(x) for x in den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if num:
-            g = _poly_gcd(num, den)
-            if len(g) > 1:
-                num, _ = _poly_divmod(num, g)
-                den, _ = _poly_divmod(den, g)
-            lead = den[-1]
-            if lead != 1:
-                num = tuple(x / lead for x in num)
-                den = tuple(x / lead for x in den)
-        else:
-            den = (Fraction(1),)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_fraction(cls, q):
-        return cls((Fraction(q),))
-
-    @classmethod
-    def lam(cls):
-        return cls((Fraction(0), Fraction(1)))
-
-    @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
-    def one(cls):
-        return cls((Fraction(1),))
-
-    def is_zero(self):
-        return not self.num
-
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.from_fraction(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(_poly_add(_poly_mul(self.num, other.den),
-                                 _poly_mul(other.num, self.den)),
-                       _poly_mul(self.den, other.den))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(tuple(-x for x in self.num), self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(_poly_mul(self.num, other.num),
-                       _poly_mul(self.den, other.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(_poly_mul(self.num, other.den),
-                       _poly_mul(self.den, other.num))
-
-    def exact_div(self, other):
-        return self / other
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def as_lambda_scalar(self):
-        if self.den != (Fraction(1),):
-            raise ValueError(f"{self!r} is not polynomial in lam")
-        return LambdaScalar({i: Scalar.from_rational(c)
-                             for i, c in enumerate(self.num) if c})
-
-    def __repr__(self):
-        def fmt(p):
-            return " + ".join(f"{c}*lam^{i}" for i, c in enumerate(p) if c) or "0"
-        if self.den == (Fraction(1),):
-            return fmt(self.num)
-        return f"({fmt(self.num)})/({fmt(self.den)})"
 
 
 # -- real space forms ---------------------------------------------------------
@@ -411,17 +247,6 @@ def curved_ideal_generators(n):
     return out
 
 
-def _lampoly_to_ratfunc(cs):
-    if not cs:
-        return RatFunc.zero()
-    top = max(cs)
-    return RatFunc(tuple(cs.get(i, Fraction(0)) for i in range(top + 1)))
-
-
-def _lampoly_substitute(cs, lam_value):
-    return sum((c * Fraction(lam_value) ** p for p, c in cs.items()), Fraction(0))
-
-
 class HilbertMismatch(AssertionError):
     pass
 
@@ -429,34 +254,26 @@ class HilbertMismatch(AssertionError):
 class ComplexSpaceFormAlgebra:
     """Curvature family of the hermitian valuation algebras.
 
-    ``symbolic`` is the quotient over Q(lam) (generic curvature), ``at_one``
-    the rational specialization lam = 1 used for the projective-space
-    cross-check.  Construction aborts unless the generic Hilbert function
-    matches the flat one.
+    With lam of weight -2 every curved generator is weighted-homogeneous, so
+    the quotient over Q(lam) is the rational quotient ``at_one`` (lam = 1)
+    with lam^((deg bm - deg m)/2) attached to each reduction coefficient
+    m -> bm; the two share their basis and Hilbert function.  Construction
+    aborts unless that Hilbert function matches the flat one.
     """
 
     def __init__(self, n):
         self.n = n
-        gens = curved_ideal_generators(n)
-        self.ideal_lambda = gens
-
-        ideal_sym = [{m: _lampoly_to_ratfunc(cs) for m, cs in g.items()}
-                     for g in gens]
-        self.symbolic = QuotientAlgebra(
-            GeneratorSet(("s", "t"), (2, 1)), ideal_sym, 2 * n,
-            field_zero=RatFunc.zero(), field_one=RatFunc.one(),
-            require_homogeneous=False, zero_above_truncation=True)
-
-        ideal_one = [{m: _lampoly_substitute(cs, 1) for m, cs in g.items()}
-                     for g in gens]
+        self.ideal_lambda = curved_ideal_generators(n)
+        ideal_one = [{m: sum(cs.values(), Fraction(0)) for m, cs in g.items()}
+                     for g in self.ideal_lambda]
         self.at_one = QuotientAlgebra(
             GeneratorSet(("s", "t"), (2, 1)), ideal_one, 2 * n,
             require_homogeneous=False, zero_above_truncation=True)
 
         expected = poincare_series_coefficients(n)
-        if self.symbolic.hilbert_series() != expected:
+        if self.at_one.hilbert_series() != expected:
             raise HilbertMismatch(
-                f"generic Hilbert function {self.symbolic.hilbert_series()} "
+                f"generic Hilbert function {self.at_one.hilbert_series()} "
                 f"differs from {expected}")
 
     def flat_limit_generators(self):
@@ -465,16 +282,22 @@ class ComplexSpaceFormAlgebra:
                  if cs.get(0)} for g in self.ideal_lambda]
 
     def normal_form_symbolic(self, terms):
-        """Normal form of {mono: RatFunc-coercible} over generic lam."""
-        conv = {}
-        for m, c in terms.items():
-            if isinstance(c, RatFunc):
-                conv[m] = c
-            elif isinstance(c, dict):
-                conv[m] = _lampoly_to_ratfunc(c)
-            else:
-                conv[m] = RatFunc.from_fraction(c)
-        return self.symbolic.normal_form_raw(conv)
+        """Generic-lam normal form of {mono: Fraction or {lam_pow: Fraction}},
+        as {basis mono: {lam_pow: Fraction}} without zero parts."""
+        alg = self.at_one
+        out = {}
+        for m, cs in terms.items():
+            d = alg.gens.degree(m)
+            if d > alg.truncation:
+                continue
+            cs = cs if isinstance(cs, dict) else {0: cs}
+            for bm, r in alg.reduction[m].items():
+                acc = out.setdefault(bm, {})
+                shift = (alg.gens.degree(bm) - d) // 2
+                for p, c in cs.items():
+                    acc[p + shift] = acc.get(p + shift, 0) + c * r
+        nf = {bm: {p: c for p, c in acc.items() if c} for bm, acc in out.items()}
+        return {bm: acc for bm, acc in nf.items() if acc}
 
 
 @lru_cache(maxsize=None)
@@ -635,6 +458,5 @@ def fbar_relations_check(n, max_i=None):
     comps = fbar_polynomials(n, max_i)
     out = {}
     for i in range(n + 1, max_i + 1):
-        nf = model.normal_form_symbolic(comps.get(i, {}))
-        out[i] = nf.is_zero()
+        out[i] = not model.normal_form_symbolic(comps.get(i, {}))
     return out

@@ -92,7 +92,7 @@ def test_cli_usage_error_exits_2():
 
 def test_cli_verify_small(tmp_path, capsys):
     out = tmp_path / "report.txt"
-    rc = cli.main(["verify", "--all", "--max-dim", "2", "--out", str(out)])
+    rc = cli.main(["verify", "--max-dim", "2", "--out", str(out)])
     assert rc == 0
     text = out.read_text()
     assert "ALL CHECKS PASSED" in text
@@ -131,6 +131,43 @@ def test_cli_config_and_outdir(tmp_path, monkeypatch):
     assert rc == 0
     lines = (tmp_path / "rel.csv").read_text().splitlines()
     assert lines[1].split(",")[2] == "15000"
+
+
+def test_cli_config_beats_defaults_and_loses_to_the_command_line(tmp_path, capsys):
+    cfg = tmp_path / "intgeo.cfg"
+    cfg.write_text("format=csv\nbasis=mu\n")
+    assert cli.main(["--config", str(cfg), "so", "kinematic", "--dim", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("group,dimension,normalization,basis,")
+    assert out.splitlines()[1].startswith("SO,2,standard,mu,")
+    assert cli.main(["--config", str(cfg), "so", "kinematic", "--dim", "2",
+                     "--format", "json", "--basis", "t"]) == 0
+    assert json.loads(capsys.readouterr().out)["basis"] == "t"
+
+
+def test_cli_config_supplies_required_flag(tmp_path, capsys):
+    cfg = tmp_path / "intgeo.cfg"
+    cfg.write_text("dim=2\n")
+    assert cli.main(["--config", str(cfg), "so", "kinematic"]) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 2
+    assert cli.main(["--config", str(cfg), "so", "kinematic", "--dim", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 3
+
+
+@pytest.mark.parametrize("line,message", [
+    ("max_dim=3", "unknown key max_dim"),   # a flag of another command
+    ("jobs=2", "unknown key jobs"),
+    ("format=xml", "format must be one of json, csv, latex"),
+])
+def test_cli_config_key_without_flag_exits_2(tmp_path, capsys, line, message):
+    cfg = tmp_path / "intgeo.cfg"
+    cfg.write_text(f"dim=2\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "so", "kinematic"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"error: {cfg}: {message}"
+    assert captured.out == ""
 
 
 def test_cli_malformed_config_line_exits_2(tmp_path, capsys):
@@ -195,6 +232,36 @@ def test_cli_flags_without_effect_exit_2(capsys):
     # without the flag, the defaults still apply
     assert cli.main(["un", "tasaki-matrices", "--dim", "2"]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / "tasaki_n2.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["un", "tasaki-matrices", "--dim", "2", "--basis", "monomial"], "--basis"),
+    (["un", "firstorder", "--dim", "2", "--deg-a", "2", "--deg-b", "2",
+      "--basis", "tasaki"], "--basis"),
+    (["un", "verify", "--dim", "2", "--basis", "hermitian"], "--basis"),
+    (["mc", "kinematic", "--samples", "2000", "--k", "2"], "--k"),
+    (["mc", "steiner", "--samples", "2000", "--k", "1"], "--k"),
+    (["mc", "kinematic", "--samples", "2000", "--radius", "5"], "--radius"),
+    (["mc", "crofton", "--samples", "2000", "--radius", "5"], "--radius"),
+    (["mc", "kinematic", "--samples", "2000", "--dim", "3", "--bodies", "b.json"],
+     "--dim"),
+    (["mc", "suite", "--samples", "2000", "--dim", "3"], "--dim"),
+    (["mc", "suite", "--samples", "2000", "--bodies", "b.json"], "--bodies"),
+])
+def test_cli_unread_flags_exit_2(capsys, argv, flag):
+    # rejected before any body file is read or any sample is drawn
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(f"error: {flag} has no effect")
+
+
+@pytest.mark.parametrize("argv", [["--jobs", "2", "so", "kinematic", "--dim", "2"],
+                                  ["verify", "--all", "--max-dim", "2"]])
+def test_cli_removed_flags_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 POLYTOPE_PAIRS = {

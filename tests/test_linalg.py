@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from intgeo.linalg import (SingularMatrixError, _rref_dense, identity,
                            invert_exact, kernel_basis, mat_mul, rref)
 from intgeo.scalars import Scalar
-from intgeo.spaceforms import RatFunc
 
 F0, F1 = Fraction(0), Fraction(1)
 
@@ -139,14 +138,3 @@ def test_block_rref_single_dense_block():
     reduced, pivots = rref(rows, 4)
     assert (reduced, pivots) == _rref_dense(rows, 4) == reference_rref(rows, 4)
     assert pivots == [0, 2]
-
-
-def test_block_rref_ratfunc_entries():
-    lam, one, zero = RatFunc.lam(), RatFunc.one(), RatFunc.zero()
-    rows = [[one, zero, lam, zero],
-            [zero, lam + one, zero, lam * lam],
-            [lam, zero, one, zero],
-            [zero, one, zero, one - lam]]
-    reduced, pivots = rref(rows, 4, zero, one)
-    assert (reduced, pivots) == _rref_dense(rows, 4) == reference_rref(rows, 4)
-    assert pivots == [0, 1, 2, 3]
