@@ -26,16 +26,21 @@ from .scalars import Scalar, omega
 
 def _load_config(path):
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                print(f"error: {path}:{lineno}: expected key=value", file=sys.stderr)
-                raise SystemExit(2)
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2)
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            print(f"error: {path}:{lineno}: expected key=value", file=sys.stderr)
+            raise SystemExit(2)
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -108,6 +113,12 @@ def cmd_un(args):
             return _unused_flag("--format", f"un {args.table}, which has one output form")
         if args.basis is not None:
             return _unused_flag("--basis", f"un {args.table}, which has one basis")
+    if args.table != "firstorder":
+        for flag, value in (("--space", args.space), ("--deg-a", args.deg_a),
+                            ("--deg-b", args.deg_b)):
+            if value is not None:
+                return _unused_flag(flag, f"un {args.table}; only un firstorder "
+                                    "reads it")
     if args.table == "kinematic":
         table = hermitian.convert_un_table(hermitian.kinematic_un(n), n, basis)
         _write_output(emitters.emit_table(table, fmt), args.out)
@@ -129,10 +140,10 @@ def cmd_un(args):
         _write_output(emitters.emit_json(doc), args.out)
         return 0
     if args.table == "firstorder":
-        ker = hermitian.first_order_formula(n, args.deg_a, args.deg_b,
-                                            space=args.space)
+        space = args.space or "euclidean"
+        ker = hermitian.first_order_formula(n, args.deg_a, args.deg_b, space=space)
         doc = {
-            "group": "U", "dimension": n, "space": args.space,
+            "group": "U", "dimension": n, "space": space,
             "degrees": [ker.k, ker.l],
             "left_perp": ker.left_perp, "right_perp": ker.right_perp,
             "coefficients": [
@@ -306,7 +317,7 @@ def scalar_checks():
              == Scalar.pi_power(n, Fraction(2 ** (n + 1), math.factorial(n + 1)))
              for n in range(51))
     record(ok, "ball-volume product identity, n <= 50")
-    ok = all(omega(n).exact_div(omega(n - 2)) == Scalar.pi_power(1, Fraction(2, n))
+    ok = all(omega(n) / omega(n - 2) == Scalar.pi_power(1, Fraction(2, n))
              for n in range(2, 51))
     record(ok, "ball-volume ratio identity, n <= 50")
     return lines, failures
@@ -499,6 +510,9 @@ def spaceform_checks(max_dim):
 
 def cmd_verify(args):
     _log_config(args)
+    if args.seed is not None and not args.mc_samples:
+        return _unused_flag("--seed", "verify without --mc-samples, which "
+                            "draws no samples")
     max_dim = args.max_dim or 4
     lines, failures = [], []
     for name, fn in [("scalars", scalar_checks),
@@ -549,10 +563,10 @@ def build_parser():
     un.add_argument("--dim", type=int, required=True)
     un.add_argument("--basis", choices=["monomial", "tasaki", "hermitian"],
                     help="kinematic and additive tables only (default tasaki)")
-    un.add_argument("--deg-a", type=int, default=None)
-    un.add_argument("--deg-b", type=int, default=None)
-    un.add_argument("--space", default="euclidean",
-                    choices=["euclidean", "projective"])
+    un.add_argument("--deg-a", type=int, default=None, help="firstorder only")
+    un.add_argument("--deg-b", type=int, default=None, help="firstorder only")
+    un.add_argument("--space", choices=["euclidean", "projective"],
+                    help="firstorder only (default euclidean)")
     un.add_argument("--format", choices=["json", "csv", "latex"],
                     help="kinematic and additive tables only (default json)")
     un.add_argument("--out")
@@ -585,7 +599,8 @@ def build_parser():
     ver = sub.add_parser("verify", help="run the exact check battery")
     ver.add_argument("--max-dim", type=int, default=None)
     ver.add_argument("--mc-samples", type=int, default=None)
-    ver.add_argument("--seed", type=int, default=None)
+    ver.add_argument("--seed", type=int, default=None,
+                     help="with --mc-samples only")
     ver.add_argument("--out")
     ver.set_defaults(func=cmd_verify)
     return parser

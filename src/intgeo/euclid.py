@@ -301,14 +301,14 @@ def nijenhuis_constants(n):
     for k in range(n + 1):
         phi = SOValuation(n, t_power(n, k).scale(thetap[k]))
         for ((i, _), (j, _)), v in additive_so(n, phi, basis="t").entries.items():
-            if v.exact_div(thetap[i] * thetap[j]) != Scalar.one():
+            if v / (thetap[i] * thetap[j]) != Scalar.one():
                 add_theta_ok = False
 
     theta_consts = set()
     for c in range(n + 1):
         phi = SOValuation(n, t_power(n, c).scale(thetap[c]))
         for ((a, _), (b, _)), v in kinematic_so(n, phi).entries.items():
-            theta_consts.add(v.exact_div(thetap[a] * thetap[b]) * Scalar.one())
+            theta_consts.add(v / (thetap[a] * thetap[b]) * Scalar.one())
 
     return {
         "kinematic_all_ones": kin_t_unit_ok,

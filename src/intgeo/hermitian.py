@@ -11,24 +11,70 @@ kernels for pairs of submanifold dimensions.
 Degrees above the middle are always handled through Fourier transforms of
 complementary-degree elements; the Kaehler-angle coordinates degenerate
 there, so primal Tasaki/hermitian bases exist only in degree <= n.
+
+pi acts as a grading: every degree block of the operator assembly (Fourier
+matrices, display-basis rows, pairing blocks and their inverses) is one power
+of pi times a rational matrix, a ``PiMatrix``.  The exponent is read from the
+block's entries and must be uniform; products add exponents and inverses
+negate them, so all linear algebra runs over Q.  ``Scalar`` coefficients are
+built only when a table entry or a document value is written.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graded import (GradedElement, LinearFunctional, TensorTable,
-                     build_quotient)
-from .linalg import invert_exact, kernel_basis
+                     build_quotient, mono_mul)
+from .linalg import identity, invert_exact, kernel_basis, mat_mul
 from .scalars import Scalar, binomial, factorial, omega
 
-_SONE = Scalar.one()
 _SZERO = Scalar.zero()
 
 
 class PresentationMismatch(AssertionError):
     """The relations and evaluation-kernel presentations disagree."""
+
+
+class MixedPiGrading(ArithmeticError):
+    """A block that must carry one power of pi carries several."""
+
+
+def _pi_terms(c):
+    return c.terms if isinstance(c, Scalar) else ({0: c} if c else {})
+
+
+class PiMatrix(NamedTuple):
+    """The matrix pi^e * m, with m a list of rows of Fractions."""
+
+    e: int
+    m: list
+
+    @classmethod
+    def read(cls, rows):
+        """Split a matrix of Scalars (or rationals) that are all c*pi^e for
+        one e; raises MixedPiGrading otherwise.  A zero block has e = 0."""
+        powers = {p for row in rows for c in row for p in _pi_terms(c)}
+        if len(powers) > 1:
+            raise MixedPiGrading(f"block mixes the powers of pi {sorted(powers)}")
+        e = powers.pop() if powers else 0
+        return cls(e, [[_pi_terms(c).get(e, Fraction(0)) for c in row] for row in rows])
+
+    def __matmul__(self, other):
+        return PiMatrix(self.e + other.e, mat_mul(self.m, other.m))
+
+    @property
+    def T(self):
+        return PiMatrix(self.e, [list(col) for col in zip(*self.m)])
+
+    def inverse(self):
+        return PiMatrix(-self.e, invert_exact(self.m))
+
+    def scalars(self):
+        return [[Scalar({self.e: v}) if v else _SZERO for v in row]
+                for row in self.m]
 
 
 # -- generators of the relation ideal -----------------------------------------
@@ -162,29 +208,25 @@ def monomial_to_sigma(k):
     T = D L with D the diagonal of Tasaki prefactors and
     L[q][a] = C(q,a) 4^a (-1)^(q-a) the substitution z -> 4z - 1, whose
     inverse z -> (z + 1)/4 gives T^-1[a][q] = C(a,q) 4^-a / prefactor(k, q).
+    Returned as a PiMatrix; the prefactors of one degree share a power of pi.
     """
     p = k // 2
-    inv_pref = [tasaki_prefactor(k, q).inverse() for q in range(p + 1)]
-    return [[inv_pref[q] * Fraction(binomial(a, q), 4 ** a) for q in range(p + 1)]
-            for a in range(p + 1)]
+    inv_pref = PiMatrix.read([[tasaki_prefactor(k, q).inverse() for q in range(p + 1)]])
+    return PiMatrix(inv_pref.e, [[c * Fraction(binomial(a, q), 4 ** a)
+                                  for q, c in enumerate(inv_pref.m[0])]
+                                 for a in range(p + 1)])
 
 
 def sigma_substitute_ones(coeffs, m_ones, p_out):
     """Rewrite sum c_q sigma_{P,q}(1,..,1,x) with m_ones ones as a combination
     of sigma_{p_out, j}(x)."""
-    out = [_SZERO] * (p_out + 1)
+    out = [Fraction(0)] * (p_out + 1)
     for q, c in enumerate(coeffs):
-        if _iszero(c):
-            continue
         for j in range(p_out + 1):
             w = binomial(m_ones, q - j)
-            if w:
-                out[j] = out[j] + c * w
+            if c and w:
+                out[j] += c * w
     return out
-
-
-def _iszero(c):
-    return c.is_zero() if hasattr(c, "is_zero") else c == 0
 
 
 class KlainPolynomial:
@@ -226,7 +268,8 @@ class KlainPolynomial:
 @lru_cache(maxsize=None)
 def _klain_columns(n, k):
     """sigma-coordinates of the degree-k normal-form basis monomials of the
-    U(n) model; perp variables above the middle degree.
+    U(n) model, one row per monomial, as a PiMatrix; perp variables above the
+    middle degree.
 
     A basis monomial is its own normal form, so its Klain data equals the
     relation-free computation through the Tasaki change of basis.
@@ -234,10 +277,10 @@ def _klain_columns(n, k):
     basis = un_algebra(n).basis[k]
     inv = monomial_to_sigma(k)
     if k <= n:
-        return [list(inv[m[0]]) for m in basis], False
+        return PiMatrix(inv.e, [list(inv.m[m[0]]) for m in basis]), False
     p_out = (2 * n - k) // 2
-    cols = [sigma_substitute_ones(inv[m[0]], k - n, p_out) for m in basis]
-    return cols, True
+    cols = [sigma_substitute_ones(inv.m[m[0]], k - n, p_out) for m in basis]
+    return PiMatrix(inv.e, cols), True
 
 
 class UnModel:
@@ -248,16 +291,12 @@ class UnModel:
         self.alg = un_algebra(n)
         self.ev = ev_disk(n)
         self._fourier = {}
+        self._display = {}
 
-    # coordinates ---------------------------------------------------------
-
-    def coords(self, x, k):
-        return [Scalar.zero() + c for c in self.alg.coordinates(x, k)]
+    # elements ------------------------------------------------------------
 
     def element_from_coords(self, k, vec):
-        basis = self.alg.basis[k]
-        return GradedElement(self.alg, {m: c for m, c in zip(basis, vec)
-                                        if not _iszero(c)})
+        return GradedElement(self.alg, dict(zip(self.alg.basis[k], vec)))
 
     def tasaki_element(self, k, q):
         if k > self.n:
@@ -266,19 +305,12 @@ class UnModel:
 
     def hermitian_element(self, k, q):
         """The valuation with Klain value delta_{q,l} on the split planes."""
-        n = self.n
-        if k <= n:
-            p = k // 2
-            if not 0 <= q <= p:
-                raise ValueError("hermitian index out of range")
-            out = self.alg.zero()
-            for l in range(q, p + 1):
-                c = Fraction((-1) ** (l - q) * binomial(l, q))
-                out = out + self.tasaki_element(k, l).scale(c)
-            return out
-        if not k - n <= q <= k // 2:
+        qlo = max(0, k - self.n)
+        if not qlo <= q <= k // 2:
             raise ValueError("hermitian index out of range")
-        return self.fourier(self.hermitian_element(2 * n - k, q - (k - n)))
+        rows = self.display(k, "hermitian")[0]
+        return self.element_from_coords(
+            k, PiMatrix(rows.e, [rows.m[q - qlo]]).scalars()[0])
 
     # Klain functions -------------------------------------------------------
 
@@ -292,54 +324,79 @@ class UnModel:
         elif degs and degs != [k]:
             raise ValueError("element is not homogeneous of the stated degree")
         cols, perp = _klain_columns(self.n, k)
-        vec = self.coords(x, k)
-        p_out = len(cols[0]) - 1 if cols else 0
-        out = [_SZERO] * (p_out + 1)
-        for a, c in enumerate(vec):
-            if _iszero(c):
-                continue
-            for q in range(p_out + 1):
-                out[q] = out[q] + c * cols[a][q]
-        return KlainPolynomial(k, out, perp)
+        return KlainPolynomial(k, _apply(self.alg.coordinates(x, k), cols), perp)
 
     # Fourier transform ------------------------------------------------------
 
     def fourier_matrix(self, k):
-        """Coordinate matrix of the transform from degree k to degree 2n-k."""
+        """The transform from degree k to degree 2n-k as a PiMatrix; row a
+        holds the image of the a-th basis monomial.
+
+        Up to the middle degree, F = src . dst^-1, where the rows of src and
+        dst are the sigma-coordinates of the degree-k and degree-(2n-k) basis
+        monomials (perp variables for the latter): the image of a monomial
+        has its Klain function in the complementary variables.  Above the
+        middle, F is the inverse of the complementary transform.
+        """
         n = self.n
-        if k in self._fourier:
-            return self._fourier[k]
-        if k <= n:
-            src_cols, _ = _klain_columns(n, k)
-            dst_cols, _ = _klain_columns(n, 2 * n - k)
-            # solve S c = v for each source basis vector
-            s_mat = [[dst_cols[a][q] for a in range(len(dst_cols))]
-                     for q in range(len(dst_cols[0]))]
-            s_inv = invert_exact(s_mat, _SONE, _SZERO)
-            dim = self.alg.dimension(k)
-            mat = []
-            for a in range(dim):
-                v = src_cols[a]
-                mat.append([sum((s_inv[i][q] * v[q] for q in range(len(v))),
-                                start=_SZERO) for i in range(dim)])
-            self._fourier[k] = mat
-        else:
-            inv = invert_exact(self.fourier_matrix(2 * n - k), _SONE, _SZERO)
-            self._fourier[k] = inv
+        if k not in self._fourier:
+            if k <= n:
+                src = _klain_columns(n, k)[0]
+                dst = _klain_columns(n, 2 * n - k)[0]
+                self._fourier[k] = src @ dst.inverse()
+            else:
+                self._fourier[k] = self.fourier_matrix(2 * n - k).inverse()
         return self._fourier[k]
 
     def fourier(self, x):
-        out = self.alg.zero()
+        terms = {}
         for k in x.degrees():
-            mat = self.fourier_matrix(k)
-            vec = self.coords(x, k)
-            dim = self.alg.dimension(2 * self.n - k)
-            img = [sum((vec[a] * mat[a][i] for a in range(len(vec))), start=_SZERO)
-                   for i in range(dim)]
-            out = out + self.element_from_coords(2 * self.n - k, img)
-        return out
+            img = _apply(self.alg.coordinates(x, k), self.fourier_matrix(k))
+            terms.update(zip(self.alg.basis[2 * self.n - k], img))
+        return GradedElement(self.alg, terms)
 
     # display bases ------------------------------------------------------------
+
+    def basis_labels(self, k, tag):
+        n, dim = self.n, self.alg.dimension(k)
+        if tag == "monomial":
+            return [self.alg.gens.format_monomial(m) for m in self.alg.basis[k]]
+        if tag == "tasaki":
+            name = f"tau_{k}" if k <= n else f"^tau_{2*n-k}"
+            return [f"{name},{q}" for q in range(dim)]
+        if tag == "hermitian":
+            qlo = max(0, k - n)
+            return [f"mu_{k},{q}" for q in range(qlo, qlo + dim)]
+        raise ValueError(f"unknown basis {tag!r}")
+
+    def display(self, k, tag):
+        """(rows, inverse) of the degree-k display basis, both PiMatrix
+        blocks; row i of ``rows`` holds the canonical coordinates of the i-th
+        display element.  Tags as in ``basis_rows``."""
+        key = (k, tag)
+        if key not in self._display:
+            n = self.n
+            if tag not in ("monomial", "tasaki", "hermitian"):
+                raise ValueError(f"unknown basis {tag!r}")
+            if tag == "monomial":
+                rows = PiMatrix(0, identity(self.alg.dimension(k)))
+            elif k > n:
+                rows = self.display(2 * n - k, tag)[0] @ self.fourier_matrix(2 * n - k)
+            elif tag == "tasaki":
+                monos = [(a, k - 2 * a) for a in range(k // 2 + 1)]
+                raw = PiMatrix.read([[row.get(m, 0) for m in monos]
+                                     for row in tasaki_monomial_rows(k)])
+                reduce = [self.alg.coordinates(self.alg.normal_form_raw({m: Fraction(1)}), k)
+                          for m in monos]
+                rows = raw @ PiMatrix(0, reduce)
+            else:
+                # mu_{k,q} = sum_l (-1)^(l-q) C(l,q) tau_{k,l}
+                p = k // 2
+                change = [[Fraction((-1) ** (l - q) * binomial(l, q)) for l in range(p + 1)]
+                          for q in range(p + 1)]
+                rows = PiMatrix(0, change) @ self.display(k, "tasaki")[0]
+            self._display[key] = (rows, rows.inverse())
+        return self._display[key]
 
     def basis_rows(self, k, tag):
         """Display-basis elements of degree k as coordinate rows, plus labels.
@@ -347,28 +404,7 @@ class UnModel:
         Tags: "monomial"; "tasaki" (primal up to the middle degree, Fourier
         transforms above it); "hermitian" (all degrees, delta-Klain basis).
         """
-        n, alg = self.n, self.alg
-        dim = alg.dimension(k)
-        if tag == "monomial":
-            rows = [[_SONE if j == i else _SZERO for j in range(dim)]
-                    for i in range(dim)]
-            labels = [alg.gens.format_monomial(m) for m in alg.basis[k]]
-            return rows, labels
-        if tag == "tasaki":
-            if k <= n:
-                els = [self.tasaki_element(k, q) for q in range(dim)]
-                labels = [f"tau_{k},{q}" for q in range(dim)]
-            else:
-                els = [self.fourier(self.tasaki_element(2 * n - k, q))
-                       for q in range(dim)]
-                labels = [f"^tau_{2*n-k},{q}" for q in range(dim)]
-            return [self.coords(e, k) for e in els], labels
-        if tag == "hermitian":
-            qlo = max(0, k - n)
-            els = [self.hermitian_element(k, q) for q in range(qlo, qlo + dim)]
-            labels = [f"mu_{k},{q}" for q in range(qlo, qlo + dim)]
-            return [self.coords(e, k) for e in els], labels
-        raise ValueError(f"unknown basis {tag!r}")
+        return self.display(k, tag)[0].scalars(), self.basis_labels(k, tag)
 
     # involution on even degrees ------------------------------------------------
 
@@ -387,13 +423,13 @@ def iota_raw(terms):
         for i in range(a + 1):
             ci = Fraction(binomial(a, i), 4 ** a)
             key = (i, (a - i) + b // 2)  # t^(2i) u^(...) after the swap
-            tu[key] = tu.get(key, _SZERO) + c * ci
+            tu[key] = tu.get(key, 0) + c * ci
     raw = {}
     for (tpow, upow), c in tu.items():
         for j in range(upow + 1):
             cj = Fraction(binomial(upow, j) * 4 ** j * (-1) ** (upow - j))
             mono = (j, 2 * tpow + 2 * (upow - j))
-            raw[mono] = raw.get(mono, _SZERO) + c * cj
+            raw[mono] = raw.get(mono, 0) + c * cj
     return raw
 
 
@@ -404,53 +440,98 @@ def un_model(n):
 
 # -- kinematic and additive operators -----------------------------------------
 
-def _pairing_block(model, k):
-    """Symmetric pairing of the degree-k Tasaki basis against its transform."""
-    kk = min(k, 2 * model.n - k)
-    left = [model.tasaki_element(kk, q) for q in range(model.alg.dimension(kk))]
-    right = [model.fourier(e) for e in left]
-    mat = [[model.ev(li * rj) for rj in right] for li in left]
-    for i in range(len(mat)):
-        for j in range(i):
-            if mat[i][j] != mat[j][i]:
-                raise PresentationMismatch("pairing matrix is not symmetric")
-    return left, right, mat
+def _apply(vec, f):
+    """A coordinate row (Fractions or Scalars) times a PiMatrix, as Scalars."""
+    parts = {}
+    for a, c in enumerate(vec):
+        for p, v in _pi_terms(c).items():
+            parts.setdefault(p, [Fraction(0)] * len(vec))[a] = v
+    acc = [{} for _ in f.m[0]]
+    for p, row in parts.items():
+        for terms, v in zip(acc, mat_mul([row], f.m)[0]):
+            if v:
+                terms[p + f.e] = v
+    return [Scalar(terms) for terms in acc]
+
+
+def _accumulate(acc, dl, dr, block):
+    """Add the bidegree-(dl, dr) block pi^e m to acc, which maps
+    ((dl, i), (dr, j)) to {pi exponent: rational}."""
+    for i, row in enumerate(block.m):
+        for j, v in enumerate(row):
+            if v:
+                terms = acc.setdefault(((dl, i), (dr, j)), {})
+                terms[block.e] = terms.get(block.e, 0) + v
+
+
+def _entries(acc):
+    """Table entries of an accumulator, one Scalar each; zero sums drop."""
+    out = {}
+    for key, terms in acc.items():
+        s = Scalar(terms)
+        if s:
+            out[key] = s
+    return out
+
+
+def _congruence(entries, leg):
+    """Entries of the table whose bidegree-(d', e') block is the sum, over
+    the bidegree-(d, e) blocks C and the powers of pi in them, of A^T C B
+    with leg(d) = (d', A) and leg(e) = (e', B)."""
+    parts = {}
+    for ((dl, i), (dr, j)), c in entries.items():
+        for p, v in _pi_terms(c).items():
+            parts.setdefault((dl, dr, p), {})[(i, j)] = v
+    acc = {}
+    for (dl, dr, p), cells in parts.items():
+        tl, a = leg(dl)
+        tr, b = leg(dr)
+        c = [[Fraction(0)] * len(b.m) for _ in a.m]
+        for (i, j), v in cells.items():
+            c[i][j] = v
+        _accumulate(acc, tl, tr, a.T @ PiMatrix(p, c) @ b)
+    return _entries(acc)
 
 
 @lru_cache(maxsize=None)
-def _chi_table_entries(n):
-    """Canonical-coordinate entries of the kinematic image of chi."""
+def _pairing_block(model, k):
+    """Symmetric pairing of the degree-k Tasaki basis against its transform.
+
+    Returns PiMatrix blocks (left, right, mat, inv): the Tasaki coordinates,
+    their Fourier transforms, mat = left . G . right^T with G[a][b] = ev(m_a
+    m_b) the disk evaluations of products of basis monomials, and its inverse.
+    """
+    alg = model.alg
+    kk = min(k, 2 * model.n - k)
+    (top, value), = model.ev.values.items()
+    ev = PiMatrix.read([[value]])
+    gram = PiMatrix(ev.e, [[ev.m[0][0] * alg.reduction[mono_mul(ma, mb)].get(top, 0)
+                            for mb in alg.basis[2 * model.n - kk]]
+                           for ma in alg.basis[kk]])
+    left = model.display(kk, "tasaki")[0]
+    right = left @ model.fourier_matrix(kk)
+    mat = left @ gram @ right.T
+    if mat.m != mat.T.m:
+        raise PresentationMismatch("pairing matrix is not symmetric")
+    return left, right, mat, mat.inverse()
+
+
+@lru_cache(maxsize=None)
+def _chi_blocks(n):
+    """Kinematic image of chi in canonical coordinates: {k: PiMatrix} for
+    k <= n, the bidegree-(k, 2n-k) block; the (2n-k, k) block is its
+    transpose."""
     model = un_model(n)
-    entries = {}
+    out = {}
     for k in range(n + 1):
-        left, right, mat = _pairing_block(model, k)
-        inv = invert_exact(mat, _SONE, _SZERO)
-        lc = [model.coords(e, k) for e in left]
-        rc = [model.coords(e, 2 * n - k) for e in right]
-        dim_l = model.alg.dimension(k)
-        dim_r = model.alg.dimension(2 * n - k)
-        for a in range(dim_l):
-            for b in range(dim_r):
-                val = _SZERO
-                for i in range(len(inv)):
-                    for j in range(len(inv)):
-                        val = val + inv[i][j] * lc[i][a] * rc[j][b]
-                if not val.is_zero():
-                    entries[((k, a), (2 * n - k, b))] = val
-                    if k != n:
-                        entries[((2 * n - k, b), (k, a))] = val
-    return entries
+        left, right, _, inv = _pairing_block(model, k)
+        out[k] = left.T @ inv @ right
+    return out
 
 
 def _new_table(n, basis="monomial", normalization="standard"):
     model = un_model(n)
-    labels = {}
-    for d in range(2 * n + 1):
-        if basis == "monomial":
-            labels[d] = [model.alg.gens.format_monomial(m)
-                         for m in model.alg.basis[d]]
-        else:
-            labels[d] = model.basis_rows(d, basis)[1]
+    labels = {d: model.basis_labels(d, basis) for d in range(2 * n + 1)}
     return TensorTable("U", n, normalization, basis, basis_labels=labels)
 
 
@@ -462,41 +543,45 @@ def kinematic_un(n, phi=None):
     image(phi) = (phi (x) chi) * image(chi).  Standard motion normalization;
     the image of the volume is vol (x) vol.
     """
-    model = un_model(n)
-    table = _new_table(n)
+    alg = un_model(n).alg
     if phi is None:
-        table.entries = dict(_chi_table_entries(n))
-        return table
-    for ((k, a), (kr, b)), c in _chi_table_entries(n).items():
-        prod = model.alg.multiply(phi, model.alg.basis_element(k, a))
-        for d in prod.degrees():
-            vec = model.coords(prod, d)
-            for a2, c2 in enumerate(vec):
-                if not _iszero(c2):
-                    table.add((d, a2), (kr, b), c * c2)
+        phi = alg.one()
+    chi = _chi_blocks(n)
+    acc = {}
+    for k in range(2 * n + 1):
+        kr = 2 * n - k
+        dim = alg.dimension(k)
+        # multiplication by phi out of degree k, per target degree and power of pi
+        mult = {}
+        for a in range(dim):
+            prod = alg.multiply(phi, alg.basis_element(k, a))
+            for d in prod.degrees():
+                for a2, c in enumerate(alg.coordinates(prod, d)):
+                    for p, v in _pi_terms(c).items():
+                        rows = mult.get((d, p))
+                        if rows is None:
+                            rows = mult[(d, p)] = [[Fraction(0)] * alg.dimension(d)
+                                                   for _ in range(dim)]
+                        rows[a][a2] = v
+        x = chi[k] if k <= n else chi[kr].T
+        for (d, p), rows in mult.items():
+            _accumulate(acc, d, kr, PiMatrix(p, rows).T @ x)
+    table = _new_table(n)
+    table.entries = _entries(acc)
     return table
 
 
 def convert_un_table(table, n, basis):
-    """Re-express a canonical-coordinate table in a display basis."""
+    """Re-express a canonical-coordinate table in a display basis.
+
+    A canonical basis vector's display coordinates form a row of the inverse
+    of the display-rows matrix, so each block C becomes inv^T C inv.
+    """
     if basis == "monomial":
         return table
     model = un_model(n)
-    shell = _new_table(n, basis, table.normalization)
-    inv_cache = {}
-
-    def to_display(leg):
-        d, i = leg
-        if d not in inv_cache:
-            rows, _ = model.basis_rows(d, basis)
-            # a canonical basis vector's display coordinates form row i of
-            # the inverse of the display-rows matrix
-            inv_cache[d] = invert_exact(rows, _SONE, _SZERO) if rows else []
-        inv = inv_cache[d]
-        return {(d, j): inv[i][j] for j in range(len(inv))}
-
-    out = table.map_legs(to_display, to_display, basis=basis)
-    out.basis_labels = shell.basis_labels
+    out = _new_table(n, basis, table.normalization)
+    out.entries = _congruence(table.entries, lambda d: (d, model.display(d, basis)[1]))
     return out
 
 
@@ -508,11 +593,7 @@ def tasaki_matrices(n):
     T[i][j] = T[l-i][l-j].
     """
     model = un_model(n)
-    out = {}
-    for k in range(n + 1):
-        _, _, mat = _pairing_block(model, k)
-        out[k] = invert_exact(mat, _SONE, _SZERO)
-    return out
+    return {k: _pairing_block(model, k)[3].scalars() for k in range(n + 1)}
 
 
 def additive_un(n, phi=None):
@@ -522,14 +603,9 @@ def additive_un(n, phi=None):
     if phi is None:
         phi = volume_element(n)
     kin = kinematic_un(n, model.fourier(phi))
-
-    def leg_hat(leg):
-        d, i = leg
-        mat = model.fourier_matrix(d)
-        return {(2 * n - d, j): mat[i][j] for j in range(len(mat[i]))}
-
     out = _new_table(n)
-    out.entries = kin.map_legs(leg_hat, leg_hat).entries
+    out.entries = _congruence(kin.entries,
+                              lambda d: (2 * n - d, model.fourier_matrix(d)))
     return out
 
 
@@ -565,27 +641,13 @@ class FirstOrderKernel:
 
 def klain_expand_block(n, table, k, l):
     """Expand the bidegree-(k,l) block of a canonical-coordinate table with
-    both legs as Klain polynomials; returns ({(q_left, q_right): Scalar},
-    left_perp, right_perp)."""
-    model = un_model(n)
-    left_kl = [model.klain(model.alg.basis_element(k, a), k)
-               for a in range(model.alg.dimension(k))]
-    right_kl = [model.klain(model.alg.basis_element(l, b), l)
-                for b in range(model.alg.dimension(l))]
-    coeffs = {}
-    for ((dk, a), (dl, b)), c in table.entries.items():
-        if dk != k or dl != l:
-            continue
-        for ql, cl in enumerate(left_kl[a].coeffs):
-            for qr, cr in enumerate(right_kl[b].coeffs):
-                v = c * cl * cr
-                if not v.is_zero():
-                    key = (ql, qr)
-                    coeffs[key] = coeffs.get(key, _SZERO) + v
-    coeffs = {key: v for key, v in coeffs.items() if not v.is_zero()}
-    return (coeffs,
-            left_kl[0].perp if left_kl else False,
-            right_kl[0].perp if right_kl else False)
+    both legs as Klain polynomials, by the congruence with the sigma-coordinate
+    blocks; returns ({(q_left, q_right): Scalar}, left_perp, right_perp)."""
+    block = {key: c for key, c in table.entries.items()
+             if key[0][0] == k and key[1][0] == l}
+    coeffs = _congruence(block, lambda d: (d, _klain_columns(n, d)[0]))
+    return ({(ql, qr): v for ((_, ql), (_, qr)), v in coeffs.items()},
+            _klain_columns(n, k)[1], _klain_columns(n, l)[1])
 
 
 def first_order_formula(n, k, l, space="euclidean"):
@@ -616,15 +678,8 @@ def basis_change(n, frm, to):
     to-coordinates of the i-th frm-basis element.
     """
     model = un_model(n)
-    out = {}
-    for k in range(2 * n + 1):
-        rows_f, _ = model.basis_rows(k, frm)
-        rows_t, _ = model.basis_rows(k, to)
-        inv_t = invert_exact(rows_t, _SONE, _SZERO)
-        dim = len(rows_f)
-        out[k] = [[sum((rows_f[i][a] * inv_t[a][j] for a in range(dim)),
-                       start=_SZERO) for j in range(dim)] for i in range(dim)]
-    return out
+    return {k: (model.display(k, frm)[0] @ model.display(k, to)[1]).scalars()
+            for k in range(2 * n + 1)}
 
 
 def pfaff_saalschutz_residual(n, k):
@@ -649,7 +704,7 @@ def mu_k0_fk_ratio(n, k):
     ratio = None
     for m, c in f.terms.items():
         if m in mu.terms:
-            ratio = mu.terms[m].exact_div(Scalar.zero() + c)
+            ratio = mu.terms[m] / c
             break
     if ratio is None:
         raise ValueError("elements do not overlap")

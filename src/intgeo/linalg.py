@@ -1,16 +1,16 @@
-"""Exact linear algebra over the coefficient rings.
+"""Exact linear algebra over Q.
 
 Two routines carry the whole load: a fraction-free (Bareiss) inverse used for
-the Poincare-pairing matrices, and reduced row echelon form over Q used to
-build quotient-algebra normal forms.  The row reduction splits the columns
-into the independent blocks of the rows' nonzero pattern and reduces each
-block densely.  Matrices are plain lists of lists.  The inverse needs only
-ring operators (+, -, *), equality with 0 via ``is_zero``/falsiness, and
-``exact_div``; the row reduction takes Fraction entries.
+the Poincare-pairing and basis-change matrices, and reduced row echelon form
+used to build quotient-algebra normal forms.  The row reduction splits the
+columns into the independent blocks of the rows' nonzero pattern and reduces
+each block densely.  Matrices are plain lists of lists of Fractions (ints are
+accepted).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -24,65 +24,69 @@ def _is_zero(x):
     return x == 0
 
 
-def _exact_div(a, b):
-    if hasattr(a, "exact_div"):
-        return a.exact_div(b)
-    return a / b
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def identity(n, one, zero):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def _scaled(vec):
+    """(d, ints) with vec = ints / d and d the least common denominator."""
+    d = math.lcm(*(x.denominator for x in vec)) if vec else 1
+    return d, [x.numerator * (d // x.denominator) for x in vec]
 
 
-def mat_mul(a, b, zero):
-    rows, mid, cols = len(a), len(b), len(b[0])
+def mat_mul(a, b):
+    """Matrix product over Q in integer arithmetic: every row of ``a`` and
+    column of ``b`` is scaled to integers, and each entry is one division."""
+    cols = [_scaled(col) for col in zip(*b)]
     out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = zero
-            for k in range(mid):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
+    for row in a:
+        da, ia = _scaled(row)
+        out.append([Fraction(sum(x * y for x, y in zip(ia, ib) if x), da * db)
+                    for db, ib in cols])
     return out
 
 
-def invert_exact(m, one, zero):
-    """Exact inverse by fraction-free Gaussian elimination.
+def invert_exact(m):
+    """Exact inverse of a square matrix over Q.
 
-    Runs a Bareiss-style Gauss-Jordan pass on [M | I]; every division along
-    the way is exact in the entry ring, so the routine works verbatim over
-    Q, Q[pi,pi^-1] and Q[lam].  Raises SingularMatrixError when no pivot can
-    be found -- callers treat that as a hard bug (wrong basis or functional),
-    so no fallback is attempted.
+    Each row is scaled to integers (A = D M with D diagonal), and a
+    fraction-free (Bareiss) Gauss-Jordan pass on [A | D] runs in Python
+    integers, where every division is exact.  It ends with det(A) on the
+    diagonal and det(A) A^-1 D = det(A) M^-1 on the right.  Raises
+    SingularMatrixError when no pivot can be found -- callers treat that as
+    a hard bug (wrong basis or functional), so no fallback is attempted.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("invert_exact needs a square matrix")
-    a = [list(row) + identity(n, one, zero)[i] for i, row in enumerate(m)]
+    a = []
+    for i, row in enumerate(m):
+        row = [Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in row)) if row else 1
+        a.append([x.numerator * (den // x.denominator) for x in row]
+                 + [den if j == i else 0 for j in range(n)])
     width = 2 * n
-    prev = one
+    prev = 1
     for k in range(n):
-        piv = next((r for r in range(k, n) if not _is_zero(a[r][k])), None)
+        piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
             raise SingularMatrixError("matrix is singular")
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
+        pk = a[k]
+        d = pk[k]
         for i in range(n):
             if i == k:
                 continue
+            ai = a[i]
+            f = ai[k]
             for j in range(width):
-                if j == k:
-                    continue
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = _exact_div(num, prev)
-            a[i][k] = zero
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    if _is_zero(det):
-        raise SingularMatrixError("matrix is singular")
-    return [[_exact_div(a[i][n + j], det) for j in range(n)] for i in range(n)]
+                if j != k:
+                    ai[j] = (d * ai[j] - f * pk[j]) // prev
+            ai[k] = 0
+        prev = d
+    det = a[n - 1][n - 1] if n else 1
+    return [[Fraction(a[i][n + j], det) for j in range(n)] for i in range(n)]
 
 
 def _rref_dense(rows, ncols):

@@ -5,7 +5,9 @@ these rings.  ``Scalar`` is a Laurent polynomial in pi with rational
 coefficients; pi is treated as a formal transcendental, so nothing is ever
 rounded.  ``LambdaScalar`` extends a Scalar by a polynomial curvature variable
 ``lam`` (formal weight -2 in the graded bookkeeping used by the space-form
-algebras).
+algebras).  Both form rings, not fields: a Scalar divides only by a single
+term c*pi^e, and there is no division of LambdaScalars.  Exact linear algebra
+runs over Q, with powers of pi carried alongside as a grading.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ class ScalarError(ArithmeticError):
 
 class UnsupportedInverse(ScalarError):
     """Inverse of a multi-term Scalar was requested."""
-
-
-class InexactDivision(ScalarError):
-    """Exact polynomial division left a remainder."""
 
 
 def binomial(a, b):
@@ -150,47 +148,12 @@ class Scalar:
         return Scalar({-p: Fraction(1) / c})
 
     def __truediv__(self, other):
+        """Division by a single-term Scalar or a nonzero rational; dividing by
+        a multi-term Scalar raises UnsupportedInverse."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_single_term():
-            return self * other.inverse()
-        return self.exact_div(other)
-
-    def exact_div(self, other):
-        """Exact division in Q[pi,pi^-1]; raises InexactDivision on remainder."""
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero Scalar")
-        if self.is_zero():
-            return Scalar.zero()
-        # shift both to ordinary polynomials in pi
-        lo_n = min(self.terms)
-        lo_d = min(other.terms)
-        num = self._as_poly_list(lo_n)
-        den = other._as_poly_list(lo_d)
-        quo = [Fraction(0)] * (len(num) - len(den) + 1)
-        if len(num) < len(den):
-            raise InexactDivision(f"{self} not divisible by {other}")
-        rem = list(num)
-        dlead = den[-1]
-        for i in range(len(quo) - 1, -1, -1):
-            q = rem[i + len(den) - 1] / dlead
-            quo[i] = q
-            if q != 0:
-                for j, dj in enumerate(den):
-                    rem[i + j] -= q * dj
-        if any(r != 0 for r in rem):
-            raise InexactDivision(f"{self} not divisible by {other}")
-        shift = lo_n - lo_d
-        return Scalar({shift + i: c for i, c in enumerate(quo) if c != 0})
-
-    def _as_poly_list(self, lo):
-        hi = max(self.terms)
-        out = [Fraction(0)] * (hi - lo + 1)
-        for p, c in self.terms.items():
-            out[p - lo] = c
-        return out
+        return self * other.inverse()
 
     # -- comparison / hashing -------------------------------------------
 
@@ -235,11 +198,6 @@ class Scalar:
     def from_json(cls, doc):
         return cls({t["pi_pow"]: Fraction(int(t["num"]), int(t["den"]))
                     for t in doc["terms"]})
-
-
-ZERO = Scalar.zero()
-ONE = Scalar.one()
-PI = Scalar.pi_power(1)
 
 
 def omega(k):
@@ -371,40 +329,6 @@ class LambdaScalar:
         for j, s in self.terms.items():
             out = out + s * lam_value ** j
         return out
-
-    def lam_degree(self):
-        return max(self.terms) if self.terms else -1
-
-    def exact_div(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero LambdaScalar")
-        if self.is_zero():
-            return LambdaScalar.zero()
-        dd = other.lam_degree()
-        dn = self.lam_degree()
-        if dn < dd:
-            raise InexactDivision(f"{self!r} not divisible by {other!r}")
-        rem = dict(self.terms)
-        quo = {}
-        lead = other.terms[dd]
-        for i in range(dn - dd, -1, -1):
-            top = rem.get(i + dd, ZERO)
-            if top.is_zero():
-                continue
-            q = top.exact_div(lead)
-            quo[i] = q
-            for j, s in other.terms.items():
-                k = i + j
-                cur = rem.get(k, ZERO)
-                cur = cur - q * s
-                if cur.is_zero():
-                    rem.pop(k, None)
-                else:
-                    rem[k] = cur
-        if any(not s.is_zero() for s in rem.values()):
-            raise InexactDivision(f"{self!r} not divisible by {other!r}")
-        return LambdaScalar(quo)
 
     def __repr__(self):
         if not self.terms:

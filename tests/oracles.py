@@ -1,14 +1,20 @@
-"""Slow reference implementations the batched kernels are checked against.
+"""Slow reference implementations the fast paths are checked against.
 
 GJK (Gilbert, Johnson and Keerthi 1988): a support-function search for the
 point of the Minkowski difference nearest the origin, with tolerance 1e-10,
 one pair of bodies at a time.  The Minkowski-sum volume is the volume of the
-convex hull of all pairwise vertex sums.
+convex hull of all pairwise vertex sums.  The exact inverse of a matrix of
+Laurent polynomials in pi runs Bareiss elimination over Q[pi, pi^-1] with
+polynomial long division, so no entry needs to be a single power of pi.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from intgeo.linalg import SingularMatrixError
+from intgeo.scalars import Scalar
 
 GJK_TOL = 1e-10
 
@@ -128,3 +134,60 @@ def minkowski_sum_volume(a_vertices, b_vertices):
     b = np.asarray(b_vertices, dtype=float)
     sums = (a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1])
     return convex_hull_volume(sums)
+
+
+# -- exact inverse over Q[pi, pi^-1] -------------------------------------------
+
+def scalar_exact_div(a, b):
+    """Exact quotient a / b of Laurent polynomials in pi by long division;
+    raises ArithmeticError when a remainder is left."""
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero Scalar")
+    if a.is_zero():
+        return Scalar.zero()
+    lo_n, lo_d = min(a.terms), min(b.terms)
+    num = [a.terms.get(p, Fraction(0)) for p in range(lo_n, max(a.terms) + 1)]
+    den = [b.terms.get(p, Fraction(0)) for p in range(lo_d, max(b.terms) + 1)]
+    if len(num) < len(den):
+        raise ArithmeticError(f"{a} not divisible by {b}")
+    quo = [Fraction(0)] * (len(num) - len(den) + 1)
+    rem = list(num)
+    for i in range(len(quo) - 1, -1, -1):
+        q = rem[i + len(den) - 1] / den[-1]
+        quo[i] = q
+        if q:
+            for j, dj in enumerate(den):
+                rem[i + j] -= q * dj
+    if any(rem):
+        raise ArithmeticError(f"{a} not divisible by {b}")
+    return Scalar({lo_n - lo_d + i: c for i, c in enumerate(quo)})
+
+
+def scalar_mat_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Scalar.zero()) for col in zip(*b)]
+            for row in a]
+
+
+def invert_exact_scalar(m):
+    """Exact inverse of a matrix of Scalars (or rationals) by fraction-free
+    Gauss-Jordan elimination on [M | I] over Q[pi, pi^-1]."""
+    n = len(m)
+    zero, one = Scalar.zero(), Scalar.one()
+    a = [[zero + x for x in row] + [one if j == i else zero for j in range(n)]
+         for i, row in enumerate(m)]
+    prev = one
+    for k in range(n):
+        piv = next((r for r in range(k, n) if not a[r][k].is_zero()), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        a[k], a[piv] = a[piv], a[k]
+        for i in range(n):
+            if i == k:
+                continue
+            for j in range(2 * n):
+                if j != k:
+                    a[i][j] = scalar_exact_div(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
+            a[i][k] = zero
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    return [[scalar_exact_div(a[i][n + j], det) for j in range(n)] for i in range(n)]

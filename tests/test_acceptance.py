@@ -71,9 +71,9 @@ def test_criterion_05_reduction_consistency():
 
 
 def test_criterion_06_presentations_agree():
-    for n in range(1, 11):
+    for n in range(1, 13):
         hermitian.un_algebra(n, "evaluation-kernel")
-    report(6, "relation and evaluation-kernel presentations coincide, n <= 10")
+    report(6, "relation and evaluation-kernel presentations coincide, n <= 12")
 
 
 def test_criterion_07_binomial_identity():
@@ -87,7 +87,7 @@ def test_criterion_07_binomial_identity():
 
 def test_criterion_08_tasaki_matrices():
     t0 = time.time()
-    for n in range(1, 7):
+    for n in range(1, 13):
         for k, mat in hermitian.tasaki_matrices(n).items():
             size = len(mat)
             for i in range(size):
@@ -99,11 +99,11 @@ def test_criterion_08_tasaki_matrices():
                     for j in range(l + 1):
                         assert mat[i][j] == mat[l - i][l - j], (n, k)
     assert time.time() - t0 < 30
-    report(8, "Tasaki matrices symmetric, even ones palindromic, n <= 6")
+    report(8, "Tasaki matrices symmetric, even ones palindromic, n <= 12")
 
 
 def test_criterion_09_fourier_involution_iota():
-    for n in range(1, 6):
+    for n in range(1, 11):
         model = hermitian.un_model(n)
         for k in range(2 * n + 1):
             for i in range(model.alg.dimension(k)):
@@ -114,7 +114,7 @@ def test_criterion_09_fourier_involution_iota():
                 e = model.alg.basis_element(2 * l, i)
                 assert model.fourier(model.iota(e)) \
                     == model.iota(model.fourier(e)), (n, l, i)
-    report(9, "Fourier transform is involutive and commutes with iota, n <= 5")
+    report(9, "Fourier transform is involutive and commutes with iota, n <= 10")
 
 
 def test_criterion_10_first_order_brackets():

@@ -170,6 +170,16 @@ def test_cli_config_key_without_flag_exits_2(tmp_path, capsys, line, message):
     assert captured.out == ""
 
 
+def test_cli_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(missing), "so", "kinematic", "--dim", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"error: {missing}: No such file or directory"
+    assert captured.out == ""
+
+
 def test_cli_malformed_config_line_exits_2(tmp_path, capsys):
     cfg = tmp_path / "intgeo.cfg"
     cfg.write_text("# defaults\nseed=3\nbogus line\n")
@@ -247,6 +257,12 @@ def test_cli_flags_without_effect_exit_2(capsys):
      "--dim"),
     (["mc", "suite", "--samples", "2000", "--dim", "3"], "--dim"),
     (["mc", "suite", "--samples", "2000", "--bodies", "b.json"], "--bodies"),
+    (["un", "kinematic", "--dim", "2", "--space", "projective"], "--space"),
+    (["un", "additive", "--dim", "2", "--space", "euclidean"], "--space"),
+    (["un", "kinematic", "--dim", "2", "--deg-a", "1"], "--deg-a"),
+    (["un", "tasaki-matrices", "--dim", "2", "--deg-b", "1"], "--deg-b"),
+    (["un", "verify", "--dim", "2", "--deg-a", "1", "--deg-b", "1"], "--deg-a"),
+    (["verify", "--max-dim", "2", "--seed", "5"], "--seed"),
 ])
 def test_cli_unread_flags_exit_2(capsys, argv, flag):
     # rejected before any body file is read or any sample is drawn

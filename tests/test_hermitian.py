@@ -6,8 +6,9 @@ import pytest
 from intgeo import euclid as E
 from intgeo import hermitian as H
 from intgeo.graded import poly_mul
-from intgeo.linalg import invert_exact
+from intgeo.linalg import identity
 from intgeo.scalars import Scalar, binomial, factorial, omega
+from oracles import invert_exact_scalar, scalar_mat_mul
 
 
 def poly_add(p, q):
@@ -45,7 +46,7 @@ def test_hilbert_series_and_palindrome():
 
 
 def test_presentations_agree():
-    for n in range(1, 11):
+    for n in range(1, 13):
         H.un_algebra(n, "evaluation-kernel")
     with pytest.raises(ValueError):
         H.un_algebra(2, "mystery")
@@ -110,8 +111,7 @@ def tasaki_matrix(k):
 
 def test_monomial_to_sigma_closed_form_matches_bareiss():
     for k in range(29):
-        assert H.monomial_to_sigma(k) == invert_exact(
-            tasaki_matrix(k), Scalar.one(), Scalar.zero()), k
+        assert H.monomial_to_sigma(k).scalars() == invert_exact_scalar(tasaki_matrix(k)), k
 
 
 def test_hermitian_tasaki_change():
@@ -136,7 +136,7 @@ def test_basis_round_trips():
                 rows, labels = model.basis_rows(k, tag)
                 assert len(rows) == model.alg.dimension(k) == len(labels)
                 # invertibility: random coordinates round-trip through rows
-                inv = invert_exact(rows, Scalar.one(), Scalar.zero())
+                inv = invert_exact_scalar(rows)
                 vec = [Scalar.from_rational(rng.randint(-3, 3))
                        for _ in range(len(rows))]
                 mid = [sum((vec[i] * rows[i][j] for i in range(len(rows))),
@@ -247,17 +247,47 @@ def test_pairing_blocks_symmetric_nonsingular():
     for n in range(1, 6):
         model = H.un_model(n)
         for k in range(n + 1):
-            _, _, mat = H._pairing_block(model, k)
-            for i in range(len(mat)):
-                for j in range(len(mat)):
-                    assert mat[i][j] == mat[j][i]
-            from intgeo.linalg import invert_exact
-            invert_exact(mat, Scalar.one(), Scalar.zero())
+            _, _, mat, inv = H._pairing_block(model, k)
+            assert mat.m == mat.T.m
+            assert (mat @ inv).m == identity(len(mat.m)) and mat.e + inv.e == 0
+
+
+def test_pi_matrix_reads_one_power_of_pi():
+    block = H.PiMatrix.read([[Scalar.pi_power(2, 3), Scalar.zero()],
+                             [Fraction(0), Scalar.pi_power(2, -1)]])
+    assert block == (2, [[3, 0], [0, -1]])
+    assert block.inverse().scalars() == [[Scalar.pi_power(-2, Fraction(1, 3)), 0],
+                                         [0, Scalar.pi_power(-2, -1)]]
+    for rows in ([[Scalar.pi_power(1), Scalar.one()]],
+                 [[Scalar.pi_power(1) + Scalar.one()]],
+                 [[Scalar.pi_power(1)], [Fraction(2)]]):
+        with pytest.raises(H.MixedPiGrading):
+            H.PiMatrix.read(rows)
+
+
+def test_pairing_inverses_and_fourier_match_scalar_bareiss():
+    # the Laurent-polynomial route: pair elements through the functional,
+    # solve the Klain system, and invert by Bareiss over Q[pi, pi^-1]
+    for n in range(1, 7):
+        model = H.un_model(n)
+        mats = H.tasaki_matrices(n)
+        for k in range(n + 1):
+            left = [model.tasaki_element(k, q) for q in range(model.alg.dimension(k))]
+            pairing = [[model.ev(li * model.fourier(lj)) for lj in left] for li in left]
+            assert mats[k] == invert_exact_scalar(pairing), (n, k)
+            src = H._klain_columns(n, k)[0].scalars()
+            dst = H._klain_columns(n, 2 * n - k)[0].scalars()
+            s_inv = invert_exact_scalar([[dst[a][q] for a in range(len(dst))]
+                                         for q in range(len(dst[0]))])
+            fwd = [[sum((s_inv[i][q] * v[q] for q in range(len(v))), Scalar.zero())
+                    for i in range(len(s_inv))] for v in src]
+            assert model.fourier_matrix(k).scalars() == fwd, (n, k)
+            assert model.fourier_matrix(2 * n - k).scalars() \
+                == invert_exact_scalar(fwd), (n, k)
 
 
 def test_kinematic_chi_matches_plain_monomial_inversion():
     # independent route: invert the raw monomial pairing and transpose
-    from intgeo.linalg import invert_exact
     for n in (1, 2, 3):
         model = H.un_model(n)
         table = H.kinematic_un(n)
@@ -268,7 +298,7 @@ def test_kinematic_chi_matches_plain_monomial_inversion():
                                                     model.alg.basis_element(2 * n - k, b)))
                         for b in range(dim_r)] for a in range(dim_l)]
             transposed = [[pairing[a][b] for a in range(dim_l)] for b in range(dim_r)]
-            inv = invert_exact(transposed, Scalar.one(), Scalar.zero())
+            inv = invert_exact_scalar(transposed)
             for a in range(dim_l):
                 for b in range(dim_r):
                     got = table.get((k, a), (2 * n - k, b))
@@ -305,7 +335,7 @@ def test_kinematic_multiplicative():
             for ((k, a), right), c in H.kinematic_un(n, psi).entries.items():
                 prod = model.alg.multiply(phi, model.alg.basis_element(k, a))
                 for d in prod.degrees():
-                    for a2, c2 in enumerate(model.coords(prod, d)):
+                    for a2, c2 in enumerate(model.alg.coordinates(prod, d)):
                         if not (c2 == 0 or getattr(c2, "is_zero", lambda: False)()):
                             key = ((d, a2), right)
                             rhs[key] = rhs.get(key, Scalar.zero()) + c * c2
@@ -323,7 +353,7 @@ def test_tasaki_matrices_golden_n2():
 
 
 def test_tasaki_matrices_symmetric_palindromic():
-    for n in range(1, 7):
+    for n in range(1, 13):
         for k, mat in H.tasaki_matrices(n).items():
             for i in range(len(mat)):
                 for j in range(len(mat)):
@@ -387,14 +417,13 @@ def test_mu_k0_ratio_reported():
 
 
 def test_basis_change_round_trip():
-    from intgeo.linalg import identity, mat_mul
     for n in (2, 3):
         for tag in ("hermitian", "tasaki"):
             fwd = H.basis_change(n, "monomial", tag)
             back = H.basis_change(n, tag, "monomial")
             for k in range(2 * n + 1):
-                prod = mat_mul(fwd[k], back[k], Scalar.zero())
-                assert prod == identity(len(prod), Scalar.one(), Scalar.zero())
+                prod = scalar_mat_mul(fwd[k], back[k])
+                assert prod == identity(len(prod))
 
 
 def test_basis_change_tasaki_hermitian_binomial():
@@ -455,7 +484,7 @@ def test_kinematic_multiplicative_dim4():
     for ((k, a), right), c in H.kinematic_un(4, psi).entries.items():
         prod = model.alg.multiply(phi, model.alg.basis_element(k, a))
         for d in prod.degrees():
-            for a2, c2 in enumerate(model.coords(prod, d)):
+            for a2, c2 in enumerate(model.alg.coordinates(prod, d)):
                 if not (Scalar.zero() + c2).is_zero():
                     key = ((d, a2), right)
                     rhs[key] = rhs.get(key, Scalar.zero()) + c * c2

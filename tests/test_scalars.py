@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intgeo.scalars import (InexactDivision, LambdaScalar, Scalar,
-                            UnsupportedInverse, alpha, binomial, omega)
+from intgeo.scalars import (LambdaScalar, Scalar, UnsupportedInverse, alpha,
+                            binomial, omega)
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 scalars = st.dictionaries(st.integers(-4, 4), fractions, max_size=4).map(Scalar)
@@ -48,7 +48,7 @@ def test_product_identity_to_50():
 
 def test_ratio_identity_to_50():
     for n in range(2, 51):
-        assert omega(n).exact_div(omega(n - 2)) == Scalar.pi_power(1, Fraction(2, n))
+        assert omega(n) / omega(n - 2) == Scalar.pi_power(1, Fraction(2, n))
 
 
 def test_inverse_errors():
@@ -59,11 +59,15 @@ def test_inverse_errors():
 
 
 def test_exact_division():
+    # division is by a single term only
     a = Scalar({0: Fraction(1), 1: Fraction(2), 2: Fraction(1)})
-    b = Scalar({0: Fraction(1), 1: Fraction(1)})
-    assert a.exact_div(b) == b
-    with pytest.raises(InexactDivision):
-        (Scalar.one() + Scalar.pi_power(2)).exact_div(b)
+    assert a / Scalar.pi_power(1, 2) == Scalar({-1: Fraction(1, 2), 0: Fraction(1),
+                                                1: Fraction(1, 2)})
+    assert a / Fraction(2, 3) == a * Fraction(3, 2)
+    with pytest.raises(UnsupportedInverse):
+        a / Scalar({0: Fraction(1), 1: Fraction(1)})
+    with pytest.raises(ZeroDivisionError):
+        a / Scalar.zero()
 
 
 @given(scalars, scalars, scalars)
@@ -109,6 +113,3 @@ def test_lambda_scalar_arithmetic():
     b = a * a
     assert b == LambdaScalar({0: Fraction(1), 1: Fraction(6), 2: Fraction(9)})
     assert b.substitute(Fraction(1, 3)) == Scalar.from_rational(4)
-    assert b.exact_div(a) == a
-    with pytest.raises(InexactDivision):
-        (LambdaScalar.one() + lam).exact_div(lam)
