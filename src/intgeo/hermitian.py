@@ -292,6 +292,7 @@ class UnModel:
         self.ev = ev_disk(n)
         self._fourier = {}
         self._display = {}
+        self._display_inverse = {}
 
     # elements ------------------------------------------------------------
 
@@ -308,7 +309,7 @@ class UnModel:
         qlo = max(0, k - self.n)
         if not qlo <= q <= k // 2:
             raise ValueError("hermitian index out of range")
-        rows = self.display(k, "hermitian")[0]
+        rows = self.display(k, "hermitian")
         return self.element_from_coords(
             k, PiMatrix(rows.e, [rows.m[q - qlo]]).scalars()[0])
 
@@ -370,9 +371,12 @@ class UnModel:
         raise ValueError(f"unknown basis {tag!r}")
 
     def display(self, k, tag):
-        """(rows, inverse) of the degree-k display basis, both PiMatrix
-        blocks; row i of ``rows`` holds the canonical coordinates of the i-th
-        display element.  Tags as in ``basis_rows``."""
+        """The degree-k display basis as a PiMatrix: row i holds the
+        canonical coordinates of the i-th display element.
+
+        Tags: "monomial"; "tasaki" (primal up to the middle degree, Fourier
+        transforms above it); "hermitian" (all degrees, delta-Klain basis).
+        """
         key = (k, tag)
         if key not in self._display:
             n = self.n
@@ -381,7 +385,7 @@ class UnModel:
             if tag == "monomial":
                 rows = PiMatrix(0, identity(self.alg.dimension(k)))
             elif k > n:
-                rows = self.display(2 * n - k, tag)[0] @ self.fourier_matrix(2 * n - k)
+                rows = self.display(2 * n - k, tag) @ self.fourier_matrix(2 * n - k)
             elif tag == "tasaki":
                 monos = [(a, k - 2 * a) for a in range(k // 2 + 1)]
                 raw = PiMatrix.read([[row.get(m, 0) for m in monos]
@@ -394,17 +398,16 @@ class UnModel:
                 p = k // 2
                 change = [[Fraction((-1) ** (l - q) * binomial(l, q)) for l in range(p + 1)]
                           for q in range(p + 1)]
-                rows = PiMatrix(0, change) @ self.display(k, "tasaki")[0]
-            self._display[key] = (rows, rows.inverse())
+                rows = PiMatrix(0, change) @ self.display(k, "tasaki")
+            self._display[key] = rows
         return self._display[key]
 
-    def basis_rows(self, k, tag):
-        """Display-basis elements of degree k as coordinate rows, plus labels.
-
-        Tags: "monomial"; "tasaki" (primal up to the middle degree, Fourier
-        transforms above it); "hermitian" (all degrees, delta-Klain basis).
-        """
-        return self.display(k, tag)[0].scalars(), self.basis_labels(k, tag)
+    def display_inverse(self, k, tag):
+        """Inverse of ``display(k, tag)``: row i holds the display
+        coordinates of the i-th canonical basis monomial."""
+        if (k, tag) not in self._display_inverse:
+            self._display_inverse[k, tag] = self.display(k, tag).inverse()
+        return self._display_inverse[k, tag]
 
     # involution on even degrees ------------------------------------------------
 
@@ -466,12 +469,8 @@ def _accumulate(acc, dl, dr, block):
 
 def _entries(acc):
     """Table entries of an accumulator, one Scalar each; zero sums drop."""
-    out = {}
-    for key, terms in acc.items():
-        s = Scalar(terms)
-        if s:
-            out[key] = s
-    return out
+    scalars = {key: Scalar(terms) for key, terms in acc.items()}
+    return {key: s for key, s in scalars.items() if s}
 
 
 def _congruence(entries, leg):
@@ -508,7 +507,7 @@ def _pairing_block(model, k):
     gram = PiMatrix(ev.e, [[ev.m[0][0] * alg.reduction[mono_mul(ma, mb)].get(top, 0)
                             for mb in alg.basis[2 * model.n - kk]]
                            for ma in alg.basis[kk]])
-    left = model.display(kk, "tasaki")[0]
+    left = model.display(kk, "tasaki")
     right = left @ model.fourier_matrix(kk)
     mat = left @ gram @ right.T
     if mat.m != mat.T.m:
@@ -581,7 +580,7 @@ def convert_un_table(table, n, basis):
         return table
     model = un_model(n)
     out = _new_table(n, basis, table.normalization)
-    out.entries = _congruence(table.entries, lambda d: (d, model.display(d, basis)[1]))
+    out.entries = _congruence(table.entries, lambda d: (d, model.display_inverse(d, basis)))
     return out
 
 
@@ -674,11 +673,11 @@ def first_order_formula(n, k, l, space="euclidean"):
 def basis_change(n, frm, to):
     """Per-degree exact matrices converting frm-coordinates to to-coordinates.
 
-    Tags as in ``UnModel.basis_rows``; row i of the degree-k matrix holds the
+    Tags as in ``UnModel.display``; row i of the degree-k matrix holds the
     to-coordinates of the i-th frm-basis element.
     """
     model = un_model(n)
-    return {k: (model.display(k, frm)[0] @ model.display(k, to)[1]).scalars()
+    return {k: (model.display(k, frm) @ model.display_inverse(k, to)).scalars()
             for k in range(2 * n + 1)}
 
 

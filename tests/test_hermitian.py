@@ -133,7 +133,8 @@ def test_basis_round_trips():
             for k in range(2 * n + 1):
                 if tag == "tasaki" and k > n:
                     continue
-                rows, labels = model.basis_rows(k, tag)
+                rows = model.display(k, tag).scalars()
+                labels = model.basis_labels(k, tag)
                 assert len(rows) == model.alg.dimension(k) == len(labels)
                 # invertibility: random coordinates round-trip through rows
                 inv = invert_exact_scalar(rows)
@@ -459,8 +460,8 @@ def test_convert_table_round_trip_and_middle_block():
         back_entries = {}
         model = H.un_model(n)
         for (l, r), c in tas.entries.items():
-            rows_l, _ = model.basis_rows(l[0], "tasaki")
-            rows_r, _ = model.basis_rows(r[0], "tasaki")
+            rows_l = model.display(l[0], "tasaki").scalars()
+            rows_r = model.display(r[0], "tasaki").scalars()
             for a, ca in enumerate(rows_l[l[1]]):
                 for b, cb in enumerate(rows_r[r[1]]):
                     key = ((l[0], a), (r[0], b))
