@@ -51,13 +51,12 @@ class Scalar:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for p, c in terms.items():
-                c = _coerce_fraction(c)
-                if c != 0:
-                    clean[int(p)] = clean.get(int(p), Fraction(0)) + c
-        self.terms = {p: c for p, c in clean.items() if c != 0}
+        # pi exponents are the keys of a dict, so no two of them collide
+        self.terms = {}
+        for p, c in (terms or {}).items():
+            c = _coerce_fraction(c)
+            if c:
+                self.terms[int(p)] = c
 
     # -- constructors -------------------------------------------------
 

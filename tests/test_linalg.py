@@ -42,7 +42,6 @@ def test_random_inverse(rows):
         return
     assert mat_mul(rows, inv) == identity(4)
     assert mat_mul(inv, rows) == identity(4)
-    assert invert_exact_scalar(rows) == inv
 
 
 def test_scalar_entry_inverse():
