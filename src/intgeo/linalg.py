@@ -61,10 +61,8 @@ def invert_exact(m):
         raise ValueError("invert_exact needs a square matrix")
     a = []
     for i, row in enumerate(m):
-        row = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in row)) if row else 1
-        a.append([x.numerator * (den // x.denominator) for x in row]
-                 + [den if j == i else 0 for j in range(n)])
+        den, ints = _scaled(row)
+        a.append(ints + [den if j == i else 0 for j in range(n)])
     width = 2 * n
     prev = 1
     for k in range(n):
