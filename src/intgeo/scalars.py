@@ -99,7 +99,7 @@ class Scalar:
             return NotImplemented
         terms = dict(self.terms)
         for p, c in other.terms.items():
-            terms[p] = terms.get(p, Fraction(0)) + c
+            terms[p] = terms[p] + c if p in terms else c
         return Scalar(terms)
 
     __radd__ = __add__
@@ -124,7 +124,7 @@ class Scalar:
         for p1, c1 in self.terms.items():
             for p2, c2 in other.terms.items():
                 p = p1 + p2
-                terms[p] = terms.get(p, Fraction(0)) + c1 * c2
+                terms[p] = terms[p] + c1 * c2 if p in terms else c1 * c2
         return Scalar(terms)
 
     __rmul__ = __mul__
