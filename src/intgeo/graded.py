@@ -296,6 +296,24 @@ class QuotientAlgebra:
                 vec[idx[m]] = c
         return vec
 
+    def ideal_rows(self, monos):
+        """Rows e_m - nf(m) over ``monos``, one for each non-basis monomial m
+        among them: these span the ideal there.  ``monos`` must hold every
+        basis monomial those normal forms use (one degree of a homogeneous
+        ideal, or all of ``columns``).  Over ``columns`` the rows are the
+        reduced row echelon form of the ideal multiples."""
+        index = {m: i for i, m in enumerate(monos)}
+        rows = []
+        for m in monos:
+            if m in self.basis_index[self.gens.degree(m)]:
+                continue
+            row = [Fraction(0)] * len(monos)
+            row[index[m]] = Fraction(1)
+            for bm, c in self.reduction[m].items():
+                row[index[bm]] = -c
+            rows.append(row)
+        return rows
+
     def describe(self):
         return {
             "generators": list(self.gens.names),

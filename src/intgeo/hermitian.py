@@ -28,7 +28,8 @@ from typing import NamedTuple
 
 from .graded import (GradedElement, LinearFunctional, TensorTable,
                      build_quotient, mono_mul)
-from .linalg import identity, invert_exact, kernel_basis, mat_mul
+from .linalg import (identity, invert_exact, kernel_basis, kernel_equals_span,
+                     mat_mul, rref)
 from .scalars import Scalar, binomial, factorial, omega
 
 _SZERO = Scalar.zero()
@@ -116,41 +117,39 @@ def disk_value(n, mono):
 def un_algebra(n, presentation="relations"):
     """The U(n)-invariant valuation algebra on generators s (weight 2), t.
 
-    "relations" quotients by the two generators of the relation ideal;
-    "evaluation-kernel" takes per-degree kernels of the pairing against disk
-    evaluations.  The two must produce identical bases and reduction maps.
+    "relations" quotients by the two generators of the relation ideal.
+    "evaluation-kernel" checks that, in every degree d, the relation ideal is
+    the kernel of the pairing against disk evaluations in degree 2n - d, and
+    then returns the relations quotient; PresentationMismatch if not.  Each
+    degree is certified by ``kernel_equals_span``: the ideal's reduced rows
+    e_m - nf(m) lie in the kernel, and the pairing block has full
+    complementary rank modulo a prime.  Only when that rank falls short is
+    the exact kernel computed and its reduced form compared.
     """
-    rel = build_quotient(("s", "t"), (2, 1),
-                         [fk(n + 1), fk(n + 2)], 2 * n,
-                         zero_above_truncation=True)
     if presentation == "relations":
-        return rel
+        return build_quotient(("s", "t"), (2, 1),
+                              [fk(n + 1), fk(n + 2)], 2 * n,
+                              zero_above_truncation=True)
     if presentation != "evaluation-kernel":
         raise ValueError(f"unknown presentation {presentation!r}")
 
+    rel = un_algebra(n)
     gens = rel.gens
-    ideal = []
     for d in range(2 * n + 1):
-        rows_monos = gens.monomials_of_degree(d)
-        cols_monos = gens.monomials_of_degree(2 * n - d)
-        matrix = []
-        for m in rows_monos:
-            row = []
-            for m2 in cols_monos:
-                prod = (m[0] + m2[0], m[1] + m2[1])
-                row.append(Fraction(binomial(prod[1], n - prod[0])))
-            matrix.append(row)
-        # kernel of x -> (m' -> ev(x * m')): rows index the degree-d monomials,
-        # so we need the null space of the transpose
-        transposed = [list(col) for col in zip(*matrix)] if matrix else []
-        for vec in kernel_basis(transposed, len(rows_monos)):
-            ideal.append({m: c for m, c in zip(rows_monos, vec) if c != 0})
-    ker = build_quotient(("s", "t"), (2, 1), ideal, 2 * n,
-                         zero_above_truncation=True)
-    if ker.basis != rel.basis or ker.reduction != rel.reduction:
-        raise PresentationMismatch(
-            f"presentations of the U({n}) algebra disagree")
-    return ker
+        cols = gens.monomials_of_degree(d)
+        # x is in the kernel iff ev(x * m') = 0 for every m' of degree 2n - d;
+        # Fraction entries keep the divisions of the exact fallback exact
+        block = [[Fraction(binomial(b + b2, n - a - a2)) for a, b in cols]
+                 for a2, b2 in gens.monomials_of_degree(2 * n - d)]
+        rows = rel.ideal_rows(cols)
+        ok = kernel_equals_span(block, rows, len(cols))
+        if ok is None:
+            kernel = kernel_basis(block, len(cols))
+            ok = rref(kernel, len(cols)) == rref(rows, len(cols))
+        if not ok:
+            raise PresentationMismatch(
+                f"presentations of the U({n}) algebra disagree")
+    return rel
 
 
 def poincare_series_coefficients(n):

@@ -1,11 +1,13 @@
 """Exact linear algebra over Q.
 
-Two routines carry the whole load: a fraction-free (Bareiss) inverse used for
-the Poincare-pairing and basis-change matrices, and reduced row echelon form
-used to build quotient-algebra normal forms.  The row reduction splits the
-columns into the independent blocks of the rows' nonzero pattern and reduces
-each block densely.  Matrices are plain lists of lists of Fractions (ints are
-accepted).
+Three routines carry the whole load: a fraction-free (Bareiss) inverse used
+for the Poincare-pairing and basis-change matrices, reduced row echelon form
+used to build quotient-algebra normal forms, and a certificate that given
+rows span a matrix's kernel (exact containment plus the rank modulo a prime),
+used to check presentations against evaluation kernels.  The row reduction
+splits the columns into the independent blocks of the rows' nonzero pattern
+and reduces each block densely.  Matrices are plain lists of lists of
+Fractions (ints are accepted).
 """
 
 from __future__ import annotations
@@ -183,3 +185,68 @@ def kernel_basis(matrix, ncols):
             v[p] = -row[f]
         basis.append(v)
     return basis
+
+
+# Kernel certificates take ranks modulo this prime.  The rank modulo a prime
+# never exceeds the rank over Q, so an unlucky prime can only leave a
+# certificate undecided, never make it wrong.
+CERTIFICATE_PRIME = 2 ** 61 - 1
+
+
+def _rank_mod_p(rows, ncols, p):
+    """Rank of an integer matrix modulo the prime p, by forward elimination.
+
+    Columns are eliminated sparsest first, which leaves the rank unchanged
+    and keeps fill-in low.  Row updates skip the reduction modulo p: each
+    adds less than p^2 in absolute value, so entries stay small, and a row is
+    reduced when it is tested for a pivot or becomes one.
+    """
+    counts = [sum(1 for row in rows if row[j] % p) for j in range(ncols)]
+    order = sorted(range(ncols), key=counts.__getitem__)
+    work = [[row[j] % p for j in order] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(work)) if work[i][c] % p), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        prow = work[rank]
+        prow[c:] = [x % p for x in prow[c:]]
+        inv = pow(prow[c], -1, p)
+        support = [(j, prow[j]) for j in range(c + 1, ncols) if prow[j]]
+        for row in work[rank + 1:]:
+            f = row[c] % p
+            if f:
+                f = f * inv % p
+                for j, y in support:
+                    row[j] -= f * y
+                row[c] = 0
+        rank += 1
+        if rank == len(work):
+            break
+    return rank
+
+
+def kernel_equals_span(matrix, rows, ncols):
+    """Certify that the right null space of ``matrix`` is spanned by ``rows``.
+
+    ``rows`` must be linearly independent, e.g. reduced rows with distinct
+    pivots.  Every row of either side is scaled to integers, which changes
+    neither the kernel nor the span.  Returns
+
+    * False when ``matrix . v != 0`` for some row v -- an exact test;
+    * True when every row lies in the kernel and the rank of the matrix
+      modulo CERTIFICATE_PRIME is ``ncols - len(rows)``: then
+      dim ker <= ncols - rank_p = len(rows), so the rows span the kernel;
+    * None when the rank modulo the prime falls short, which an unlucky prime
+      can cause as well as a kernel larger than the span; the caller decides
+      exactly.
+    """
+    mat = [_scaled(row)[1] for row in matrix]
+    for v in rows:
+        support = [(j, x) for j, x in enumerate(_scaled(v)[1]) if x]
+        if any(sum(row[j] * x for j, x in support) for row in mat):
+            return False
+    if _rank_mod_p(mat, ncols, CERTIFICATE_PRIME) == ncols - len(rows):
+        return True
+    return None

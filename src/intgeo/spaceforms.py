@@ -7,8 +7,10 @@ kinematic coproduct computed by two routes that must agree.
 
 Complex space forms: the two-generator presentation whose ideal substitutes
 t/sqrt(1 + lam t^2/4) into the flat relation generators, cross-checked at
-lam = 1 against the kernel of projective-space evaluations, plus the
-conjectural closed-form relation series and its Chapoton functional
+lam = 1 against the kernel of projective-space evaluations (the ideal lies in
+that kernel, and the evaluation matrix has full complementary rank modulo a
+prime; the exact kernel is computed only when that rank falls short), plus
+the conjectural closed-form relation series and its Chapoton functional
 equations.
 
 lam carries formal weight -2, so ideal generators are weighted-homogeneous
@@ -24,8 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .graded import GeneratorSet, QuotientAlgebra, TensorTable, mono_mul
-from .linalg import kernel_basis, rref
+from .graded import GeneratorSet, QuotientAlgebra, TensorTable
+from .linalg import kernel_basis, kernel_equals_span, rref
 from .scalars import LambdaScalar, Scalar, alpha, binomial
 from .series import FormalSeries, binomial_coefficient_general, binomial_power
 from .hermitian import fk, poincare_series_coefficients
@@ -330,45 +332,49 @@ def _ideal_subspace_rref(rows_raw, columns):
     return reduced, pivots
 
 
+def _cp_pairing_matrix(n, columns):
+    """M[m][m'] = cp_values(n, m m'): x is in the evaluation kernel iff M x = 0.
+    Each distinct product is evaluated once."""
+    values = {}
+    matrix = []
+    for a, b in columns:
+        row = []
+        for a2, b2 in columns:
+            prod = (a + a2, b + b2)
+            if prod not in values:
+                values[prod] = cp_values(n, prod)
+            row.append(values[prod])
+        matrix.append(row)
+    return matrix
+
+
 def cp_evaluation_kernel(n):
     """The kernel ideal of projective-space evaluations at lam = 1: all
     truncated polynomials annihilated by every monomial pairing."""
-    alg = complex_space_form(n).at_one
-    columns = alg.columns
-    matrix = []
-    for m in columns:
-        matrix.append([cp_values(n, mono_mul(m, m2)) for m2 in columns])
-    vecs = kernel_basis(matrix, len(columns))
+    columns = complex_space_form(n).at_one.columns
+    vecs = kernel_basis(_cp_pairing_matrix(n, columns), len(columns))
     return [{m: c for m, c in zip(columns, v) if c} for v in vecs]
 
 
 def curved_ideal_matches_projective_kernel(n):
     """Acceptance check: the curved ideal at lam = 1 equals the kernel of
     projective-space evaluations, as subspaces of the truncated model.
-    Returns (ok, per-degree initial dimensions)."""
-    model = complex_space_form(n)
-    alg = model.at_one
-    columns = alg.columns
+    Returns (ok, per-degree initial dimensions).
 
-    curved_rows = []
-    gens = alg.ideal
-    for g in gens:
-        w = min(alg.gens.degree(m) for m in g)
-        for d in range(2 * n - w + 1):
-            for m in alg.gens.monomials_of_degree(d):
-                prod = {}
-                for mg, c in g.items():
-                    mm = mono_mul(m, mg)
-                    if alg.gens.degree(mm) <= 2 * n:
-                        prod[mm] = prod.get(mm, Fraction(0)) + c
-                curved_rows.append(prod)
-    red_b, piv_b = _ideal_subspace_rref(curved_rows, columns)
-    red_c, piv_c = _ideal_subspace_rref(cp_evaluation_kernel(n), columns)
-    ok = red_b == red_c and piv_b == piv_c
+    The reduced rows of the curved ideal are certified against the pairing
+    matrix by ``kernel_equals_span``; only when its rank modulo the prime
+    falls short is the exact kernel computed and its reduced form compared."""
+    alg = complex_space_form(n).at_one
+    columns = alg.columns
+    rows = alg.ideal_rows(columns)
+    ok = kernel_equals_span(_cp_pairing_matrix(n, columns), rows, len(columns))
+    if ok is None:
+        ok = _ideal_subspace_rref(cp_evaluation_kernel(n), columns)[0] == rows
     dims = {}
-    for p in piv_b:
-        d = alg.gens.degree(columns[p])
-        dims[d] = dims.get(d, 0) + 1
+    for d in range(2 * n + 1):
+        k = len(alg.gens.monomials_of_degree(d)) - alg.dimension(d)
+        if k:
+            dims[d] = k
     return ok, dims
 
 

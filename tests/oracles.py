@@ -5,7 +5,10 @@ point of the Minkowski difference nearest the origin, with tolerance 1e-10,
 one pair of bodies at a time.  The Minkowski-sum volume is the volume of the
 convex hull of all pairwise vertex sums.  The exact inverse of a matrix of
 Laurent polynomials in pi runs Bareiss elimination over Q[pi, pi^-1] with
-polynomial long division, so no entry needs to be a single power of pi.
+polynomial long division, so no entry needs to be a single power of pi.  The
+presentation checks are redone by computing both subspaces exactly: the
+evaluation kernels by ``kernel_basis``, the ideals by row-reducing every
+truncated multiple of their generators.
 """
 
 from fractions import Fraction
@@ -13,8 +16,10 @@ from itertools import combinations
 
 import numpy as np
 
-from intgeo.linalg import SingularMatrixError
-from intgeo.scalars import Scalar
+from intgeo.graded import GeneratorSet, build_quotient, mono_mul
+from intgeo.linalg import SingularMatrixError, kernel_basis, rref
+from intgeo.scalars import Scalar, binomial
+from intgeo.spaceforms import complex_space_form, cp_evaluation_kernel
 
 GJK_TOL = 1e-10
 
@@ -191,3 +196,49 @@ def invert_exact_scalar(m):
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return [[scalar_exact_div(a[i][n + j], det) for j in range(n)] for i in range(n)]
+
+
+# -- presentations checked by exact kernels -----------------------------------
+
+def curved_ideal_exact_route(n):
+    """(ok, dims) of the curved-ideal check with both sides row-reduced: the
+    truncated multiples of the lam = 1 generators, and the exact kernel of
+    projective-space evaluations.  dims counts the ideal's pivots by degree."""
+    alg = complex_space_form(n).at_one
+    columns = alg.columns
+    index = {m: i for i, m in enumerate(columns)}
+    rows = []
+    for g in alg.ideal:
+        w = min(alg.gens.degree(m) for m in g)
+        for d in range(2 * n - w + 1):
+            for m in alg.gens.monomials_of_degree(d):
+                row = [Fraction(0)] * len(columns)
+                for mg, c in g.items():
+                    mm = mono_mul(m, mg)
+                    if alg.gens.degree(mm) <= 2 * n:
+                        row[index[mm]] += c
+                rows.append(row)
+    red_b, piv_b = rref(rows, len(columns))
+    kernel = [[v.get(m, Fraction(0)) for m in columns]
+              for v in cp_evaluation_kernel(n)]
+    red_c, piv_c = rref(kernel, len(columns))
+    dims = {}
+    for p in piv_b:
+        d = alg.gens.degree(columns[p])
+        dims[d] = dims.get(d, 0) + 1
+    return red_b == red_c and piv_b == piv_c, dims
+
+
+def un_evaluation_kernel_quotient(n):
+    """The U(n) algebra presented as the quotient by the kernel, degree by
+    degree, of the pairing against disk evaluations."""
+    gens = GeneratorSet(("s", "t"), (2, 1))
+    ideal = []
+    for d in range(2 * n + 1):
+        cols = gens.monomials_of_degree(d)
+        block = [[Fraction(binomial(b + b2, n - a - a2)) for a, b in cols]
+                 for a2, b2 in gens.monomials_of_degree(2 * n - d)]
+        for vec in kernel_basis(block, len(cols)):
+            ideal.append({m: c for m, c in zip(cols, vec) if c})
+    return build_quotient(("s", "t"), (2, 1), ideal, 2 * n,
+                          zero_above_truncation=True)

@@ -71,9 +71,9 @@ def test_criterion_05_reduction_consistency():
 
 
 def test_criterion_06_presentations_agree():
-    for n in range(1, 13):
+    for n in range(1, 17):
         hermitian.un_algebra(n, "evaluation-kernel")
-    report(6, "relation and evaluation-kernel presentations coincide, n <= 12")
+    report(6, "relation and evaluation-kernel presentations coincide, n <= 16")
 
 
 def test_criterion_07_binomial_identity():
@@ -156,12 +156,12 @@ def test_criterion_11_real_space_forms():
 
 def test_criterion_12_curved_ideal_equals_projective_kernel():
     t0 = time.time()
-    for n in range(1, 9):
+    for n in range(1, 13):
         ok, _ = spaceforms.curved_ideal_matches_projective_kernel(n)
         assert ok, n
     assert time.time() - t0 < 300
     report(12, "curved relation ideal at lam=1 equals the projective "
-               "evaluation kernel, n <= 8")
+               "evaluation kernel, n <= 12")
 
 
 def test_criterion_13_chapoton():

@@ -5,10 +5,12 @@ import pytest
 
 from intgeo import euclid as E
 from intgeo import hermitian as H
-from intgeo.graded import poly_mul
+from intgeo import linalg
+from intgeo.graded import build_quotient, poly_mul
 from intgeo.linalg import identity
 from intgeo.scalars import Scalar, binomial, factorial, omega
-from oracles import invert_exact_scalar, scalar_mat_mul
+from oracles import (invert_exact_scalar, scalar_mat_mul,
+                     un_evaluation_kernel_quotient)
 
 
 def poly_add(p, q):
@@ -46,10 +48,44 @@ def test_hilbert_series_and_palindrome():
 
 
 def test_presentations_agree():
-    for n in range(1, 13):
-        H.un_algebra(n, "evaluation-kernel")
+    for n in range(1, 17):
+        assert H.un_algebra(n, "evaluation-kernel") is H.un_algebra(n)
     with pytest.raises(ValueError):
         H.un_algebra(2, "mystery")
+
+
+def test_presentation_certificate_matches_exact_kernel():
+    for n in range(1, 9):
+        ker = un_evaluation_kernel_quotient(n)
+        alg = H.un_algebra(n, "evaluation-kernel")
+        assert (ker.basis, ker.reduction) == (alg.basis, alg.reduction), n
+
+
+def test_presentation_check_catches_mutations(monkeypatch):
+    n = 5
+    un_algebra = H.un_algebra
+    un_algebra(n)
+    dropped = build_quotient(("s", "t"), (2, 1), [H.fk(n + 1)], 2 * n,
+                             zero_above_truncation=True)
+    with monkeypatch.context() as mp:
+        mp.setattr(H, "un_algebra", lambda k, presentation="relations": dropped)
+        with pytest.raises(H.PresentationMismatch):
+            un_algebra.__wrapped__(n, "evaluation-kernel")
+    monkeypatch.setattr(H, "binomial", lambda a, b: binomial(a, b)
+                        + (a == 2 * n and b == n))
+    with pytest.raises(H.PresentationMismatch):
+        un_algebra.__wrapped__(n, "evaluation-kernel")
+
+
+def test_presentation_check_falls_back_on_rank_shortfall(monkeypatch):
+    calls = []
+    kernel = H.kernel_basis
+    monkeypatch.setattr(linalg, "CERTIFICATE_PRIME", 2)
+    monkeypatch.setattr(H, "kernel_basis",
+                        lambda *args: calls.append(args) or kernel(*args))
+    for n in range(1, 9):
+        assert H.un_algebra.__wrapped__(n, "evaluation-kernel") is H.un_algebra(n)
+    assert calls
 
 
 def test_relations_die_in_their_algebra():
@@ -111,7 +147,10 @@ def tasaki_matrix(k):
 
 def test_monomial_to_sigma_closed_form_matches_bareiss():
     for k in range(29):
-        assert H.monomial_to_sigma(k).scalars() == invert_exact_scalar(tasaki_matrix(k)), k
+        inv = H.monomial_to_sigma(k).scalars()
+        assert scalar_mat_mul(inv, tasaki_matrix(k)) == identity(k // 2 + 1), k
+        if k <= 10:
+            assert inv == invert_exact_scalar(tasaki_matrix(k)), k
 
 
 def test_hermitian_tasaki_change():

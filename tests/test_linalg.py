@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intgeo import linalg
 from intgeo.linalg import (SingularMatrixError, _rref_dense, identity,
-                           invert_exact, kernel_basis, mat_mul, rref)
+                           invert_exact, kernel_basis, kernel_equals_span,
+                           mat_mul, rref)
 from intgeo.scalars import Scalar
 from oracles import invert_exact_scalar, scalar_mat_mul
 
@@ -62,6 +64,24 @@ def test_rref_and_kernel():
     assert len(kern) == 2
     for v in kern:
         assert all(sum(r[i] * v[i] for i in range(3)) == 0 for r in rows)
+
+
+def test_kernel_equals_span_verdicts(monkeypatch):
+    half = Fraction(1, 2)
+    matrix = [[1, 1, 0], [0, 2, 2]]
+    # the kernel is spanned by (1, -1, 1), given in any scaling
+    assert kernel_equals_span(matrix, [[half, -half, half]], 3) is True
+    # a row outside the kernel is refuted exactly
+    assert kernel_equals_span(matrix, [[F1, F0, F0]], 3) is False
+    # rows inside a larger kernel: the rank shows too little, so undecided
+    assert kernel_equals_span([[1, 1, 0]], [[F1, -F1, F0]], 3) is None
+    # an entry divisible by the prime drops the rank modulo p only
+    p = linalg.CERTIFICATE_PRIME
+    assert kernel_equals_span([[p, 0], [0, 1]], [], 2) is None
+    assert kernel_equals_span([[p + 1, 0], [0, 1]], [], 2) is True
+    monkeypatch.setattr(linalg, "CERTIFICATE_PRIME", 2)
+    assert kernel_equals_span(matrix, [[half, -half, half]], 3) is None
+    assert kernel_equals_span(matrix, [[F1, F0, F0]], 3) is False
 
 
 def reference_rref(rows, ncols):

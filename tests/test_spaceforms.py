@@ -1,12 +1,16 @@
 import json
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from intgeo import linalg
 from intgeo import spaceforms as SF
+from intgeo.graded import QuotientAlgebra
 from intgeo.scalars import LambdaScalar, Scalar
 from intgeo.series import FormalSeries, binomial_power, log1p
+from oracles import curved_ideal_exact_route
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -170,13 +174,50 @@ def test_cp_values():
 
 
 def test_curved_ideal_matches_projective_kernel():
-    for n in range(1, 9):
+    for n in range(1, 13):
         ok, dims = SF.curved_ideal_matches_projective_kernel(n)
         assert ok, n
         hs = SF.poincare_series_coefficients(n)
         free = {d: d // 2 + 1 for d in range(2 * n + 1)}
         assert dims == {d: free[d] - hs[d] for d in range(2 * n + 1)
                         if free[d] != hs[d]}
+
+
+def test_curved_certificate_matches_exact_kernel():
+    for n in range(1, 9):
+        assert SF.curved_ideal_matches_projective_kernel(n) \
+            == curved_ideal_exact_route(n), n
+
+
+def test_curved_check_catches_mutations(monkeypatch):
+    n = 5
+    alg = SF.complex_space_form(n).at_one
+    for kept in alg.ideal:
+        mutant = QuotientAlgebra(alg.gens, [kept], 2 * n,
+                                 require_homogeneous=False,
+                                 zero_above_truncation=True)
+        with monkeypatch.context() as mp:
+            mp.setattr(SF, "complex_space_form",
+                       lambda k: SimpleNamespace(at_one=mutant))
+            assert not SF.curved_ideal_matches_projective_kernel(n)[0]
+    cp_values = SF.cp_values
+    monkeypatch.setattr(SF, "cp_values", lambda k, mono: cp_values(k, mono)
+                        + (mono == (0, 2 * n)))
+    assert not SF.curved_ideal_matches_projective_kernel(n)[0]
+
+
+def test_curved_check_falls_back_on_rank_shortfall(monkeypatch):
+    expected = {n: SF.curved_ideal_matches_projective_kernel(n)
+                for n in range(1, 7)}
+    calls = []
+    kernel = SF.cp_evaluation_kernel
+    monkeypatch.setattr(linalg, "CERTIFICATE_PRIME", 2)
+    monkeypatch.setattr(SF, "cp_evaluation_kernel",
+                        lambda n: calls.append(n) or kernel(n))
+    for n, (ok, dims) in expected.items():
+        assert ok
+        assert SF.curved_ideal_matches_projective_kernel(n) == (ok, dims), n
+    assert calls
 
 
 def test_conjecture_coefficients():
