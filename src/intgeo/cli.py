@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``so`` (euclidean tables), ``un`` (hermitian tables), ``spaceform``
-(curvature families), ``mc`` (Monte Carlo estimators), ``verify`` (the full
-exact check battery plus a statistical gate).
+(curvature families), ``mc`` (Monte Carlo estimators), ``verify`` (every
+check of ``checks.REGISTRY`` plus a statistical gate).  ``un verify`` runs
+the registry's hermitian checks; every check report is a ``checks.Report``.
 
 Exit codes: 0 success, 1 verification failure (an exact check failed or some
 |z| > 4), 2 usage error.  Every run logs its resolved configuration to
@@ -19,9 +20,9 @@ import os
 import sys
 from fractions import Fraction
 
-from . import emitters, euclid, hermitian, montecarlo, spaceforms
+from . import checks, emitters, euclid, hermitian, montecarlo, spaceforms
 from .bodies import ConvexBody, body_from_spec
-from .scalars import Scalar, omega
+from .scalars import Scalar
 
 
 def _load_config(path):
@@ -119,12 +120,10 @@ def cmd_un(args):
             if value is not None:
                 return _unused_flag(flag, f"un {args.table}; only un firstorder "
                                     "reads it")
-    if args.table == "kinematic":
-        table = hermitian.convert_un_table(hermitian.kinematic_un(n), n, basis)
-        _write_output(emitters.emit_table(table, fmt), args.out)
-        return 0
-    if args.table == "additive":
-        table = hermitian.convert_un_table(hermitian.additive_un(n), n, basis)
+    if args.table in ("kinematic", "additive"):
+        build = {"kinematic": hermitian.kinematic_un,
+                 "additive": hermitian.additive_un}[args.table]
+        table = hermitian.convert_un_table(build(n), n, basis)
         _write_output(emitters.emit_table(table, fmt), args.out)
         return 0
     if args.table == "tasaki-matrices":
@@ -154,18 +153,20 @@ def cmd_un(args):
         }
         _write_output(emitters.emit_json(doc), args.out)
         return 0
-    if args.table == "verify":
-        lines, failures = hermitian_checks(n)
-        for k in range(1, n + 1):
-            c = hermitian.mu_k0_fk_ratio(n, k)
-            lines.append(f"INFO mu_{k},0 / f_{k} = {emitters.scalar_to_string(c)}")
-        for l in range(1, n + 1):
-            c = hermitian.complex_flat_constant(l)
-            lines.append(f"INFO complex-flat average constant for degree {l} = "
-                         f"{emitters.scalar_to_string(c)}")
-        _write_output(emitters.emit_report(lines, failures), args.out)
-        return 0 if not failures else 1
-    raise SystemExit(2)
+    # verify
+    report = checks.Report()
+    for check in checks.REGISTRY:
+        if check.group == "hermitian":
+            report.add(*check.verdict(n))
+    for k in range(1, n + 1):
+        c = hermitian.mu_k0_fk_ratio(n, k)
+        report.lines.append(f"INFO mu_{k},0 / f_{k} = {emitters.scalar_to_string(c)}")
+    for l in range(1, n + 1):
+        c = hermitian.complex_flat_constant(l)
+        report.lines.append(f"INFO complex-flat average constant for degree {l} = "
+                            f"{emitters.scalar_to_string(c)}")
+    _write_output(report.emit(), args.out)
+    return 1 if report.failed else 0
 
 
 # -- spaceform -------------------------------------------------------------------
@@ -187,46 +188,29 @@ def cmd_spaceform(args):
     if args.family == "real":
         algebra = spaceforms.real_space_form(n)
         table = algebra.kinematic()
-        lines = []
+        data = emitters.emit_table(table, args.format or "json")
         if args.lambda_eval is not None:
+            report = checks.Report()
             for j in range(n + 1):
                 vals = [emitters.scalar_to_string(
                     algebra.sphere_value(algebra.tau(i), j)) for i in range(n + 1)]
-                lines.append(f"INFO sphere S^{j}: tau values {vals}")
-        data = emitters.emit_table(table, args.format or "json")
-        if lines:
-            data += emitters.emit_report(lines, [])
+                report.lines.append(f"INFO sphere S^{j}: tau values {vals}")
+            data += report.emit()
         _write_output(data, args.out)
         return 0
-    # complex family checks
-    check = args.check or "bfs"
-    lines = []
-    failures = []
-    if check == "bfs":
+    report = checks.Report()
+    if args.check in (None, "bfs"):
         ok, dims = spaceforms.curved_ideal_matches_projective_kernel(n)
-        line = (f"{'PASS' if ok else 'FAIL'} curved ideal at lam=1 equals the "
-                f"projective evaluation kernel (initial dims {dims})")
-        lines.append(line)
-        if not ok:
-            failures.append(line)
-    elif check == "conjecture":
-        res = spaceforms.fbar_relations_check(n)
-        for i, good in sorted(res.items()):
-            line = f"{'PASS' if good else 'FAIL'} relation component {i} reduces to 0"
-            lines.append(line)
-            if not good:
-                failures.append(line)
-    elif check == "chapoton":
-        ok, f, g = spaceforms.chapoton_check(12)
-        line = (f"{'PASS' if ok else 'FAIL'} functional equations reproduce the "
-                f"closed-form coefficients up to order 12")
-        lines.append(line)
-        if not ok:
-            failures.append(line)
+        report.add(ok, "curved ideal at lam=1 equals the projective evaluation "
+                   f"kernel (initial dims {dims})")
+    elif args.check == "conjecture":
+        for i, good in sorted(spaceforms.fbar_relations_check(n).items()):
+            report.add(good, f"relation component {i} reduces to 0")
     else:
-        raise SystemExit(2)
-    _write_output(emitters.emit_report(lines, failures), args.out)
-    return 0 if not failures else 1
+        report.add(spaceforms.chapoton_check(12)[0], "functional equations "
+                   "reproduce the closed-form coefficients up to order 12")
+    _write_output(report.emit(), args.out)
+    return 1 if report.failed else 0
 
 
 # -- mc -------------------------------------------------------------------------
@@ -303,236 +287,21 @@ def cmd_mc(args):
 
 # -- verify -----------------------------------------------------------------------
 
-def scalar_checks():
-    lines, failures = [], []
-
-    def record(ok, text):
-        line = f"{'PASS' if ok else 'FAIL'} {text}"
-        lines.append(line)
-        if not ok:
-            failures.append(line)
-
-    import math
-    ok = all(omega(n) * omega(n + 1)
-             == Scalar.pi_power(n, Fraction(2 ** (n + 1), math.factorial(n + 1)))
-             for n in range(51))
-    record(ok, "ball-volume product identity, n <= 50")
-    ok = all(omega(n) / omega(n - 2) == Scalar.pi_power(1, Fraction(2, n))
-             for n in range(2, 51))
-    record(ok, "ball-volume ratio identity, n <= 50")
-    return lines, failures
-
-
-def euclid_checks(max_dim):
-    lines, failures = [], []
-
-    def record(ok, text):
-        line = f"{'PASS' if ok else 'FAIL'} {text}"
-        lines.append(line)
-        if not ok:
-            failures.append(line)
-
-    ok = all(euclid.kinematic_via_pairing(n).entries == euclid.kinematic_so(n).entries
-             for n in range(1, max_dim + 1))
-    record(ok, f"kinematic table equals pairing inversion, n <= {max_dim}")
-
-    ok = True
-    for n in range(1, max_dim + 1):
-        info = euclid.nijenhuis_constants(n)
-        ok = ok and info["kinematic_all_ones"] and info["additive_all_ones"]
-    record(ok, f"unit-coefficient presentations of both coproducts, n <= {max_dim}")
-
-    ok = all(euclid.kinematic_so(n, basis="psi").entries
-             == euclid.additive_so(n).entries for n in range(1, max_dim + 1))
-    record(ok, f"chi kinematic table equals volume additive table, n <= {max_dim}")
-
-    ok = True
-    for n in range(1, max_dim + 1):
-        def leg_hat(leg, nn=n):
-            d = leg[0]
-            h = euclid.t_mu_coefficient(d) * euclid.t_mu_coefficient(nn - d).inverse()
-            return {(nn - d, 0): h}
-        for k in range(n + 1):
-            phi = euclid.SOValuation.from_coeffs(n, {k: Scalar.one()}, basis="psi")
-            conj = euclid.kinematic_so(n, euclid.fourier_so(n, phi)).map_legs(
-                leg_hat, leg_hat)
-            if conj.entries != euclid.additive_so(n, phi, basis="t").entries:
-                ok = False
-    record(ok, f"additive operator equals Fourier-conjugated kinematic, n <= {max_dim}")
-
-    ok = all(euclid.mu_product_coefficient(n, i, j)
-             == euclid.mu_product_coefficient_via_t(n, i, j)
-             for n in range(1, max_dim + 1)
-             for i in range(n + 1) for j in range(n + 1 - i))
-    record(ok, f"intrinsic-volume product coefficients by two routes, n <= {max_dim}")
-
-    ok = all(_coassoc_so(n) for n in range(1, max_dim + 1))
-    record(ok, f"kinematic coproduct coassociative and cocommutative, n <= {max_dim}")
-
-    ok = True
-    for n in range(1, max_dim + 1):
-        ball = euclid.TemplateBody.ball(Fraction(3, 2))
-        poly = euclid.steiner_polynomial(ball, n)
-        from .scalars import binomial
-        expect = {n - i: omega(n) * Fraction(binomial(n, i) * Fraction(3, 2) ** i)
-                  for i in range(n + 1)}
-        if poly != expect:
-            ok = False
-    record(ok, f"tube polynomial of a ball matches the binomial expansion, n <= {max_dim}")
-    return lines, failures
-
-
-def _coassoc_so(n):
-    table = euclid.kinematic_so(n)
-    if not table.is_swap_symmetric():
-        return False
-    left = {}
-    right = {}
-    for ((a, _), (b, _)), c in table.entries.items():
-        for ((x, _), (y, _)), c2 in euclid.kinematic_so(
-                n, euclid.SOValuation.from_coeffs(n, {a: Scalar.one()})).entries.items():
-            key = (x, y, b)
-            left[key] = left.get(key, Scalar.zero()) + c * c2
-        for ((x, _), (y, _)), c2 in euclid.kinematic_so(
-                n, euclid.SOValuation.from_coeffs(n, {b: Scalar.one()})).entries.items():
-            key = (a, x, y)
-            right[key] = right.get(key, Scalar.zero()) + c * c2
-    left = {k: v for k, v in left.items() if not v.is_zero()}
-    right = {k: v for k, v in right.items() if not v.is_zero()}
-    return left == right
-
-
-def hermitian_checks(max_dim):
-    lines, failures = [], []
-
-    def record(ok, text):
-        line = f"{'PASS' if ok else 'FAIL'} {text}"
-        lines.append(line)
-        if not ok:
-            failures.append(line)
-
-    ok = True
-    for n in range(1, max_dim + 1):
-        try:
-            hermitian.un_algebra(n, "evaluation-kernel")
-        except hermitian.PresentationMismatch:
-            ok = False
-    record(ok, f"relation and evaluation-kernel presentations agree, n <= {max_dim}")
-
-    ok = all(hermitian.un_algebra(n).hilbert_series()
-             == hermitian.poincare_series_coefficients(n)
-             for n in range(1, max_dim + 1))
-    record(ok, f"Hilbert function matches the rational generating function, n <= {max_dim}")
-
-    ok = True
-    for n in range(1, max_dim + 1):
-        model = hermitian.un_model(n)
-        for k in range(2 * n + 1):
-            for i in range(model.alg.dimension(k)):
-                e = model.alg.basis_element(k, i)
-                if model.fourier(model.fourier(e)) != e:
-                    ok = False
-    record(ok, f"Fourier transform is an involution, n <= {max_dim}")
-
-    ok = True
-    for n in range(1, max_dim + 1):
-        model = hermitian.un_model(n)
-        for l in range(1, n + 1):
-            for i in range(model.alg.dimension(2 * l)):
-                e = model.alg.basis_element(2 * l, i)
-                if model.fourier(model.iota(e)) != model.iota(model.fourier(e)):
-                    ok = False
-    record(ok, f"iota commutes with the Fourier transform, n <= {max_dim}")
-
-    ok = True
-    for n in range(1, max_dim + 1):
-        mats = hermitian.tasaki_matrices(n)
-        for k, m in mats.items():
-            for i in range(len(m)):
-                for j in range(len(m)):
-                    if m[i][j] != m[j][i]:
-                        ok = False
-            if k % 2 == 0 and k <= n:
-                l = k // 2
-                for i in range(l + 1):
-                    for j in range(l + 1):
-                        if m[i][j] != m[l - i][l - j]:
-                            ok = False
-    record(ok, f"Tasaki matrices symmetric and palindromic, n <= {max_dim}")
-    return lines, failures
-
-
-def spaceform_checks(max_dim):
-    lines, failures = [], []
-
-    def record(ok, text):
-        line = f"{'PASS' if ok else 'FAIL'} {text}"
-        lines.append(line)
-        if not ok:
-            failures.append(line)
-
-    ok = True
-    for n in range(1, max_dim + 1):
-        v = spaceforms.real_space_form(n)
-        for j in range(1, n + 1):
-            for i in range(0, n - j + 1):
-                if v.phi(j) * v.tau(i) != v.tau(i + j):
-                    ok = False
-    record(ok, f"reproductive property of the transfer basis, n <= {max_dim}")
-
-    ok = True
-    for n in range(2, max_dim + 1):
-        v = spaceforms.real_space_form(n)
-        from .scalars import LambdaScalar
-        if v.chi() != v.tau(0) + v.phi(2).scale(LambdaScalar.lam_power(1, Fraction(1, 4))):
-            ok = False
-    record(ok, f"Euler characteristic decomposes through the hyperplane square, n <= {max_dim}")
-
-    ok = True
-    for n in range(1, max_dim + 1):
-        v = spaceforms.real_space_form(n)
-        try:
-            v.kinematic()
-        except AssertionError:
-            ok = False
-        if not v.kinematic_matches_flat():
-            ok = False
-    record(ok, f"curved kinematic routes agree and specialize to flat, n <= {max_dim}")
-
-    ok = all(spaceforms.curved_ideal_matches_projective_kernel(n)[0]
-             for n in range(1, min(max_dim, 5) + 1))
-    record(ok, f"curved ideal equals projective kernel at lam=1, n <= {min(max_dim, 5)}")
-
-    ok, _, _ = spaceforms.chapoton_check(12)
-    record(ok, "functional equations reproduce the conjecture coefficients")
-    return lines, failures
-
-
 def cmd_verify(args):
     _log_config(args)
     if args.seed is not None and not args.mc_samples:
         return _unused_flag("--seed", "verify without --mc-samples, which "
                             "draws no samples")
     max_dim = args.max_dim or 4
-    lines, failures = [], []
-    for name, fn in [("scalars", scalar_checks),
-                     ("euclidean", lambda: euclid_checks(max_dim)),
-                     ("hermitian", lambda: hermitian_checks(max_dim)),
-                     ("space forms", lambda: spaceform_checks(max_dim))]:
-        sub_lines, sub_failures = fn()
-        lines.extend(f"[{name}] {l}" for l in sub_lines)
-        failures.extend(sub_failures)
+    report = checks.Report()
+    for check in checks.REGISTRY:
+        report.add(*check.verdict(max_dim), group=check.group)
     if args.mc_samples:
-        runs = montecarlo.default_suite(samples=args.mc_samples,
-                                        seed=args.seed or 20260809)
-        for r in runs:
-            ok = abs(r.z) <= 4
-            line = f"[monte carlo] {'PASS' if ok else 'FAIL'} {r.name} z={r.z:.3f}"
-            lines.append(line)
-            if not ok:
-                failures.append(line)
-    _write_output(emitters.emit_report(lines, failures), args.out)
-    return 0 if not failures else 1
+        for r in montecarlo.default_suite(samples=args.mc_samples,
+                                          seed=args.seed or 20260809):
+            report.add(abs(r.z) <= 4, f"{r.name} z={r.z:.3f}", group="monte carlo")
+    _write_output(report.emit(), args.out)
+    return 1 if report.failed else 0
 
 
 # -- parser ------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Deterministic documents: JSON, CSV and LaTeX for formula tables and
-verification reports.
+"""Deterministic documents: JSON, CSV and LaTeX for formula tables, and the
+Monte Carlo CSV log.  Check reports are ``checks.Report``.
 
 Every emitted table embeds its group, dimension, normalization tag and basis
 tag; coefficients are exact (rationals as strings, pi powers explicit).
@@ -165,10 +165,3 @@ def emit_mc_csv(estimates):
                          row["estimate"], row["stderr"], row["prediction"],
                          row["z"]])
     return buf.getvalue().encode()
-
-
-def emit_report(lines, failures):
-    body = "".join(f"{line}\n" for line in lines)
-    tail = "ALL CHECKS PASSED\n" if not failures else \
-        f"{len(failures)} CHECK(S) FAILED\n"
-    return (body + tail).encode()

@@ -106,7 +106,7 @@ def _rref_dense(rows, ncols):
         work[r], work[piv] = work[piv], work[r]
         prow = work[r]
         support = [j for j in range(c, ncols) if prow[j]]
-        inv = prow[c]
+        inv = Fraction(prow[c])
         for j in support:
             prow[j] = prow[j] / inv
         for i in range(len(work)):
@@ -166,7 +166,8 @@ def rref(rows, ncols):
         for sub, p in zip(reduced, pivots):
             full = [Fraction(0)] * ncols
             for j, x in zip(cols, sub):
-                full[j] = x
+                if x:
+                    full[j] = x
             out.append((cols[p], full))
     out.sort(key=lambda item: item[0])
     return [full for _, full in out], [p for p, _ in out]

@@ -389,11 +389,11 @@ def conjecture_coefficients(max_m):
 def chapoton_check(order):
     """Solve f = lam (1+f)^4 in formal power series, set g = f(1 - f - f^2),
     and compare g's coefficients with the closed-form binomial values.
-    Returns (ok, f, g)."""
-    zero = Fraction(0)
-    lam = FormalSeries.variable(order, zero, Fraction(1))
-    f = FormalSeries.constant(zero, order)
-    one = FormalSeries.constant(Fraction(1), order)
+    Returns (ok, f, g).  Both equations have integer coefficients, so the
+    series are solved over the integers."""
+    lam = FormalSeries.variable(order, 0, 1)
+    f = FormalSeries.constant(0, order, 0)
+    one = FormalSeries.constant(1, order, 0)
     for _ in range(order + 1):
         g1 = one + f
         g2 = g1 * g1

@@ -1,7 +1,9 @@
 """The acceptance gate: one test per criterion, each printing a PASS line.
 
-Exact criteria are checked with exact equality (no tolerances); the Monte
-Carlo criterion uses the statistical |z| <= 3 gate at fixed seeds.
+Exact criteria are checked with exact equality (no tolerances).  Where
+``intgeo verify`` runs the same identity, the criterion runs that check's
+predicate from ``intgeo.checks`` over its own, wider range.  The Monte Carlo
+criterion uses the statistical |z| <= 3 gate at fixed seeds.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.
 """
@@ -10,8 +12,8 @@ import math
 import time
 from fractions import Fraction
 
-from intgeo import euclid, hermitian, montecarlo, spaceforms
-from intgeo.scalars import LambdaScalar, Scalar, binomial
+from intgeo import checks, euclid, hermitian, montecarlo, spaceforms
+from intgeo.scalars import Scalar, binomial
 
 
 def report(num, text):
@@ -21,9 +23,7 @@ def report(num, text):
 def test_criterion_01_unit_structure_constants():
     t0 = time.time()
     for n in range(1, 11):
-        info = euclid.nijenhuis_constants(n)
-        assert info["kinematic_all_ones"], n
-        assert info["additive_all_ones"], n
+        assert checks.unit_coefficient_presentations(n), n
     assert time.time() - t0 < 60
     report(1, "both coproducts admit unit-coefficient presentations, n <= 10 "
               "(kinematic: t basis under the unit motion measure; additive: "
@@ -40,11 +40,7 @@ def test_criterion_02_planar_kinematic_formula():
 
 def test_criterion_03_mu_products_two_routes():
     for n in range(1, 11):
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                direct = euclid.mu_product_coefficient(n, i, j)
-                via_t = euclid.mu_product_coefficient_via_t(n, i, j)
-                assert direct == via_t, (n, i, j)
+        assert checks.mu_products_two_routes(n), n
     report(3, "intrinsic-volume product coefficients agree by two routes, "
               "i + j <= n <= 10")
 
@@ -52,8 +48,7 @@ def test_criterion_03_mu_products_two_routes():
 def test_criterion_04_hilbert_series():
     t0 = time.time()
     for n in range(1, 17):
-        assert hermitian.un_algebra(n).hilbert_series() \
-            == hermitian.poincare_series_coefficients(n), n
+        assert checks.hilbert_function(n), n
     assert time.time() - t0 < 10
     report(4, "hermitian Hilbert functions match the rational generating "
               "function, n <= 16")
@@ -72,7 +67,7 @@ def test_criterion_05_reduction_consistency():
 
 def test_criterion_06_presentations_agree():
     for n in range(1, 17):
-        hermitian.un_algebra(n, "evaluation-kernel")
+        assert checks.presentations_agree(n), n
     report(6, "relation and evaluation-kernel presentations coincide, n <= 16")
 
 
@@ -88,32 +83,15 @@ def test_criterion_07_binomial_identity():
 def test_criterion_08_tasaki_matrices():
     t0 = time.time()
     for n in range(1, 13):
-        for k, mat in hermitian.tasaki_matrices(n).items():
-            size = len(mat)
-            for i in range(size):
-                for j in range(size):
-                    assert mat[i][j] == mat[j][i], (n, k)
-            if k % 2 == 0 and k <= n:
-                l = k // 2
-                for i in range(l + 1):
-                    for j in range(l + 1):
-                        assert mat[i][j] == mat[l - i][l - j], (n, k)
+        assert checks.tasaki_symmetric_palindromic(n), n
     assert time.time() - t0 < 30
     report(8, "Tasaki matrices symmetric, even ones palindromic, n <= 12")
 
 
 def test_criterion_09_fourier_involution_iota():
     for n in range(1, 11):
-        model = hermitian.un_model(n)
-        for k in range(2 * n + 1):
-            for i in range(model.alg.dimension(k)):
-                e = model.alg.basis_element(k, i)
-                assert model.fourier(model.fourier(e)) == e, (n, k, i)
-        for l in range(n + 1):
-            for i in range(model.alg.dimension(2 * l)):
-                e = model.alg.basis_element(2 * l, i)
-                assert model.fourier(model.iota(e)) \
-                    == model.iota(model.fourier(e)), (n, l, i)
+        assert checks.fourier_involution(n), n
+        assert checks.iota_commutes_with_fourier(n), n
     report(9, "Fourier transform is involutive and commutes with iota, n <= 10")
 
 
@@ -137,13 +115,9 @@ def test_criterion_10_first_order_brackets():
 
 def test_criterion_11_real_space_forms():
     for n in range(1, 11):
-        v = spaceforms.real_space_form(n)
-        for j in range(1, n + 1):
-            for i in range(0, n - j + 1):
-                assert v.phi(j) * v.tau(i) == v.tau(i + j), (n, i, j)
+        assert checks.reproductive_property(n), n
         if n >= 2:
-            assert v.chi() == v.tau(0) + v.phi(2).scale(
-                LambdaScalar.lam_power(1, Fraction(1, 4))), n
+            assert checks.euler_characteristic_decomposition(n), n
     _, _, ok = spaceforms.t_phi_series(9)
     assert ok
     for l in range(1, 11):
@@ -157,8 +131,7 @@ def test_criterion_11_real_space_forms():
 def test_criterion_12_curved_ideal_equals_projective_kernel():
     t0 = time.time()
     for n in range(1, 13):
-        ok, _ = spaceforms.curved_ideal_matches_projective_kernel(n)
-        assert ok, n
+        assert checks.curved_ideal_equals_projective_kernel(n), n
     assert time.time() - t0 < 300
     report(12, "curved relation ideal at lam=1 equals the projective "
                "evaluation kernel, n <= 12")
@@ -166,8 +139,8 @@ def test_criterion_12_curved_ideal_equals_projective_kernel():
 
 def test_criterion_13_chapoton():
     t0 = time.time()
-    ok, f, g = spaceforms.chapoton_check(12)
-    assert ok
+    assert checks.chapoton_functional_equations(12)
+    _, _, g = spaceforms.chapoton_check(12)
     assert g.coeffs[1:4] == [Fraction(1), Fraction(3), Fraction(13)]
     assert spaceforms.conjecture_coefficients(12) == g.coeffs[1:13]
     assert time.time() - t0 < 1

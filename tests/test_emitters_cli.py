@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -216,9 +217,12 @@ def test_cli_un_verify(capsys):
 
 
 def test_console_script_installed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "intgeo.cli", "so",
                            "kinematic", "--dim", "2", "--format", "json"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     json.loads(proc.stdout)
 

@@ -64,6 +64,12 @@ def test_rref_and_kernel():
     assert len(kern) == 2
     for v in kern:
         assert all(sum(r[i] * v[i] for i in range(3)) == 0 for r in rows)
+    # int rows reduce over Q: every entry is a Fraction, never a float
+    reduced, pivots = rref([[2, 1], [0, 3]], 2)
+    assert (reduced, pivots) == ([[F1, F0], [F0, F1]], [0, 1])
+    kern = kernel_basis([[2, 1]], 2)
+    assert kern == [[Fraction(-1, 2), F1]]
+    assert all(type(x) is Fraction for row in reduced + kern for x in row)
 
 
 def test_kernel_equals_span_verdicts(monkeypatch):

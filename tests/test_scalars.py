@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intgeo import checks
 from intgeo.scalars import (LambdaScalar, Scalar, UnsupportedInverse, alpha,
                             binomial, omega)
 
@@ -40,15 +41,13 @@ def test_arithmetic_examples():
 
 
 def test_product_identity_to_50():
-    import math
     for n in range(51):
-        assert omega(n) * omega(n + 1) == Scalar.pi_power(
-            n, Fraction(2 ** (n + 1), math.factorial(n + 1)))
+        assert checks.ball_volume_product(n), n
 
 
 def test_ratio_identity_to_50():
     for n in range(2, 51):
-        assert omega(n) / omega(n - 2) == Scalar.pi_power(1, Fraction(2, n))
+        assert checks.ball_volume_ratio(n), n
 
 
 def test_inverse_errors():
