@@ -14,7 +14,7 @@ from math import factorial
 from typing import Callable, NamedTuple
 
 from . import euclid, hermitian, spaceforms
-from .scalars import LambdaScalar, Scalar, binomial, omega
+from .scalars import Scalar, binomial, omega
 
 
 class Report:
@@ -206,8 +206,7 @@ def reproductive_property(n):
         "square, n <= {top}", first=2)
 def euler_characteristic_decomposition(n):
     v = spaceforms.real_space_form(n)
-    return v.chi() == v.tau(0) + v.phi(2).scale(
-        LambdaScalar.lam_power(1, Fraction(1, 4)))
+    return v.chi() == v.tau(0) + v.phi(2).scale(Fraction(1, 4), lam_pow=1)
 
 
 @_check("space forms", "curved kinematic routes agree and specialize to flat, "

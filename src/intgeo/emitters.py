@@ -14,18 +14,17 @@ import io
 import json
 from fractions import Fraction
 
-from .scalars import LambdaScalar, Scalar
+from .scalars import Scalar
 
 
 def scalar_to_string(s):
+    """A rational, a Scalar, or a curvature entry {lam_pow: Scalar}."""
     if isinstance(s, (int, Fraction)):
         s = Scalar.from_rational(s)
-    if isinstance(s, LambdaScalar):
-        if not s.terms:
-            return "0"
+    if isinstance(s, dict):
         return " + ".join(
             f"({scalar_to_string(c)})" + ("" if j == 0 else f"*lam^{j}")
-            for j, c in sorted(s.terms.items()))
+            for j, c in sorted(s.items())) or "0"
     if not s.terms:
         return "0"
     parts = []
@@ -42,16 +41,16 @@ def scalar_to_string(s):
 def scalar_to_json(s):
     if isinstance(s, (int, Fraction)):
         s = Scalar.from_rational(s)
-    if isinstance(s, LambdaScalar):
+    if isinstance(s, dict):
         return {"lam_terms": [{"lam_pow": j, "scalar": scalar_to_json(c)}
-                              for j, c in sorted(s.terms.items())]}
+                              for j, c in sorted(s.items())]}
     return s.to_json()
 
 
 def scalar_from_json(doc):
     if "lam_terms" in doc:
-        return LambdaScalar({t["lam_pow"]: Scalar.from_json(t["scalar"])
-                             for t in doc["lam_terms"]})
+        return {t["lam_pow"]: Scalar.from_json(t["scalar"])
+                for t in doc["lam_terms"]}
     return Scalar.from_json(doc)
 
 
@@ -65,14 +64,12 @@ def _latex_frac(c):
 def scalar_to_latex(s):
     if isinstance(s, (int, Fraction)):
         s = Scalar.from_rational(s)
-    if isinstance(s, LambdaScalar):
-        if not s.terms:
-            return "0"
+    if isinstance(s, dict):
         bits = []
-        for j, c in sorted(s.terms.items()):
+        for j, c in sorted(s.items()):
             lam = "" if j == 0 else ("\\lambda" if j == 1 else f"\\lambda^{{{j}}}")
             bits.append(f"\\left({scalar_to_latex(c)}\\right){lam}")
-        return " + ".join(bits)
+        return " + ".join(bits) or "0"
     if not s.terms:
         return "0"
     parts = []

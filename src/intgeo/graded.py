@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import _is_zero, rref
+from .linalg import rref
 from .scalars import Scalar
 
 
@@ -92,7 +92,7 @@ def poly_mul(p, q):
             m = mono_mul(m1, m2)
             prod = c1 * c2
             out[m] = out[m] + prod if m in out else prod
-    return {m: c for m, c in out.items() if not _is_zero(c)}
+    return {m: c for m, c in out.items() if c}
 
 
 class GradedElement:
@@ -102,7 +102,7 @@ class GradedElement:
 
     def __init__(self, algebra, terms):
         self.algebra = algebra
-        self.terms = {m: c for m, c in terms.items() if not _is_zero(c)}
+        self.terms = {m: c for m, c in terms.items() if c}
 
     def is_zero(self):
         return not self.terms
@@ -198,7 +198,7 @@ class QuotientAlgebra:
                     nonzero = False
                     for mg, c in g.items():
                         mm = mono_mul(m, mg)
-                        if gens.degree(mm) <= D and not _is_zero(c):
+                        if gens.degree(mm) <= D and c:
                             row[self.col_index[mm]] = c
                             nonzero = True
                     if nonzero:
@@ -228,7 +228,7 @@ class QuotientAlgebra:
             mono = self.columns[p]
             expansion = {}
             for j, c in enumerate(row):
-                if j != p and not _is_zero(c):
+                if j != p and c:
                     expansion[self.columns[j]] = -c
             self.reduction[mono] = expansion
 
@@ -260,7 +260,7 @@ class QuotientAlgebra:
     def normal_form_raw(self, terms):
         out = {}
         for m, c in terms.items():
-            if _is_zero(c):
+            if not c:
                 continue
             d = self.gens.degree(m)
             if d > self.truncation:
@@ -383,7 +383,7 @@ class TensorTable:
         self.basis_labels = basis_labels or {}
 
     def set(self, left, right, coeff):
-        if _is_zero(coeff):
+        if not coeff:
             self.entries.pop((left, right), None)
         else:
             self.entries[(left, right)] = coeff

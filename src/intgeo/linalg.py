@@ -20,12 +20,6 @@ class SingularMatrixError(ArithmeticError):
     """Raised when an exact inverse does not exist.  Never regularized."""
 
 
-def _is_zero(x):
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return x == 0
-
-
 def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 

@@ -1,13 +1,12 @@
-"""Exact coefficient arithmetic: rationals, powers of pi, and a curvature variable.
+"""Exact coefficient arithmetic: rationals and powers of pi.
 
 Everything downstream (algebra builds, kinematic tables, emitters) works over
-these rings.  ``Scalar`` is a Laurent polynomial in pi with rational
+this ring.  ``Scalar`` is a Laurent polynomial in pi with rational
 coefficients; pi is treated as a formal transcendental, so nothing is ever
-rounded.  ``LambdaScalar`` extends a Scalar by a polynomial curvature variable
-``lam`` (formal weight -2 in the graded bookkeeping used by the space-form
-algebras).  Both form rings, not fields: a Scalar divides only by a single
-term c*pi^e, and there is no division of LambdaScalars.  Exact linear algebra
-runs over Q, with powers of pi carried alongside as a grading.
+rounded.  It is a ring, not a field: a Scalar divides only by a single term
+c*pi^e.  Exact linear algebra runs over Q, with powers of pi carried
+alongside as a grading; the curvature lam of the space forms is a grading
+too (see ``spaceforms``), not a coefficient ring.
 """
 
 from __future__ import annotations
@@ -219,131 +218,3 @@ def omega(k):
 def alpha(k):
     """Volume of the k-dimensional unit sphere: alpha_k = (k+1) * omega_{k+1}."""
     return omega(k + 1) * (k + 1)
-
-
-class LambdaScalar:
-    """Polynomial in the curvature variable lam with Scalar coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for j, s in terms.items():
-                if isinstance(s, (int, Fraction)):
-                    s = Scalar.from_rational(s)
-                if not s.is_zero():
-                    prev = clean.get(int(j))
-                    clean[int(j)] = s if prev is None else prev + s
-        self.terms = {j: s for j, s in clean.items() if not s.is_zero()}
-
-    @classmethod
-    def from_scalar(cls, s):
-        if isinstance(s, (int, Fraction)):
-            s = Scalar.from_rational(s)
-        return cls({0: s})
-
-    @classmethod
-    def lam_power(cls, j, coeff=1):
-        return cls({j: coeff if isinstance(coeff, Scalar) else Scalar.from_rational(coeff)})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({0: Scalar.one()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def _coerce(self, other):
-        if isinstance(other, LambdaScalar):
-            return other
-        if isinstance(other, (int, Fraction, Scalar)):
-            return LambdaScalar.from_scalar(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self.terms)
-        for j, s in other.terms.items():
-            terms[j] = terms[j] + s if j in terms else s
-        return LambdaScalar(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LambdaScalar({j: -s for j, s in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = {}
-        for j1, s1 in self.terms.items():
-            for j2, s2 in other.terms.items():
-                j = j1 + j2
-                prod = s1 * s2
-                terms[j] = terms[j] + prod if j in terms else prod
-        return LambdaScalar(terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        r = LambdaScalar.one()
-        for _ in range(k):
-            r = r * self
-        return r
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted((j, hash(s)) for j, s in self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def substitute(self, lam_value):
-        """Specialize lam to an exact rational (or Scalar) value."""
-        if isinstance(lam_value, (int, Fraction)):
-            lam_value = Scalar.from_rational(lam_value)
-        out = Scalar.zero()
-        for j, s in self.terms.items():
-            out = out + s * lam_value ** j
-        return out
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for j in sorted(self.terms):
-            s = self.terms[j]
-            if j == 0:
-                parts.append(f"({s})")
-            elif j == 1:
-                parts.append(f"({s})*lam")
-            else:
-                parts.append(f"({s})*lam^{j}")
-        return " + ".join(parts)
-
-    def to_json(self):
-        return {"terms": [{"lam_pow": j, "scalar": self.terms[j].to_json()}
-                          for j in sorted(self.terms)]}
-

@@ -1,9 +1,14 @@
-"""Constant-curvature families over the polynomial curvature variable lam.
+"""Constant-curvature families, with the curvature lam as a grading.
+
+lam carries formal weight -2, so both families are graded algebras over Q
+and every coefficient is a rational on a monomial lam^p times a basis
+element.
 
 Real space forms: the n-dimensional algebra on the transfer basis tau_0..tau_n
-with the product rule tau_i tau_j = tau_{i+j} - (lam/4) tau_{i+j+2}, the
-hyperplane-average generator phi, sphere evaluations at lam = 1, and the
-kinematic coproduct computed by two routes that must agree.
+(tau_i of weight i) with the homogeneous product rule
+tau_i tau_j = tau_{i+j} - (lam/4) tau_{i+j+2}, the hyperplane-average
+generator phi, sphere evaluations at lam = 1, and the kinematic coproduct
+computed over Q by two routes that must agree.
 
 Complex space forms: the two-generator presentation whose ideal substitutes
 t/sqrt(1 + lam t^2/4) into the flat relation generators, cross-checked at
@@ -11,14 +16,11 @@ lam = 1 against the kernel of projective-space evaluations (the ideal lies in
 that kernel, and the evaluation matrix has full complementary rank modulo a
 prime; the exact kernel is computed only when that rank falls short), plus
 the conjectural closed-form relation series and its Chapoton functional
-equations.
-
-lam carries formal weight -2, so ideal generators are weighted-homogeneous
-and lam acts as a grading: the generic-lam normal form of a monomial m is its
-lam = 1 normal form with lam^((deg bm - deg m)/2) on each basis term bm, so
-only the rational lam = 1 quotient is row-reduced.  Each generator mixes
-degrees of one parity only, so that reduction splits into an even and an odd
-block.
+equations.  The ideal generators are weighted-homogeneous, so the
+generic-lam normal form of a monomial m is its lam = 1 normal form with
+lam^((deg bm - deg m)/2) on each basis term bm, and only the rational
+lam = 1 quotient is row-reduced.  Each generator mixes degrees of one parity
+only, so that reduction splits into an even and an odd block.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 
 from .graded import GeneratorSet, QuotientAlgebra, TensorTable
 from .linalg import kernel_basis, kernel_equals_span, rref
-from .scalars import LambdaScalar, Scalar, alpha, binomial
+from .scalars import alpha, binomial
 from .series import FormalSeries, binomial_coefficient_general, binomial_power
 from .hermitian import fk, poincare_series_coefficients
 from . import euclid
@@ -36,32 +38,29 @@ from . import euclid
 
 # -- real space forms ---------------------------------------------------------
 
-def _lam_quarter(power=1):
-    return LambdaScalar.lam_power(power, Fraction(1, 4 ** power))
-
-
 class RealSpaceFormElement:
-    """Combination of the transfer basis tau_0..tau_n over Q[lam]."""
+    """Rational combination of the monomials lam^p tau_i, stored as
+    {(i, p): Fraction} without zeros."""
 
     __slots__ = ("algebra", "coeffs")
 
     def __init__(self, algebra, coeffs):
         self.algebra = algebra
-        self.coeffs = {i: c for i, c in coeffs.items() if not c.is_zero()}
+        self.coeffs = {k: c for k, c in coeffs.items() if c}
 
     def __add__(self, other):
         out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out[i] + c if i in out else c
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
         return RealSpaceFormElement(self.algebra, out)
 
     def __sub__(self, other):
-        return self + other.scale(LambdaScalar.from_scalar(Fraction(-1)))
+        return self + other.scale(-1)
 
-    def scale(self, c):
-        if isinstance(c, (int, Fraction, Scalar)):
-            c = LambdaScalar.from_scalar(c)
-        return RealSpaceFormElement(self.algebra, {i: c * v for i, v in self.coeffs.items()})
+    def scale(self, c, lam_pow=0):
+        """The element times c lam^lam_pow."""
+        return RealSpaceFormElement(self.algebra, {
+            (i, p + lam_pow): c * v for (i, p), v in self.coeffs.items()})
 
     def __mul__(self, other):
         return self.algebra.multiply(self, other)
@@ -69,20 +68,16 @@ class RealSpaceFormElement:
     def __eq__(self, other):
         return isinstance(other, RealSpaceFormElement) and self.coeffs == other.coeffs
 
-    def is_zero(self):
-        return not self.coeffs
-
     def substitute(self, lam_value):
-        """Specialize the curvature; returns {i: Scalar}."""
+        """Specialize the curvature; returns {i: Fraction} without zeros."""
         out = {}
-        for i, c in self.coeffs.items():
-            s = c.substitute(lam_value)
-            if not s.is_zero():
-                out[i] = s
-        return out
+        for (i, p), c in self.coeffs.items():
+            out[i] = out.get(i, 0) + c * Fraction(lam_value) ** p
+        return {i: c for i, c in out.items() if c}
 
     def __repr__(self):
-        return " + ".join(f"({c})*tau_{i}" for i, c in sorted(self.coeffs.items())) or "0"
+        return " + ".join(f"({c})*lam^{p}*tau_{i}"
+                          for (i, p), c in sorted(self.coeffs.items())) or "0"
 
 
 class RealSpaceFormAlgebra:
@@ -92,9 +87,10 @@ class RealSpaceFormAlgebra:
         self.n = n
 
     def element(self, coeffs):
+        """From {i: Fraction or {lam_pow: Fraction}}."""
         return RealSpaceFormElement(self, {
-            i: c if isinstance(c, LambdaScalar) else LambdaScalar.from_scalar(c)
-            for i, c in coeffs.items()})
+            (i, p): c for i, cs in coeffs.items()
+            for p, c in (cs if isinstance(cs, dict) else {0: cs}).items()})
 
     def tau(self, i):
         if not 0 <= i <= self.n:
@@ -106,103 +102,87 @@ class RealSpaceFormAlgebra:
 
     def multiply(self, x, y):
         out = {}
-        for i, ci in x.coeffs.items():
-            for j, cj in y.coeffs.items():
+        for (i, p), ci in x.coeffs.items():
+            for (j, q), cj in y.coeffs.items():
                 c = ci * cj
                 if i + j <= self.n:
-                    out[i + j] = out.get(i + j, LambdaScalar.zero()) + c
+                    key = (i + j, p + q)
+                    out[key] = out.get(key, 0) + c
                 if i + j + 2 <= self.n:
-                    out[i + j + 2] = (out.get(i + j + 2, LambdaScalar.zero())
-                                      - _lam_quarter() * c)
+                    key = (i + j + 2, p + q + 1)
+                    out[key] = out.get(key, 0) - c / 4
         return RealSpaceFormElement(self, out)
 
     def chi(self):
         """The Euler characteristic: sum over i of (lam/4)^i tau_{2i}."""
-        return self.element({2 * i: _lam_quarter(i)
-                             for i in range(self.n // 2 + 1)})
+        return self.phi(0)
 
     def phi(self, power=1):
         """The hyperplane-average generator: phi^k = sum (lam/4)^j tau_{k+2j}."""
-        return self.element({power + 2 * j: _lam_quarter(j)
+        return self.element({power + 2 * j: {j: Fraction(1, 4 ** j)}
                              for j in range((self.n - power) // 2 + 1)})
 
     def t_element(self):
         """The flat length generator t = phi / sqrt(1 - lam phi^2 / 4)."""
         out = self.zero()
-        for m in range(self.n // 2 + 1):
-            if 1 + 2 * m > self.n:
-                break
+        for m in range((self.n - 1) // 2 + 1):
             c = binomial_coefficient_general(Fraction(-1, 2), m) * Fraction((-1) ** m, 4 ** m)
-            out = out + self.phi(1 + 2 * m).scale(LambdaScalar.lam_power(m, c))
+            out = out + self.phi(1 + 2 * m).scale(c, m)
         return out
 
     def sphere_value(self, x, j, lam_value=1):
         """Evaluation on the j-dimensional totally geodesic unit-curvature
-        sphere; only lam = 1 keeps the values in the ring."""
+        sphere, a rational; only lam = 1 is exposed."""
         if lam_value != 1:
             raise ValueError("sphere evaluations are exposed only at lam = 1")
         if not 0 <= j <= self.n:
             raise ValueError("sphere dimension out of range")
-        coeffs = x.substitute(1)
-        c = coeffs.get(j)
-        if c is None:
-            return Scalar.zero()
-        return c * Fraction(2 ** (j + 1))
+        return x.substitute(1).get(j, Fraction(0)) * 2 ** (j + 1)
 
     def kinematic(self, psi=None):
-        """Kinematic coproduct table on tau (x) tau over Q[lam].
+        """Kinematic coproduct table on tau (x) tau, each entry {lam_pow: Scalar}.
 
-        Computed from the transfer rule (image of tau_l is alpha_n/2^(n+1)
-        times the sum of tau_i (x) tau_j over i+j = n+l) and, independently,
-        from the factorized form (psi (x) tau_0) * sum of phi^i (x) phi^j;
-        the two must agree term by term.
+        Computed over Q from the transfer rule (image of tau_l is the sum of
+        tau_i (x) tau_j over i+j = n+l) and, independently, from the
+        factorized form (psi (x) tau_0) * sum of phi^i (x) phi^j; the two
+        must agree term by term.  The single power of pi, alpha_n/2^(n+1),
+        is attached as the entries are written.
         """
         n = self.n
         if psi is None:
             psi = self.chi()
-        factor = LambdaScalar.from_scalar(alpha(n) * Fraction(1, 2 ** (n + 1)))
 
         route_a = {}
-        for l, c in psi.coeffs.items():
+        for (l, p), c in psi.coeffs.items():
             for i in range(l, n + 1):
-                j = n + l - i
-                if 0 <= j <= n:
-                    key = (i, j)
-                    route_a[key] = route_a.get(key, LambdaScalar.zero()) + factor * c
+                key = (i, n + l - i, p)
+                route_a[key] = route_a.get(key, 0) + c
 
         route_b = {}
         tau0 = self.tau(0)
         for i in range(n + 1):
-            j = n - i
             left = psi * self.phi(i) if i else psi
-            right = tau0 * self.phi(j) if j else tau0
-            for a, ca in left.coeffs.items():
-                for b, cb in right.coeffs.items():
-                    key = (a, b)
-                    v = factor * ca * cb
-                    route_b[key] = route_b.get(key, LambdaScalar.zero()) + v
+            right = tau0 * self.phi(n - i) if n - i else tau0
+            for (a, pa), ca in left.coeffs.items():
+                for (b, pb), cb in right.coeffs.items():
+                    key = (a, b, pa + pb)
+                    route_b[key] = route_b.get(key, 0) + ca * cb
 
-        clean_a = {k: v for k, v in route_a.items() if not v.is_zero()}
-        clean_b = {k: v for k, v in route_b.items() if not v.is_zero()}
-        if clean_a != clean_b:
+        clean_a = {k: v for k, v in route_a.items() if v}
+        if clean_a != {k: v for k, v in route_b.items() if v}:
             raise AssertionError("space-form kinematic routes disagree")
 
-        table = TensorTable("spaceform", n, "standard", "tau",
-                            basis_labels={d: [f"tau_{d}"] for d in range(n + 1)})
-        for (i, j), v in clean_a.items():
-            table.add((i, 0), (j, 0), v)
-        return table
+        factor = alpha(n) * Fraction(1, 2 ** (n + 1))
+        entries = {}
+        for (i, j, p), c in clean_a.items():
+            entries.setdefault(((i, 0), (j, 0)), {})[p] = factor * c
+        return TensorTable("spaceform", n, "standard", "tau", entries,
+                           basis_labels={d: [f"tau_{d}"] for d in range(n + 1)})
 
     def kinematic_matches_flat(self):
         """lam = 0 specialization of the chi table equals the flat table."""
-        flat = euclid.kinematic_so(self.n)
-        mine = self.kinematic()
-        got = {}
-        for ((i, _), (j, _)), v in mine.entries.items():
-            s = v.substitute(0)
-            if not s.is_zero():
-                got[((i, 0), (j, 0))] = s
-        return got == flat.entries
+        got = {k: v[0] for k, v in self.kinematic().entries.items() if 0 in v}
+        return got == euclid.kinematic_so(self.n).entries
 
 
 def real_space_form(n):
@@ -210,20 +190,19 @@ def real_space_form(n):
 
 
 def t_phi_series(order):
-    """The mutually inverse substitutions between the flat generator and the
-    hyperplane generator, as truncated series over Q[lam]; returns
-    (t_of_phi, phi_of_t, roundtrip_ok)."""
-    zero = LambdaScalar.zero()
-    x = FormalSeries.variable(order, zero, LambdaScalar.one())
-    lam = LambdaScalar.lam_power(1, Fraction(1, 4))
+    """The mutually inverse substitutions t = phi / sqrt(1 - lam phi^2/4) and
+    phi = t / sqrt(1 + lam t^2/4) as truncated series over Q at lam = 1;
+    returns (t_of_phi, phi_of_t, roundtrip_ok).
+
+    Both series are homogeneous of weight 1 (x of weight 1, lam of weight
+    -2): the generic coefficient of x^k is the one at lam = 1 times
+    lam^((k-1)/2).  So is the round trip, which therefore holds for generic
+    lam exactly when it holds at lam = 1."""
+    x = FormalSeries.variable(order)
     x2 = x * x
-    minus = x2.scale(zero - lam)   # -lam x^2 / 4
-    plus = x2.scale(lam)           # +lam x^2 / 4
-    t_of_phi = x * binomial_power(minus, Fraction(-1, 2))
-    phi_of_t = x * binomial_power(plus, Fraction(-1, 2))
-    roundtrip = phi_of_t.compose(t_of_phi)
-    ok = roundtrip == x
-    return t_of_phi, phi_of_t, ok
+    t_of_phi = x * binomial_power(x2.scale(Fraction(-1, 4)), Fraction(-1, 2))
+    phi_of_t = x * binomial_power(x2.scale(Fraction(1, 4)), Fraction(-1, 2))
+    return t_of_phi, phi_of_t, phi_of_t.compose(t_of_phi) == x
 
 
 # -- complex space forms -------------------------------------------------------
@@ -391,9 +370,9 @@ def chapoton_check(order):
     and compare g's coefficients with the closed-form binomial values.
     Returns (ok, f, g).  Both equations have integer coefficients, so the
     series are solved over the integers."""
-    lam = FormalSeries.variable(order, 0, 1)
-    f = FormalSeries.constant(0, order, 0)
-    one = FormalSeries.constant(1, order, 0)
+    lam = FormalSeries.variable(order)
+    f = FormalSeries.constant(0, order)
+    one = FormalSeries.constant(1, order)
     for _ in range(order + 1):
         g1 = one + f
         g2 = g1 * g1

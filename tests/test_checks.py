@@ -12,7 +12,7 @@ import pytest
 
 from intgeo import checks, cli, euclid, hermitian, spaceforms
 from intgeo.graded import TensorTable
-from intgeo.scalars import LambdaScalar, Scalar, omega
+from intgeo.scalars import Scalar, omega
 
 MAX_DIM = 2
 TWO = Scalar.from_rational(2)
@@ -50,7 +50,8 @@ def skew_tasaki(real, n):
 
 def doubled_kinematic(real, self, psi=None):
     table = real(self, psi)
-    table.entries = {k: v + v for k, v in table.entries.items()}
+    table.entries = {k: {p: c * 2 for p, c in v.items()}
+                     for k, v in table.entries.items()}
     return table
 
 
@@ -96,8 +97,7 @@ MUTATIONS = {
     # a curvature term leaves the lam = 0 kinematic table as it is
     "euler_characteristic_decomposition": (
         spaceforms.RealSpaceFormAlgebra, "chi",
-        lambda real, self: real(self) + self.phi(2).scale(
-            LambdaScalar.lam_power(1, Fraction(1, 4)))),
+        lambda real, self: real(self) + self.phi(2).scale(Fraction(1, 4), 1)),
     "curved_kinematic_routes": (
         spaceforms.RealSpaceFormAlgebra, "kinematic", doubled_kinematic),
     "curved_ideal_equals_projective_kernel": (

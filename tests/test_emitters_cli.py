@@ -10,7 +10,7 @@ import pytest
 
 from intgeo import cli, emitters, euclid, hermitian
 from intgeo.graded import TensorTable
-from intgeo.scalars import LambdaScalar, Scalar
+from intgeo.scalars import Scalar
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -22,8 +22,12 @@ def test_scalar_string_and_json():
         "terms": [{"pi_pow": -1, "num": "2", "den": "1"}]}
     multi = Scalar({0: Fraction(1, 2), 2: Fraction(-3)})
     assert emitters.scalar_from_json(emitters.scalar_to_json(multi)) == multi
-    lam = LambdaScalar({0: Scalar.one(), 2: Scalar.pi_power(1)})
+    # a curvature entry {lam_pow: Scalar}, as the space-form tables hold them
+    lam = {0: Scalar.one(), 2: Scalar.pi_power(1)}
     assert emitters.scalar_from_json(emitters.scalar_to_json(lam)) == lam
+    assert emitters.scalar_to_string(lam) == "(1) + (1*pi^1)*lam^2"
+    assert emitters.scalar_to_latex(lam) \
+        == "\\left(1\\right) + \\left(1\\,\\pi\\right)\\lambda^{2}"
 
 
 def test_latex_rendering():

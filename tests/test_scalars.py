@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intgeo import checks
-from intgeo.scalars import (LambdaScalar, Scalar, UnsupportedInverse, alpha,
-                            binomial, omega)
+from intgeo.scalars import Scalar, UnsupportedInverse, alpha, binomial, omega
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 scalars = st.dictionaries(st.integers(-4, 4), fractions, max_size=4).map(Scalar)
@@ -105,10 +104,3 @@ def test_binomial_convention():
     assert binomial(2, 5) == 0
     assert binomial(-1, 0) == 0
 
-
-def test_lambda_scalar_arithmetic():
-    lam = LambdaScalar.lam_power(1)
-    a = LambdaScalar.one() + lam * 3
-    b = a * a
-    assert b == LambdaScalar({0: Fraction(1), 1: Fraction(6), 2: Fraction(9)})
-    assert b.substitute(Fraction(1, 3)) == Scalar.from_rational(4)

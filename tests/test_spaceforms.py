@@ -8,7 +8,7 @@ import pytest
 from intgeo import checks, linalg
 from intgeo import spaceforms as SF
 from intgeo.graded import QuotientAlgebra
-from intgeo.scalars import LambdaScalar, Scalar
+from intgeo.scalars import alpha
 from intgeo.series import FormalSeries, binomial_power, log1p
 from oracles import curved_ideal_exact_route
 
@@ -18,11 +18,13 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_tau_product_rule():
     v = SF.real_space_form(4)
     got = v.tau(1) * v.tau(1)
-    assert got == v.element({2: Fraction(1),
-                             4: LambdaScalar.lam_power(1, Fraction(-1, 4))})
-    flat = {i: c.substitute(0) for i, c in got.coeffs.items()}
-    flat = {i: s for i, s in flat.items() if not s.is_zero()}
-    assert flat == {2: Scalar.one()}
+    assert got == v.element({2: Fraction(1), 4: {1: Fraction(-1, 4)}})
+    assert got.coeffs == {(2, 0): 1, (4, 1): Fraction(-1, 4)}
+    assert got.substitute(0) == {2: 1}
+    assert got.substitute(Fraction(1, 3)) == {2: 1, 4: Fraction(-1, 12)}
+    # weights add: tau_i of weight i, lam of weight -2
+    square = got * got
+    assert {i - 2 * p for i, p in square.coeffs} == {4}
 
 
 def test_chi_is_unit():
@@ -34,10 +36,10 @@ def test_chi_is_unit():
 
 def test_sphere_values():
     v = SF.real_space_form(3)
-    assert v.sphere_value(v.chi(), 2) == Scalar.from_rational(2)
-    assert v.sphere_value(v.chi(), 3) == Scalar.zero()
+    assert v.sphere_value(v.chi(), 2) == 2
+    assert v.sphere_value(v.chi(), 3) == 0
     for j in range(4):
-        assert v.sphere_value(v.tau(j), j) == Scalar.from_rational(2 ** (j + 1))
+        assert v.sphere_value(v.tau(j), j) == 2 ** (j + 1)
     with pytest.raises(ValueError):
         v.sphere_value(v.chi(), 2, lam_value=4)
 
@@ -48,7 +50,7 @@ def test_phi_powers_on_spheres():
         for k in range(1, n // 2 + 1):
             for l in range(n // 2 + 1):
                 val = v.sphere_value(v.phi(2 * k), 2 * l)
-                want = Scalar.from_rational(2 * 4 ** k) if k <= l else Scalar.zero()
+                want = 2 * 4 ** k if k <= l else 0
                 assert val == want
 
 
@@ -56,7 +58,7 @@ def test_t_squared_on_even_spheres():
     for l in range(1, 11):
         v = SF.real_space_form(2 * l)
         t = v.t_element()
-        assert v.sphere_value(t * t, 2 * l) == Scalar.from_rational(8 * l)
+        assert v.sphere_value(t * t, 2 * l) == 8 * l
 
 
 def test_kinematic_routes_and_flat_limit():
@@ -65,8 +67,7 @@ def test_kinematic_routes_and_flat_limit():
         v = SF.real_space_form(n)
         for l in range(n + 1):
             table = v.kinematic(v.tau(l))
-            from intgeo.scalars import alpha
-            factor = LambdaScalar.from_scalar(alpha(n) * Fraction(1, 2 ** (n + 1)))
+            factor = {0: alpha(n) * Fraction(1, 2 ** (n + 1))}
             for ((i, _), (j, _)), c in table.entries.items():
                 assert i + j == n + l
                 assert c == factor
@@ -76,11 +77,17 @@ def test_t_phi_series_round_trip():
     for order in (3, 6, 9):
         t_of_phi, phi_of_t, ok = SF.t_phi_series(order)
         assert ok
-        # flat limit: both substitutions collapse to the identity
+        # weight 1: x^k carries lam^((k-1)/2), so only odd powers occur and
+        # the flat limit (lam^0) of both substitutions is the identity
         for series in (t_of_phi, phi_of_t):
-            flat = [c.substitute(0) for c in series.coeffs]
-            assert flat[1] == Scalar.one()
-            assert all(c.is_zero() for i, c in enumerate(flat) if i != 1)
+            assert series.coeffs[1] == 1
+            assert not any(series.coeffs[0::2])
+        # t_of_phi carries the coefficients of the flat generator t
+        v = SF.real_space_form(order)
+        t = v.zero()
+        for m in range((order - 1) // 2 + 1):
+            t = t + v.phi(1 + 2 * m).scale(t_of_phi.coeffs[1 + 2 * m], m)
+        assert t == v.t_element()
 
 
 def test_complex_space_form_build():
@@ -262,12 +269,11 @@ def test_space_form_kinematic_multiplicative_and_cocommutative():
                              for i in range(n + 1)})
             lhs = v.kinematic(psi * rho).entries
             rhs = {}
-            for ((i, _), (j, _)), c in v.kinematic(rho).entries.items():
+            for ((i, _), (j, _)), cs in v.kinematic(rho).entries.items():
                 prod = psi * v.tau(i)
-                for a, ca in prod.coeffs.items():
-                    key = ((a, 0), (j, 0))
-                    cur = rhs.get(key)
-                    val = c * ca
-                    rhs[key] = val if cur is None else cur + val
-            rhs = {k: c for k, c in rhs.items() if not c.is_zero()}
-            assert lhs == rhs, n
+                for (a, q), ca in prod.coeffs.items():
+                    acc = rhs.setdefault(((a, 0), (j, 0)), {})
+                    for p, c in cs.items():
+                        acc[p + q] = acc.get(p + q, 0) + c * ca
+            rhs = {k: {p: c for p, c in cs.items() if c} for k, cs in rhs.items()}
+            assert lhs == {k: cs for k, cs in rhs.items() if cs}, n
