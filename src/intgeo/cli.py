@@ -84,11 +84,28 @@ def _unused_flag(flag, where):
     return 2
 
 
+def _at_least(low):
+    """argparse type: an int no smaller than ``low``, else a usage error."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 # -- so ------------------------------------------------------------------------
 
 def cmd_so(args):
     _log_config(args)
     n = args.dim
+    if args.table == "additive" and args.normalization != "standard":
+        return _unused_flag("--normalization", "so additive, which always uses "
+                            "the probability rotation measure")
+    if args.phi_degree is not None and not 0 <= args.phi_degree <= n:
+        print(f"error: --phi-degree must lie in 0..{n}", file=sys.stderr)
+        return 2
     phi = None
     if args.phi_degree is not None:
         phi = euclid.SOValuation.from_coeffs(
@@ -234,7 +251,8 @@ def _load_bodies(args, need=2):
         else:
             bodies = [body_from_spec(doc)]
     else:
-        bodies = list(_default_bodies(args.dim or 2, args.test))
+        bodies = list(_default_bodies(2 if args.dim is None else args.dim,
+                                      args.test))
     if len(bodies) < need:
         raise SystemExit(2)
     return bodies
@@ -242,7 +260,7 @@ def _load_bodies(args, need=2):
 
 def cmd_mc(args):
     _log_config(args)
-    samples = args.samples or 10 ** 6
+    samples = 10 ** 6 if args.samples is None else args.samples
     seed = args.seed if args.seed is not None else 20260809
     where = f"mc {args.test}"
     if args.k is not None and args.test != "crofton":
@@ -264,7 +282,8 @@ def cmd_mc(args):
         elif args.test == "additive":
             runs = [montecarlo.estimate_additive(a, bodies[1], samples, seed)]
         elif args.test == "crofton":
-            runs = [montecarlo.estimate_crofton(a, args.k or 1, samples, seed)]
+            k = 1 if args.k is None else args.k
+            runs = [montecarlo.estimate_crofton(a, k, samples, seed)]
         else:
             box = next((body for body in bodies if body.kind == "box"), None)
             if box is None:
@@ -289,16 +308,16 @@ def cmd_mc(args):
 
 def cmd_verify(args):
     _log_config(args)
-    if args.seed is not None and not args.mc_samples:
+    if args.seed is not None and args.mc_samples is None:
         return _unused_flag("--seed", "verify without --mc-samples, which "
                             "draws no samples")
-    max_dim = args.max_dim or 4
+    max_dim = 4 if args.max_dim is None else args.max_dim
     report = checks.Report()
     for check in checks.REGISTRY:
         report.add(*check.verdict(max_dim), group=check.group)
-    if args.mc_samples:
-        for r in montecarlo.default_suite(samples=args.mc_samples,
-                                          seed=args.seed or 20260809):
+    if args.mc_samples is not None:
+        seed = 20260809 if args.seed is None else args.seed
+        for r in montecarlo.default_suite(samples=args.mc_samples, seed=seed):
             report.add(abs(r.z) <= 4, f"{r.name} z={r.z:.3f}", group="monte carlo")
     _write_output(report.emit(), args.out)
     return 1 if report.failed else 0
@@ -316,7 +335,7 @@ def build_parser():
 
     so = sub.add_parser("so", help="euclidean rotation-group tables")
     so.add_argument("table", choices=["kinematic", "additive"])
-    so.add_argument("--dim", type=int, required=True)
+    so.add_argument("--dim", type=_at_least(0), required=True)
     so.add_argument("--basis", default="t",
                     choices=["t", "mu", "psi", "nijenhuis"])
     so.add_argument("--normalization", default="standard",
@@ -329,7 +348,7 @@ def build_parser():
     un = sub.add_parser("un", help="hermitian unitary-group tables")
     un.add_argument("table", choices=["kinematic", "additive", "tasaki-matrices",
                                       "firstorder", "verify"])
-    un.add_argument("--dim", type=int, required=True)
+    un.add_argument("--dim", type=_at_least(0), required=True)
     un.add_argument("--basis", choices=["monomial", "tasaki", "hermitian"],
                     help="kinematic and additive tables only (default tasaki)")
     un.add_argument("--deg-a", type=int, default=None, help="firstorder only")
@@ -343,7 +362,7 @@ def build_parser():
 
     sf = sub.add_parser("spaceform", help="constant-curvature families")
     sf.add_argument("family", choices=["real", "complex"])
-    sf.add_argument("--dim", type=int, required=True)
+    sf.add_argument("--dim", type=_at_least(0), required=True)
     sf.add_argument("--check", choices=["bfs", "conjecture", "chapoton"],
                     help="complex family only (default bfs)")
     sf.add_argument("--lambda-eval", default=None)
@@ -355,10 +374,10 @@ def build_parser():
     mc = sub.add_parser("mc", help="Monte Carlo estimators")
     mc.add_argument("test", choices=["kinematic", "crofton", "cauchy",
                                      "steiner", "additive", "suite"])
-    mc.add_argument("--dim", type=int,
+    mc.add_argument("--dim", type=_at_least(1),
                     help="dimension of the default bodies (default 2)")
     mc.add_argument("--bodies", help="JSON body specification file")
-    mc.add_argument("--samples", type=int, default=None)
+    mc.add_argument("--samples", type=_at_least(2), default=None)
     mc.add_argument("--seed", type=int, default=None)
     mc.add_argument("--k", type=int, default=None, help="crofton only (default 1)")
     mc.add_argument("--radius", default=None, help="steiner only (default 1)")
@@ -366,8 +385,8 @@ def build_parser():
     mc.set_defaults(func=cmd_mc)
 
     ver = sub.add_parser("verify", help="run the exact check battery")
-    ver.add_argument("--max-dim", type=int, default=None)
-    ver.add_argument("--mc-samples", type=int, default=None)
+    ver.add_argument("--max-dim", type=_at_least(1), default=None)
+    ver.add_argument("--mc-samples", type=_at_least(2), default=None)
     ver.add_argument("--seed", type=int, default=None,
                      help="with --mc-samples only")
     ver.add_argument("--out")

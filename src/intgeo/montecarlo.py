@@ -278,8 +278,8 @@ def estimate_crofton(a, k, samples, seed, name="crofton"):
     """Estimate mu_k as the weighted measure of affine (n-k)-flats meeting
     the body: rotate a fixed flat, then offset uniformly in the fiber ball."""
     n = a.dimension
-    if not 1 <= k <= n - 1:
-        raise ValueError("crofton estimator needs 1 <= k <= n-1")
+    if not 1 <= k <= min(n - 1, 2):
+        raise ValueError("crofton estimator needs 1 <= k <= n-1 and k <= 2")
     pred = scalar_float(a.exact_intrinsic_volume(k))
     rho = a.circumradius()
     from .scalars import omega
@@ -294,12 +294,10 @@ def estimate_crofton(a, k, samples, seed, name="crofton"):
         normals = np.transpose(rots[:, :, n - k:], (0, 2, 1))
         if k == 1:
             offsets = gen.uniform(-rho, rho, size=(m, 1))
-        elif k == 2:
+        else:
             r = rho * np.sqrt(gen.uniform(0.0, 1.0, size=m))
             th = gen.uniform(0.0, 2 * math.pi, size=m)
             offsets = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-        else:
-            raise ValueError("fiber sampling implemented for k <= 2")
         hits = _flat_hits(a, dirs, normals, offsets)
         if np.any(hits):
             worst = float(np.max(np.linalg.norm(offsets[hits], axis=1)))
