@@ -222,7 +222,7 @@ def curved_kinematic_routes(n):
 @_check("space forms", "curved ideal equals projective kernel at lam=1, n <= {top}",
         last=lambda max_dim: min(max_dim, 5))
 def curved_ideal_equals_projective_kernel(n):
-    return spaceforms.curved_ideal_matches_projective_kernel(n)[0]
+    return spaceforms.curved_ideal_matches_projective_kernel(n)
 
 
 @_check("space forms", "functional equations reproduce the conjecture coefficients",

@@ -217,9 +217,9 @@ def cmd_spaceform(args):
         return 0
     report = checks.Report()
     if args.check in (None, "bfs"):
-        ok, dims = spaceforms.curved_ideal_matches_projective_kernel(n)
-        report.add(ok, "curved ideal at lam=1 equals the projective evaluation "
-                   f"kernel (initial dims {dims})")
+        report.add(spaceforms.curved_ideal_matches_projective_kernel(n),
+                   "curved ideal at lam=1 equals the projective evaluation "
+                   f"kernel (initial dims {spaceforms.curved_ideal_dims(n)})")
     elif args.check == "conjecture":
         for i, good in sorted(spaceforms.fbar_relations_check(n).items()):
             report.add(good, f"relation component {i} reduces to 0")

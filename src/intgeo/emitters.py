@@ -2,7 +2,8 @@
 Monte Carlo CSV log.  Check reports are ``checks.Report``.
 
 Every emitted table embeds its group, dimension, normalization tag and basis
-tag; coefficients are exact (rationals as strings, pi powers explicit).
+tag; coefficients are exact (rationals as strings, pi powers explicit, and a
+space-form entry {lam_pow: Scalar} as its list of lam powers).
 Identical inputs produce identical bytes: keys are sorted, terms are sorted
 by bidegree and index, and no floats enter a formula document.
 """

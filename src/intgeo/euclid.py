@@ -237,8 +237,9 @@ def additive_so(n, phi=None, basis="psi"):
     return table
 
 
+@lru_cache(maxsize=None)
 def _so_basis_coeff(n, basis, i):
-    # c with basis_i = c * t^i
+    # c with basis_i = c * t^i, built once per (n, basis, i)
     if basis == "t":
         return Scalar.one()
     if basis == "mu":
@@ -255,10 +256,10 @@ def convert_so_table(table, n, basis):
     if basis == table.basis:
         return table
     out = _table(n, basis, table.normalization)
+    scale = [_so_basis_coeff(n, table.basis, d) * _so_basis_coeff(n, basis, d).inverse()
+             for d in range(n + 1)]
     for ((a, _), (b, _)), c in table.entries.items():
-        ca = _so_basis_coeff(n, table.basis, a) * _so_basis_coeff(n, basis, a).inverse()
-        cb = _so_basis_coeff(n, table.basis, b) * _so_basis_coeff(n, basis, b).inverse()
-        out.add((a, 0), (b, 0), c * ca * cb)
+        out.add((a, 0), (b, 0), c * scale[a] * scale[b])
     return out
 
 
@@ -288,7 +289,7 @@ def nijenhuis_constants(n):
     different bases.  The kinematic constant removed by the "unit" rescaling
     is alpha_n / 2^(n+1).
     """
-    thetap = {i: psi_coefficient(n, i) * Fraction(1, factorial(i)) for i in range(n + 1)}
+    thetap = {i: _so_basis_coeff(n, "nijenhuis", i) for i in range(n + 1)}
 
     kin_t_unit_ok = True
     for c in range(n + 1):

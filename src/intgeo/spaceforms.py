@@ -338,7 +338,6 @@ def cp_evaluation_kernel(n):
 def curved_ideal_matches_projective_kernel(n):
     """Acceptance check: the curved ideal at lam = 1 equals the kernel of
     projective-space evaluations, as subspaces of the truncated model.
-    Returns (ok, per-degree initial dimensions).
 
     The reduced rows of the curved ideal are certified against the pairing
     matrix by ``kernel_equals_span``; only when its rank modulo the prime
@@ -349,12 +348,19 @@ def curved_ideal_matches_projective_kernel(n):
     ok = kernel_equals_span(_cp_pairing_matrix(n, columns), rows, len(columns))
     if ok is None:
         ok = _ideal_subspace_rref(cp_evaluation_kernel(n), columns)[0] == rows
+    return ok
+
+
+def curved_ideal_dims(n):
+    """{degree: dimension} of the curved ideal at lam = 1 where it is
+    nonzero: the monomials of each degree minus the quotient's basis."""
+    alg = complex_space_form(n).at_one
     dims = {}
     for d in range(2 * n + 1):
         k = len(alg.gens.monomials_of_degree(d)) - alg.dimension(d)
         if k:
             dims[d] = k
-    return ok, dims
+    return dims
 
 
 # -- the conjectural relation series ------------------------------------------

@@ -120,16 +120,6 @@ def test_ev_disk_examples():
     assert ev(a2.element({(1, 2): Fraction(1)})) == Scalar.pi_power(-2, 4)
 
 
-def test_cpn_reduction_consistency():
-    for n in range(1, 7):
-        alg = H.un_algebra(n)
-        for k in range(n + 1):
-            nf = alg.element({(k, 2 * n - 2 * k): Fraction(1)})
-            expect = alg.element({(0, 2 * n): Fraction(
-                binomial(2 * n - 2 * k, n - k), binomial(2 * n, n))})
-            assert nf == expect
-
-
 def test_tasaki_monomial_examples():
     rows = H.tasaki_monomial_rows(2)
     assert rows[0] == {(0, 2): Scalar.pi_power(1, Fraction(1, 2))}
@@ -412,13 +402,6 @@ def test_first_order_trivial_cases():
             assert ker.coeffs == {(0, 0): Scalar.one()}, (n, l)
     with pytest.raises(ValueError):
         H.first_order_formula(2, 1, 1)
-
-
-def test_pfaff_saalschutz():
-    assert H.pfaff_saalschutz_residual(2, 1) == 0
-    for n in range(0, 41):
-        for k in range(n + 1):
-            assert H.pfaff_saalschutz_residual(n, k) == 0
 
 
 def test_mu_k0_ratio_reported():

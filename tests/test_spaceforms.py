@@ -165,9 +165,9 @@ def test_cp_values():
 
 
 def test_curved_ideal_matches_projective_kernel():
-    # criterion 12 checks the equality itself for n <= 12
+    # the initial dimensions; criterion 12 checks the equality for n <= 12
     for n in range(1, 13):
-        dims = SF.curved_ideal_matches_projective_kernel(n)[1]
+        dims = SF.curved_ideal_dims(n)
         hs = SF.poincare_series_coefficients(n)
         free = {d: d // 2 + 1 for d in range(2 * n + 1)}
         assert dims == {d: free[d] - hs[d] for d in range(2 * n + 1)
@@ -176,8 +176,8 @@ def test_curved_ideal_matches_projective_kernel():
 
 def test_curved_certificate_matches_exact_kernel():
     for n in range(1, 9):
-        assert SF.curved_ideal_matches_projective_kernel(n) \
-            == curved_ideal_exact_route(n), n
+        assert (SF.curved_ideal_matches_projective_kernel(n),
+                SF.curved_ideal_dims(n)) == curved_ideal_exact_route(n), n
 
 
 def test_curved_check_catches_mutations(monkeypatch):
@@ -190,24 +190,22 @@ def test_curved_check_catches_mutations(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(SF, "complex_space_form",
                        lambda k: SimpleNamespace(at_one=mutant))
-            assert not SF.curved_ideal_matches_projective_kernel(n)[0]
+            assert not SF.curved_ideal_matches_projective_kernel(n)
     cp_values = SF.cp_values
     monkeypatch.setattr(SF, "cp_values", lambda k, mono: cp_values(k, mono)
                         + (mono == (0, 2 * n)))
-    assert not SF.curved_ideal_matches_projective_kernel(n)[0]
+    assert not SF.curved_ideal_matches_projective_kernel(n)
 
 
 def test_curved_check_falls_back_on_rank_shortfall(monkeypatch):
-    expected = {n: SF.curved_ideal_matches_projective_kernel(n)
-                for n in range(1, 7)}
+    assert all(SF.curved_ideal_matches_projective_kernel(n) for n in range(1, 7))
     calls = []
     kernel = SF.cp_evaluation_kernel
     monkeypatch.setattr(linalg, "CERTIFICATE_PRIME", 2)
     monkeypatch.setattr(SF, "cp_evaluation_kernel",
                         lambda n: calls.append(n) or kernel(n))
-    for n, (ok, dims) in expected.items():
-        assert ok
-        assert SF.curved_ideal_matches_projective_kernel(n) == (ok, dims), n
+    for n in range(1, 7):
+        assert SF.curved_ideal_matches_projective_kernel(n), n
     assert calls
 
 
