@@ -254,6 +254,8 @@ def _load_bodies(args, need=2):
         bodies = list(_default_bodies(2 if args.dim is None else args.dim,
                                       args.test))
     if len(bodies) < need:
+        print(f"error: mc {args.test} needs {need} bodies, {args.bodies} has "
+              f"{len(bodies)}", file=sys.stderr)
         raise SystemExit(2)
     return bodies
 
@@ -290,8 +292,11 @@ def cmd_mc(args):
                 print("error: this estimator needs a box body", file=sys.stderr)
                 return 2
             if args.test == "steiner":
-                runs = [montecarlo.steiner_mc(box, Fraction(args.radius or "1"),
-                                              samples, seed)]
+                radius = Fraction("1" if args.radius is None else args.radius)
+                if radius < 0:
+                    print("error: --radius must be at least 0", file=sys.stderr)
+                    return 2
+                runs = [montecarlo.steiner_mc(box, radius, samples, seed)]
             else:  # cauchy
                 sides = [hi - lo for lo, hi in zip(box.lo, box.hi)]
                 runs = [montecarlo.cauchy_projection_check(sides, samples, seed)]

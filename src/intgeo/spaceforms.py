@@ -54,9 +54,6 @@ class RealSpaceFormElement:
             out[k] = out.get(k, 0) + c
         return RealSpaceFormElement(self.algebra, out)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def scale(self, c, lam_pow=0):
         """The element times c lam^lam_pow."""
         return RealSpaceFormElement(self.algebra, {

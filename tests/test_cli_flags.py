@@ -103,6 +103,7 @@ CASES += [
     (MC_CROFTON, ("--k", "0"), 2), (MC_CROFTON, ("--k", "3"), 2),
     (MC_CROFTON, ("--bodies", BODIES), 2),   # a body file fixes the base's --dim
     (MC_STEINER, ("--radius", "2"), CHANGES), (MC_STEINER, ("--radius", "0"), CHANGES),
+    (MC_STEINER, ("--radius", "-1"), 2),
     (MC_SUITE, ("--k", "1"), 2), (MC_SUITE, ("--bodies", BODIES), 2),
     (VERIFY, ("--max-dim", "2"), CHANGES), (VERIFY, ("--max-dim", "1"), CHANGES),
     (VERIFY, ("--max-dim", "0"), 2), (VERIFY, ("--max-dim", "-1"), 2),

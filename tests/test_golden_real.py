@@ -2,9 +2,9 @@
 
 ``tests/golden/real_tables.json`` holds the SHA-256 and exit code of
 ``spaceform real --dim n --format f`` for n <= 12 and every format, with and
-without ``--lambda-eval 1``: 72 runs.  The file was written by the
-polynomial-in-lam (``LambdaScalar``) implementation and must never be
-regenerated from the code it checks.
+without ``--lambda-eval 1``: 72 runs.  The file was written while lam was
+still a polynomial variable over a coefficient ring, before it became a
+grading, and must never be regenerated from the code it checks.
 
     PYTHONPATH=src python3 tests/test_golden_real.py > tests/golden/real_tables.json
 """
