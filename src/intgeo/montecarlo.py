@@ -9,6 +9,15 @@ into fixed-size chunks; chunk c draws from ``Philox(key=seed).jumped(c)`` and
 partial sums are reduced in chunk order, so results are bit-identical for any
 worker count.  Rotations are orthonormalized Gaussian matrices (explicit
 Gram-Schmidt, no LAPACK) with the determinant flipped to +1.
+
+The rotation sampler and the planar additive kernel work sample-major: each
+matrix entry is one contiguous vector over the samples of a chunk, and every
+short inner product is written out as a left-to-right sum of elementwise
+products.  That is the order numpy's reductions over the short matrix axes
+used, so the bits match the older sample-minor code (pinned against it in
+``tests/oracles.py``).  The one reduction kept as an einsum is the weighted
+sum over the edges in the planar kernel: einsum splits that sum into
+interleaved partial sums, and a loop would round differently.
 """
 
 from __future__ import annotations
@@ -38,45 +47,54 @@ def rng_chunk(seed, chunk_index):
     return np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
 
 
-def _gram_schmidt(g):
-    """Orthonormalize batched n x n Gaussian matrices (columns)."""
-    m, n, _ = g.shape
-    q = np.empty_like(g)
-    for j in range(n):
-        v = g[:, :, j].copy()
-        for i in range(j):
-            proj = np.sum(q[:, :, i] * g[:, :, j], axis=1, keepdims=True)
-            v -= proj * q[:, :, i]
-        nrm = np.sqrt(np.sum(v * v, axis=1, keepdims=True))
-        q[:, :, j] = v / nrm
-    return q
+def _dot(a, b):
+    """Per-sample inner products of entry-major vectors, summed left to right."""
+    total = a[0] * b[0]
+    for k in range(1, len(a)):
+        total += a[k] * b[k]
+    return total
 
 
-def _det_small(q):
-    n = q.shape[1]
+def _det(e):
+    """Determinants of an entry-major batch: e[i, j] holds entry (i, j) of
+    every matrix.  Closed form for n <= 3."""
+    n = e.shape[0]
     if n == 1:
-        return q[:, 0, 0]
+        return e[0, 0]
     if n == 2:
-        return q[:, 0, 0] * q[:, 1, 1] - q[:, 0, 1] * q[:, 1, 0]
+        return e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
     if n == 3:
-        return (q[:, 0, 0] * (q[:, 1, 1] * q[:, 2, 2] - q[:, 1, 2] * q[:, 2, 1])
-                - q[:, 0, 1] * (q[:, 1, 0] * q[:, 2, 2] - q[:, 1, 2] * q[:, 2, 0])
-                + q[:, 0, 2] * (q[:, 1, 0] * q[:, 2, 1] - q[:, 1, 1] * q[:, 2, 0]))
-    return np.linalg.det(q)
+        return (e[0, 0] * (e[1, 1] * e[2, 2] - e[1, 2] * e[2, 1])
+                - e[0, 1] * (e[1, 0] * e[2, 2] - e[1, 2] * e[2, 0])
+                + e[0, 2] * (e[1, 0] * e[2, 1] - e[1, 1] * e[2, 0]))
+    return np.linalg.det(np.moveaxis(e, -1, 0))
 
 
 def random_rotations(n, gen, count):
-    """Haar-uniform elements of SO(n), batched."""
+    """Haar-uniform elements of SO(n), batched sample-major (count, n, n).
+
+    Classical Gram-Schmidt on the columns of a Gaussian draw, run in place on
+    an entry-major copy; the last column is negated where the determinant is
+    negative, and the result is written back into the draw.
+    """
     if n == 1:
         return np.ones((count, 1, 1))
     g = gen.standard_normal((count, n, n))
-    q = _gram_schmidt(g)
-    det = _det_small(q)
-    q[det < 0, :, -1] *= -1.0
-    return q
+    e = np.ascontiguousarray(np.moveaxis(g, 0, -1))
+    for j in range(n):
+        col = e[:, j]
+        # every projection reads the drawn column j, before any is removed
+        projs = [_dot(e[:, i], col) for i in range(j)]
+        for i, proj in enumerate(projs):
+            col -= proj * e[:, i]
+        col /= np.sqrt(_dot(col, col))
+    e[:, -1] *= np.where(_det(e) < 0, -1.0, 1.0)
+    g[...] = np.moveaxis(e, -1, 0)
+    return g
 
 
 ORTHOGONALITY_TOL = 1e-12
+EXACT_TOL = 1e-12  # an estimate this close to its prediction is exact
 
 
 @dataclass
@@ -93,7 +111,7 @@ class RigidMotion:
             raise ValueError("rotation/translation dimensions disagree")
         if np.max(np.abs(r.T @ r - np.eye(n))) > ORTHOGONALITY_TOL:
             raise ValueError("rotation is not orthogonal within tolerance")
-        if abs(float(_det_small(r[None, :, :])[0]) - 1.0) > ORTHOGONALITY_TOL:
+        if abs(float(_det(r[:, :, None])[0]) - 1.0) > ORTHOGONALITY_TOL:
             raise ValueError("rotation must have determinant +1")
         self.rotation = r
         self.translation = t
@@ -124,7 +142,7 @@ class MCEstimate:
             return 0.0
         err = self.mean - self.prediction
         if self.stderr == 0.0:
-            return 0.0 if abs(err) < 1e-12 else math.inf
+            return 0.0 if abs(err) < EXACT_TOL else math.inf
         return err / self.stderr
 
     def row(self):
@@ -142,6 +160,24 @@ def _estimate_from_values(name, total, total_sq, samples, seed, prediction, extr
     stderr = math.sqrt(var / samples)
     return MCEstimate(name, mean, stderr, samples, seed,
                       prediction=prediction, extra=extra)
+
+
+def _hit_or_miss(name, scale, hits, count, seed, prediction, extra):
+    """Estimate of scale times a hit rate, from the hit count.
+
+    When every sample agrees (no hits, or all hits) the sample variance is 0.
+    If the estimate then equals the prediction, the indicator was constant
+    where it was sampled and the zero variance stands.  Otherwise the run was
+    too short to see both outcomes, and a zero variance would make any error
+    look infinitely significant; the variance is then taken from the Laplace
+    rate (hits + 1) / (count + 2).
+    """
+    est = _estimate_from_values(name, scale * hits, scale ** 2 * hits, count,
+                                seed, prediction, extra)
+    if hits in (0, count) and abs(est.mean - prediction) >= EXACT_TOL:
+        rate = (hits + 1) / (count + 2)
+        est.stderr = scale * math.sqrt(rate * (1 - rate) / (count - 1))
+    return est
 
 
 def _chunks(samples):
@@ -215,13 +251,8 @@ def estimate_principal_kinematic(a, b, samples, seed, name="kinematic"):
         total += float(np.count_nonzero(hits))
         count += m
     # indicator values are vol_w * {0,1}
-    hits_total = total
-    mean_ind = hits_total / count
-    total_value = vol_w * hits_total
-    total_sq = vol_w ** 2 * hits_total
-    est = _estimate_from_values(name, total_value, total_sq, count, seed, pred,
-                                {"window_halfwidth": half, "hit_rate": mean_ind})
-    return est
+    return _hit_or_miss(name, vol_w, total, count, seed, pred,
+                        {"window_halfwidth": half, "hit_rate": total / count})
 
 
 # -- Crofton flats ---------------------------------------------------------------
@@ -305,10 +336,8 @@ def estimate_crofton(a, k, samples, seed, name="crofton"):
                 raise AssertionError("fiber ball does not dominate the integrand")
         hits_total += float(np.count_nonzero(hits))
         count += m
-    scale = fiber_vol * const
-    est = _estimate_from_values(name, scale * hits_total, scale ** 2 * hits_total,
-                                count, seed, pred, {"fiber_radius": rho})
-    return est
+    return _hit_or_miss(name, fiber_vol * const, hits_total, count, seed, pred,
+                        {"fiber_radius": rho})
 
 
 # -- Cauchy projection formula -----------------------------------------------------
@@ -360,9 +389,8 @@ def steiner_mc(box, r, samples, seed, name="steiner"):
         count += m
     poly = euclid.steiner_polynomial(box.to_template(), n)
     pred = sum(scalar_float(c) * rf ** j for j, c in poly.items())
-    scale = vol_w
-    return _estimate_from_values(name, scale * hits_total, scale ** 2 * hits_total,
-                                 count, seed, pred, {"tube_radius": rf})
+    return _hit_or_miss(name, vol_w, hits_total, count, seed, pred,
+                        {"tube_radius": rf})
 
 
 # -- additive (Minkowski sum) formula -------------------------------------------------
@@ -398,6 +426,26 @@ def minkowski_volumes(ga, gb, rots):
     return vals
 
 
+def planar_minkowski_areas(ga, gb, rots):
+    """area(A + R B) for each rotation, exact for two polygons.
+
+    With G over the edges of B, area(A + RB) = V(A) + V(B) + sum_G |G| h_A(R u_G).
+    Each rotated normal and support value is built from the four entry
+    vectors of the rotations; the weighted sum over G stays one einsum.
+    """
+    r = [[rots[:, i, j] for j in range(2)] for i in range(2)]
+    h = np.empty((len(rots), len(gb.facet_areas)))
+    for k, (u0, u1) in enumerate(gb.facet_normals):
+        n0 = r[0][0] * u0 + r[0][1] * u1
+        n1 = r[1][0] * u0 + r[1][1] * u1
+        (v0, v1), *rest = ga.vertices
+        best = v0 * n0 + v1 * n1
+        for v0, v1 in rest:
+            np.maximum(best, v0 * n0 + v1 * n1, out=best)
+        h[:, k] = best
+    return ga.volumes[2] + gb.volumes[2] + np.einsum("mk,k->m", h, gb.facet_areas)
+
+
 def estimate_additive(a, b, samples, seed, name="additive"):
     """Mean volume of A + gB over Haar rotations.
 
@@ -430,10 +478,7 @@ def estimate_additive(a, b, samples, seed, name="additive"):
         gen = rng_chunk(seed, index)
         rots = random_rotations(n, gen, m)
         if n == 2:
-            normals = np.einsum("mij,kj->mki", rots, gb.facet_normals)
-            h = np.max(np.einsum("vi,mki->mkv", ga.vertices, normals), axis=2)
-            vals = ga.volumes[2] + gb.volumes[2] + np.einsum("mk,k->m", h,
-                                                             gb.facet_areas)
+            vals = planar_minkowski_areas(ga, gb, rots)
         else:
             vals = minkowski_volumes(ga, gb, rots)
         total += float(vals.sum())

@@ -8,7 +8,10 @@ Laurent polynomials in pi runs Bareiss elimination over Q[pi, pi^-1] with
 polynomial long division, so no entry needs to be a single power of pi.  The
 presentation checks are redone by computing both subspaces exactly: the
 evaluation kernels by ``kernel_basis``, the ideals by row-reducing every
-truncated multiple of their generators.
+truncated multiple of their generators.  The Haar rotation sampler and the
+planar Minkowski-area kernel are the sample-minor versions the Monte Carlo
+estimators used before their sums were written out over per-entry vectors:
+numpy reductions over the short matrix axes, with a fancy-index sign flip.
 """
 
 from fractions import Fraction
@@ -139,6 +142,50 @@ def minkowski_sum_volume(a_vertices, b_vertices):
     b = np.asarray(b_vertices, dtype=float)
     sums = (a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1])
     return convex_hull_volume(sums)
+
+
+# -- Monte Carlo kernels over the short matrix axes ----------------------------
+
+def gram_schmidt(g):
+    """Orthonormalize the columns of batched n x n matrices (classical)."""
+    m, n, _ = g.shape
+    q = np.empty_like(g)
+    for j in range(n):
+        v = g[:, :, j].copy()
+        for i in range(j):
+            proj = np.sum(q[:, :, i] * g[:, :, j], axis=1, keepdims=True)
+            v -= proj * q[:, :, i]
+        nrm = np.sqrt(np.sum(v * v, axis=1, keepdims=True))
+        q[:, :, j] = v / nrm
+    return q
+
+
+def det_small(q):
+    """Determinants of batched matrices, closed form for n <= 3."""
+    n = q.shape[1]
+    if n == 2:
+        return q[:, 0, 0] * q[:, 1, 1] - q[:, 0, 1] * q[:, 1, 0]
+    if n == 3:
+        return (q[:, 0, 0] * (q[:, 1, 1] * q[:, 2, 2] - q[:, 1, 2] * q[:, 2, 1])
+                - q[:, 0, 1] * (q[:, 1, 0] * q[:, 2, 2] - q[:, 1, 2] * q[:, 2, 0])
+                + q[:, 0, 2] * (q[:, 1, 0] * q[:, 2, 1] - q[:, 1, 1] * q[:, 2, 0]))
+    return np.linalg.det(q)
+
+
+def random_rotations(n, gen, count):
+    """Haar rotations: Gram-Schmidt on a Gaussian draw, last column flipped
+    where the determinant is negative."""
+    g = gen.standard_normal((count, n, n))
+    q = gram_schmidt(g)
+    q[det_small(q) < 0, :, -1] *= -1.0
+    return q
+
+
+def planar_minkowski_areas(ga, gb, rots):
+    """area(A + R B) per rotation by the mixed-area support formula."""
+    normals = np.einsum("mij,kj->mki", rots, gb.facet_normals)
+    h = np.max(np.einsum("vi,mki->mkv", ga.vertices, normals), axis=2)
+    return ga.volumes[2] + gb.volumes[2] + np.einsum("mk,k->m", h, gb.facet_areas)
 
 
 # -- exact inverse over Q[pi, pi^-1] -------------------------------------------

@@ -29,7 +29,7 @@ def test_rotations_orthogonal_det_one():
         rots = MC.random_rotations(n, gen, 400)
         gram = np.einsum("mij,mkj->mik", rots, rots)
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
-        assert np.max(np.abs(MC._det_small(rots) - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.linalg.det(rots) - 1.0)) <= 1e-12
 
 
 def test_rotation_projection_law():
@@ -191,6 +191,25 @@ def test_zscore_conventions():
     assert est2.z == math.inf
     est3 = MC.MCEstimate("x", 2.0, 0.5, 10, 0, prediction=None)
     assert est3.z == 0.0
+
+
+def test_hit_or_miss_variance_when_all_samples_agree():
+    # strictly between, the helper is the sample variance of scale * {0, 1}
+    est = MC._hit_or_miss("x", 2.5, 300.0, 1000, 0, 1.0, {})
+    ref = MC._estimate_from_values("x", 2.5 * 300.0, 2.5 ** 2 * 300.0, 1000, 0, 1.0, {})
+    assert (est.mean, est.stderr) == (ref.mean, ref.stderr)
+    # no hits against a true rate of 0.4: the Laplace rate keeps z finite and huge
+    none = MC._hit_or_miss("x", 1.0, 0.0, 1000, 0, 0.4, {})
+    assert none.mean == 0.0 and math.isfinite(none.z) and none.z < -100
+    every = MC._hit_or_miss("x", 1.0, 1000.0, 1000, 0, 0.6, {})
+    assert math.isfinite(every.z) and every.z > 100
+
+
+def test_cli_two_sample_kinematic_has_finite_z(capsys):
+    from intgeo import cli
+    assert cli.main(["mc", "kinematic", "--samples", "2", "--seed", "1"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert 0.5 < abs(float(row[-1])) < 1.5
 
 
 def test_rigid_motion_validation():
