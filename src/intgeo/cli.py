@@ -10,6 +10,10 @@ Exit codes: 0 success, 1 verification failure (an exact check failed or some
 stderr.  A config file of key=value lines supplies defaults for the chosen
 command's long flags, required ones included; the command line wins.  The
 INTGEO_OUT_DIR environment variable prefixes relative output paths.
+
+Exact commands never load numpy: ``montecarlo`` and ``bodies`` are imported
+inside ``cmd_mc`` and the ``--mc-samples`` branch of ``cmd_verify``, so only
+``mc`` and ``verify --mc-samples`` pay for numpy, on first use.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import checks, emitters, euclid, hermitian, montecarlo, spaceforms
-from .bodies import ConvexBody, body_from_spec
+from . import checks, emitters, euclid, hermitian, spaceforms
 from .scalars import Scalar
 
 
@@ -79,9 +82,30 @@ def _log_config(args):
     print(f"config: {resolved}", file=sys.stderr)
 
 
-def _unused_flag(flag, where):
-    print(f"error: {flag} has no effect on {where}", file=sys.stderr)
+def _usage_error(message):
+    print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _unused_flag(flag, where):
+    return _usage_error(f"{flag} has no effect on {where}")
+
+
+def _unservable_run(samples, seed, samples_flag, suite=False, variance=False):
+    """Exit 2, before any work, for a sampling run no estimator can serve, else
+    None.  Every Philox key must lie in [0, 2**128); the suite draws from
+    seed + SUITE_SEED_STEP * i for each of its runs.  The suite, and an
+    estimator whose stderr is a sample variance (``variance``), need at least
+    MIN_VARIANCE_SAMPLES samples."""
+    from .montecarlo import MIN_VARIANCE_SAMPLES, SUITE_RUNS, SUITE_SEED_STEP
+    top = (1 << 128) - 1 - (SUITE_SEED_STEP * (SUITE_RUNS - 1) if suite else 0)
+    if not 0 <= seed <= top:
+        return _usage_error(f"--seed must lie in 0..{top}, got {seed}")
+    if (suite or variance) and samples < MIN_VARIANCE_SAMPLES:
+        return _usage_error(f"{samples_flag} must be at least "
+                            f"{MIN_VARIANCE_SAMPLES} for estimators that take "
+                            f"their stderr from the sample variance, got {samples}")
+    return None
 
 
 def _at_least(low):
@@ -232,13 +256,8 @@ def cmd_spaceform(args):
 
 # -- mc -------------------------------------------------------------------------
 
-def _default_bodies(n, test):
-    if test == "additive":
-        return (ConvexBody.cube(n, 1), ConvexBody.cube(n, 1))
-    return (ConvexBody.ball([0] * n, 1), ConvexBody.cube(n, 1))
-
-
 def _load_bodies(args, need=2):
+    from .bodies import ConvexBody, body_from_spec
     if args.bodies:
         with open(args.bodies) as fh:
             doc = json.load(fh)
@@ -251,8 +270,10 @@ def _load_bodies(args, need=2):
         else:
             bodies = [body_from_spec(doc)]
     else:
-        bodies = list(_default_bodies(2 if args.dim is None else args.dim,
-                                      args.test))
+        n = 2 if args.dim is None else args.dim
+        first = (ConvexBody.cube(n, 1) if args.test == "additive"
+                 else ConvexBody.ball([0] * n, 1))
+        bodies = [first, ConvexBody.cube(n, 1)]
     if len(bodies) < need:
         print(f"error: mc {args.test} needs {need} bodies, {args.bodies} has "
               f"{len(bodies)}", file=sys.stderr)
@@ -274,6 +295,11 @@ def cmd_mc(args):
     if args.dim is not None and (args.test == "suite" or args.bodies):
         return _unused_flag("--dim", "mc suite or mc with --bodies, whose "
                             "bodies fix the dimension")
+    error = _unservable_run(samples, seed, "--samples", suite=args.test == "suite",
+                            variance=args.test in ("cauchy", "additive"))
+    if error:
+        return error
+    from . import montecarlo
     if args.test == "suite":
         runs = montecarlo.default_suite(samples=samples, seed=seed)
     else:
@@ -316,12 +342,17 @@ def cmd_verify(args):
     if args.seed is not None and args.mc_samples is None:
         return _unused_flag("--seed", "verify without --mc-samples, which "
                             "draws no samples")
+    seed = 20260809 if args.seed is None else args.seed
+    if args.mc_samples is not None:
+        error = _unservable_run(args.mc_samples, seed, "--mc-samples", suite=True)
+        if error:
+            return error
     max_dim = 4 if args.max_dim is None else args.max_dim
     report = checks.Report()
     for check in checks.REGISTRY:
         report.add(*check.verdict(max_dim), group=check.group)
     if args.mc_samples is not None:
-        seed = 20260809 if args.seed is None else args.seed
+        from . import montecarlo
         for r in montecarlo.default_suite(samples=args.mc_samples, seed=seed):
             report.add(abs(r.z) <= 4, f"{r.name} z={r.z:.3f}", group="monte carlo")
     _write_output(report.emit(), args.out)

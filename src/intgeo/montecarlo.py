@@ -34,6 +34,16 @@ from .scalars import Scalar
 
 CHUNK = 1 << 17
 
+# Fewest samples the estimators that take their stderr from the sample
+# variance (cauchy, additive) serve.  With fewer, that variance can come out
+# arbitrarily small and a |z| gate means nothing; at 100 samples the t tail at
+# |t| = 4 (99 degrees of freedom) is 1.2e-4, within 2x of the normal tail.
+MIN_VARIANCE_SAMPLES = 100
+
+# Run i of ``default_suite`` draws from the Philox key seed + SUITE_SEED_STEP * i.
+SUITE_SEED_STEP = 7919
+SUITE_RUNS = 12
+
 
 def scalar_float(s):
     """Cast an exact Scalar to a float; the one place pi becomes 3.14159..."""
@@ -178,6 +188,12 @@ def _hit_or_miss(name, scale, hits, count, seed, prediction, extra):
         rate = (hits + 1) / (count + 2)
         est.stderr = scale * math.sqrt(rate * (1 - rate) / (count - 1))
     return est
+
+
+def _require_variance_samples(samples):
+    if samples < MIN_VARIANCE_SAMPLES:
+        raise ValueError(f"an estimate with a sample-variance stderr needs at "
+                         f"least {MIN_VARIANCE_SAMPLES} samples, got {samples}")
 
 
 def _chunks(samples):
@@ -344,6 +360,7 @@ def estimate_crofton(a, k, samples, seed, name="crofton"):
 
 def cauchy_projection_check(sides, samples, seed, name="cauchy"):
     """Sphere-average of exact box shadow volumes against mu_{n-1}."""
+    _require_variance_samples(samples)
     sides_f = [float(Fraction(s)) for s in sides]
     n = len(sides_f)
     if n < 2:
@@ -454,6 +471,7 @@ def estimate_additive(a, b, samples, seed, name="additive"):
     each sample's volume is exact: the mixed-area support formula in the
     plane, ``minkowski_volumes`` in space.
     """
+    _require_variance_samples(samples)
     n = a.dimension
     pred = scalar_float(additive_volume_prediction(a, b))
     if a.kind == "ball" and b.kind == "ball":
@@ -496,7 +514,8 @@ def _square(side=1):
 
 def default_suite(samples=10 ** 6, seed=20260809):
     """The 12-run verification suite; every |z| must be <= 3 at a million
-    samples.  Per-run seeds are seed + 7919 * index."""
+    samples.  Per-run seeds are seed + SUITE_SEED_STEP * index."""
+    _require_variance_samples(samples)
     runs = []
     disk = ConvexBody.ball([0, 0], 1)
     square = _square(1)
@@ -504,7 +523,7 @@ def default_suite(samples=10 ** 6, seed=20260809):
     cube = ConvexBody.cube(3, 1)
 
     def sub(i):
-        return seed + 7919 * i
+        return seed + SUITE_SEED_STEP * i
 
     runs.append(estimate_principal_kinematic(disk, square, samples, sub(0),
                                              "kinematic-R2-disk-square"))

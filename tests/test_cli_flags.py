@@ -4,7 +4,9 @@ Each case names a base run (a command and table at a tiny size), the flag it
 adds with a value other than the default -- zero, negative and edge values
 included -- and what must happen: CHANGES (the run succeeds or fails its
 checks, and its stdout differs from the base run's) or exit 2 (a usage
-error, raised before any table is built or any sample is drawn).
+error, raised before any table is built or any sample is drawn).  NAMED is
+exit 2 with an ``error:`` line that names the added flag: a run the program
+would otherwise start and abandon, or serve with a meaningless z.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import pytest
 from intgeo import cli
 
 CHANGES = "changes"
+NAMED = "named"
 
 SO_KIN = ("so", "kinematic", "--dim", "2")
 SO_ADD = ("so", "additive", "--dim", "2")
@@ -113,20 +116,36 @@ CASES += [
     (VERIFY_MC, ("--seed", "0"), CHANGES), (VERIFY_MC, ("--seed", "5"), CHANGES),
     (VERIFY_MC, ("--mc-samples", "300"), CHANGES),
 ]
+# Philox keys lie in [0, 2**128); run i of the suite draws from seed + 7919 i
+for base in (MC_KIN, MC_ADD, MC_CROFTON, MC_STEINER, MC_CAUCHY, MC_SUITE):
+    CASES += [(base, ("--seed", "-1"), NAMED), (base, ("--seed", str(2 ** 128)), NAMED)]
+CASES += [
+    (MC_KIN, ("--seed", str(2 ** 128 - 1)), CHANGES),
+    (MC_SUITE, ("--seed", str(2 ** 128 - 1 - 7919 * 11)), CHANGES),
+    (MC_SUITE, ("--seed", str(2 ** 128 - 7919 * 11)), NAMED),
+    (VERIFY_MC, ("--seed", "-5"), NAMED), (VERIFY_MC, ("--seed", str(2 ** 128 - 1)), NAMED),
+]
+# a sample-variance stderr needs 100 samples; hit-or-miss rows serve 2
+CASES += [(base, ("--samples", "99"), NAMED) for base in (MC_ADD, MC_CAUCHY, MC_SUITE)]
+CASES += [(base, ("--samples", "2"), CHANGES) for base in (MC_KIN, MC_CROFTON, MC_STEINER)]
+CASES += [(VERIFY_MC, ("--mc-samples", "2"), NAMED),
+          (VERIFY_MC, ("--mc-samples", "99"), NAMED),
+          (VERIFY_MC, ("--mc-samples", "100"), CHANGES)]
 
 
 def run(argv):
-    """Exit code and stdout bytes of one in-process ``intgeo`` run; a usage
-    error raised by the argument parser counts as its exit code."""
+    """Exit code, stdout bytes and stderr text of one in-process ``intgeo``
+    run; a usage error raised by the argument parser counts as its exit code."""
     buf = io.BytesIO()
     out = io.TextIOWrapper(buf, encoding="utf-8")
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(list(argv))
         except SystemExit as exc:
             code = exc.code
     out.flush()
-    return code, buf.getvalue()
+    return code, buf.getvalue(), err.getvalue()
 
 
 base_run = lru_cache(maxsize=None)(run)
@@ -145,10 +164,14 @@ def names(tmp_path_factory):
 @pytest.mark.parametrize("base,flag,expect", CASES,
                          ids=[f"{' '.join(b)} | {' '.join(f)}" for b, f, _ in CASES])
 def test_flag_changes_stdout_or_exits_2(base, flag, expect, names):
-    base_code, base_out = base_run(base)
+    base_code, base_out, _ = base_run(base)
     assert base_code == 0
-    code, out = run(base + tuple(names.get(a, a) for a in flag))
-    if expect == 2:
+    code, out, err = run(base + tuple(names.get(a, a) for a in flag))
+    if expect == NAMED:
+        assert (code, out) == (2, b"")
+        assert any(line.startswith("error: ") and flag[0] in line
+                   for line in err.splitlines())
+    elif expect == 2:
         assert (code, out) == (2, b"")
     else:
         assert code in (0, 1) and out != base_out

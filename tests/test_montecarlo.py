@@ -177,7 +177,7 @@ def test_polytope_float_predictions():
 
 def test_default_suite_small():
     runs = MC.default_suite(samples=60_000)
-    assert len(runs) == 12
+    assert len(runs) == MC.SUITE_RUNS == 12
     names = [r.name for r in runs]
     assert len(set(names)) == 12
     for r in runs:
@@ -203,6 +203,18 @@ def test_hit_or_miss_variance_when_all_samples_agree():
     assert none.mean == 0.0 and math.isfinite(none.z) and none.z < -100
     every = MC._hit_or_miss("x", 1.0, 1000.0, 1000, 0, 0.6, {})
     assert math.isfinite(every.z) and every.z > 100
+
+
+def test_sample_variance_estimators_refuse_tiny_runs():
+    few = MC.MIN_VARIANCE_SAMPLES - 1
+    with pytest.raises(ValueError):
+        MC.cauchy_projection_check([1, 1], few, 1)
+    with pytest.raises(ValueError):
+        MC.estimate_additive(unit_square(), unit_square(), few, 1)
+    with pytest.raises(ValueError):
+        MC.default_suite(samples=few, seed=1)
+    est = MC.cauchy_projection_check([1, 1], MC.MIN_VARIANCE_SAMPLES, 1)
+    assert est.samples == MC.MIN_VARIANCE_SAMPLES
 
 
 def test_cli_two_sample_kinematic_has_finite_z(capsys):
