@@ -3,6 +3,6 @@ isotropic spaces, with Monte Carlo verification on concrete convex bodies."""
 
 __version__ = "0.1.0"
 
-from .scalars import Rational, Scalar, omega, alpha
+from .scalars import Scalar, omega, alpha
 
-__all__ = ["Rational", "Scalar", "omega", "alpha"]
+__all__ = ["Scalar", "omega", "alpha"]

@@ -26,17 +26,9 @@ def scalar_to_string(s):
         return " + ".join(
             f"({scalar_to_string(c)})" + ("" if j == 0 else f"*lam^{j}")
             for j, c in sorted(s.items())) or "0"
-    if not s.terms:
-        return "0"
-    parts = []
-    for p in sorted(s.terms):
-        c = s.terms[p]
-        frac = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        if p == 0:
-            parts.append(frac)
-        else:
-            parts.append(f"{frac}*pi^{p}")
-    return " + ".join(parts)
+    c, p = s.coeff, s.pi_pow
+    frac = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    return frac if p == 0 else f"{frac}*pi^{p}"
 
 
 def scalar_to_json(s):
@@ -71,18 +63,10 @@ def scalar_to_latex(s):
             lam = "" if j == 0 else ("\\lambda" if j == 1 else f"\\lambda^{{{j}}}")
             bits.append(f"\\left({scalar_to_latex(c)}\\right){lam}")
         return " + ".join(bits) or "0"
-    if not s.terms:
-        return "0"
-    parts = []
-    for p in sorted(s.terms):
-        frac = _latex_frac(s.terms[p])
-        if p == 0:
-            parts.append(frac)
-        elif p == 1:
-            parts.append(f"{frac}\\,\\pi")
-        else:
-            parts.append(f"{frac}\\,\\pi^{{{p}}}")
-    return " + ".join(parts)
+    frac, p = _latex_frac(s.coeff), s.pi_pow
+    if p == 0:
+        return frac
+    return f"{frac}\\,\\pi" if p == 1 else f"{frac}\\,\\pi^{{{p}}}"
 
 
 def table_document(table):

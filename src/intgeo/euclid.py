@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .graded import GradedElement, TensorTable, build_quotient, LinearFunctional
-from .scalars import Scalar, alpha, binomial, factorial, omega
+from .scalars import Scalar, alpha, binomial, omega
 
 
 @lru_cache(maxsize=None)

@@ -24,27 +24,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import NamedTuple
 
 from .graded import (GradedElement, LinearFunctional, TensorTable,
                      build_quotient, mono_mul)
 from .linalg import (identity, invert_exact, kernel_basis, kernel_equals_span,
                      mat_mul, rref)
-from .scalars import Scalar, binomial, factorial, omega
+from .scalars import MixedPiGrading, Scalar, binomial, omega
 
 _SZERO = Scalar.zero()
 
 
 class PresentationMismatch(AssertionError):
     """The relations and evaluation-kernel presentations disagree."""
-
-
-class MixedPiGrading(ArithmeticError):
-    """A block that must carry one power of pi carries several."""
-
-
-def _pi_terms(c):
-    return c.terms if isinstance(c, Scalar) else ({0: c} if c else {})
 
 
 class PiMatrix(NamedTuple):
@@ -57,11 +50,13 @@ class PiMatrix(NamedTuple):
     def read(cls, rows):
         """Split a matrix of Scalars (or rationals) that are all c*pi^e for
         one e; raises MixedPiGrading otherwise.  A zero block has e = 0."""
-        powers = {p for row in rows for c in row for p in _pi_terms(c)}
+        powers = {c.pi_pow if isinstance(c, Scalar) else 0
+                  for row in rows for c in row if c}
         if len(powers) > 1:
             raise MixedPiGrading(f"block mixes the powers of pi {sorted(powers)}")
         e = powers.pop() if powers else 0
-        return cls(e, [[_pi_terms(c).get(e, Fraction(0)) for c in row] for row in rows])
+        return cls(e, [[(c.coeff if isinstance(c, Scalar) else c) or Fraction(0)
+                        for c in row] for row in rows])
 
     def __matmul__(self, other):
         return PiMatrix(self.e + other.e, mat_mul(self.m, other.m))
@@ -74,7 +69,7 @@ class PiMatrix(NamedTuple):
         return PiMatrix(-self.e, invert_exact(self.m))
 
     def scalars(self):
-        return [[Scalar({self.e: v}) if v else _SZERO for v in row]
+        return [[Scalar(v, self.e) if v else _SZERO for v in row]
                 for row in self.m]
 
 
@@ -443,51 +438,41 @@ def un_model(n):
 # -- kinematic and additive operators -----------------------------------------
 
 def _apply(vec, f):
-    """A coordinate row (Fractions or Scalars) times a PiMatrix, as Scalars."""
-    parts = {}
-    for a, c in enumerate(vec):
-        for p, v in _pi_terms(c).items():
-            parts.setdefault(p, [Fraction(0)] * len(vec))[a] = v
-    acc = [{} for _ in f.m[0]]
-    for p, row in parts.items():
-        for terms, v in zip(acc, mat_mul([row], f.m)[0]):
-            if v:
-                terms[p + f.e] = v
-    return [Scalar(terms) for terms in acc]
+    """A coordinate row (Fractions or Scalars of one power of pi) times a
+    PiMatrix, as Scalars."""
+    return (PiMatrix.read([vec]) @ f).scalars()[0]
 
 
 def _accumulate(acc, dl, dr, block):
     """Add the bidegree-(dl, dr) block pi^e m to acc, which maps
-    ((dl, i), (dr, j)) to {pi exponent: rational}."""
+    ((dl, i), (dr, j)) to a Scalar."""
     for i, row in enumerate(block.m):
         for j, v in enumerate(row):
             if v:
-                terms = acc.setdefault(((dl, i), (dr, j)), {})
-                terms[block.e] = terms.get(block.e, 0) + v
+                key = ((dl, i), (dr, j))
+                acc[key] = acc.get(key, _SZERO) + Scalar(v, block.e)
 
 
 def _entries(acc):
-    """Table entries of an accumulator, one Scalar each; zero sums drop."""
-    scalars = {key: Scalar(terms) for key, terms in acc.items()}
-    return {key: s for key, s in scalars.items() if s}
+    """Table entries of an accumulator; zero sums drop."""
+    return {key: s for key, s in acc.items() if s}
 
 
 def _congruence(entries, leg):
     """Entries of the table whose bidegree-(d', e') block is the sum, over
-    the bidegree-(d, e) blocks C and the powers of pi in them, of A^T C B
-    with leg(d) = (d', A) and leg(e) = (e', B)."""
-    parts = {}
+    the bidegree-(d, e) blocks C, of A^T C B with leg(d) = (d', A) and
+    leg(e) = (e', B)."""
+    blocks = {}
     for ((dl, i), (dr, j)), c in entries.items():
-        for p, v in _pi_terms(c).items():
-            parts.setdefault((dl, dr, p), {})[(i, j)] = v
+        blocks.setdefault((dl, dr), {})[(i, j)] = c
     acc = {}
-    for (dl, dr, p), cells in parts.items():
+    for (dl, dr), cells in blocks.items():
         tl, a = leg(dl)
         tr, b = leg(dr)
-        c = [[Fraction(0)] * len(b.m) for _ in a.m]
+        c = [[_SZERO] * len(b.m) for _ in a.m]
         for (i, j), v in cells.items():
             c[i][j] = v
-        _accumulate(acc, tl, tr, a.T @ PiMatrix(p, c) @ b)
+        _accumulate(acc, tl, tr, a.T @ PiMatrix.read(c) @ b)
     return _entries(acc)
 
 
@@ -549,21 +534,17 @@ def kinematic_un(n, phi=None):
     for k in range(2 * n + 1):
         kr = 2 * n - k
         dim = alg.dimension(k)
-        # multiplication by phi out of degree k, per target degree and power of pi
+        # multiplication by phi out of degree k, per target degree
         mult = {}
         for a in range(dim):
             prod = alg.multiply(phi, alg.basis_element(k, a))
             for d in prod.degrees():
-                for a2, c in enumerate(alg.coordinates(prod, d)):
-                    for p, v in _pi_terms(c).items():
-                        rows = mult.get((d, p))
-                        if rows is None:
-                            rows = mult[(d, p)] = [[Fraction(0)] * alg.dimension(d)
-                                                   for _ in range(dim)]
-                        rows[a][a2] = v
+                if d not in mult:
+                    mult[d] = [[Fraction(0)] * alg.dimension(d) for _ in range(dim)]
+                mult[d][a] = alg.coordinates(prod, d)
         x = chi[k] if k <= n else chi[kr].T
-        for (d, p), rows in mult.items():
-            _accumulate(acc, d, kr, PiMatrix(p, rows).T @ x)
+        for d, rows in mult.items():
+            _accumulate(acc, d, kr, PiMatrix.read(rows).T @ x)
     table = _new_table(n)
     table.entries = _entries(acc)
     return table
@@ -632,9 +613,6 @@ class FirstOrderKernel:
         self.coeffs = coeffs  # {(q_left, q_right): Scalar}
         self.left_perp = left_perp
         self.right_perp = right_perp
-
-    def coefficient(self, ql, qr):
-        return self.coeffs.get((ql, qr), _SZERO)
 
 
 def klain_expand_block(n, table, k, l):

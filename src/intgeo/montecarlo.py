@@ -30,7 +30,7 @@ import numpy as np
 
 from . import euclid
 from .bodies import ConvexBody, kinematic_indicator, sample_blocks
-from .scalars import Scalar
+from .scalars import omega
 
 CHUNK = 1 << 17
 
@@ -46,10 +46,12 @@ SUITE_RUNS = 12
 
 
 def scalar_float(s):
-    """Cast an exact Scalar to a float; the one place pi becomes 3.14159..."""
+    """Cast an exact Scalar, or a {pi_pow: Fraction} sum of monomials, to a
+    float; the one place pi becomes 3.14159..."""
     if isinstance(s, (int, float, Fraction)):
         return float(s)
-    return float(sum(float(c) * math.pi ** p for p, c in s.terms.items()))
+    terms = s if isinstance(s, dict) else {s.pi_pow: s.coeff} if s else {}
+    return float(sum(float(c) * math.pi ** p for p, c in terms.items()))
 
 
 def rng_chunk(seed, chunk_index):
@@ -219,16 +221,25 @@ def _intrinsic_volumes(body):
 
 
 def _pairing(table, a, b):
-    """Sum of table[i, j] V_i(A) V_j(B): an exact Scalar when both bodies
-    have templates, a float otherwise."""
+    """Sum of table[i, j] V_i(A) V_j(B): exact, as {pi_pow: Fraction}, when
+    both bodies have templates, a float otherwise.
+
+    The pairings carry several powers of pi, so the exact sum keeps one
+    rational per power.  Its keys stay in order of first appearance, and a
+    power whose part cancels is dropped and rejoins at the end, which fixes
+    the order of the float sum in ``scalar_float``."""
     va, vb = _intrinsic_volumes(a), _intrinsic_volumes(b)
     if isinstance(va[0], float) or isinstance(vb[0], float):
         return math.fsum(scalar_float(c) * scalar_float(va[i]) * scalar_float(vb[j])
                          for ((i, _), (j, _)), c in table.entries.items())
-    total = Scalar.zero()
+    acc = {}
     for ((i, _), (j, _)), c in table.entries.items():
-        total = total + c * va[i] * vb[j]
-    return total
+        term = c * va[i] * vb[j]
+        if term:
+            acc[term.pi_pow] = total = acc.get(term.pi_pow, 0) + term.coeff
+            if not total:
+                del acc[term.pi_pow]
+    return acc
 
 
 def principal_kinematic_prediction(a, b):
@@ -329,7 +340,6 @@ def estimate_crofton(a, k, samples, seed, name="crofton"):
         raise ValueError("crofton estimator needs 1 <= k <= n-1 and k <= 2")
     pred = scalar_float(a.exact_intrinsic_volume(k))
     rho = a.circumradius()
-    from .scalars import omega
     fiber_vol = scalar_float(omega(k)) * rho ** k
     const = scalar_float(euclid.crofton_constant(n, k))
     hits_total = 0.0
@@ -475,7 +485,6 @@ def estimate_additive(a, b, samples, seed, name="additive"):
     n = a.dimension
     pred = scalar_float(additive_volume_prediction(a, b))
     if a.kind == "ball" and b.kind == "ball":
-        from .scalars import omega
         rr = a.radius + b.radius
         val = scalar_float(omega(n)) * float(rr) ** n
         return MCEstimate(name, val, 0.0, samples, seed, prediction=pred,

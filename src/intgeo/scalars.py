@@ -1,218 +1,128 @@
-"""Exact coefficient arithmetic: rationals and powers of pi.
-
-Everything downstream (algebra builds, kinematic tables, emitters) works over
-this ring.  ``Scalar`` is a Laurent polynomial in pi with rational
-coefficients; pi is treated as a formal transcendental, so nothing is ever
-rounded.  It is a ring, not a field: a Scalar divides only by a single term
-c*pi^e.  Exact linear algebra runs over Q, with powers of pi carried
-alongside as a grading; the curvature lam of the space forms is a grading
-too (see ``spaceforms``), not a coefficient ring.
-"""
-
-from __future__ import annotations
+"""Exact coefficients: a ``Scalar`` is one rational times one power of pi,
+a grading fixed by degree; a sum of two nonzero powers that differ raises."""
 
 import math
 from fractions import Fraction
 
-Rational = Fraction
 
-
-class ScalarError(ArithmeticError):
-    pass
-
-
-class UnsupportedInverse(ScalarError):
-    """Inverse of a multi-term Scalar was requested."""
+class MixedPiGrading(ArithmeticError):
+    """A sum or block that must carry one power of pi carries several."""
 
 
 def binomial(a, b):
     """Binomial coefficient with the convention C(a,b)=0 for b<0 or b>a."""
-    if b < 0 or b > a or a < 0:
-        return 0
-    return math.comb(a, b)
+    return math.comb(a, b) if 0 <= b <= a else 0
 
 
-def factorial(k):
-    return math.factorial(k)
-
-
-def _coerce_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
+def _coerced(op):
+    """The binary method op, with a rational operand read as a Scalar."""
+    def method(self, other):
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar(Fraction(other))
+        return op(self, other)
+    return method
 
 
 class Scalar:
-    """Element of Q[pi, pi^-1], stored as a map pi-exponent -> nonzero rational."""
+    """coeff * pi^pi_pow, coeff a Fraction; a rational hashes as its Fraction."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("coeff", "pi_pow")
 
-    def __init__(self, terms=None):
-        # pi exponents are the keys of a dict, so no two of them collide
-        self.terms = {}
-        for p, c in (terms or {}).items():
-            c = _coerce_fraction(c)
-            if c:
-                self.terms[int(p)] = c
-
-    # -- constructors -------------------------------------------------
+    def __init__(self, coeff, pi_pow=0):
+        self.coeff = coeff
+        self.pi_pow = pi_pow if coeff else 0
 
     @classmethod
     def from_rational(cls, q):
-        return cls({0: _coerce_fraction(q)})
+        return cls.pi_power(0, q)
 
     @classmethod
     def pi_power(cls, m, coeff=1):
-        return cls({m: _coerce_fraction(coeff)})
+        if not isinstance(coeff, (int, Fraction)):
+            raise TypeError(f"cannot coerce {type(coeff).__name__} to a rational")
+        return cls(Fraction(coeff), int(m))
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls(Fraction(0))
 
     @classmethod
     def one(cls):
-        return cls({0: Fraction(1)})
-
-    # -- predicates ----------------------------------------------------
+        return cls(Fraction(1))
 
     def is_zero(self):
-        return not self.terms
+        return not self.coeff
 
-    def is_single_term(self):
-        return len(self.terms) == 1
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar.from_rational(other)
-        return NotImplemented
-
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self.terms)
-        for p, c in other.terms.items():
-            terms[p] = terms[p] + c if p in terms else c
-        return Scalar(terms)
+        if not (self.coeff and other.coeff):  # zero adds to any power
+            return self if self.coeff else other
+        if self.pi_pow != other.pi_pow:
+            raise MixedPiGrading(f"{self} + {other} mixes two powers of pi")
+        return Scalar(self.coeff + other.coeff, self.pi_pow)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar({p: -c for p, c in self.terms.items()})
+        return Scalar(-self.coeff, self.pi_pow)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        return (-self) + other
+        return -self + other
 
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = {}
-        for p1, c1 in self.terms.items():
-            for p2, c2 in other.terms.items():
-                p = p1 + p2
-                terms[p] = terms[p] + c1 * c2 if p in terms else c1 * c2
-        return Scalar(terms)
+        return Scalar(self.coeff * other.coeff, self.pi_pow + other.pi_pow)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        r = Scalar.one()
-        for _ in range(k):
-            r = r * self
-        return r
+        return Scalar(self.coeff ** k, self.pi_pow * k)
 
     def inverse(self):
-        """Inverse of a single-term Scalar; multi-term inversion is unsupported."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero Scalar")
-        if not self.is_single_term():
-            raise UnsupportedInverse(f"cannot invert multi-term Scalar {self}")
-        (p, c), = self.terms.items()
-        return Scalar({-p: Fraction(1) / c})
+        return self ** -1
 
+    @_coerced
     def __truediv__(self, other):
-        """Division by a single-term Scalar or a nonzero rational; dividing by
-        a multi-term Scalar raises UnsupportedInverse."""
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self * other.inverse()
 
-    # -- comparison / hashing -------------------------------------------
-
+    @_coerced
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
+        return self.coeff == other.coeff and self.pi_pow == other.pi_pow
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        return hash((self.coeff, self.pi_pow)) if self.pi_pow else hash(self.coeff)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.coeff)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for p in sorted(self.terms):
-            c = self.terms[p]
-            if p == 0:
-                parts.append(f"{c}")
-            elif p == 1:
-                parts.append(f"{c}*pi")
-            else:
-                parts.append(f"{c}*pi^{p}")
-        return " + ".join(parts)
-
-    # -- serialization ---------------------------------------------------
+        c, p = self.coeff, self.pi_pow
+        return f"{c}" if p == 0 else f"{c}*pi" if p == 1 else f"{c}*pi^{p}"
 
     def to_json(self):
-        return {
-            "terms": [
-                {"pi_pow": p, "num": str(self.terms[p].numerator),
-                 "den": str(self.terms[p].denominator)}
-                for p in sorted(self.terms)
-            ]
-        }
+        return {"terms": [{"pi_pow": self.pi_pow, "num": str(self.coeff.numerator),
+                           "den": str(self.coeff.denominator)}] if self else []}
 
     @classmethod
     def from_json(cls, doc):
-        return cls({t["pi_pow"]: Fraction(int(t["num"]), int(t["den"]))
-                    for t in doc["terms"]})
+        return sum((cls(Fraction(int(t["num"]), int(t["den"])), t["pi_pow"])
+                    for t in doc["terms"]), cls.zero())
 
 
 def omega(k):
-    """Volume of the k-dimensional unit ball, as an exact Scalar.
-
-    omega_k = pi^(k/2) / Gamma(1 + k/2); half-integer Gamma values are expanded
-    exactly, so the result always lands in Q * pi^floor(k/2).
-    """
+    """Volume of the k-dimensional unit ball, pi^(k/2) / Gamma(1 + k/2), as an
+    exact Scalar: pi^m / m! for k = 2m, and 2^k m! pi^m / k! for k = 2m + 1."""
     if k < 0:
         raise ValueError("omega(k) needs k >= 0")
+    m = k // 2
     if k % 2 == 0:
-        m = k // 2
-        return Scalar.pi_power(m, Fraction(1, factorial(m)))
-    m = (k - 1) // 2
-    # Gamma(1 + (2m+1)/2) = (2m+2)! sqrt(pi) / (4^(m+1) (m+1)!)
-    coeff = Fraction(4 ** (m + 1) * factorial(m + 1), factorial(2 * m + 2))
-    return Scalar.pi_power(m, coeff)
+        return Scalar(Fraction(1, math.factorial(m)), m)
+    return Scalar(Fraction(2 ** k * math.factorial(m), math.factorial(k)), m)
 
 
 def alpha(k):

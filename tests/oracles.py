@@ -4,11 +4,12 @@ GJK (Gilbert, Johnson and Keerthi 1988): a support-function search for the
 point of the Minkowski difference nearest the origin, with tolerance 1e-10,
 one pair of bodies at a time.  The Minkowski-sum volume is the volume of the
 convex hull of all pairwise vertex sums.  The exact inverse of a matrix of
-Laurent polynomials in pi runs Bareiss elimination over Q[pi, pi^-1] with
-polynomial long division, so no entry needs to be a single power of pi.  The
-presentation checks are redone by computing both subspaces exactly: the
-evaluation kernels by ``kernel_basis``, the ideals by row-reducing every
-truncated multiple of their generators.  The Haar rotation sampler and the
+Scalars runs fraction-free Bareiss elimination entry by entry, without
+splitting off a power of pi per block; it serves graded matrices, whose
+minors are all single powers of pi.  The presentation checks are redone by
+computing both subspaces exactly: the evaluation kernels by
+``kernel_basis``, the ideals by row-reducing every truncated multiple of
+their generators.  The Haar rotation sampler and the
 planar Minkowski-area kernel are the sample-minor versions the Monte Carlo
 estimators used before their sums were written out over per-entry vectors:
 numpy reductions over the short matrix axes, with a fancy-index sign flip.
@@ -188,32 +189,7 @@ def planar_minkowski_areas(ga, gb, rots):
     return ga.volumes[2] + gb.volumes[2] + np.einsum("mk,k->m", h, gb.facet_areas)
 
 
-# -- exact inverse over Q[pi, pi^-1] -------------------------------------------
-
-def scalar_exact_div(a, b):
-    """Exact quotient a / b of Laurent polynomials in pi by long division;
-    raises ArithmeticError when a remainder is left."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero Scalar")
-    if a.is_zero():
-        return Scalar.zero()
-    lo_n, lo_d = min(a.terms), min(b.terms)
-    num = [a.terms.get(p, Fraction(0)) for p in range(lo_n, max(a.terms) + 1)]
-    den = [b.terms.get(p, Fraction(0)) for p in range(lo_d, max(b.terms) + 1)]
-    if len(num) < len(den):
-        raise ArithmeticError(f"{a} not divisible by {b}")
-    quo = [Fraction(0)] * (len(num) - len(den) + 1)
-    rem = list(num)
-    for i in range(len(quo) - 1, -1, -1):
-        q = rem[i + len(den) - 1] / den[-1]
-        quo[i] = q
-        if q:
-            for j, dj in enumerate(den):
-                rem[i + j] -= q * dj
-    if any(rem):
-        raise ArithmeticError(f"{a} not divisible by {b}")
-    return Scalar({lo_n - lo_d + i: c for i, c in enumerate(quo)})
-
+# -- exact inverse of a graded matrix of Scalars ------------------------------
 
 def scalar_mat_mul(a, b):
     return [[sum((x * y for x, y in zip(row, col)), Scalar.zero()) for col in zip(*b)]
@@ -222,7 +198,12 @@ def scalar_mat_mul(a, b):
 
 def invert_exact_scalar(m):
     """Exact inverse of a matrix of Scalars (or rationals) by fraction-free
-    Gauss-Jordan elimination on [M | I] over Q[pi, pi^-1]."""
+    Gauss-Jordan elimination on [M | I].
+
+    Every intermediate entry is a minor of [M | I].  When entry (i, j) of M
+    is a multiple of pi^(r_i + c_j), give column j of I the grade -r_j: then
+    each minor is a single power of pi and every division is exact.  An
+    ungraded M raises MixedPiGrading at the first sum of two powers."""
     n = len(m)
     zero, one = Scalar.zero(), Scalar.one()
     a = [[zero + x for x in row] + [one if j == i else zero for j in range(n)]
@@ -238,11 +219,11 @@ def invert_exact_scalar(m):
                 continue
             for j in range(2 * n):
                 if j != k:
-                    a[i][j] = scalar_exact_div(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
+                    a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev
             a[i][k] = zero
         prev = a[k][k]
     det = a[n - 1][n - 1]
-    return [[scalar_exact_div(a[i][n + j], det) for j in range(n)] for i in range(n)]
+    return [[a[i][n + j] / det for j in range(n)] for i in range(n)]
 
 
 # -- presentations checked by exact kernels -----------------------------------

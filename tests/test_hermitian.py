@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -8,7 +9,7 @@ from intgeo import hermitian as H
 from intgeo import linalg
 from intgeo.graded import build_quotient, poly_mul
 from intgeo.linalg import identity
-from intgeo.scalars import Scalar, binomial, factorial, omega
+from intgeo.scalars import Scalar, binomial, omega
 from oracles import (invert_exact_scalar, scalar_mat_mul,
                      un_evaluation_kernel_quotient)
 
@@ -275,15 +276,18 @@ def test_pi_matrix_reads_one_power_of_pi():
     assert block.inverse().scalars() == [[Scalar.pi_power(-2, Fraction(1, 3)), 0],
                                          [0, Scalar.pi_power(-2, -1)]]
     for rows in ([[Scalar.pi_power(1), Scalar.one()]],
-                 [[Scalar.pi_power(1) + Scalar.one()]],
+                 [[Scalar.pi_power(1), Scalar.zero()], [Fraction(0), Scalar.one()]],
                  [[Scalar.pi_power(1)], [Fraction(2)]]):
         with pytest.raises(H.MixedPiGrading):
             H.PiMatrix.read(rows)
+    # a single entry cannot mix powers either: the sum raises before any block
+    with pytest.raises(H.MixedPiGrading):
+        Scalar.pi_power(1) + Scalar.one()
 
 
 def test_pairing_inverses_and_fourier_match_scalar_bareiss():
-    # the Laurent-polynomial route: pair elements through the functional,
-    # solve the Klain system, and invert by Bareiss over Q[pi, pi^-1]
+    # the Scalar route: pair elements through the functional, solve the
+    # Klain system, and invert by Bareiss entry by entry, with no PiMatrix
     for n in range(1, 7):
         model = H.un_model(n)
         mats = H.tasaki_matrices(n)

@@ -1,8 +1,14 @@
-"""Imports: no module under src/ or tests/ imports a name it never uses, and
-the exact commands of the CLI never load numpy.
+"""Imports and definitions: no module under src/ or tests/ imports a name it
+never uses, every module-level definition under src/ has a reader, and the
+exact commands of the CLI never load numpy.
 
 A name bound by an import statement counts as used when the module reads it
 anywhere (alone or as the base of an attribute) or lists it in ``__all__``.
+A module-level def, class or assignment under src/ counts as read when a
+module under src/, tests/ or perfbench/ names it outside that definition:
+as a name, an attribute, or a string (a lookup by name); imports and
+``__all__`` do not count.  Dunder names and the console-script entry points
+of ``pyproject.toml`` are exempt.
 """
 
 import ast
@@ -10,12 +16,15 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+SRC = sorted((ROOT / "src").rglob("*.py"))
+FILES = SRC + sorted((ROOT / "tests").rglob("*.py"))
+READERS = FILES + sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def unused_imports(source):
@@ -48,6 +57,75 @@ def test_checker_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_all(stmt):
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+
+
+def _defined(stmt):
+    """Names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and not _is_all(stmt):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _read(stmt):
+    """Names a module-level statement reads: loaded names, attributes, and
+    the dotted parts of string constants."""
+    if _is_all(stmt):
+        return set()
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.split("."))
+    return out
+
+
+def unread_definitions(defining, reading, exempt=()):
+    """(module, name) of each module-level definition in the ``defining``
+    sources ({module: source}) that no statement of ``defining`` or
+    ``reading`` reads, other than the definition itself."""
+    stmts = [(label, stmt) for sources in (defining, reading)
+             for label, source in sources.items() for stmt in ast.parse(source).body]
+    readers = {}
+    for _, stmt in stmts:
+        for name in _read(stmt):
+            readers.setdefault(name, []).append(stmt)
+    return sorted(
+        (label, name) for label, stmt in stmts if label in defining
+        for name in _defined(stmt)
+        if not (name.startswith("__") and name.endswith("__"))
+        and (label, name) not in exempt
+        and all(r is stmt for r in readers.get(name, [])))
+
+
+def test_checker_sees_unread_definitions():
+    lib = ("import math\n__all__ = ['dead']\nX, Y = 1, 2\n__version__ = '1'\n"
+           "def dead():\n    return dead()\n"
+           "def used():\n    return X\n"
+           "class Kept:\n    pass\n"
+           "def main():\n    pass\n")
+    user = "from lib import dead, used\nused()\ngetattr(lib, 'lib.Kept')\n"
+    assert unread_definitions({"lib": lib}, {"user": user}, {("lib", "main")}) \
+        == [("lib", "Y"), ("lib", "dead")]
+
+
+def test_every_src_definition_is_read():
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    exempt = {tuple(target.split(":")) for target in scripts.values()}
+    defining = {".".join(p.relative_to(ROOT / "src").with_suffix("").parts):
+                p.read_text() for p in SRC}
+    reading = {str(p): p.read_text() for p in READERS if p not in SRC}
+    assert unread_definitions(defining, reading, exempt) == []
 
 
 

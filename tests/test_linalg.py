@@ -7,7 +7,7 @@ from intgeo import linalg
 from intgeo.linalg import (SingularMatrixError, _rref_dense, identity,
                            invert_exact, kernel_basis, kernel_equals_span,
                            mat_mul, rref)
-from intgeo.scalars import Scalar
+from intgeo.scalars import MixedPiGrading, Scalar
 from oracles import invert_exact_scalar, scalar_mat_mul
 
 F0, F1 = Fraction(0), Fraction(1)
@@ -47,11 +47,17 @@ def test_random_inverse(rows):
 
 
 def test_scalar_entry_inverse():
-    # mixed powers of pi: the oracle divides by multi-term pivots
+    # several powers of pi, graded by row and column: every minor is one power
     m = [[Scalar.pi_power(1), Scalar.one()],
          [Scalar.zero(), Scalar.pi_power(-1, 3)]]
     inv = invert_exact_scalar(m)
     assert scalar_mat_mul(m, inv) == identity(2)
+
+
+def test_scalar_inverse_rejects_ungraded_input():
+    pi, one = Scalar.pi_power(1), Scalar.one()
+    with pytest.raises(MixedPiGrading):
+        invert_exact_scalar([[pi, one], [one, pi]])
 
 
 def test_rref_and_kernel():

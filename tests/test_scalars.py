@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intgeo import checks
-from intgeo.scalars import Scalar, UnsupportedInverse, alpha, binomial, omega
+from intgeo.scalars import MixedPiGrading, Scalar, alpha, binomial, omega
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
-scalars = st.dictionaries(st.integers(-4, 4), fractions, max_size=4).map(Scalar)
+monomials = st.builds(Scalar.pi_power, st.integers(-4, 4), fractions)
+nonzero = monomials.filter(bool)
 
 
 def test_omega_examples():
@@ -27,16 +28,43 @@ def test_alpha_examples():
 def test_omega_lands_in_integer_pi_powers():
     for k in range(30):
         s = omega(k)
-        assert list(s.terms) == [k // 2]
+        assert s.pi_pow == k // 2 and s.coeff > 0
 
 
 def test_arithmetic_examples():
     pi = Scalar.pi_power(1)
     assert pi * pi.inverse() == Scalar.one()
-    x = Scalar({0: Fraction(1, 2), 1: Fraction(1)})
-    y = Scalar({0: Fraction(1, 2), 1: Fraction(-1)})
-    assert x + y == Scalar.one()
+    half = Scalar.pi_power(1, Fraction(1, 2))
+    assert half + half == pi and half - half == Scalar.zero()
     assert omega(2) * omega(2) == Scalar.pi_power(2) == omega(4) * 2
+    assert pi ** 3 == Scalar.pi_power(3)
+    assert (2 * pi) ** -2 == Scalar.pi_power(-2, Fraction(1, 4))
+    one, half = Scalar.one(), Fraction(1, 2)
+    assert one + half == Fraction(3, 2) == half + one
+    assert 1 - Scalar.from_rational(3) == -2
+
+
+def test_zero_is_canonical_and_adds_to_any_power():
+    zero = Scalar.pi_power(5, 0)
+    assert zero.pi_pow == 0 and zero == Scalar.zero() == 0 and not zero
+    assert (Scalar.pi_power(3) * 0).pi_pow == 0
+    x = Scalar.pi_power(-2, 7)
+    assert zero + x == x == x + 0
+    assert Scalar.pi_power(2) - Scalar.pi_power(2) == zero
+
+
+def test_mixed_sum_raises():
+    with pytest.raises(MixedPiGrading):
+        Scalar.one() + Scalar.pi_power(1)
+    with pytest.raises(MixedPiGrading):
+        Scalar.pi_power(-1, 3) - 2
+
+
+def test_rational_hash_agrees_with_equality():
+    assert Scalar.from_rational(3) == Fraction(3) == 3
+    assert Fraction(3) in {Scalar.from_rational(3)}
+    assert Scalar.from_rational(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert len({Scalar.pi_power(1, 3), Scalar.pi_power(1, 3), Scalar.pi_power(2, 3)}) == 2
 
 
 def test_product_identity_to_50():
@@ -52,50 +80,68 @@ def test_ratio_identity_to_50():
 def test_inverse_errors():
     with pytest.raises(ZeroDivisionError):
         Scalar.zero().inverse()
-    with pytest.raises(UnsupportedInverse):
-        (Scalar.one() + Scalar.pi_power(1)).inverse()
+    with pytest.raises(ZeroDivisionError):
+        Scalar.one() / 0
+
+
+def test_constructors_take_only_rationals():
+    for bad in (0.5, "1/2", None):
+        with pytest.raises(TypeError):
+            Scalar.from_rational(bad)
+        with pytest.raises(TypeError):
+            Scalar.pi_power(1, bad)
 
 
 def test_exact_division():
-    # division is by a single term only
-    a = Scalar({0: Fraction(1), 1: Fraction(2), 2: Fraction(1)})
-    assert a / Scalar.pi_power(1, 2) == Scalar({-1: Fraction(1, 2), 0: Fraction(1),
-                                                1: Fraction(1, 2)})
+    a = Scalar.pi_power(2, 3)
+    assert a / Scalar.pi_power(1, 2) == Scalar.pi_power(1, Fraction(3, 2))
     assert a / Fraction(2, 3) == a * Fraction(3, 2)
-    with pytest.raises(UnsupportedInverse):
-        a / Scalar({0: Fraction(1), 1: Fraction(1)})
     with pytest.raises(ZeroDivisionError):
         a / Scalar.zero()
 
 
-@given(scalars, scalars, scalars)
+@given(monomials, monomials, monomials)
 @settings(max_examples=60, deadline=None)
-def test_ring_axioms(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert a + b == b + a
+def test_product_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
-    assert a * (b + c) == a * b + a * c
+    assert a * Scalar.one() == a and (a * Scalar.zero()).is_zero()
+    if b:
+        assert (a / b) * b == a
 
 
-@given(st.dictionaries(st.integers(-4, 4), st.fractions(min_value=-100, max_value=100, max_denominator=50), max_size=5))
+@given(st.integers(-4, 4), fractions, fractions, fractions)
 @settings(max_examples=60, deadline=None)
-def test_canonical_idempotence(terms):
-    once = Scalar(terms)
-    twice = Scalar(once.terms)
-    assert once == twice
-    assert all(c != 0 for c in once.terms.values())
+def test_sum_axioms_within_one_power(p, x, y, z):
+    a, b, c = (Scalar.pi_power(p, v) for v in (x, y, z))
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert a + (-a) == Scalar.zero()
+    assert a * (b + c) == a * b + a * c
+    assert (a + b).pi_pow == (p if x + y else 0)
 
 
-@given(scalars)
+@given(nonzero, nonzero)
+@settings(max_examples=60, deadline=None)
+def test_sum_of_two_powers_raises(a, b):
+    if a.pi_pow == b.pi_pow:
+        assert (a + b).coeff == a.coeff + b.coeff
+    else:
+        with pytest.raises(MixedPiGrading):
+            a + b
+
+
+@given(monomials)
 @settings(max_examples=60, deadline=None)
 def test_serialization_round_trip(s):
     assert Scalar.from_json(s.to_json()) == s
+    assert len(s.to_json()["terms"]) == (1 if s else 0)
 
 
 def test_serialization_schema():
     doc = Scalar.pi_power(-1, 2).to_json()
     assert doc == {"terms": [{"pi_pow": -1, "num": "2", "den": "1"}]}
+    assert Scalar.zero().to_json() == {"terms": []}
 
 
 def test_binomial_convention():
@@ -103,4 +149,3 @@ def test_binomial_convention():
     assert binomial(5, -1) == 0
     assert binomial(2, 5) == 0
     assert binomial(-1, 0) == 0
-
