@@ -8,7 +8,6 @@ from intgeo.scalars import MixedPiGrading, Scalar, alpha, binomial, omega
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 monomials = st.builds(Scalar.pi_power, st.integers(-4, 4), fractions)
-nonzero = monomials.filter(bool)
 
 
 def test_omega_examples():
@@ -102,12 +101,17 @@ def test_exact_division():
 
 @given(monomials, monomials, monomials)
 @settings(max_examples=60, deadline=None)
-def test_product_axioms(a, b, c):
+def test_product_axioms_and_sums_across_powers(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     assert a * Scalar.one() == a and (a * Scalar.zero()).is_zero()
     if b:
         assert (a / b) * b == a
+    if a and b and a.pi_pow != b.pi_pow:
+        with pytest.raises(MixedPiGrading):
+            a + b
+    else:
+        assert (a + b).coeff == a.coeff + b.coeff
 
 
 @given(st.integers(-4, 4), fractions, fractions, fractions)
@@ -119,16 +123,6 @@ def test_sum_axioms_within_one_power(p, x, y, z):
     assert a + (-a) == Scalar.zero()
     assert a * (b + c) == a * b + a * c
     assert (a + b).pi_pow == (p if x + y else 0)
-
-
-@given(nonzero, nonzero)
-@settings(max_examples=60, deadline=None)
-def test_sum_of_two_powers_raises(a, b):
-    if a.pi_pow == b.pi_pow:
-        assert (a + b).coeff == a.coeff + b.coeff
-    else:
-        with pytest.raises(MixedPiGrading):
-            a + b
 
 
 @given(monomials)
