@@ -167,17 +167,40 @@ class ConvexBody:
                 "vertices": [[str(c) for c in v] for v in self.vertices]}
 
 
+# the fields a body spec of each kind must carry besides its kind
+_SPEC_FIELDS = {"ball": ("center", "radius"), "box": ("min", "max"),
+                "polytope": ("vertices",)}
+
+
+def _listed(value, field):
+    if not isinstance(value, list):
+        raise ValueError(f"body spec field {field!r} must be a list, not {value!r}")
+    return value
+
+
+def _rationals(values, field):
+    return [Fraction(str(c)) for c in _listed(values, field)]
+
+
 def body_from_spec(doc):
+    """The body of a JSON spec such as {"kind": "ball", "center": [0, 0],
+    "radius": 1}.  Raises ValueError on an entry that is not a JSON object,
+    on a missing field and on a coordinate field that is not a list."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a body spec must be a JSON object, not {doc!r}")
+    for field in ("kind",) + _SPEC_FIELDS.get(str(doc.get("kind")), ()):
+        if field not in doc:
+            raise ValueError(f"body spec {doc!r} lacks the field {field!r}")
     kind = doc["kind"]
     if kind == "ball":
-        return ConvexBody.ball([Fraction(str(c)) for c in doc["center"]],
+        return ConvexBody.ball(_rationals(doc["center"], "center"),
                                Fraction(str(doc["radius"])))
     if kind == "box":
-        return ConvexBody.box([Fraction(str(c)) for c in doc["min"]],
-                              [Fraction(str(c)) for c in doc["max"]])
+        return ConvexBody.box(_rationals(doc["min"], "min"),
+                              _rationals(doc["max"], "max"))
     if kind == "polytope":
-        return ConvexBody.polytope([[Fraction(str(c)) for c in v]
-                                    for v in doc["vertices"]])
+        return ConvexBody.polytope([_rationals(v, "vertices")
+                                    for v in _listed(doc["vertices"], "vertices")])
     raise ValueError(f"unknown body kind {kind!r}")
 
 
@@ -337,9 +360,14 @@ def kinematic_indicator(a, b):
     if kinds == ("ball", "ball"):
         return lambda xs, rots: _hits_ball_ball(a, b, xs, rots)
     if kinds == ("ball", "box"):
-        return lambda xs, rots: _hits_ball_box(a, b, xs, rots)
+        c, lo, hi, r = a.center_f(), b.lo_f(), b.hi_f(), float(a.radius)
+        # the ball center in the moved box's frame
+        return lambda xs, rots: _hits_box_balls(
+            np.einsum("mji,mj->mi", rots, c - xs), lo, hi, r)
     if kinds == ("box", "ball"):
-        return lambda xs, rots: _hits_box_ball(a, b, xs, rots)
+        c, lo, hi, r = b.center_f(), a.lo_f(), a.hi_f(), float(b.radius)
+        return lambda xs, rots: _hits_box_balls(
+            xs + np.einsum("mij,j->mi", rots, c), lo, hi, r)
     if kinds == ("box", "box"):
         if n > 3:
             raise ValueError(f"no complete separating-axis test for two boxes "
@@ -375,19 +403,10 @@ def _hits_ball_ball(a, b, xs, rots):
     return np.einsum("mi,mi->m", gap, gap) <= rr * rr
 
 
-def _hits_ball_box(a, b, xs, rots):
-    # coordinates of the ball center in the moved box's frame
-    local = np.einsum("mji,mj->mi", rots, a.center_f() - xs)
-    q = np.clip(local, b.lo_f(), b.hi_f())
-    gap = local - q
-    return np.einsum("mi,mi->m", gap, gap) <= float(a.radius) ** 2
-
-
-def _hits_box_ball(a, b, xs, rots):
-    centers = xs + np.einsum("mij,j->mi", rots, b.center_f())
-    q = np.clip(centers, a.lo_f(), a.hi_f())
-    gap = centers - q
-    return np.einsum("mi,mi->m", gap, gap) <= float(b.radius) ** 2
+def _hits_box_balls(centers, lo, hi, radius):
+    """The axis-aligned box [lo, hi] against the balls B(c_m, radius)."""
+    gap = centers - np.clip(centers, lo, hi)
+    return np.einsum("mi,mi->m", gap, gap) <= radius ** 2
 
 
 def _hits_box_box(a, b, xs, rots):

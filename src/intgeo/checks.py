@@ -147,11 +147,7 @@ def ball_tube_polynomial(n):
 
 @_check("hermitian", "relation and evaluation-kernel presentations agree, n <= {top}")
 def presentations_agree(n):
-    try:
-        hermitian.un_algebra(n, "evaluation-kernel")
-    except hermitian.PresentationMismatch:
-        return False
-    return True
+    return hermitian.presentations_agree(n)
 
 
 @_check("hermitian", "Hilbert function matches the rational generating function, "

@@ -18,15 +18,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .graded import GradedElement, TensorTable, build_quotient, LinearFunctional
+from .graded import GradedElement, LinearFunctional, QuotientAlgebra, TensorTable
 from .scalars import Scalar, alpha, binomial, omega
 
 
 @lru_cache(maxsize=None)
 def so_algebra(n):
     """The algebra of SO(n)-invariant valuations: one generator t, t^{n+1} = 0."""
-    return build_quotient(("t",), (1,), [{(n + 1,): Fraction(1)}], n,
-                           zero_above_truncation=True)
+    return QuotientAlgebra(("t",), (1,), [{(n + 1,): Fraction(1)}], n)
 
 
 def t_power(n, i):

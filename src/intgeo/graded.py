@@ -1,16 +1,15 @@
 """Weighted-graded commutative polynomial algebras with exact quotients.
 
-A ``QuotientAlgebra`` is built from a generator set with positive integer
-weights, a list of ideal generators, and a truncation degree D.  Construction
-enumerates every monomial of degree <= D, row-reduces the span of all ideal
-multiples over Q, and keeps the non-pivot monomials as the normal-form basis.
-The reduction runs block by block: a homogeneous ideal never links two
-degrees, so each degree is reduced on its own.  The monomial order eliminates
-high exponents of heavier generators first, so low-s monomials survive as
-basis representatives.
-
-Ideal generators may be inhomogeneous (a filtered quotient); the truncation
-then silently kills every monomial of degree > D instead of raising.
+A ``QuotientAlgebra`` is built from generator names with positive integer
+weights, a list of ideal generators, and a truncation degree D.  Every
+monomial of degree > D is zero in the quotient.  Construction enumerates
+every monomial of degree <= D, row-reduces the span of all ideal multiples
+(each cut off at degree D) over Q, and keeps the non-pivot monomials as the
+normal-form basis.  The reduction runs block by block: a homogeneous ideal
+never links two degrees, so each degree is reduced on its own, and a
+generator that mixes degrees (a filtered quotient) links only the degrees it
+spans.  The monomial order eliminates high exponents of heavier generators
+first, so low-s monomials survive as basis representatives.
 """
 
 from __future__ import annotations
@@ -19,14 +18,6 @@ from fractions import Fraction
 
 from .linalg import rref
 from .scalars import Scalar
-
-
-class DegreeOverflow(ArithmeticError):
-    """A product left the truncated degree range of a graded algebra."""
-
-
-class NonHomogeneousIdeal(ValueError):
-    pass
 
 
 class GeneratorSet:
@@ -153,37 +144,14 @@ class QuotientAlgebra:
     for a homogeneous ideal, per group of linked degrees for a filtered one.
     """
 
-    def __init__(self, gens, ideal, truncation, require_homogeneous=True,
-                 zero_above_truncation=False):
-        self.gens = gens
-        self.truncation = int(truncation)
-        self.require_homogeneous = require_homogeneous
-        # set when every monomial above the truncation degree genuinely
-        # vanishes in the quotient, so products may be truncated silently
-        self.zero_above_truncation = zero_above_truncation
-        self.ideal = [dict(g) for g in ideal]
-        self._build()
+    def __init__(self, names, weights, ideal, truncation):
+        self.gens = gens = GeneratorSet(names, weights)
+        self.truncation = D = int(truncation)
+        self.ideal = [dict(g) for g in ideal if g]
 
-    # -- construction ----------------------------------------------------
-
-    def _column_order(self):
-        cols = []
-        for d in range(self.truncation + 1):
-            monos = sorted(self.gens.monomials_of_degree(d),
-                           key=self.gens.elimination_key)
-            cols.extend(monos)
-        return cols
-
-    def _build(self):
-        gens = self.gens
-        D = self.truncation
-        self.ideal = [g for g in self.ideal if g]
-        for g in self.ideal:
-            degs = {gens.degree(m) for m in g}
-            if self.require_homogeneous and len(degs) > 1:
-                raise NonHomogeneousIdeal(f"ideal generator mixes degrees {sorted(degs)}")
-
-        self.columns = self._column_order()
+        self.columns = [m for d in range(D + 1)
+                        for m in sorted(gens.monomials_of_degree(d),
+                                        key=gens.elimination_key)]
         self.col_index = {m: i for i, m in enumerate(self.columns)}
         ncols = len(self.columns)
 
@@ -210,27 +178,18 @@ class QuotientAlgebra:
         self.basis = {d: [] for d in range(D + 1)}
         for i, m in enumerate(self.columns):
             if i not in pivot_set:
-                self.basis[self.gens.degree(m)].append(m)
+                self.basis[gens.degree(m)].append(m)
         for d in self.basis:
             # display order: low exponents of heavy generators first
             self.basis[d] = sorted(self.basis[d],
-                                   key=lambda m: tuple(reversed(self.gens.elimination_key(m))))
+                                   key=lambda m: tuple(reversed(gens.elimination_key(m))))
 
-        # reduction map: every monomial (degree <= D) -> basis coordinates
-        self.reduction = {}
-        for d in range(D + 1):
-            for m in self.gens.monomials_of_degree(d):
-                self.reduction[m] = None  # filled below
-        for m in self.reduction:
-            if self.col_index[m] not in pivot_set:
-                self.reduction[m] = {m: Fraction(1)}
+        # reduction map: every monomial of degree <= D -> basis coordinates
+        self.reduction = {m: {m: Fraction(1)} for i, m in enumerate(self.columns)
+                          if i not in pivot_set}
         for row, p in zip(reduced, pivots):
-            mono = self.columns[p]
-            expansion = {}
-            for j, c in enumerate(row):
-                if j != p and c:
-                    expansion[self.columns[j]] = -c
-            self.reduction[mono] = expansion
+            self.reduction[self.columns[p]] = {
+                self.columns[j]: -c for j, c in enumerate(row) if j != p and c}
 
         self.basis_index = {
             d: {m: i for i, m in enumerate(self.basis[d])} for d in self.basis
@@ -249,34 +208,20 @@ class QuotientAlgebra:
         """Normal form of a raw {monomial exponent tuple: coefficient} dict."""
         return self.normal_form_raw(terms)
 
-    def generator(self, name):
-        i = self.gens.names.index(name)
-        mono = tuple(1 if j == i else 0 for j in range(len(self.gens.names)))
-        return self.normal_form_raw({mono: Fraction(1)})
-
     def basis_element(self, d, i):
         return GradedElement(self, {self.basis[d][i]: Fraction(1)})
 
     def normal_form_raw(self, terms):
+        """Normal form of {monomial: coefficient}; a monomial of degree above
+        the truncation is zero."""
         out = {}
         for m, c in terms.items():
-            if not c:
+            if not c or self.gens.degree(m) > self.truncation:
                 continue
-            d = self.gens.degree(m)
-            if d > self.truncation:
-                if self.zero_above_truncation or not self.require_homogeneous:
-                    continue
-                raise DegreeOverflow(
-                    f"degree {d} exceeds truncation {self.truncation}")
             for bm, r in self.reduction[m].items():
                 v = c * r
                 out[bm] = out[bm] + v if bm in out else v
         return GradedElement(self, out)
-
-    def normal_form(self, x):
-        if isinstance(x, GradedElement):
-            return self.normal_form_raw(x.terms)
-        return self.normal_form_raw(x)
 
     def multiply(self, x, y):
         return self.normal_form_raw(poly_mul(x.terms, y.terms))
@@ -314,32 +259,16 @@ class QuotientAlgebra:
             rows.append(row)
         return rows
 
-    def describe(self):
-        return {
-            "generators": list(self.gens.names),
-            "weights": list(self.gens.weights),
-            "truncation": self.truncation,
-            "hilbert": self.hilbert_series(),
-            "ideal": [
-                {self.gens.format_monomial(m): str(c) for m, c in g.items()}
-                for g in self.ideal
-            ],
-        }
-
-
-def build_quotient(names, weights, ideal, truncation, **kw):
-    return QuotientAlgebra(GeneratorSet(names, weights), ideal, truncation, **kw)
-
 
 class LinearFunctional:
-    """Values on normal-form basis monomials; extended linearly."""
+    """Values on normal-form basis monomials; extended linearly to elements,
+    which are in normal form already."""
 
     def __init__(self, algebra, values):
         self.algebra = algebra
         self.values = dict(values)
 
     def __call__(self, x):
-        x = self.algebra.normal_form(x)
         total = None
         for m, c in x.terms.items():
             if m in self.values:
@@ -348,21 +277,6 @@ class LinearFunctional:
         if total is None:
             return Scalar.zero()
         return total
-
-
-def pairing_matrix(algebra, k, functional, left=None, right=None, top=None):
-    """Poincare pairing block M[i][j] = functional(nu_i * phi_j).
-
-    ``left`` defaults to the degree-k basis, ``right`` to the complementary
-    basis in degree top-k (top defaults to the truncation degree).
-    """
-    top = algebra.truncation if top is None else top
-    if left is None:
-        left = [algebra.basis_element(k, i) for i in range(algebra.dimension(k))]
-    if right is None:
-        right = [algebra.basis_element(top - k, j)
-                 for j in range(algebra.dimension(top - k))]
-    return [[functional(algebra.multiply(nu, phi)) for phi in right] for nu in left]
 
 
 class TensorTable:
@@ -393,9 +307,6 @@ class TensorTable:
         cur = self.entries.get(key)
         new = coeff if cur is None else cur + coeff
         self.set(left, right, new)
-
-    def get(self, left, right, zero=None):
-        return self.entries.get((left, right), Scalar.zero() if zero is None else zero)
 
     def swapped(self):
         out = TensorTable(self.group, self.dim, self.normalization, self.basis,

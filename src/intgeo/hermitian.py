@@ -1,12 +1,12 @@
 """Hermitian integral geometry of (C^n, U(n)).
 
-The invariant-valuation algebra is presented two ways (generator relations
-vs. the kernel of disk evaluations) and both must agree.  On top of the
-algebra sit the Tasaki and hermitian bases, Klain functions in
-elementary-symmetric coordinates of squared cosines of Kaehler angles, the
-degree-reversing Fourier transform, the kinematic and additive coproducts by
-Poincare-pairing inversion, Tasaki matrices, and the first-order integrand
-kernels for pairs of submanifold dimensions.
+The invariant-valuation algebra is the quotient by two generator relations,
+and ``presentations_agree`` certifies that its ideal is the kernel of disk
+evaluations.  On top of the algebra sit the Tasaki and hermitian bases, Klain
+functions in elementary-symmetric coordinates of squared cosines of Kaehler
+angles, the degree-reversing Fourier transform, the kinematic and additive
+coproducts by Poincare-pairing inversion, Tasaki matrices, and the
+first-order integrand kernels for pairs of submanifold dimensions.
 
 Degrees above the middle are always handled through Fourier transforms of
 complementary-degree elements; the Kaehler-angle coordinates degenerate
@@ -27,17 +27,17 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
-from .graded import (GradedElement, LinearFunctional, TensorTable,
-                     build_quotient, mono_mul)
-from .linalg import (identity, invert_exact, kernel_basis, kernel_equals_span,
-                     mat_mul, rref)
+from .graded import (GradedElement, LinearFunctional, QuotientAlgebra,
+                     TensorTable, mono_mul)
+from .linalg import identity, invert_exact, kernel_equals_span, mat_mul
 from .scalars import MixedPiGrading, Scalar, binomial, omega
 
 _SZERO = Scalar.zero()
 
 
 class PresentationMismatch(AssertionError):
-    """The relations and evaluation-kernel presentations disagree."""
+    """A pairing block in Tasaki coordinates is not symmetric: the algebra's
+    disk pairing and its Fourier transform disagree."""
 
 
 class PiMatrix(NamedTuple):
@@ -109,42 +109,31 @@ def disk_value(n, mono):
 
 
 @lru_cache(maxsize=None)
-def un_algebra(n, presentation="relations"):
-    """The U(n)-invariant valuation algebra on generators s (weight 2), t.
+def un_algebra(n):
+    """The U(n)-invariant valuation algebra on generators s (weight 2), t:
+    the quotient by the two generators f_(n+1), f_(n+2) of the relation
+    ideal, truncated at degree 2n."""
+    return QuotientAlgebra(("s", "t"), (2, 1), [fk(n + 1), fk(n + 2)], 2 * n)
 
-    "relations" quotients by the two generators of the relation ideal.
-    "evaluation-kernel" checks that, in every degree d, the relation ideal is
-    the kernel of the pairing against disk evaluations in degree 2n - d, and
-    then returns the relations quotient; PresentationMismatch if not.  Each
-    degree is certified by ``kernel_equals_span``: the ideal's reduced rows
+
+def presentations_agree(n):
+    """Whether, in every degree d, the relation ideal of ``un_algebra(n)`` is
+    the kernel of the pairing against disk evaluations in degree 2n - d.
+
+    Each degree is certified by ``kernel_equals_span``: the ideal's rows
     e_m - nf(m) lie in the kernel, and the pairing block has full
-    complementary rank modulo a prime.  Only when that rank falls short is
-    the exact kernel computed and its reduced form compared.
-    """
-    if presentation == "relations":
-        return build_quotient(("s", "t"), (2, 1),
-                              [fk(n + 1), fk(n + 2)], 2 * n,
-                              zero_above_truncation=True)
-    if presentation != "evaluation-kernel":
-        raise ValueError(f"unknown presentation {presentation!r}")
-
+    complementary rank modulo a prime (or, when it falls short, the exact
+    kernel has the same reduced form as the rows)."""
     rel = un_algebra(n)
     gens = rel.gens
     for d in range(2 * n + 1):
         cols = gens.monomials_of_degree(d)
-        # x is in the kernel iff ev(x * m') = 0 for every m' of degree 2n - d;
-        # Fraction entries keep the divisions of the exact fallback exact
-        block = [[Fraction(binomial(b + b2, n - a - a2)) for a, b in cols]
+        # x is in the kernel iff ev(x * m') = 0 for every m' of degree 2n - d
+        block = [[binomial(b + b2, n - a - a2) for a, b in cols]
                  for a2, b2 in gens.monomials_of_degree(2 * n - d)]
-        rows = rel.ideal_rows(cols)
-        ok = kernel_equals_span(block, rows, len(cols))
-        if ok is None:
-            kernel = kernel_basis(block, len(cols))
-            ok = rref(kernel, len(cols)) == rref(rows, len(cols))
-        if not ok:
-            raise PresentationMismatch(
-                f"presentations of the U({n}) algebra disagree")
-    return rel
+        if not kernel_equals_span(block, rel.ideal_rows(cols), len(cols)):
+            return False
+    return True
 
 
 def poincare_series_coefficients(n):

@@ -3,8 +3,9 @@
 Three routines carry the whole load: a fraction-free (Bareiss) inverse used
 for the Poincare-pairing and basis-change matrices, reduced row echelon form
 used to build quotient-algebra normal forms, and a certificate that given
-rows span a matrix's kernel (exact containment plus the rank modulo a prime),
-used to check presentations against evaluation kernels.  The row reduction
+rows span a matrix's kernel (exact containment plus the rank modulo a prime,
+with an exact comparison of reduced forms when that rank falls short), used
+to check presentations against evaluation kernels.  The row reduction
 splits the columns into the independent blocks of the rows' nonzero pattern
 and reduces each block densely.  Matrices are plain lists of lists of
 Fractions (ints are accepted).
@@ -183,8 +184,8 @@ def kernel_basis(matrix, ncols):
 
 
 # Kernel certificates take ranks modulo this prime.  The rank modulo a prime
-# never exceeds the rank over Q, so an unlucky prime can only leave a
-# certificate undecided, never make it wrong.
+# never exceeds the rank over Q, so an unlucky prime can only send a
+# certificate to its exact comparison, never make it wrong.
 CERTIFICATE_PRIME = 2 ** 61 - 1
 
 
@@ -233,9 +234,9 @@ def kernel_equals_span(matrix, rows, ncols):
     * True when every row lies in the kernel and the rank of the matrix
       modulo CERTIFICATE_PRIME is ``ncols - len(rows)``: then
       dim ker <= ncols - rank_p = len(rows), so the rows span the kernel;
-    * None when the rank modulo the prime falls short, which an unlucky prime
-      can cause as well as a kernel larger than the span; the caller decides
-      exactly.
+    * otherwise the rank modulo the prime falls short, which an unlucky prime
+      can cause as well as a kernel larger than the span, and the verdict is
+      whether the exact kernel and the rows have the same reduced form.
     """
     mat = [_scaled(row)[1] for row in matrix]
     for v in rows:
@@ -244,4 +245,4 @@ def kernel_equals_span(matrix, rows, ncols):
             return False
     if _rank_mod_p(mat, ncols, CERTIFICATE_PRIME) == ncols - len(rows):
         return True
-    return None
+    return rref(kernel_basis(matrix, ncols), ncols) == rref(rows, ncols)

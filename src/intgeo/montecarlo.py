@@ -227,7 +227,10 @@ def _pairing(table, a, b):
     The pairings carry several powers of pi, so the exact sum keeps one
     rational per power.  Its keys stay in order of first appearance, and a
     power whose part cancels is dropped and rejoins at the end, which fixes
-    the order of the float sum in ``scalar_float``."""
+    the order of the float sum in ``scalar_float``.  Both predictions call
+    this before any sampling, so bodies of two dimensions fail here."""
+    if a.dimension != b.dimension:
+        raise ValueError("bodies live in different dimensions")
     va, vb = _intrinsic_volumes(a), _intrinsic_volumes(b)
     if isinstance(va[0], float) or isinstance(vb[0], float):
         return math.fsum(scalar_float(c) * scalar_float(va[i]) * scalar_float(vb[j])
@@ -254,8 +257,6 @@ def estimate_principal_kinematic(a, b, samples, seed, name="kinematic"):
     The prediction and the batched indicator are both built before the first
     chunk, so an input without either fails before any sampling.
     """
-    if a.dimension != b.dimension:
-        raise ValueError("bodies live in different dimensions")
     n = a.dimension
     pred = scalar_float(principal_kinematic_prediction(a, b))
     hits_of = kinematic_indicator(a, b)

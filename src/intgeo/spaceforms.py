@@ -14,7 +14,7 @@ Complex space forms: the two-generator presentation whose ideal substitutes
 t/sqrt(1 + lam t^2/4) into the flat relation generators, cross-checked at
 lam = 1 against the kernel of projective-space evaluations (the ideal lies in
 that kernel, and the evaluation matrix has full complementary rank modulo a
-prime; the exact kernel is computed only when that rank falls short), plus
+prime, or else the exact kernel has the same reduced form), plus
 the conjectural closed-form relation series and its Chapoton functional
 equations.  The ideal generators are weighted-homogeneous, so the
 generic-lam normal form of a monomial m is its lam = 1 normal form with
@@ -28,8 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .graded import GeneratorSet, QuotientAlgebra, TensorTable
-from .linalg import kernel_basis, kernel_equals_span, rref
+from .graded import QuotientAlgebra, TensorTable
+from .linalg import kernel_basis, kernel_equals_span
 from .scalars import alpha, binomial
 from .series import FormalSeries, binomial_coefficient_general, binomial_power
 from .hermitian import fk, poincare_series_coefficients
@@ -244,9 +244,7 @@ class ComplexSpaceFormAlgebra:
         self.ideal_lambda = curved_ideal_generators(n)
         ideal_one = [{m: sum(cs.values(), Fraction(0)) for m, cs in g.items()}
                      for g in self.ideal_lambda]
-        self.at_one = QuotientAlgebra(
-            GeneratorSet(("s", "t"), (2, 1)), ideal_one, 2 * n,
-            require_homogeneous=False, zero_above_truncation=True)
+        self.at_one = QuotientAlgebra(("s", "t"), (2, 1), ideal_one, 2 * n)
 
         expected = poincare_series_coefficients(n)
         if self.at_one.hilbert_series() != expected:
@@ -292,22 +290,6 @@ def cp_values(n, mono):
     return Fraction(binomial(b, b // 2) * binomial(n - a + 1, b // 2 + 1))
 
 
-def _ideal_subspace_rref(rows_raw, columns):
-    col_index = {m: i for i, m in enumerate(columns)}
-    rows = []
-    for terms in rows_raw:
-        row = [Fraction(0)] * len(columns)
-        nz = False
-        for m, c in terms.items():
-            if c:
-                row[col_index[m]] = c
-                nz = True
-        if nz:
-            rows.append(row)
-    reduced, pivots = rref(rows, len(columns))
-    return reduced, pivots
-
-
 def _cp_pairing_matrix(n, columns):
     """M[m][m'] = cp_values(n, m m'): x is in the evaluation kernel iff M x = 0.
     Each distinct product is evaluated once."""
@@ -337,15 +319,11 @@ def curved_ideal_matches_projective_kernel(n):
     projective-space evaluations, as subspaces of the truncated model.
 
     The reduced rows of the curved ideal are certified against the pairing
-    matrix by ``kernel_equals_span``; only when its rank modulo the prime
-    falls short is the exact kernel computed and its reduced form compared."""
+    matrix by ``kernel_equals_span``."""
     alg = complex_space_form(n).at_one
     columns = alg.columns
-    rows = alg.ideal_rows(columns)
-    ok = kernel_equals_span(_cp_pairing_matrix(n, columns), rows, len(columns))
-    if ok is None:
-        ok = _ideal_subspace_rref(cp_evaluation_kernel(n), columns)[0] == rows
-    return ok
+    return kernel_equals_span(_cp_pairing_matrix(n, columns),
+                              alg.ideal_rows(columns), len(columns))
 
 
 def curved_ideal_dims(n):

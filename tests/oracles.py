@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from intgeo.graded import GeneratorSet, build_quotient, mono_mul
+from intgeo.graded import GeneratorSet, QuotientAlgebra, mono_mul
 from intgeo.linalg import SingularMatrixError, kernel_basis, rref
 from intgeo.scalars import Scalar, binomial
 from intgeo.spaceforms import complex_space_form, cp_evaluation_kernel
@@ -268,5 +268,4 @@ def un_evaluation_kernel_quotient(n):
                  for a2, b2 in gens.monomials_of_degree(2 * n - d)]
         for vec in kernel_basis(block, len(cols)):
             ideal.append({m: c for m, c in zip(cols, vec) if c})
-    return build_quotient(("s", "t"), (2, 1), ideal, 2 * n,
-                          zero_above_truncation=True)
+    return QuotientAlgebra(("s", "t"), (2, 1), ideal, 2 * n)

@@ -35,12 +35,6 @@ def additive_of_volume(real, n, phi=None, basis="psi"):
     return Entries(real(n)) if phi is None else real(n, phi, basis)
 
 
-def refuse_evaluation_kernel(real, n, presentation="relations"):
-    if presentation == "evaluation-kernel":
-        raise hermitian.PresentationMismatch("mutated")
-    return real(n)
-
-
 def skew_tasaki(real, n):
     mats = real(n)
     if n == 2:
@@ -79,7 +73,10 @@ MUTATIONS = {
     "ball_tube_polynomial": (
         euclid, "steiner_polynomial",
         lambda real, body, n: {**real(body, n), 0: real(body, n)[0] * 2}),
-    "presentations_agree": (hermitian, "un_algebra", refuse_evaluation_kernel),
+    # the certificate sees the ideal of each degree with one row missing
+    "presentations_agree": (
+        hermitian, "kernel_equals_span",
+        lambda real, matrix, rows, ncols: real(matrix, rows[:-1], ncols)),
     "hilbert_function": (
         hermitian, "poincare_series_coefficients",
         lambda real, n: double_last(real(n)) if n == 2 else real(n)),

@@ -175,3 +175,43 @@ def test_flag_changes_stdout_or_exits_2(base, flag, expect, names):
         assert (code, out) == (2, b"")
     else:
         assert code in (0, 1) and out != base_out
+
+
+def _box(*sides):
+    return {"kind": "box", "min": [0] * len(sides), "max": list(sides)}
+
+
+def _ball(n):
+    return {"kind": "ball", "center": [0] * n, "radius": 1}
+
+
+# body files the mc estimators cannot serve: bodies of two dimensions, and
+# documents that are not body specs
+BAD_BODY_FILES = {
+    "3-D box, 2-D box": {"A": _box(1, 1, 2), "B": _box(1, 2)},
+    "2-D box, 3-D box": {"A": _box(1, 2), "B": _box(1, 1, 2)},
+    "2-D ball, 3-D ball": {"A": _ball(2), "B": _ball(3)},
+    "2-D ball, 3-D box": [_ball(2), _box(1, 1, 2)],
+    "ball without center": {"A": {"kind": "ball"}},
+    "box without max": {"A": _box(1, 2), "B": {"kind": "box", "min": [0, 0]}},
+    "spec without kind": [{"center": [0, 0], "radius": 1}, _box(1, 2)],
+    "list of numbers": [1, 2],
+    "box corner not a list": {"A": _box(1, 2), "B": {"kind": "box", "min": 0, "max": 1}},
+}
+
+
+@pytest.mark.parametrize("test", ("kinematic", "additive"))
+@pytest.mark.parametrize("doc", BAD_BODY_FILES.values(), ids=list(BAD_BODY_FILES))
+def test_unservable_body_file_exits_2_before_sampling(test, doc, tmp_path, monkeypatch):
+    from intgeo import montecarlo
+
+    def refuse(*args):
+        raise AssertionError("a sample chunk was drawn")
+
+    monkeypatch.setattr(montecarlo, "rng_chunk", refuse)
+    path = tmp_path / "bodies.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(("mc", test, "--bodies", str(path),
+                          "--samples", "200", "--seed", "1"))
+    assert (code, out) == (2, b"")
+    assert err.splitlines()[-1].startswith("error: ")

@@ -7,7 +7,7 @@ import pytest
 from intgeo import euclid as E
 from intgeo import hermitian as H
 from intgeo import linalg
-from intgeo.graded import build_quotient, poly_mul
+from intgeo.graded import QuotientAlgebra, poly_mul
 from intgeo.linalg import identity
 from intgeo.scalars import Scalar, binomial, omega
 from oracles import (invert_exact_scalar, scalar_mat_mul,
@@ -50,43 +50,49 @@ def test_hilbert_series_and_palindrome():
 
 def test_presentations_agree():
     for n in range(1, 17):
-        assert H.un_algebra(n, "evaluation-kernel") is H.un_algebra(n)
-    with pytest.raises(ValueError):
-        H.un_algebra(2, "mystery")
+        assert H.presentations_agree(n), n
 
 
 def test_presentation_certificate_matches_exact_kernel():
     for n in range(1, 9):
         ker = un_evaluation_kernel_quotient(n)
-        alg = H.un_algebra(n, "evaluation-kernel")
+        alg = H.un_algebra(n)
+        assert H.presentations_agree(n), n
         assert (ker.basis, ker.reduction) == (alg.basis, alg.reduction), n
+
+
+def dropped_relation(n):
+    """The U(n) quotient by f_(n+1) alone: its ideal lies in the evaluation
+    kernel but is smaller."""
+    return QuotientAlgebra(("s", "t"), (2, 1), [H.fk(n + 1)], 2 * n)
 
 
 def test_presentation_check_catches_mutations(monkeypatch):
     n = 5
-    un_algebra = H.un_algebra
-    un_algebra(n)
-    dropped = build_quotient(("s", "t"), (2, 1), [H.fk(n + 1)], 2 * n,
-                             zero_above_truncation=True)
+    H.un_algebra(n)
     with monkeypatch.context() as mp:
-        mp.setattr(H, "un_algebra", lambda k, presentation="relations": dropped)
-        with pytest.raises(H.PresentationMismatch):
-            un_algebra.__wrapped__(n, "evaluation-kernel")
+        mp.setattr(H, "un_algebra", dropped_relation)
+        assert not H.presentations_agree(n)
+    binomial = H.binomial
     monkeypatch.setattr(H, "binomial", lambda a, b: binomial(a, b)
                         + (a == 2 * n and b == n))
-    with pytest.raises(H.PresentationMismatch):
-        un_algebra.__wrapped__(n, "evaluation-kernel")
+    assert not H.presentations_agree(n)
 
 
-def test_presentation_check_falls_back_on_rank_shortfall(monkeypatch):
+def test_presentation_check_decides_exactly_on_rank_shortfall(monkeypatch):
     calls = []
-    kernel = H.kernel_basis
+    kernel = linalg.kernel_basis
     monkeypatch.setattr(linalg, "CERTIFICATE_PRIME", 2)
-    monkeypatch.setattr(H, "kernel_basis",
+    monkeypatch.setattr(linalg, "kernel_basis",
                         lambda *args: calls.append(args) or kernel(*args))
     for n in range(1, 9):
-        assert H.un_algebra.__wrapped__(n, "evaluation-kernel") is H.un_algebra(n)
+        assert H.presentations_agree(n), n
     assert calls
+    # the exact comparison still refutes an ideal smaller than the kernel
+    # (for n = 1, f_3 lies above the truncation, so nothing is dropped)
+    monkeypatch.setattr(H, "un_algebra", dropped_relation)
+    for n in range(2, 6):
+        assert not H.presentations_agree(n), n
 
 
 def test_relations_die_in_their_algebra():
@@ -321,7 +327,7 @@ def test_kinematic_chi_matches_plain_monomial_inversion():
             inv = invert_exact_scalar(transposed)
             for a in range(dim_l):
                 for b in range(dim_r):
-                    got = table.get((k, a), (2 * n - k, b))
+                    got = table.entries.get(((k, a), (2 * n - k, b)), Scalar.zero())
                     assert got == inv[b][a], (n, k, a, b)
 
 
@@ -451,7 +457,8 @@ def test_convert_table_round_trip_and_middle_block():
         mid = mats[n]
         for i in range(len(mid)):
             for j in range(len(mid)):
-                assert tas.get((n, i), (n, j)) == mid[i][j], (n, i, j)
+                assert tas.entries.get(((n, i), (n, j)), Scalar.zero()) == mid[i][j], \
+                    (n, i, j)
         herm = H.convert_un_table(table, n, "hermitian")
         assert len(herm.entries) > 0
         # converting is a change of coordinates: total pairing against the

@@ -85,14 +85,20 @@ def test_kernel_equals_span_verdicts(monkeypatch):
     assert kernel_equals_span(matrix, [[half, -half, half]], 3) is True
     # a row outside the kernel is refuted exactly
     assert kernel_equals_span(matrix, [[F1, F0, F0]], 3) is False
-    # rows inside a larger kernel: the rank shows too little, so undecided
-    assert kernel_equals_span([[1, 1, 0]], [[F1, -F1, F0]], 3) is None
+    # rows inside a larger kernel: the rank falls short, and the exact
+    # comparison finds the kernel strictly larger than the span
+    assert kernel_equals_span([[1, 1, 0]], [[F1, -F1, F0]], 3) is False
+    assert kernel_equals_span([[1, 1, 0]], [[F1, -F1, F0], [F0, F0, F1]], 3) is True
     # an entry divisible by the prime drops the rank modulo p only
     p = linalg.CERTIFICATE_PRIME
-    assert kernel_equals_span([[p, 0], [0, 1]], [], 2) is None
+    assert kernel_equals_span([[p, 0], [0, 1]], [], 2) is True
+    assert kernel_equals_span([[p, 0], [0, 0]], [], 2) is False
     assert kernel_equals_span([[p + 1, 0], [0, 1]], [], 2) is True
+    # an unlucky prime: every rank falls short, and every verdict is exact
     monkeypatch.setattr(linalg, "CERTIFICATE_PRIME", 2)
-    assert kernel_equals_span(matrix, [[half, -half, half]], 3) is None
+    assert kernel_equals_span(matrix, [[half, -half, half]], 3) is True
+    assert kernel_equals_span(matrix, [[2 * half, -F1, F1]], 3) is True
+    assert kernel_equals_span(matrix, [], 3) is False
     assert kernel_equals_span(matrix, [[F1, F0, F0]], 3) is False
 
 

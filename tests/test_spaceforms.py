@@ -180,13 +180,16 @@ def test_curved_certificate_matches_exact_kernel():
                 SF.curved_ideal_dims(n)) == curved_ideal_exact_route(n), n
 
 
+def one_generator_mutants(n):
+    """The lam = 1 quotients by one of the two curved generators alone."""
+    alg = SF.complex_space_form(n).at_one
+    return [QuotientAlgebra(alg.gens.names, alg.gens.weights, [kept], 2 * n)
+            for kept in alg.ideal]
+
+
 def test_curved_check_catches_mutations(monkeypatch):
     n = 5
-    alg = SF.complex_space_form(n).at_one
-    for kept in alg.ideal:
-        mutant = QuotientAlgebra(alg.gens, [kept], 2 * n,
-                                 require_homogeneous=False,
-                                 zero_above_truncation=True)
+    for mutant in one_generator_mutants(n):
         with monkeypatch.context() as mp:
             mp.setattr(SF, "complex_space_form",
                        lambda k: SimpleNamespace(at_one=mutant))
@@ -197,16 +200,23 @@ def test_curved_check_catches_mutations(monkeypatch):
     assert not SF.curved_ideal_matches_projective_kernel(n)
 
 
-def test_curved_check_falls_back_on_rank_shortfall(monkeypatch):
+def test_curved_check_decides_exactly_on_rank_shortfall(monkeypatch):
     assert all(SF.curved_ideal_matches_projective_kernel(n) for n in range(1, 7))
     calls = []
-    kernel = SF.cp_evaluation_kernel
+    kernel = linalg.kernel_basis
     monkeypatch.setattr(linalg, "CERTIFICATE_PRIME", 2)
-    monkeypatch.setattr(SF, "cp_evaluation_kernel",
-                        lambda n: calls.append(n) or kernel(n))
+    monkeypatch.setattr(linalg, "kernel_basis",
+                        lambda *args: calls.append(args) or kernel(*args))
     for n in range(1, 7):
         assert SF.curved_ideal_matches_projective_kernel(n), n
     assert calls
+    # the exact comparison still refutes either generator alone
+    n = 4
+    for mutant in one_generator_mutants(n):
+        with monkeypatch.context() as mp:
+            mp.setattr(SF, "complex_space_form",
+                       lambda k: SimpleNamespace(at_one=mutant))
+            assert not SF.curved_ideal_matches_projective_kernel(n)
 
 
 def test_conjecture_coefficients():
