@@ -8,7 +8,9 @@ the registry's hermitian checks; every check report is a ``checks.Report``.
 Exit codes: 0 success, 1 verification failure (an exact check failed or some
 |z| > 4), 2 usage error.  Every run logs its resolved configuration to
 stderr.  A config file of key=value lines supplies defaults for the chosen
-command's long flags, required ones included; the command line wins.  The
+command's long flags, required ones included; the command line wins.  Each
+flag is declared once, with the tables that read it and its default (see
+``_flag``); a flag or config key given to any other table exits 2.  The
 INTGEO_OUT_DIR environment variable prefixes relative output paths.
 
 Exact commands never load numpy: ``montecarlo`` and ``bodies`` are imported
@@ -122,14 +124,9 @@ def _at_least(low):
 # -- so ------------------------------------------------------------------------
 
 def cmd_so(args):
-    _log_config(args)
     n = args.dim
-    if args.table == "additive" and args.normalization != "standard":
-        return _unused_flag("--normalization", "so additive, which always uses "
-                            "the probability rotation measure")
     if args.phi_degree is not None and not 0 <= args.phi_degree <= n:
-        print(f"error: --phi-degree must lie in 0..{n}", file=sys.stderr)
-        return 2
+        return _usage_error(f"--phi-degree must lie in 0..{n}")
     phi = None
     if args.phi_degree is not None:
         phi = euclid.SOValuation.from_coeffs(
@@ -146,26 +143,12 @@ def cmd_so(args):
 # -- un ------------------------------------------------------------------------
 
 def cmd_un(args):
-    _log_config(args)
     n = args.dim
-    fmt = args.format or "json"
-    basis = args.basis or "tasaki"
-    if args.table not in ("kinematic", "additive"):
-        if args.format is not None:
-            return _unused_flag("--format", f"un {args.table}, which has one output form")
-        if args.basis is not None:
-            return _unused_flag("--basis", f"un {args.table}, which has one basis")
-    if args.table != "firstorder":
-        for flag, value in (("--space", args.space), ("--deg-a", args.deg_a),
-                            ("--deg-b", args.deg_b)):
-            if value is not None:
-                return _unused_flag(flag, f"un {args.table}; only un firstorder "
-                                    "reads it")
     if args.table in ("kinematic", "additive"):
         build = {"kinematic": hermitian.kinematic_un,
                  "additive": hermitian.additive_un}[args.table]
-        table = hermitian.convert_un_table(build(n), n, basis)
-        _write_output(emitters.emit_table(table, fmt), args.out)
+        table = hermitian.convert_un_table(build(n), n, args.basis)
+        _write_output(emitters.emit_table(table, args.format), args.out)
         return 0
     if args.table == "tasaki-matrices":
         mats = hermitian.tasaki_matrices(n)
@@ -180,10 +163,9 @@ def cmd_un(args):
         _write_output(emitters.emit_json(doc), args.out)
         return 0
     if args.table == "firstorder":
-        space = args.space or "euclidean"
-        ker = hermitian.first_order_formula(n, args.deg_a, args.deg_b, space=space)
+        ker = hermitian.first_order_formula(n, args.deg_a, args.deg_b, space=args.space)
         doc = {
-            "group": "U", "dimension": n, "space": space,
+            "group": "U", "dimension": n, "space": args.space,
             "degrees": [ker.k, ker.l],
             "left_perp": ker.left_perp, "right_perp": ker.right_perp,
             "coefficients": [
@@ -213,23 +195,14 @@ def cmd_un(args):
 # -- spaceform -------------------------------------------------------------------
 
 def cmd_spaceform(args):
-    _log_config(args)
     n = args.dim
-    if args.lambda_eval is not None and (args.family != "real"
-                                         or Fraction(args.lambda_eval) != 1):
-        print("error: --lambda-eval takes only the value 1, and only for the "
-              "real family (sphere values at unit curvature)", file=sys.stderr)
-        return 2
-    if args.family == "real" and args.check is not None:
-        return _unused_flag("--check", "spaceform real; the checks are for "
-                            "the complex family")
-    if args.family == "complex" and args.format is not None:
-        return _unused_flag("--format", "spaceform complex, which prints a "
-                            "check report")
-    if args.family == "real":
+    if args.lambda_eval is not None and Fraction(args.lambda_eval) != 1:
+        return _usage_error("--lambda-eval takes only the value 1 (sphere values "
+                            "at unit curvature)")
+    if args.table == "real":
         algebra = spaceforms.real_space_form(n)
         table = algebra.kinematic()
-        data = emitters.emit_table(table, args.format or "json")
+        data = emitters.emit_table(table, args.format)
         if args.lambda_eval is not None:
             report = checks.Report()
             for j in range(n + 1):
@@ -240,7 +213,7 @@ def cmd_spaceform(args):
         _write_output(data, args.out)
         return 0
     report = checks.Report()
-    if args.check in (None, "bfs"):
+    if args.check == "bfs":
         report.add(spaceforms.curved_ideal_matches_projective_kernel(n),
                    "curved ideal at lam=1 equals the projective evaluation "
                    f"kernel (initial dims {spaceforms.curved_ideal_dims(n)})")
@@ -256,76 +229,61 @@ def cmd_spaceform(args):
 
 # -- mc -------------------------------------------------------------------------
 
-def _load_bodies(args, need=2):
+# The bodies each estimator takes: a --bodies file holds that many, and
+# without one the estimator runs on these, in dimension --dim.
+DEFAULT_BODIES = {"kinematic": ("ball", "cube"), "additive": ("cube", "cube"),
+                  "crofton": ("ball",), "steiner": ("cube",), "cauchy": ("cube",)}
+
+
+def _load_bodies(args):
     from .bodies import ConvexBody, body_from_spec
-    if args.bodies:
-        with open(args.bodies) as fh:
-            doc = json.load(fh)
-        if isinstance(doc, dict) and "A" in doc:
-            bodies = [body_from_spec(doc["A"])]
-            if "B" in doc:
-                bodies.append(body_from_spec(doc["B"]))
-        elif isinstance(doc, list):
-            bodies = [body_from_spec(d) for d in doc]
-        else:
-            bodies = [body_from_spec(doc)]
-    else:
-        n = 2 if args.dim is None else args.dim
-        first = (ConvexBody.cube(n, 1) if args.test == "additive"
-                 else ConvexBody.ball([0] * n, 1))
-        bodies = [first, ConvexBody.cube(n, 1)]
-    if len(bodies) < need:
-        print(f"error: mc {args.test} needs {need} bodies, {args.bodies} has "
-              f"{len(bodies)}", file=sys.stderr)
-        raise SystemExit(2)
+    kinds = DEFAULT_BODIES[args.table]
+    if not args.bodies:
+        make = {"ball": lambda: ConvexBody.ball([0] * args.dim, 1),
+                "cube": lambda: ConvexBody.cube(args.dim, 1)}
+        return [make[kind]() for kind in kinds]
+    with open(args.bodies) as fh:
+        doc = json.load(fh)
+    if isinstance(doc, dict) and "A" in doc:
+        doc = [doc[key] for key in ("A", "B") if key in doc]
+    elif not isinstance(doc, list):
+        doc = [doc]
+    if len(doc) != len(kinds):
+        raise ValueError(f"--bodies {args.bodies} holds {len(doc)} bodies; "
+                         f"mc {args.table} takes {len(kinds)}")
+    bodies = [body_from_spec(spec) for spec in doc]
+    if args.table in ("steiner", "cauchy") and bodies[0].kind != "box":
+        raise ValueError(f"--bodies {args.bodies} holds a {bodies[0].kind}; "
+                         f"mc {args.table} takes a box")
     return bodies
 
 
 def cmd_mc(args):
-    _log_config(args)
-    samples = 10 ** 6 if args.samples is None else args.samples
-    seed = args.seed if args.seed is not None else 20260809
-    where = f"mc {args.test}"
-    if args.k is not None and args.test != "crofton":
-        return _unused_flag("--k", where)
-    if args.radius is not None and args.test != "steiner":
-        return _unused_flag("--radius", where)
-    if args.test == "suite" and args.bodies:
-        return _unused_flag("--bodies", "mc suite, which has its own bodies")
-    if args.dim is not None and (args.test == "suite" or args.bodies):
-        return _unused_flag("--dim", "mc suite or mc with --bodies, whose "
-                            "bodies fix the dimension")
-    error = _unservable_run(samples, seed, "--samples", suite=args.test == "suite",
-                            variance=args.test in ("cauchy", "additive"))
+    samples, seed = args.samples, args.seed
+    error = _unservable_run(samples, seed, "--samples", suite=args.table == "suite",
+                            variance=args.table in ("cauchy", "additive"))
     if error:
         return error
     from . import montecarlo
-    if args.test == "suite":
+    if args.table == "suite":
         runs = montecarlo.default_suite(samples=samples, seed=seed)
     else:
-        bodies = _load_bodies(args, need=2 if args.test in ("kinematic", "additive") else 1)
+        bodies = _load_bodies(args)
         a = bodies[0]
-        if args.test == "kinematic":
+        if args.table == "kinematic":
             runs = [montecarlo.estimate_principal_kinematic(a, bodies[1], samples, seed)]
-        elif args.test == "additive":
+        elif args.table == "additive":
             runs = [montecarlo.estimate_additive(a, bodies[1], samples, seed)]
-        elif args.test == "crofton":
-            k = 1 if args.k is None else args.k
-            runs = [montecarlo.estimate_crofton(a, k, samples, seed)]
-        else:
-            box = next((body for body in bodies if body.kind == "box"), None)
-            if box is None:
-                print("error: this estimator needs a box body", file=sys.stderr)
-                return 2
-            if args.test == "steiner":
-                radius = Fraction("1" if args.radius is None else args.radius)
-                if radius < 0:
-                    print("error: --radius must be at least 0", file=sys.stderr)
-                    return 2
-                runs = [montecarlo.steiner_mc(box, radius, samples, seed)]
-            else:  # cauchy
-                sides = [hi - lo for lo, hi in zip(box.lo, box.hi)]
-                runs = [montecarlo.cauchy_projection_check(sides, samples, seed)]
+        elif args.table == "crofton":
+            runs = [montecarlo.estimate_crofton(a, args.k, samples, seed)]
+        elif args.table == "steiner":
+            radius = Fraction(args.radius)
+            if radius < 0:
+                return _usage_error("--radius must be at least 0")
+            runs = [montecarlo.steiner_mc(a, radius, samples, seed)]
+        else:  # cauchy
+            sides = [hi - lo for lo, hi in zip(a.lo, a.hi)]
+            runs = [montecarlo.cauchy_projection_check(sides, samples, seed)]
     _write_output(emitters.emit_mc_csv(runs), args.out)
     bad = [r for r in runs if abs(r.z) > 4]
     for r in runs:
@@ -338,28 +296,40 @@ def cmd_mc(args):
 # -- verify -----------------------------------------------------------------------
 
 def cmd_verify(args):
-    _log_config(args)
-    if args.seed is not None and args.mc_samples is None:
-        return _unused_flag("--seed", "verify without --mc-samples, which "
-                            "draws no samples")
-    seed = 20260809 if args.seed is None else args.seed
     if args.mc_samples is not None:
-        error = _unservable_run(args.mc_samples, seed, "--mc-samples", suite=True)
+        error = _unservable_run(args.mc_samples, args.seed, "--mc-samples", suite=True)
         if error:
             return error
-    max_dim = 4 if args.max_dim is None else args.max_dim
     report = checks.Report()
     for check in checks.REGISTRY:
-        report.add(*check.verdict(max_dim), group=check.group)
+        report.add(*check.verdict(args.max_dim), group=check.group)
     if args.mc_samples is not None:
         from . import montecarlo
-        for r in montecarlo.default_suite(samples=args.mc_samples, seed=seed):
+        for r in montecarlo.default_suite(samples=args.mc_samples, seed=args.seed):
             report.add(abs(r.z) <= 4, f"{r.name} z={r.z:.3f}", group="monte carlo")
     _write_output(report.emit(), args.out)
     return 1 if report.failed else 0
 
 
 # -- parser ------------------------------------------------------------------------
+
+SEED = 20260809  # the default --seed of mc and of verify --mc-samples
+
+
+def _flag(parser, option, *tables, default=None, help=None, **kwargs):
+    """Add ``option`` to a command, read by the named tables (by all when none
+    are named) and set to ``default`` when left out.  argparse's own default
+    stays None, so main tells a given flag or config key from a left-out one:
+    it refuses the first on a table that does not read it, and fills in the
+    second.  The flag's help names its tables and default."""
+    notes = [help] if help else []
+    if tables:
+        notes.append(f"read by {', '.join(tables)}")
+    if default is not None:
+        notes.append(f"default {default}")
+    action = parser.add_argument(option, help="; ".join(notes) or None, **kwargs)
+    parser.flags[action.dest] = (option, tables, default)
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -368,65 +338,58 @@ def build_parser():
     parser.add_argument("--config", help="key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
+    formats = ["json", "csv", "latex"]
 
-    so = sub.add_parser("so", help="euclidean rotation-group tables")
-    so.add_argument("table", choices=["kinematic", "additive"])
+    def command(name, func, help, tables=None):
+        cmd = sub.add_parser(name, help=help)
+        cmd.flags = {}
+        if tables:
+            cmd.add_argument("table", choices=tables)
+        cmd.add_argument("--out")
+        cmd.set_defaults(func=func)
+        return cmd
+
+    so = command("so", cmd_so, "euclidean rotation-group tables",
+                 ["kinematic", "additive"])
     so.add_argument("--dim", type=_at_least(0), required=True)
-    so.add_argument("--basis", default="t",
-                    choices=["t", "mu", "psi", "nijenhuis"])
-    so.add_argument("--normalization", default="standard",
-                    choices=["standard", "unit"])
-    so.add_argument("--phi-degree", type=int, default=None)
-    so.add_argument("--format", default="json", choices=["json", "csv", "latex"])
-    so.add_argument("--out")
-    so.set_defaults(func=cmd_so)
+    _flag(so, "--basis", default="t", choices=["t", "mu", "psi", "nijenhuis"])
+    _flag(so, "--normalization", "kinematic", default="standard",
+          choices=["standard", "unit"])
+    so.add_argument("--phi-degree", type=int)
+    _flag(so, "--format", default="json", choices=formats)
 
-    un = sub.add_parser("un", help="hermitian unitary-group tables")
-    un.add_argument("table", choices=["kinematic", "additive", "tasaki-matrices",
-                                      "firstorder", "verify"])
+    un = command("un", cmd_un, "hermitian unitary-group tables",
+                 ["kinematic", "additive", "tasaki-matrices", "firstorder", "verify"])
     un.add_argument("--dim", type=_at_least(0), required=True)
-    un.add_argument("--basis", choices=["monomial", "tasaki", "hermitian"],
-                    help="kinematic and additive tables only (default tasaki)")
-    un.add_argument("--deg-a", type=int, default=None, help="firstorder only")
-    un.add_argument("--deg-b", type=int, default=None, help="firstorder only")
-    un.add_argument("--space", choices=["euclidean", "projective"],
-                    help="firstorder only (default euclidean)")
-    un.add_argument("--format", choices=["json", "csv", "latex"],
-                    help="kinematic and additive tables only (default json)")
-    un.add_argument("--out")
-    un.set_defaults(func=cmd_un)
+    _flag(un, "--basis", "kinematic", "additive", default="tasaki",
+          choices=["monomial", "tasaki", "hermitian"])
+    _flag(un, "--deg-a", "firstorder", type=int)
+    _flag(un, "--deg-b", "firstorder", type=int)
+    _flag(un, "--space", "firstorder", default="euclidean",
+          choices=["euclidean", "projective"])
+    _flag(un, "--format", "kinematic", "additive", default="json", choices=formats)
 
-    sf = sub.add_parser("spaceform", help="constant-curvature families")
-    sf.add_argument("family", choices=["real", "complex"])
+    sf = command("spaceform", cmd_spaceform, "constant-curvature families",
+                 ["real", "complex"])
     sf.add_argument("--dim", type=_at_least(0), required=True)
-    sf.add_argument("--check", choices=["bfs", "conjecture", "chapoton"],
-                    help="complex family only (default bfs)")
-    sf.add_argument("--lambda-eval", default=None)
-    sf.add_argument("--format", choices=["json", "csv", "latex"],
-                    help="real family only (default json)")
-    sf.add_argument("--out")
-    sf.set_defaults(func=cmd_spaceform)
+    _flag(sf, "--check", "complex", default="bfs",
+          choices=["bfs", "conjecture", "chapoton"])
+    _flag(sf, "--lambda-eval", "real")
+    _flag(sf, "--format", "real", default="json", choices=formats)
 
-    mc = sub.add_parser("mc", help="Monte Carlo estimators")
-    mc.add_argument("test", choices=["kinematic", "crofton", "cauchy",
-                                     "steiner", "additive", "suite"])
-    mc.add_argument("--dim", type=_at_least(1),
-                    help="dimension of the default bodies (default 2)")
-    mc.add_argument("--bodies", help="JSON body specification file")
-    mc.add_argument("--samples", type=_at_least(2), default=None)
-    mc.add_argument("--seed", type=int, default=None)
-    mc.add_argument("--k", type=int, default=None, help="crofton only (default 1)")
-    mc.add_argument("--radius", default=None, help="steiner only (default 1)")
-    mc.add_argument("--out")
-    mc.set_defaults(func=cmd_mc)
+    mc = command("mc", cmd_mc, "Monte Carlo estimators", [*DEFAULT_BODIES, "suite"])
+    _flag(mc, "--dim", *DEFAULT_BODIES, default=2, type=_at_least(1),
+          help="dimension of the default bodies, not with --bodies")
+    _flag(mc, "--bodies", *DEFAULT_BODIES, help="JSON body specification file")
+    _flag(mc, "--samples", default=10 ** 6, type=_at_least(2))
+    _flag(mc, "--seed", default=SEED, type=int)
+    _flag(mc, "--k", "crofton", default=1, type=int)
+    _flag(mc, "--radius", "steiner", default="1")
 
-    ver = sub.add_parser("verify", help="run the exact check battery")
-    ver.add_argument("--max-dim", type=_at_least(1), default=None)
-    ver.add_argument("--mc-samples", type=_at_least(2), default=None)
-    ver.add_argument("--seed", type=int, default=None,
-                     help="with --mc-samples only")
-    ver.add_argument("--out")
-    ver.set_defaults(func=cmd_verify)
+    ver = command("verify", cmd_verify, "run the exact check battery")
+    _flag(ver, "--max-dim", default=4, type=_at_least(1))
+    ver.add_argument("--mc-samples", type=_at_least(2))
+    _flag(ver, "--seed", default=SEED, type=int, help="with --mc-samples only")
     return parser
 
 
@@ -442,6 +405,18 @@ def main(argv=None):
     if args.command == "un" and args.table == "firstorder":
         if args.deg_a is None or args.deg_b is None:
             parser.error("firstorder needs --deg-a and --deg-b")
+    # whether these two flags are read depends on another flag; they are
+    # checked before the loop below hides whether they were given
+    if args.command == "mc" and args.bodies and args.dim is not None:
+        return _unused_flag("--dim", "mc with --bodies, whose bodies fix the dimension")
+    if args.command == "verify" and args.seed is not None and args.mc_samples is None:
+        return _unused_flag("--seed", "verify without --mc-samples")
+    for dest, (option, tables, default) in parser.commands[args.command].flags.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif tables and args.table not in tables:
+            return _unused_flag(option, f"{args.command} {args.table}")
+    _log_config(args)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -55,7 +55,7 @@ def psi_coefficient(n, i):
 
 def volume_functional(n):
     """Top-degree functional normalized so vol corresponds to 1."""
-    return LinearFunctional(so_algebra(n), {(n,): t_mu_coefficient(n)})
+    return LinearFunctional({(n,): t_mu_coefficient(n)})
 
 
 # -- template bodies ---------------------------------------------------------

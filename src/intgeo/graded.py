@@ -264,8 +264,7 @@ class LinearFunctional:
     """Values on normal-form basis monomials; extended linearly to elements,
     which are in normal form already."""
 
-    def __init__(self, algebra, values):
-        self.algebra = algebra
+    def __init__(self, values):
         self.values = dict(values)
 
     def __call__(self, x):

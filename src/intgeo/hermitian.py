@@ -148,9 +148,8 @@ def poincare_series_coefficients(n):
 
 def ev_disk(n):
     """Top-degree functional normalized so the volume valuation maps to 1."""
-    alg = un_algebra(n)
     top = (0, 2 * n)
-    return LinearFunctional(alg, {top: disk_value(n, top)})
+    return LinearFunctional({top: disk_value(n, top)})
 
 
 # -- Tasaki and hermitian bases -----------------------------------------------

@@ -105,36 +105,7 @@ def random_rotations(n, gen, count):
     return g
 
 
-ORTHOGONALITY_TOL = 1e-12
 EXACT_TOL = 1e-12  # an estimate this close to its prediction is exact
-
-
-@dataclass
-class RigidMotion:
-    """Orientation-preserving isometry: rotation matrix plus translation."""
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=float)
-        t = np.asarray(self.translation, dtype=float)
-        n = len(t)
-        if r.shape != (n, n):
-            raise ValueError("rotation/translation dimensions disagree")
-        if np.max(np.abs(r.T @ r - np.eye(n))) > ORTHOGONALITY_TOL:
-            raise ValueError("rotation is not orthogonal within tolerance")
-        if abs(float(_det(r[:, :, None])[0]) - 1.0) > ORTHOGONALITY_TOL:
-            raise ValueError("rotation must have determinant +1")
-        self.rotation = r
-        self.translation = t
-
-    def apply(self, points):
-        return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
-
-
-def random_rotation(n, gen):
-    """One Haar-uniform rotation, as the rotation part of a RigidMotion."""
-    return RigidMotion(random_rotations(n, gen, 1)[0], np.zeros(n))
 
 
 @dataclass

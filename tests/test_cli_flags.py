@@ -6,7 +6,8 @@ included -- and what must happen: CHANGES (the run succeeds or fails its
 checks, and its stdout differs from the base run's) or exit 2 (a usage
 error, raised before any table is built or any sample is drawn).  NAMED is
 exit 2 with an ``error:`` line that names the added flag: a run the program
-would otherwise start and abandon, or serve with a meaningless z.
+would otherwise start and abandon, or serve with a meaningless z.  Every
+option a command declares has at least one row.
 """
 
 import contextlib
@@ -33,13 +34,15 @@ SF_COMPLEX = ("spaceform", "complex", "--dim", "2")
 MC_KIN = ("mc", "kinematic", "--samples", "200", "--seed", "1")
 MC_ADD = ("mc", "additive", "--samples", "200", "--seed", "1")
 MC_CROFTON = ("mc", "crofton", "--dim", "3", "--samples", "200", "--seed", "1")
+MC_CROFTON_2D = ("mc", "crofton", "--samples", "200", "--seed", "1")
 MC_STEINER = ("mc", "steiner", "--samples", "200", "--seed", "1")
 MC_CAUCHY = ("mc", "cauchy", "--samples", "200", "--seed", "1")
 MC_SUITE = ("mc", "suite", "--samples", "200", "--seed", "1")
 VERIFY = ("verify",)
 VERIFY_MC = ("verify", "--max-dim", "1", "--mc-samples", "200")
 
-BODIES = "BODIES"   # stands for a body file written by the test
+BODIES = "BODIES"   # stands for a file of two boxes written by the test
+BOX = "BOX"         # stands for a file of one box written by the test
 OUT = "OUT"         # stands for an output path in the test's directory
 
 CASES = []
@@ -96,8 +99,11 @@ for base in (MC_KIN, MC_ADD, MC_CROFTON, MC_STEINER, MC_CAUCHY, MC_SUITE):
               (base, ("--dim", "0"), 2), (base, ("--dim", "-1"), 2),
               (base, ("--out", OUT), CHANGES)]
 for base in (MC_KIN, MC_ADD, MC_STEINER, MC_CAUCHY):
-    CASES += [(base, ("--dim", "3"), CHANGES), (base, ("--k", "1"), 2),
-              (base, ("--bodies", BODIES), CHANGES)]
+    CASES += [(base, ("--dim", "3"), CHANGES), (base, ("--k", "1"), 2)]
+CASES += [(base, ("--bodies", BODIES), CHANGES) for base in (MC_KIN, MC_ADD)]
+# a body file holds exactly the bodies its estimator takes
+for base in (MC_CROFTON_2D, MC_STEINER, MC_CAUCHY):
+    CASES += [(base, ("--bodies", BOX), CHANGES), (base, ("--bodies", BODIES), NAMED)]
 for base in (MC_KIN, MC_ADD, MC_CROFTON, MC_CAUCHY, MC_SUITE):
     CASES += [(base, ("--radius", "2"), 2)]
 CASES += [
@@ -158,7 +164,10 @@ def names(tmp_path_factory):
     bodies.write_text(json.dumps({
         "A": {"kind": "box", "min": ["0", "0", "0"], "max": ["1", "1", "2"]},
         "B": {"kind": "box", "min": ["0", "0", "0"], "max": ["1", "2", "1"]}}))
-    return {BODIES: str(bodies), OUT: str(tmp / "out")}
+    box = tmp / "box.json"
+    box.write_text(json.dumps(
+        {"A": {"kind": "box", "min": ["0", "0", "0"], "max": ["1", "1", "2"]}}))
+    return {BODIES: str(bodies), BOX: str(box), OUT: str(tmp / "out")}
 
 
 @pytest.mark.parametrize("base,flag,expect", CASES,
@@ -177,6 +186,29 @@ def test_flag_changes_stdout_or_exits_2(base, flag, expect, names):
         assert code in (0, 1) and out != base_out
 
 
+def test_every_flag_has_a_row():
+    rows = {(base[0], flag[0]) for base, flag, _ in CASES}
+    missing = [f"{name} {option}"
+               for name, command in cli.build_parser().commands.items()
+               for action in command._actions if action.dest != "help"
+               for option in action.option_strings if (name, option) not in rows]
+    assert missing == []
+
+
+# a config key is refused where its flag would be
+CONFIG_CASES = [(UN_VERIFY, "basis=tasaki"), (MC_KIN, "k=2")]
+
+
+@pytest.mark.parametrize("base,line", CONFIG_CASES,
+                         ids=[f"{' '.join(b)} | {line}" for b, line in CONFIG_CASES])
+def test_config_key_without_effect_exits_2(base, line, tmp_path):
+    cfg = tmp_path / "intgeo.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(("--config", str(cfg)) + base)
+    assert (code, out) == (2, b"")
+    assert "has no effect" in err.splitlines()[-1]
+
+
 def _box(*sides):
     return {"kind": "box", "min": [0] * len(sides), "max": list(sides)}
 
@@ -185,9 +217,11 @@ def _ball(n):
     return {"kind": "ball", "center": [0] * n, "radius": 1}
 
 
-# body files the mc estimators cannot serve: bodies of two dimensions, and
-# documents that are not body specs
+# body files the mc estimators cannot serve: bodies of two dimensions, a
+# count other than two, and documents that are not body specs
 BAD_BODY_FILES = {
+    "one ball": [_ball(2)],
+    "three boxes": [_box(1, 2), _box(2, 1), _box(1, 1)],
     "3-D box, 2-D box": {"A": _box(1, 1, 2), "B": _box(1, 2)},
     "2-D box, 3-D box": {"A": _box(1, 2), "B": _box(1, 1, 2)},
     "2-D ball, 3-D ball": {"A": _ball(2), "B": _ball(3)},

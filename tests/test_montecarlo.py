@@ -225,16 +225,3 @@ def test_cli_two_sample_kinematic_has_finite_z(capsys):
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert 0.5 < abs(float(row[-1])) < 1.5
 
-
-def test_rigid_motion_validation():
-    gen = MC.rng_chunk(5, 0)
-    motion = MC.random_rotation(3, gen)
-    r = motion.rotation
-    assert np.max(np.abs(r.T @ r - np.eye(3))) <= 1e-12
-    pts = motion.apply(np.eye(3))
-    assert pts.shape == (3, 3)
-    with pytest.raises(ValueError):
-        MC.RigidMotion(np.eye(3) * 2, np.zeros(3))
-    flipped = np.diag([1.0, 1.0, -1.0])
-    with pytest.raises(ValueError):
-        MC.RigidMotion(flipped, np.zeros(3))
