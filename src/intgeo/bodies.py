@@ -1,9 +1,9 @@
 """Concrete convex bodies and the batched intersection kernel the estimators need.
 
-Bodies keep exact rational parameters (so the verification harness can ask
-for exact intrinsic volumes) next to float views for the numeric kernels.  The
-float views, and the facet and edge data of boxes and polytopes, are computed
-once per body and handed out as read-only arrays.
+Bodies keep exact rational parameters, from which a ball, a box or a single
+point gives its exact intrinsic volumes, next to float views for the numeric
+kernels.  The float views, and the facet and edge data of boxes and
+polytopes, are computed once per body and handed out as read-only arrays.
 
 ``kinematic_indicator(a, b)`` decides, for a whole batch of translations x and
 rotations R at once, whether A meets x + R B.  Ball/ball and ball/box pairs
@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .euclid import TemplateBody, intrinsic_volume
+from .euclid import box_intrinsic_volume, mu_ball
 
 # Largest float temporary a kernel builds at once, in array elements: about
 # one chunk of 3 x 3 rotation matrices, so blocks cost no more memory than
@@ -68,7 +68,8 @@ class ConvexBody:
             self.hi = tuple(_frac(c) for c in params["hi"])
             if len(self.lo) != dimension or len(self.hi) != dimension:
                 raise ValueError("box corner dimension mismatch")
-            if any(a >= b for a, b in zip(self.lo, self.hi)):
+            self.sides = tuple(b - a for a, b in zip(self.lo, self.hi))
+            if any(side <= 0 for side in self.sides):
                 raise ValueError("box must be nondegenerate")
             self._lo = _readonly([float(c) for c in self.lo])
             self._hi = _readonly([float(c) for c in self.hi])
@@ -143,31 +144,19 @@ class ConvexBody:
             self._geometry = _build_geometry(self)
         return self._geometry
 
-    def to_template(self):
-        """Template body with the same intrinsic volumes, when one exists."""
-        if self.kind == "ball":
-            return TemplateBody.ball(self.radius)
-        if self.kind == "box":
-            return TemplateBody.box(*[b - a for a, b in zip(self.lo, self.hi)])
-        if self.is_point:
-            return TemplateBody.point()
-        raise ValueError("no exact template for a general polytope")
-
     def exact_intrinsic_volume(self, i):
-        return intrinsic_volume(self.to_template(), self.dimension, i)
-
-    def describe(self):
+        """Exact mu_i of a ball, a box or a single point; ValueError for any
+        other polytope."""
         if self.kind == "ball":
-            return {"kind": "ball", "center": [str(c) for c in self.center],
-                    "radius": str(self.radius)}
+            return mu_ball(self.dimension, i, self.radius)
         if self.kind == "box":
-            return {"kind": "box", "min": [str(c) for c in self.lo],
-                    "max": [str(c) for c in self.hi]}
-        return {"kind": "polytope",
-                "vertices": [[str(c) for c in v] for v in self.vertices]}
+            return box_intrinsic_volume(self.sides, i)
+        if self.is_point:
+            return box_intrinsic_volume((), i)
+        raise ValueError("no exact intrinsic volumes for a general polytope")
 
 
-# the fields a body spec of each kind must carry besides its kind
+# the fields a body spec of each kind carries besides its kind, and no others
 _SPEC_FIELDS = {"ball": ("center", "radius"), "box": ("min", "max"),
                 "polytope": ("vertices",)}
 
@@ -185,23 +174,29 @@ def _rationals(values, field):
 def body_from_spec(doc):
     """The body of a JSON spec such as {"kind": "ball", "center": [0, 0],
     "radius": 1}.  Raises ValueError on an entry that is not a JSON object,
-    on a missing field and on a coordinate field that is not a list."""
+    on an unknown kind, on a missing field or one its kind does not read, and
+    on a coordinate field that is not a list."""
     if not isinstance(doc, dict):
         raise ValueError(f"a body spec must be a JSON object, not {doc!r}")
-    for field in ("kind",) + _SPEC_FIELDS.get(str(doc.get("kind")), ()):
+    fields = ("kind",) + _SPEC_FIELDS.get(str(doc.get("kind")), ())
+    for field in fields:
         if field not in doc:
             raise ValueError(f"body spec {doc!r} lacks the field {field!r}")
     kind = doc["kind"]
+    if str(kind) not in _SPEC_FIELDS:
+        raise ValueError(f"unknown body kind {kind!r}")
+    unread = sorted(set(doc) - set(fields))
+    if unread:
+        raise ValueError(f"body spec {doc!r} has the field {unread[0]!r}, "
+                         f"which a {kind} does not read")
     if kind == "ball":
         return ConvexBody.ball(_rationals(doc["center"], "center"),
                                Fraction(str(doc["radius"])))
     if kind == "box":
         return ConvexBody.box(_rationals(doc["min"], "min"),
                               _rationals(doc["max"], "max"))
-    if kind == "polytope":
-        return ConvexBody.polytope([_rationals(v, "vertices")
-                                    for v in _listed(doc["vertices"], "vertices")])
-    raise ValueError(f"unknown body kind {kind!r}")
+    return ConvexBody.polytope([_rationals(v, "vertices")
+                                for v in _listed(doc["vertices"], "vertices")])
 
 
 # -- facet and edge data ------------------------------------------------------------

@@ -138,7 +138,8 @@ def ball_tube_polynomial(n):
     for r in (Fraction(1), Fraction(3, 7), Fraction(3, 2), Fraction(5, 2)):
         expect = {n - i: omega(n) * Fraction(binomial(n, i) * r ** i)
                   for i in range(n + 1)}
-        if euclid.steiner_polynomial(euclid.TemplateBody.ball(r), n) != expect:
+        volumes = [euclid.mu_ball(n, i, r) for i in range(n + 1)]
+        if euclid.steiner_polynomial(volumes) != expect:
             return False
     return True
 

@@ -245,6 +245,10 @@ def _load_bodies(args):
     with open(args.bodies) as fh:
         doc = json.load(fh)
     if isinstance(doc, dict) and "A" in doc:
+        unnamed = sorted(set(doc) - {"A", "B"})
+        if unnamed:
+            raise ValueError(f"--bodies {args.bodies} names a body {unnamed[0]!r}; "
+                             f"its bodies are named A and B")
         doc = [doc[key] for key in ("A", "B") if key in doc]
     elif not isinstance(doc, list):
         doc = [doc]
@@ -282,8 +286,7 @@ def cmd_mc(args):
                 return _usage_error("--radius must be at least 0")
             runs = [montecarlo.steiner_mc(a, radius, samples, seed)]
         else:  # cauchy
-            sides = [hi - lo for lo, hi in zip(a.lo, a.hi)]
-            runs = [montecarlo.cauchy_projection_check(sides, samples, seed)]
+            runs = [montecarlo.cauchy_projection_check(a, samples, seed)]
     _write_output(emitters.emit_mc_csv(runs), args.out)
     bad = [r for r in runs if abs(r.z) > 4]
     for r in runs:

@@ -1,9 +1,9 @@
 """Classical integral geometry of (R^n, SO(n)).
 
-Intrinsic-volume bases and conversions, Steiner polynomials on template
-bodies, the kinematic and additive coproducts with explicit normalization
-tags, Crofton/Cauchy constants, and the unit-coefficient rescaling of both
-coproducts.
+Intrinsic-volume bases and conversions, exact intrinsic volumes of boxes,
+Steiner polynomials, the kinematic and additive coproducts with explicit
+normalization tags, Crofton/Cauchy constants, and the unit-coefficient
+rescaling of both coproducts.
 
 Normalizations.  "standard" means the motion measure is the product of
 Lebesgue measure on translations with the probability measure on rotations,
@@ -58,89 +58,34 @@ def volume_functional(n):
     return LinearFunctional({(n,): t_mu_coefficient(n)})
 
 
-# -- template bodies ---------------------------------------------------------
+# -- exact intrinsic volumes and tube volumes ----------------------------------
 
-class TemplateBody:
-    """Bodies with exactly computable intrinsic volumes: balls and boxes.
-
-    Segments and points are degenerate boxes.  Sizes are exact rationals.
-    """
-
-    def __init__(self, kind, **params):
-        if kind == "ball":
-            radius = Fraction(params["radius"])
-            if radius <= 0:
-                raise ValueError("ball radius must be positive")
-            self.params = {"radius": radius}
-        elif kind == "box":
-            sides = tuple(Fraction(s) for s in params["sides"])
-            if any(s < 0 for s in sides):
-                raise ValueError("box sides must be nonnegative")
-            self.params = {"sides": sides}
-        elif kind == "segment":
-            kind = "box"
-            self.params = {"sides": (Fraction(params["length"]),)}
-        elif kind == "point":
-            kind = "box"
-            self.params = {"sides": ()}
-        else:
-            raise ValueError(f"unknown template body kind {kind!r}")
-        self.kind = kind
-
-    @staticmethod
-    def ball(radius):
-        return TemplateBody("ball", radius=radius)
-
-    @staticmethod
-    def box(*sides):
-        return TemplateBody("box", sides=sides)
-
-    @staticmethod
-    def point():
-        return TemplateBody("point")
+def box_intrinsic_volume(sides, i):
+    """Exact mu_i of a box with the given side lengths: the i-th elementary
+    symmetric function of the sides (Klain and Rota 1997).  No sides is a
+    point."""
+    sigma = [Fraction(1)] + [Fraction(0)] * len(sides)
+    for top, side in enumerate(sides, 1):
+        for j in range(top, 0, -1):
+            sigma[j] += side * sigma[j - 1]
+    return Scalar.from_rational(sigma[i] if i < len(sigma) else Fraction(0))
 
 
-def _elementary_symmetric(values, i):
-    sigma = [Fraction(1)] + [Fraction(0)] * len(values)
-    top = 0
-    for v in values:
-        top += 1
-        for j in range(min(top, len(sigma) - 1), 0, -1):
-            sigma[j] += v * sigma[j - 1]
-    return sigma[i] if i < len(sigma) else Fraction(0)
-
-
-def intrinsic_volume(body, n, i):
-    """Exact mu_i of a template body embedded in R^n."""
-    if not 0 <= i <= n:
-        raise ValueError(f"mu_{i} undefined in R^{n}")
-    if body.kind == "ball":
-        return mu_ball(n, i, body.params["radius"])
-    sides = body.params["sides"]
-    if len(sides) > n:
-        raise ValueError("box has more sides than ambient dimension")
-    return Scalar.from_rational(_elementary_symmetric(sides, i))
-
-
-def steiner_polynomial(body, n):
-    """Tube-volume polynomial: coefficient of r^j in vol of the r-neighborhood."""
-    return {n - i: omega(n - i) * intrinsic_volume(body, n, i) for i in range(n + 1)}
+def steiner_polynomial(volumes):
+    """Tube-volume polynomial of a body with intrinsic volumes V_0 .. V_n: the
+    coefficient of r^j in the volume of its r-neighborhood, keyed n down to 0."""
+    n = len(volumes) - 1
+    return {n - i: omega(n - i) * v for i, v in enumerate(volumes)}
 
 
 # -- valuations and display bases --------------------------------------------
 
-BASIS_TAGS = ("t", "mu", "psi", "nijenhuis")
-
-
 class SOValuation:
     """An SO(n)-invariant valuation, stored in the t basis."""
 
-    def __init__(self, n, element, basis="t"):
-        if basis not in BASIS_TAGS:
-            raise ValueError(f"unknown basis {basis!r}")
+    def __init__(self, n, element):
         self.n = n
         self.element = element
-        self.basis = basis
 
     @classmethod
     def from_coeffs(cls, n, coeffs, basis="t"):
@@ -340,7 +285,7 @@ def mu_product_coefficient_via_t(n, i, j):
 def crofton_constant(n, k):
     """c with mu_k = c * integral of chi(. meet H) over affine (n-k)-flats,
     the flat measure being rotation-invariant probability times Lebesgue on
-    the k-dimensional fiber; fixed by the ball template."""
+    the k-dimensional fiber; fixed by the unit ball."""
     if not 0 <= k <= n:
         raise ValueError("crofton_constant needs 0 <= k <= n")
     return omega(n) * (omega(n - k) * omega(k)).inverse() * Fraction(binomial(n, k))

@@ -1,11 +1,15 @@
 """Monte Carlo verification of the exact euclidean tables.
 
-Every estimator integrates an indicator (or a closed-form integrand) against
-a product measure that dominates the support exactly, so the estimators are
-unbiased; each run carries its exact prediction and a z-score.
+Every estimator takes ``ConvexBody`` arguments and integrates an indicator
+(or a closed-form integrand) against a product measure that dominates the
+support exactly, so the estimators are unbiased.  Each run carries its
+prediction and a z-score: exact from the intrinsic volumes of balls, boxes
+and single points (``ConvexBody.exact_intrinsic_volume``), a float from the
+facet and edge data of any other polytope.
 
 Randomness comes from the counter-based Philox generator.  A run is split
-into fixed-size chunks; chunk c draws from ``Philox(key=seed).jumped(c)`` and
+into fixed-size chunks, which every estimator draws through
+``_chunk_draws``: chunk c draws from ``Philox(key=seed).jumped(c)`` and
 partial sums are reduced in chunk order, so results are bit-identical for any
 worker count.  Rotations are orthonormalized Gaussian matrices (explicit
 Gram-Schmidt, no LAPACK) with the determinant flipped to +1.
@@ -169,21 +173,17 @@ def _require_variance_samples(samples):
                          f"least {MIN_VARIANCE_SAMPLES} samples, got {samples}")
 
 
-def _chunks(samples):
-    done = 0
-    index = 0
-    while done < samples:
-        m = min(CHUNK, samples - done)
-        yield index, m
-        done += m
-        index += 1
+def _chunk_draws(samples, seed):
+    """(generator, size) of each chunk of a run, in chunk order."""
+    for index, done in enumerate(range(0, samples, CHUNK)):
+        yield rng_chunk(seed, index), min(CHUNK, samples - done)
 
 
 # -- principal kinematic formula -------------------------------------------------
 
 def _intrinsic_volumes(body):
-    """V_0 .. V_n: exact Scalars for template bodies (balls, boxes, points),
-    floats from the facet and edge data for a general polytope."""
+    """V_0 .. V_n: exact Scalars for balls, boxes and single points, floats
+    from the facet and edge data for a general polytope."""
     n = body.dimension
     try:
         return [body.exact_intrinsic_volume(i) for i in range(n + 1)]
@@ -193,7 +193,7 @@ def _intrinsic_volumes(body):
 
 def _pairing(table, a, b):
     """Sum of table[i, j] V_i(A) V_j(B): exact, as {pi_pow: Fraction}, when
-    both bodies have templates, a float otherwise.
+    both bodies have exact intrinsic volumes, a float otherwise.
 
     The pairings carry several powers of pi, so the exact sum keeps one
     rational per power.  Its keys stay in order of first appearance, and a
@@ -218,7 +218,7 @@ def _pairing(table, a, b):
 
 def principal_kinematic_prediction(a, b):
     """Motion-measure of intersections: sum of the chi-table pairings of the
-    two bodies' intrinsic volumes (exact for template bodies)."""
+    two bodies' intrinsic volumes."""
     return _pairing(euclid.kinematic_so(a.dimension, basis="mu"), a, b)
 
 
@@ -236,10 +236,8 @@ def estimate_principal_kinematic(a, b, samples, seed, name="kinematic"):
         raise ValueError("window underflow: degenerate bodies")
     vol_w = (2 * half) ** n
     total = 0.0
-    count = 0
     support_bound = half + 1e-9
-    for index, m in _chunks(samples):
-        gen = rng_chunk(seed, index)
+    for gen, m in _chunk_draws(samples, seed):
         rots = random_rotations(n, gen, m)
         xs = gen.uniform(-half, half, size=(m, n))
         hits = hits_of(xs, rots)
@@ -248,10 +246,9 @@ def estimate_principal_kinematic(a, b, samples, seed, name="kinematic"):
             if worst > support_bound:
                 raise AssertionError("window does not dominate the integrand")
         total += float(np.count_nonzero(hits))
-        count += m
     # indicator values are vol_w * {0,1}
-    return _hit_or_miss(name, vol_w, total, count, seed, pred,
-                        {"window_halfwidth": half, "hit_rate": total / count})
+    return _hit_or_miss(name, vol_w, total, samples, seed, pred,
+                        {"window_halfwidth": half, "hit_rate": total / samples})
 
 
 # -- Crofton flats ---------------------------------------------------------------
@@ -315,9 +312,7 @@ def estimate_crofton(a, k, samples, seed, name="crofton"):
     fiber_vol = scalar_float(omega(k)) * rho ** k
     const = scalar_float(euclid.crofton_constant(n, k))
     hits_total = 0.0
-    count = 0
-    for index, m in _chunks(samples):
-        gen = rng_chunk(seed, index)
+    for gen, m in _chunk_draws(samples, seed):
         rots = random_rotations(n, gen, m)
         dirs = np.transpose(rots[:, :, : n - k], (0, 2, 1))
         normals = np.transpose(rots[:, :, n - k:], (0, 2, 1))
@@ -333,37 +328,32 @@ def estimate_crofton(a, k, samples, seed, name="crofton"):
             if worst > rho + 1e-9:
                 raise AssertionError("fiber ball does not dominate the integrand")
         hits_total += float(np.count_nonzero(hits))
-        count += m
-    return _hit_or_miss(name, fiber_vol * const, hits_total, count, seed, pred,
+    return _hit_or_miss(name, fiber_vol * const, hits_total, samples, seed, pred,
                         {"fiber_radius": rho})
 
 
 # -- Cauchy projection formula -----------------------------------------------------
 
-def cauchy_projection_check(sides, samples, seed, name="cauchy"):
+def cauchy_projection_check(box, samples, seed, name="cauchy"):
     """Sphere-average of exact box shadow volumes against mu_{n-1}."""
     _require_variance_samples(samples)
-    sides_f = [float(Fraction(s)) for s in sides]
-    n = len(sides_f)
+    sides_f = [float(s) for s in box.sides]
+    n = box.dimension
     if n < 2:
         raise ValueError("projection check needs n >= 2")
     others = [math.prod(sides_f[:i] + sides_f[i + 1:]) for i in range(n)]
     const = scalar_float(euclid.cauchy_constant(n))
     total = 0.0
     total_sq = 0.0
-    count = 0
-    for index, m in _chunks(samples):
-        gen = rng_chunk(seed, index)
+    for gen, m in _chunk_draws(samples, seed):
         v = gen.standard_normal((m, n))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         shadow = np.abs(v) @ np.array(others)
         vals = const * shadow
         total += float(vals.sum())
         total_sq += float(np.dot(vals, vals))
-        count += m
-    body = euclid.TemplateBody.box(*[Fraction(s) for s in sides])
-    pred = scalar_float(euclid.intrinsic_volume(body, n, n - 1))
-    return _estimate_from_values(name, total, total_sq, count, seed, pred, {})
+    pred = scalar_float(box.exact_intrinsic_volume(n - 1))
+    return _estimate_from_values(name, total, total_sq, samples, seed, pred, {})
 
 
 # -- Steiner tube volumes ------------------------------------------------------------
@@ -377,25 +367,22 @@ def steiner_mc(box, r, samples, seed, name="steiner"):
     n = box.dimension
     vol_w = float(np.prod(hi - lo))
     hits_total = 0.0
-    count = 0
-    for index, m in _chunks(samples):
-        gen = rng_chunk(seed, index)
+    for gen, m in _chunk_draws(samples, seed):
         pts = gen.uniform(0.0, 1.0, size=(m, n)) * (hi - lo) + lo
         q = np.clip(pts, box.lo_f(), box.hi_f())
         gap = pts - q
         hits = np.einsum("mi,mi->m", gap, gap) <= rf * rf
         hits_total += float(np.count_nonzero(hits))
-        count += m
-    poly = euclid.steiner_polynomial(box.to_template(), n)
+    poly = euclid.steiner_polynomial(_intrinsic_volumes(box))
     pred = sum(scalar_float(c) * rf ** j for j, c in poly.items())
-    return _hit_or_miss(name, vol_w, hits_total, count, seed, pred,
+    return _hit_or_miss(name, vol_w, hits_total, samples, seed, pred,
                         {"tube_radius": rf})
 
 
 # -- additive (Minkowski sum) formula -------------------------------------------------
 
 def additive_volume_prediction(a, b):
-    """Rotation-average of the volume of A + gB (exact for template bodies)."""
+    """Rotation-average of the volume of A + gB."""
     return _pairing(euclid.additive_so(a.dimension, basis="mu"), a, b)
 
 
@@ -472,9 +459,7 @@ def estimate_additive(a, b, samples, seed, name="additive"):
     ga, gb = a.geometry(), b.geometry()
     total = 0.0
     total_sq = 0.0
-    count = 0
-    for index, m in _chunks(samples):
-        gen = rng_chunk(seed, index)
+    for gen, m in _chunk_draws(samples, seed):
         rots = random_rotations(n, gen, m)
         if n == 2:
             vals = planar_minkowski_areas(ga, gb, rots)
@@ -482,16 +467,10 @@ def estimate_additive(a, b, samples, seed, name="additive"):
             vals = minkowski_volumes(ga, gb, rots)
         total += float(vals.sum())
         total_sq += float(np.dot(vals, vals))
-        count += m
-    return _estimate_from_values(name, total, total_sq, count, seed, pred, {})
+    return _estimate_from_values(name, total, total_sq, samples, seed, pred, {})
 
 
 # -- the default verification suite ----------------------------------------------------
-
-def _square(side=1):
-    h = Fraction(side) / 2
-    return ConvexBody.box([-h, -h], [h, h])
-
 
 def default_suite(samples=10 ** 6, seed=20260809):
     """The 12-run verification suite; every |z| must be <= 3 at a million
@@ -499,7 +478,7 @@ def default_suite(samples=10 ** 6, seed=20260809):
     _require_variance_samples(samples)
     runs = []
     disk = ConvexBody.ball([0, 0], 1)
-    square = _square(1)
+    square = ConvexBody.cube(2, 1)
     ball3 = ConvexBody.ball([0, 0, 0], 1)
     cube = ConvexBody.cube(3, 1)
 
@@ -518,8 +497,8 @@ def default_suite(samples=10 ** 6, seed=20260809):
     runs.append(estimate_crofton(square, 1, samples, sub(5), "crofton-R2-square"))
     runs.append(estimate_crofton(ball3, 1, samples, sub(6), "crofton-R3-ball-k1"))
     runs.append(estimate_crofton(cube, 2, samples, sub(7), "crofton-R3-cube-k2"))
-    runs.append(cauchy_projection_check([1, 1], samples, sub(8), "cauchy-R2-square"))
-    runs.append(cauchy_projection_check([1, 1, 1], samples, sub(9), "cauchy-R3-cube"))
+    runs.append(cauchy_projection_check(square, samples, sub(8), "cauchy-R2-square"))
+    runs.append(cauchy_projection_check(cube, samples, sub(9), "cauchy-R3-cube"))
     runs.append(steiner_mc(square, 1, samples, sub(10), "steiner-R2-square"))
     runs.append(estimate_additive(square, square, samples, sub(11),
                                   "additive-R2-squares"))

@@ -158,10 +158,10 @@ def test_criterion_14_monte_carlo_suite():
     assert elapsed < 120, elapsed
     # bit-reproducibility of the logs
     again = montecarlo.estimate_principal_kinematic(
-        montecarlo.ConvexBody.ball([0, 0], 1), montecarlo._square(1),
+        montecarlo.ConvexBody.ball([0, 0], 1), montecarlo.ConvexBody.cube(2, 1),
         10 ** 5, runs[0].seed)
     again2 = montecarlo.estimate_principal_kinematic(
-        montecarlo.ConvexBody.ball([0, 0], 1), montecarlo._square(1),
+        montecarlo.ConvexBody.ball([0, 0], 1), montecarlo.ConvexBody.cube(2, 1),
         10 ** 5, runs[0].seed)
     assert again.row() == again2.row()
     expect_disk_square = math.pi + 5

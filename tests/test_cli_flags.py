@@ -43,6 +43,8 @@ VERIFY_MC = ("verify", "--max-dim", "1", "--mc-samples", "200")
 
 BODIES = "BODIES"   # stands for a file of two boxes written by the test
 BOX = "BOX"         # stands for a file of one box written by the test
+ABC = "ABC"         # stands for a file of three boxes named A, B and C
+AZ = "AZ"           # stands for a file of two boxes named A and Z
 OUT = "OUT"         # stands for an output path in the test's directory
 
 CASES = []
@@ -104,6 +106,9 @@ CASES += [(base, ("--bodies", BODIES), CHANGES) for base in (MC_KIN, MC_ADD)]
 # a body file holds exactly the bodies its estimator takes
 for base in (MC_CROFTON_2D, MC_STEINER, MC_CAUCHY):
     CASES += [(base, ("--bodies", BOX), CHANGES), (base, ("--bodies", BODIES), NAMED)]
+# bodies are named A and B, and a file naming any other is refused
+CASES += [(MC_KIN, ("--bodies", ABC), NAMED), (MC_ADD, ("--bodies", AZ), NAMED),
+          (MC_STEINER, ("--bodies", AZ), NAMED)]
 for base in (MC_KIN, MC_ADD, MC_CROFTON, MC_CAUCHY, MC_SUITE):
     CASES += [(base, ("--radius", "2"), 2)]
 CASES += [
@@ -164,10 +169,15 @@ def names(tmp_path_factory):
     bodies.write_text(json.dumps({
         "A": {"kind": "box", "min": ["0", "0", "0"], "max": ["1", "1", "2"]},
         "B": {"kind": "box", "min": ["0", "0", "0"], "max": ["1", "2", "1"]}}))
+    spec = {"kind": "box", "min": ["0", "0", "0"], "max": ["1", "1", "2"]}
     box = tmp / "box.json"
-    box.write_text(json.dumps(
-        {"A": {"kind": "box", "min": ["0", "0", "0"], "max": ["1", "1", "2"]}}))
-    return {BODIES: str(bodies), BOX: str(box), OUT: str(tmp / "out")}
+    box.write_text(json.dumps({"A": spec}))
+    files = {BODIES: str(bodies), BOX: str(box), OUT: str(tmp / "out")}
+    for name in (ABC, AZ):  # one box under each letter of the name
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps({key: spec for key in name}))
+        files[name] = str(path)
+    return files
 
 
 @pytest.mark.parametrize("base,flag,expect", CASES,
@@ -218,7 +228,8 @@ def _ball(n):
 
 
 # body files the mc estimators cannot serve: bodies of two dimensions, a
-# count other than two, and documents that are not body specs
+# count other than two, bodies named other than A and B, and documents that
+# are not body specs
 BAD_BODY_FILES = {
     "one ball": [_ball(2)],
     "three boxes": [_box(1, 2), _box(2, 1), _box(1, 1)],
@@ -231,6 +242,9 @@ BAD_BODY_FILES = {
     "spec without kind": [{"center": [0, 0], "radius": 1}, _box(1, 2)],
     "list of numbers": [1, 2],
     "box corner not a list": {"A": _box(1, 2), "B": {"kind": "box", "min": 0, "max": 1}},
+    "bodies A, B and C": {"A": _ball(2), "B": _box(1, 2), "C": _ball(3)},
+    "bodies A and Z": {"A": _ball(2), "Z": _box(1, 2)},
+    "box with a radius": {"A": {**_box(1, 1), "radius": "5"}, "B": _box(1, 2)},
 }
 
 

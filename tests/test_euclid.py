@@ -19,14 +19,14 @@ def test_mu_t_conversion():
 
 
 def test_intrinsic_volume_examples():
-    assert E.intrinsic_volume(E.TemplateBody.ball(1), 2, 1) == Scalar.pi_power(1)
-    assert E.intrinsic_volume(E.TemplateBody.ball(1), 5, 0) == Scalar.one()
-    box = E.TemplateBody.box(1, 1)
-    assert E.intrinsic_volume(box, 2, 1) == Scalar.from_rational(2)
-    assert E.intrinsic_volume(box, 2, 2) == Scalar.one()
-    seg = E.TemplateBody("segment", length=Fraction(5, 2))
-    assert E.intrinsic_volume(seg, 3, 1) == Scalar.from_rational(Fraction(5, 2))
-    assert E.intrinsic_volume(seg, 3, 2).is_zero()
+    assert E.mu_ball(2, 1) == Scalar.pi_power(1)
+    assert E.mu_ball(5, 0) == Scalar.one()
+    assert E.box_intrinsic_volume([1, 1], 1) == Scalar.from_rational(2)
+    assert E.box_intrinsic_volume([1, 1], 2) == Scalar.one()
+    # a segment is a box with one side
+    seg = [Fraction(5, 2)]
+    assert E.box_intrinsic_volume(seg, 1) == Scalar.from_rational(Fraction(5, 2))
+    assert E.box_intrinsic_volume(seg, 2).is_zero()
 
 
 def test_ball_intrinsic_volumes_match_tube_expansion():
@@ -37,9 +37,10 @@ def test_ball_intrinsic_volumes_match_tube_expansion():
 
 
 def test_steiner_examples():
-    sq = E.steiner_polynomial(E.TemplateBody.box(1, 1), 2)
+    sq = E.steiner_polynomial([E.box_intrinsic_volume([1, 1], i) for i in range(3)])
     assert sq == {0: Scalar.one(), 1: Scalar.from_rational(4), 2: Scalar.pi_power(1)}
-    pt = E.steiner_polynomial(E.TemplateBody.point(), 3)
+    assert list(sq) == [2, 1, 0]
+    pt = E.steiner_polynomial([E.box_intrinsic_volume([], i) for i in range(4)])
     assert pt[3] == omega(3)
     assert all(pt[j].is_zero() for j in range(3))
 

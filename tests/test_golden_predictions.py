@@ -1,8 +1,9 @@
-"""Frozen bits of the exact Monte Carlo predictions for template bodies.
+"""Frozen bits of the exact Monte Carlo predictions for balls, boxes and points.
 
-``tests/golden/predictions.json`` maps each pair of a grid of template
-bodies (balls, boxes, a point; n = 2..4, both orders of every mixed pair) to
-``float.hex`` of its principal kinematic and additive volume predictions.
+``tests/golden/predictions.json`` maps each pair of a grid of bodies with
+exact intrinsic volumes (balls, boxes, a point; n = 2..4, both orders of
+every mixed pair) to ``float.hex`` of its principal kinematic and additive
+volume predictions.
 The predictions sum exact table pairings before the one cast to float, so
 the order of that sum is part of the bits.  No sampling runs.  The file was
 written before ``Scalar`` became a single monomial, and must never be
@@ -29,7 +30,7 @@ SIDES = {
 
 
 def _bodies(n):
-    """name -> body for the templates of the grid in R^n."""
+    """name -> body for the grid in R^n."""
     out = {f"ball({r})": ConvexBody.ball([0] * n, Fraction(r)) for r in RADII}
     for sides in SIDES[n]:
         out[f"box({','.join(sides)})"] = ConvexBody.box(

@@ -4,11 +4,11 @@ exact commands of the CLI never load numpy.
 
 A name bound by an import statement counts as used when the module reads it
 anywhere (alone or as the base of an attribute) or lists it in ``__all__``.
-A module-level def, class or assignment under src/ counts as read when a
-module under src/, tests/ or perfbench/ names it outside that definition:
-as a name, an attribute, or a string (a lookup by name); imports and
-``__all__`` do not count.  Dunder names and the console-script entry points
-of ``pyproject.toml`` are exempt.
+A module-level def, class or assignment under src/, and a method of a class
+there, counts as read when a module under src/, tests/ or perfbench/ names
+it outside that definition: as a name, an attribute, or a string (a lookup
+by name); imports and ``__all__`` do not count.  Dunder names and the
+console-script entry points of ``pyproject.toml`` are exempt.
 """
 
 import ast
@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import tomllib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -74,49 +75,67 @@ def _defined(stmt):
     return []
 
 
-def _read(stmt):
-    """Names a module-level statement reads: loaded names, attributes, and
-    the dotted parts of string constants."""
-    if _is_all(stmt):
-        return set()
-    out = set()
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.update(node.value.split("."))
+def _reads(node):
+    """How often a node reads each name: loaded names, attributes, and the
+    dotted parts of string constants."""
+    out = Counter()
+    if _is_all(node):
+        return out
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.update(sub.value.split("."))
     return out
 
 
+def _definitions(tree):
+    """(name, node) of each module-level definition, and ("Class.method",
+    node) of each method of every class in the module."""
+    for stmt in tree.body:
+        for name in _defined(stmt):
+            yield name, stmt
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{cls.name}.{stmt.name}", stmt
+
+
 def unread_definitions(defining, reading, exempt=()):
-    """(module, name) of each module-level definition in the ``defining``
-    sources ({module: source}) that no statement of ``defining`` or
-    ``reading`` reads, other than the definition itself."""
-    stmts = [(label, stmt) for sources in (defining, reading)
-             for label, source in sources.items() for stmt in ast.parse(source).body]
-    readers = {}
-    for _, stmt in stmts:
-        for name in _read(stmt):
-            readers.setdefault(name, []).append(stmt)
-    return sorted(
-        (label, name) for label, stmt in stmts if label in defining
-        for name in _defined(stmt)
-        if not (name.startswith("__") and name.endswith("__"))
-        and (label, name) not in exempt
-        and all(r is stmt for r in readers.get(name, [])))
+    """(module, name) of each module-level definition and each method in the
+    ``defining`` sources ({module: source}) that no module of ``defining`` or
+    ``reading`` reads outside the definition itself."""
+    trees = {label: ast.parse(source)
+             for sources in (defining, reading) for label, source in sources.items()}
+    reads = sum((_reads(stmt) for tree in trees.values() for stmt in tree.body),
+                Counter())
+    unread = []
+    for label in defining:
+        for name, node in _definitions(trees[label]):
+            short = name.rpartition(".")[2]
+            if (not (short.startswith("__") and short.endswith("__"))
+                    and (label, name) not in exempt
+                    and reads[short] == _reads(node)[short]):
+                unread.append((label, name))
+    return sorted(unread)
 
 
 def test_checker_sees_unread_definitions():
     lib = ("import math\n__all__ = ['dead']\nX, Y = 1, 2\n__version__ = '1'\n"
            "def dead():\n    return dead()\n"
            "def used():\n    return X\n"
-           "class Kept:\n    pass\n"
+           "class Kept:\n"
+           "    def __init__(self):\n        pass\n"
+           "    def orphan(self):\n        return self.orphan()\n"
+           "    def called(self):\n        return 1\n"
+           "    def named(self):\n        return self.called()\n"
            "def main():\n    pass\n")
-    user = "from lib import dead, used\nused()\ngetattr(lib, 'lib.Kept')\n"
+    user = "from lib import dead, used\nused()\ngetattr(lib, 'lib.Kept.named')\n"
     assert unread_definitions({"lib": lib}, {"user": user}, {("lib", "main")}) \
-        == [("lib", "Y"), ("lib", "dead")]
+        == [("lib", "Kept.orphan"), ("lib", "Y"), ("lib", "dead")]
 
 
 def test_every_src_definition_is_read():

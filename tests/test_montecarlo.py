@@ -98,10 +98,10 @@ def test_crofton_examples():
 
 
 def test_cauchy_examples():
-    est = MC.cauchy_projection_check([1, 1], SAMPLES, 31)
+    est = MC.cauchy_projection_check(unit_square(), SAMPLES, 31)
     assert est.prediction == pytest.approx(2.0)
     assert abs(est.z) <= 4
-    est3 = MC.cauchy_projection_check([1, 1, 1], SAMPLES, 32)
+    est3 = MC.cauchy_projection_check(ConvexBody.cube(3, 1), SAMPLES, 32)
     assert est3.prediction == pytest.approx(3.0)
     assert abs(est3.z) <= 4
 
@@ -172,7 +172,7 @@ def test_polytope_float_predictions():
         assert est.prediction is not None and abs(est.z) <= 4
         est = MC.estimate_additive(a, b, 20_000, 62)
         assert est.prediction is not None and abs(est.z) <= 4
-    # template bodies keep their exact prediction
+    # balls and boxes keep their exact prediction
     pred = MC.principal_kinematic_prediction(ConvexBody.ball([0, 0], 1), unit_square())
     assert pred == {0: 5, 1: 1}
 
@@ -210,12 +210,12 @@ def test_hit_or_miss_variance_when_all_samples_agree():
 def test_sample_variance_estimators_refuse_tiny_runs():
     few = MC.MIN_VARIANCE_SAMPLES - 1
     with pytest.raises(ValueError):
-        MC.cauchy_projection_check([1, 1], few, 1)
+        MC.cauchy_projection_check(unit_square(), few, 1)
     with pytest.raises(ValueError):
         MC.estimate_additive(unit_square(), unit_square(), few, 1)
     with pytest.raises(ValueError):
         MC.default_suite(samples=few, seed=1)
-    est = MC.cauchy_projection_check([1, 1], MC.MIN_VARIANCE_SAMPLES, 1)
+    est = MC.cauchy_projection_check(unit_square(), MC.MIN_VARIANCE_SAMPLES, 1)
     assert est.samples == MC.MIN_VARIANCE_SAMPLES
 
 
