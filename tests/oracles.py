@@ -13,6 +13,10 @@ their generators.  The Haar rotation sampler and the
 planar Minkowski-area kernel are the sample-minor versions the Monte Carlo
 estimators used before their sums were written out over per-entry vectors:
 numpy reductions over the short matrix axes, with a fancy-index sign flip.
+The separating-axis kernels are the forms the kinematic indicator used
+before it went sample-major: box pairs in center and half-width form, and
+the other polytope pairs and a ball against a polytope as batched matrix
+products of vertex and axis arrays.
 """
 
 from fractions import Fraction
@@ -20,6 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
+from intgeo.bodies import sample_blocks
 from intgeo.graded import GeneratorSet, QuotientAlgebra, mono_mul
 from intgeo.linalg import SingularMatrixError, kernel_basis, rref
 from intgeo.scalars import Scalar, binomial
@@ -187,6 +192,114 @@ def planar_minkowski_areas(ga, gb, rots):
     normals = np.einsum("mij,kj->mki", rots, gb.facet_normals)
     h = np.max(np.einsum("vi,mki->mkv", ga.vertices, normals), axis=2)
     return ga.volumes[2] + gb.volumes[2] + np.einsum("mk,k->m", h, gb.facet_areas)
+
+
+# -- separating-axis kernels over matrix products --------------------------------
+
+def hits_box_box(a, b, xs, rots):
+    """Separating-axis test for an axis-aligned box against moved boxes, in
+    center and half-width form, for n <= 3."""
+    n = a.dimension
+    ac = (a.lo_f() + a.hi_f()) / 2
+    ah = (a.hi_f() - a.lo_f()) / 2
+    bc = (b.lo_f() + b.hi_f()) / 2
+    bh = (b.hi_f() - b.lo_f()) / 2
+    centers = xs + np.einsum("mij,j->mi", rots, bc)
+    diff = centers - ac
+    m = len(xs)
+    separated = np.zeros(m, dtype=bool)
+
+    def test_axes(axes, valid=None):
+        nonlocal separated
+        # axes: (m, k, n), possibly unnormalized; zero axes carry no information
+        proj_d = np.abs(np.einsum("mkn,mn->mk", axes, diff))
+        ra = np.einsum("mkn,n->mk", np.abs(axes), ah)
+        rb = np.einsum("mkj,j->mk", np.abs(np.einsum("mkn,mnj->mkj", axes, rots)), bh)
+        sep = proj_d > ra + rb
+        if valid is not None:
+            sep &= valid
+        separated |= np.any(sep, axis=1)
+
+    eye = np.broadcast_to(np.eye(n), (m, n, n)).copy()
+    test_axes(eye)
+    test_axes(np.transpose(rots, (0, 2, 1)))
+    if n == 3:
+        cross_axes = []
+        for i in range(3):
+            for j in range(3):
+                e = np.zeros(3)
+                e[i] = 1.0
+                axis = np.cross(e[None, :], rots[:, :, j])
+                cross_axes.append(axis)
+        axes = np.stack(cross_axes, axis=1)
+        norms = np.linalg.norm(axes, axis=2)
+        valid = norms > 1e-9
+        test_axes(axes, valid)
+    return ~separated
+
+
+def _separated(pa, pb):
+    """Whether some axis strictly separates two point sets, given their
+    projections (samples, points, axes); a zero axis projects everything to 0
+    and never separates."""
+    return ((pa.max(axis=1) < pb.min(axis=1))
+            | (pb.max(axis=1) < pa.min(axis=1))).any(axis=1)
+
+
+def _cross_axes(fixed, turned):
+    """Columns e x f for every fixed e (p, 3) and every column f of turned
+    (s, 3, q), as (s, 3, p * q): e x f is the skew matrix of e times f."""
+    zero = np.zeros(len(fixed))
+    x, y, z = fixed.T
+    skew = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3)
+    s, _, q = turned.shape
+    p = len(fixed)
+    return (skew @ turned).reshape(s, p, 3, q).transpose(0, 2, 1, 3).reshape(s, 3, p * q)
+
+
+def hits_polytopes(ga, gb, xs, rots):
+    """Separating axes of a fixed polytope A against the moved x + R B.
+
+    The facet normals of A and the rotated facet normals of B go first; in
+    space, the samples they leave unseparated are then tested on the cross
+    products of A's edge directions with B's rotated edge directions.
+    Axes are columns: projections are (samples, points, axes).
+    """
+    m, n = xs.shape
+    hits = np.empty(m, dtype=bool)
+    count = len(ga.axes) + len(gb.axes) + len(ga.edge_dirs) * len(gb.edge_dirs)
+    for lo, hi in sample_blocks(m, count * (len(ga.vertices) + len(gb.vertices))):
+        r = rots[lo:hi]
+        moved = xs[lo:hi, None, :] + gb.vertices @ np.transpose(r, (0, 2, 1))
+        axes = np.concatenate([np.broadcast_to(ga.axes.T, (hi - lo, n, len(ga.axes))),
+                               r @ gb.axes.T], axis=2)
+        live = ~_separated(ga.vertices @ axes, moved @ axes)
+        if len(ga.edge_dirs) and len(gb.edge_dirs):
+            idx = np.flatnonzero(live)
+            axes = _cross_axes(ga.edge_dirs, r[idx] @ gb.edge_dirs.T)
+            live[idx] = ~_separated(ga.vertices @ axes, moved[idx] @ axes)
+        hits[lo:hi] = live
+    return hits
+
+
+def hits_ball_polytope(g, centers, radius):
+    """A fixed polytope against the balls B(c_m, radius), on the axes through
+    every possible closest feature: facet normals, vertex-to-center
+    directions and, in space, edge perpendiculars through the center."""
+    m, n = centers.shape
+    hits = np.empty(m, dtype=bool)
+    count = len(g.axes) + len(g.vertices) + len(g.edge_points)
+    for lo, hi in sample_blocks(m, count * (len(g.vertices) + 2)):
+        c = centers[lo:hi, :, None]
+        w = c - g.edge_points.T
+        w -= (w * g.edge_units.T).sum(axis=1, keepdims=True) * g.edge_units.T
+        axes = np.concatenate([np.broadcast_to(g.axes.T, (hi - lo, n, len(g.axes))),
+                               c - g.vertices.T, w], axis=2)
+        mid = (c * axes).sum(axis=1, keepdims=True)
+        reach = radius * np.sqrt((axes * axes).sum(axis=1, keepdims=True))
+        hits[lo:hi] = ~_separated(g.vertices @ axes,
+                                  np.concatenate([mid - reach, mid + reach], axis=1))
+    return hits
 
 
 # -- exact inverse of a graded matrix of Scalars ------------------------------

@@ -1,10 +1,12 @@
-"""The rotation sampler and the planar additive kernel against their
-sample-minor oracles, bit for bit.
+"""The rotation sampler, the planar additive kernel and the kinematic
+indicator against their sample-minor oracles, bit for bit.
 
 The fast code sums every short inner product left to right over per-entry
 sample vectors; the oracles reduce over the short matrix axes with numpy.
 ``np.array_equal`` pins that the two orders agree on seeded chunks, rather
-than assuming how numpy orders a short reduction.
+than assuming how numpy orders a short reduction.  The kinematic kernels
+round their projections differently from their oracles, so what must agree
+there is every hit decision.
 """
 
 import random
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from intgeo import montecarlo as MC
-from intgeo.bodies import ConvexBody
+from intgeo.bodies import ConvexBody, kinematic_indicator
 import oracles
 
 SEEDS = (1, 20260809, 987654321)
@@ -71,3 +73,72 @@ def test_planar_kernel_matches_oracle_bitwise():
         for kb in range(3, 7):
             r = rots[(ka + kb) % len(rots)][ka * 10_000:(ka + 1) * 10_000]
             _assert_planar_equal(_polygon(rng, ka), _polygon(rng, kb), r)
+
+
+# -- the separating-axis kernels -------------------------------------------------
+
+def _old_indicator(a, b, xs, rots):
+    """The hit decisions of the matrix-product kernels, dispatched by kind as
+    the kinematic indicator dispatched them."""
+    if a.kind == b.kind == "box":
+        return oracles.hits_box_box(a, b, xs, rots)
+    if a.kind == "ball":
+        centers = np.einsum("mji,mj->mi", rots, a.center_f() - xs)
+        return oracles.hits_ball_polytope(b.geometry(), centers, float(a.radius))
+    if b.kind == "ball":
+        centers = xs + np.einsum("mij,j->mi", rots, b.center_f())
+        return oracles.hits_ball_polytope(a.geometry(), centers, float(b.radius))
+    return oracles.hits_polytopes(a.geometry(), b.geometry(), xs, rots)
+
+
+def _hull(rng, k):
+    """k rational points of the sphere of radius 1/2 to 3/2 in R^3."""
+    scale = Fraction(rng.randint(4, 12), 8)
+    points = set()
+    while len(points) < k:
+        a, b = rng.sample(range(-9, 10), 2)
+        # the inverse stereographic image of (a/4, b/4) is rational
+        d = a * a + b * b + 16
+        points.add((Fraction(8 * a, d), Fraction(8 * b, d), Fraction(d - 32, d)))
+    return ConvexBody.polytope([[scale * c for c in p] for p in points])
+
+
+_RNG = random.Random(16)
+_HEXAGON, _HEXAGON2 = _polygon(_RNG, 6), _polygon(_RNG, 6)
+_HULL, _HULL2 = _hull(_RNG, 8), _hull(_RNG, 8)
+THIRDS = (ConvexBody.box([Fraction(-1, 3), Fraction(-2, 7)], [Fraction(1, 2), Fraction(5, 7)]),
+          ConvexBody.box([Fraction(-1, 3), Fraction(-2, 7), Fraction(-3, 5)],
+                         [Fraction(1, 2), Fraction(5, 7), Fraction(1, 3)]))
+# every kind of polytope pair the kinematic indicator serves, with a ball
+# against a polygon and a hull in either order
+KERNEL_PAIRS = {
+    "square/box": BOX_PAIRS[0],
+    "non-dyadic boxes 2-D": (THIRDS[0], ConvexBody.cube(2, Fraction(2, 3))),
+    "non-dyadic boxes 3-D": (THIRDS[1], ConvexBody.box([0, Fraction(-1, 5), 0],
+                                                       [Fraction(3, 7), 1, Fraction(2, 3)])),
+    "cube/box": (ConvexBody.cube(3, 1), ConvexBody.box([0, 0, 0], [1, 2, Fraction(1, 2)])),
+    "box/point": (ConvexBody.cube(3, 1), ConvexBody.polytope([[Fraction(1, 3), 0, 1]])),
+    "point/box": (ConvexBody.polytope([[0, Fraction(1, 5), 0]]), THIRDS[1]),
+    "hexagons": (_HEXAGON, _HEXAGON2),
+    "8-vertex hulls": (_HULL, _HULL2),
+    "ball/hexagon": (ConvexBody.ball([Fraction(1, 3), 0], Fraction(3, 5)), _HEXAGON),
+    "hexagon/ball": (_HEXAGON, ConvexBody.ball([0, Fraction(1, 7)], Fraction(2, 3))),
+    "ball/hull": (ConvexBody.ball([0, Fraction(1, 7), 0], Fraction(2, 3)), _HULL),
+    "hull/ball": (_HULL, ConvexBody.ball([Fraction(1, 3), 0, 0], Fraction(3, 5))),
+    "segments 1-D": (ConvexBody.box([0], [1]), ConvexBody.box([Fraction(-1, 3)], [Fraction(2, 7)])),
+    "segment/unit 1-D": (ConvexBody.box([Fraction(1, 5)], [Fraction(7, 3)]), ConvexBody.cube(1, 1)),
+}
+KERNEL_SAMPLES = 1 << 14
+
+
+@pytest.mark.parametrize("pair", KERNEL_PAIRS.values(), ids=list(KERNEL_PAIRS))
+def test_kinematic_kernels_match_oracle_bitwise(pair):
+    a, b = pair
+    n = a.dimension
+    gen = MC.rng_chunk(SEEDS[1], 3)
+    rots = MC.random_rotations(n, gen, KERNEL_SAMPLES)
+    half = a.circumradius() + b.circumradius()
+    xs = gen.uniform(-half, half, size=(KERNEL_SAMPLES, n))
+    hits = kinematic_indicator(a, b)(xs, rots)
+    assert np.array_equal(hits, _old_indicator(a, b, xs, rots))
+    assert 0 < np.count_nonzero(hits) < KERNEL_SAMPLES
