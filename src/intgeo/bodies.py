@@ -7,19 +7,23 @@ polytopes, are computed once per body and handed out as read-only arrays.
 
 ``kinematic_indicator(a, b)`` decides, for a whole batch of translations x and
 rotations R at once, whether A meets x + R B.  Ball/ball and ball/box pairs
-use exact closed forms.  Every other pair is a separating-axis test
-(Gottschalk, Lin and Manocha 1996): the facet normals of both bodies and, in
-space, the cross products of their edge directions, which is the complete
-axis set of two polytopes in the plane or in space.  A ball against a
-polytope uses the closest-feature axes (facet normals, vertex-to-center
-directions, edge perpendiculars through the center), so that test is exact
-too.  Separation is strict: tangency counts as intersection.
+use exact closed forms.  Every other pair, two boxes included, is a
+separating-axis test (Gottschalk, Lin and Manocha 1996): the facet normals of
+both bodies and, in space, the cross products of their edge directions,
+which is the complete axis set of two polytopes on the line, in the plane or
+in space.  A ball against a polytope uses the closest-feature axes (facet
+normals, vertex-to-center directions, edge perpendiculars through the
+center), so that test is exact too.  Separation is strict: tangency counts
+as intersection.  The kernels work sample-major, like the rotation sampler:
+each coordinate is one vector over the samples, and every projection onto an
+axis is one left-to-right sum of products (``_project``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 import math
 
 import numpy as np
@@ -139,7 +143,7 @@ class ConvexBody:
         return float(np.max(np.linalg.norm(self.vertices_f(), axis=1)))
 
     def geometry(self):
-        """Facet and edge data of a box or polytope in the plane or in space."""
+        """Facet and edge data of a box or polytope in R^1, R^2 or R^3."""
         if self._geometry is None:
             self._geometry = _build_geometry(self)
         return self._geometry
@@ -316,15 +320,18 @@ def _build_geometry(body):
     n = body.dimension
     if body.kind == "ball":
         raise ValueError("a ball has no facets or edges")
-    if n not in (2, 3):
-        raise ValueError(f"facet and edge data exist only in the plane and in "
-                         f"space; a {body.kind} in R^{n} has none here")
+    if n not in (1, 2, 3):
+        raise ValueError(f"facet and edge data exist only on the line, in the "
+                         f"plane and in space; a {body.kind} in R^{n} has none here")
+    if n == 1:  # a segment, with its two ends as facets, or a point
+        lo, hi = body.vertices_f().min(), body.vertices_f().max()
+        if lo == hi:
+            return _geometry(np.array([[lo]]), [], [], [], [], (1, 0))
+        return _geometry(np.array([[lo], [hi]]), [[-1.0], [1.0]], [1.0, 1.0],
+                         [], [], (1, hi - lo))
     if n == 2:
-        if body.kind == "box":
-            corners = [(a, b) for a in (body.lo[0], body.hi[0])
-                       for b in (body.lo[1], body.hi[1])]
-            return _polygon_geometry(corners)
-        return _polygon_geometry(body.vertices)
+        return _polygon_geometry(product(*zip(body.lo, body.hi)) if body.kind == "box"
+                                 else body.vertices)
     if body.kind == "box":
         return _box_geometry(body)
     v = body.vertices_f()
@@ -343,14 +350,13 @@ def kinematic_indicator(a, b):
 
     Returns ``hits(xs, rots)``, a boolean array over translations xs (m, n)
     and rotations rots (m, n, n).  Raises ValueError at once, before any
-    sampling, for a pair it has no complete test for: two boxes in R^n with
-    n >= 4 (their face axes miss the edge-edge directions), a polytope
-    outside the plane and space, a flat polytope in space, and two single
-    points (they meet on a null set of motions).
+    sampling, for a pair it has no complete test for: a box or polytope
+    beyond R^3 (facet axes alone miss the edge-edge directions there), a
+    flat polytope in space, and two single points (they meet on a null set
+    of motions).
     """
     if a.dimension != b.dimension:
         raise ValueError("bodies live in different dimensions")
-    n = a.dimension
     kinds = (a.kind, b.kind)
     if kinds == ("ball", "ball"):
         return lambda xs, rots: _hits_ball_ball(a, b, xs, rots)
@@ -363,11 +369,6 @@ def kinematic_indicator(a, b):
         c, lo, hi, r = b.center_f(), a.lo_f(), a.hi_f(), float(b.radius)
         return lambda xs, rots: _hits_box_balls(
             xs + np.einsum("mij,j->mi", rots, c), lo, hi, r)
-    if kinds == ("box", "box"):
-        if n > 3:
-            raise ValueError(f"no complete separating-axis test for two boxes "
-                             f"in R^{n}: face axes suffice only for n <= 3")
-        return lambda xs, rots: _hits_box_box(a, b, xs, rots)
     if a.kind == "ball":
         gb, c, r = b.geometry(), a.center_f(), float(a.radius)
         # the ball center in the moved body's frame
@@ -383,14 +384,6 @@ def kinematic_indicator(a, b):
     return lambda xs, rots: _hits_polytopes(ga, gb, xs, rots)
 
 
-def intersects(a, b):
-    """Whether two convex bodies meet (closed-set convention): the batched
-    kernel at the identity motion."""
-    test = kinematic_indicator(a, b)
-    n = a.dimension
-    return bool(test(np.zeros((1, n)), np.eye(n)[None])[0])
-
-
 def _hits_ball_ball(a, b, xs, rots):
     centers = xs + np.einsum("mij,j->mi", rots, b.center_f())
     gap = centers - a.center_f()
@@ -404,47 +397,6 @@ def _hits_box_balls(centers, lo, hi, radius):
     return np.einsum("mi,mi->m", gap, gap) <= radius ** 2
 
 
-def _hits_box_box(a, b, xs, rots):
-    """Separating-axis test for an axis-aligned box against moved boxes."""
-    n = a.dimension
-    ac = (a.lo_f() + a.hi_f()) / 2
-    ah = (a.hi_f() - a.lo_f()) / 2
-    bc = (b.lo_f() + b.hi_f()) / 2
-    bh = (b.hi_f() - b.lo_f()) / 2
-    centers = xs + np.einsum("mij,j->mi", rots, bc)
-    diff = centers - ac
-    m = len(xs)
-    separated = np.zeros(m, dtype=bool)
-
-    def test_axes(axes, valid=None):
-        nonlocal separated
-        # axes: (m, k, n), possibly unnormalized; zero axes carry no information
-        proj_d = np.abs(np.einsum("mkn,mn->mk", axes, diff))
-        ra = np.einsum("mkn,n->mk", np.abs(axes), ah)
-        rb = np.einsum("mkj,j->mk", np.abs(np.einsum("mkn,mnj->mkj", axes, rots)), bh)
-        sep = proj_d > ra + rb
-        if valid is not None:
-            sep &= valid
-        separated |= np.any(sep, axis=1)
-
-    eye = np.broadcast_to(np.eye(n), (m, n, n)).copy()
-    test_axes(eye)
-    test_axes(np.transpose(rots, (0, 2, 1)))
-    if n == 3:
-        cross_axes = []
-        for i in range(3):
-            for j in range(3):
-                e = np.zeros(3)
-                e[i] = 1.0
-                axis = np.cross(e[None, :], rots[:, :, j])
-                cross_axes.append(axis)
-        axes = np.stack(cross_axes, axis=1)
-        norms = np.linalg.norm(axes, axis=2)
-        valid = norms > 1e-9
-        test_axes(axes, valid)
-    return ~separated
-
-
 def sample_blocks(m, per_sample):
     """Sample ranges whose temporaries stay within BLOCK_ELEMENTS."""
     step = max(1, BLOCK_ELEMENTS // max(1, per_sample))
@@ -452,23 +404,36 @@ def sample_blocks(m, per_sample):
         yield lo, min(m, lo + step)
 
 
-def _separated(pa, pb):
-    """Whether some axis strictly separates two point sets, given their
-    projections (samples, points, axes); a zero axis projects everything to 0
-    and never separates."""
-    return ((pa.max(axis=1) < pb.min(axis=1))
-            | (pb.max(axis=1) < pa.min(axis=1))).any(axis=1)
+def _project(point, axis):
+    """<point, axis>, summed left to right over the coordinates; each
+    coordinate of either is a float or a vector over the samples."""
+    total = point[0] * axis[0]
+    for p, u in zip(point[1:], axis[1:]):
+        total = total + p * u
+    return total
 
 
-def _cross_axes(fixed, turned):
-    """Columns e x f for every fixed e (p, 3) and every column f of turned
-    (s, 3, q), as (s, 3, p * q): e x f is the skew matrix of e times f."""
-    zero = np.zeros(len(fixed))
-    x, y, z = fixed.T
-    skew = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3)
-    s, _, q = turned.shape
-    p = len(fixed)
-    return (skew @ turned).reshape(s, p, 3, q).transpose(0, 2, 1, 3).reshape(s, 3, p * q)
+def _span(projections):
+    """Running (min, max) over a sequence of projections."""
+    projections = iter(projections)
+    low = high = next(projections)
+    for p in projections:
+        low, high = np.minimum(low, p), np.maximum(high, p)
+    return low, high
+
+
+def _apart(points, axis, span):
+    """Where the projections of points onto axis lie strictly on one side of
+    span; a zero axis projects everything to 0 and never separates."""
+    low, high = _span(_project(p, axis) for p in points)
+    return (high < span[0]) | (span[1] < low)
+
+
+def _moved(gb, xs, rots):
+    """The rows of the rotations and the vertices of x + R B, per coordinate."""
+    n = xs.shape[1]
+    r = [[rots[:, i, j] for j in range(n)] for i in range(n)]
+    return r, [[xs[:, i] + _project(v, r[i]) for i in range(n)] for v in gb.vertices]
 
 
 def _hits_polytopes(ga, gb, xs, rots):
@@ -476,24 +441,35 @@ def _hits_polytopes(ga, gb, xs, rots):
 
     The facet normals of A and the rotated facet normals of B go first; in
     space, the samples they leave unseparated are then tested on the cross
-    products of A's edge directions with B's rotated edge directions.
-    Axes are columns: projections are (samples, points, axes).
+    products of A's edge directions with B's rotated edge directions, and
+    dropped after each edge direction of A that separates them.
     """
     m, n = xs.shape
-    hits = np.empty(m, dtype=bool)
-    count = len(ga.axes) + len(gb.axes) + len(ga.edge_dirs) * len(gb.edge_dirs)
-    for lo, hi in sample_blocks(m, count * (len(ga.vertices) + len(gb.vertices))):
-        r = rots[lo:hi]
-        moved = xs[lo:hi, None, :] + gb.vertices @ np.transpose(r, (0, 2, 1))
-        axes = np.concatenate([np.broadcast_to(ga.axes.T, (hi - lo, n, len(ga.axes))),
-                               r @ gb.axes.T], axis=2)
-        live = ~_separated(ga.vertices @ axes, moved @ axes)
-        if len(ga.edge_dirs) and len(gb.edge_dirs):
-            idx = np.flatnonzero(live)
-            axes = _cross_axes(ga.edge_dirs, r[idx] @ gb.edge_dirs.T)
-            live[idx] = ~_separated(ga.vertices @ axes, moved[idx] @ axes)
-        hits[lo:hi] = live
-    return hits
+    separated = np.zeros(m, dtype=bool)
+    # a block holds B's vertices and turned edges, twice while it compacts them
+    per_sample = n * (n + 1 + 2 * (len(gb.vertices) + len(gb.edge_dirs)))
+    for lo, hi in sample_blocks(m, per_sample):
+        r, moved = _moved(gb, xs[lo:hi], rots[lo:hi])
+        for axis in [*ga.axes, *([_project(u, row) for row in r] for u in gb.axes)]:
+            separated[lo:hi] |= _apart(ga.vertices, axis,
+                                       _span(_project(p, axis) for p in moved))
+    if not (len(ga.edge_dirs) and len(gb.edge_dirs)):
+        return ~separated
+    live = np.flatnonzero(~separated)
+    for lo, hi in sample_blocks(len(live), per_sample):
+        idx = live[lo:hi]
+        r, moved = _moved(gb, xs[idx], rots[idx])
+        turned = [[_project(f, row) for row in r] for f in gb.edge_dirs]
+        for e0, e1, e2 in ga.edge_dirs:
+            cut = np.zeros(len(idx), dtype=bool)
+            for g0, g1, g2 in turned:
+                axis = (e1 * g2 - e2 * g1, e2 * g0 - e0 * g2, e0 * g1 - e1 * g0)
+                cut |= _apart(ga.vertices, axis, _span(_project(p, axis) for p in moved))
+            separated[idx[cut]] = True
+            keep = ~cut
+            idx = idx[keep]
+            moved, turned = ([[c[keep] for c in p] for p in ps] for ps in (moved, turned))
+    return ~separated
 
 
 def _hits_ball_polytope(g, centers, radius):
@@ -501,19 +477,19 @@ def _hits_ball_polytope(g, centers, radius):
     every possible closest feature: facet normals, vertex-to-center
     directions and, in space, edge perpendiculars through the center."""
     m, n = centers.shape
-    hits = np.empty(m, dtype=bool)
-    count = len(g.axes) + len(g.vertices) + len(g.edge_points)
-    for lo, hi in sample_blocks(m, count * (len(g.vertices) + 2)):
-        c = centers[lo:hi, :, None]
-        w = c - g.edge_points.T
-        w -= (w * g.edge_units.T).sum(axis=1, keepdims=True) * g.edge_units.T
-        axes = np.concatenate([np.broadcast_to(g.axes.T, (hi - lo, n, len(g.axes))),
-                               c - g.vertices.T, w], axis=2)
-        mid = (c * axes).sum(axis=1, keepdims=True)
-        reach = radius * np.sqrt((axes * axes).sum(axis=1, keepdims=True))
-        hits[lo:hi] = ~_separated(g.vertices @ axes,
-                                  np.concatenate([mid - reach, mid + reach], axis=1))
-    return hits
+    separated = np.zeros(m, dtype=bool)
+    for lo, hi in sample_blocks(m, n * (len(g.vertices) + len(g.edge_points) + 2)):
+        c = [centers[lo:hi, i] for i in range(n)]
+        axes = [*g.axes, *([ci - vi for ci, vi in zip(c, v)] for v in g.vertices)]
+        for p, e in zip(g.edge_points, g.edge_units):
+            w = [ci - pi for ci, pi in zip(c, p)]
+            t = _project(w, e)
+            axes.append([wi - t * ei for wi, ei in zip(w, e)])
+        for axis in axes:
+            mid = _project(c, axis)
+            reach = radius * np.sqrt(_project(axis, axis))
+            separated[lo:hi] |= _apart(g.vertices, axis, (mid - reach, mid + reach))
+    return ~separated
 
 
 # -- polygons ------------------------------------------------------------------------

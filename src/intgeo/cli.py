@@ -255,11 +255,7 @@ def _load_bodies(args):
     if len(doc) != len(kinds):
         raise ValueError(f"--bodies {args.bodies} holds {len(doc)} bodies; "
                          f"mc {args.table} takes {len(kinds)}")
-    bodies = [body_from_spec(spec) for spec in doc]
-    if args.table in ("steiner", "cauchy") and bodies[0].kind != "box":
-        raise ValueError(f"--bodies {args.bodies} holds a {bodies[0].kind}; "
-                         f"mc {args.table} takes a box")
-    return bodies
+    return [body_from_spec(spec) for spec in doc]
 
 
 def cmd_mc(args):

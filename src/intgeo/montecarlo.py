@@ -21,7 +21,10 @@ products.  That is the order numpy's reductions over the short matrix axes
 used, so the bits match the older sample-minor code (pinned against it in
 ``tests/oracles.py``).  The one reduction kept as an einsum is the weighted
 sum over the edges in the planar kernel: einsum splits that sum into
-interleaved partial sums, and a loop would round differently.
+interleaved partial sums, and a loop would round differently.  The
+separating-axis kernels of ``bodies`` work the same way; their projections
+round differently from the older matrix products, but every hit decision is
+pinned against those in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -257,7 +260,8 @@ def _flat_hits(a, dirs, normals, offsets):
     """Whether the affine flat {sum_t t_i d_i + sum_u u_j n_j} meets the body.
 
     dirs: (m, n-k, n) spanning directions; normals: (m, k, n) fiber frame;
-    offsets: (m, k) coordinates in the fiber.
+    offsets: (m, k) coordinates in the fiber.  The body is a ball, or a box
+    against hyperplanes or lines: ``estimate_crofton`` refuses any other.
     """
     m = dirs.shape[0]
     n = dirs.shape[2]
@@ -268,37 +272,33 @@ def _flat_hits(a, dirs, normals, offsets):
         tang = np.einsum("mfn,mn->mf", dirs, rel)
         closest = rel - np.einsum("mf,mfn->mn", tang, dirs)
         return np.einsum("mn,mn->m", closest, closest) <= float(a.radius) ** 2
-    if a.kind == "box":
-        if flat_dim == n - 1:
-            # hyperplane with normal normals[:,0]: box straddles the offset
-            u = normals[:, 0, :]
-            c = (a.lo_f() + a.hi_f()) / 2
-            h = (a.hi_f() - a.lo_f()) / 2
-            centered = np.einsum("mn,n->m", u, c) - offsets[:, 0]
-            reach = np.einsum("mn,n->m", np.abs(u), h)
-            return np.abs(centered) <= reach
-        if flat_dim == 1:
-            # line base + t d against an axis-aligned box: slab clipping
-            d = dirs[:, 0, :]
-            lo = np.full(m, -np.inf)
-            hi = np.full(m, np.inf)
-            ok = np.ones(m, dtype=bool)
-            for i in range(n):
-                di = d[:, i]
-                bi = base[:, i]
-                par = np.abs(di) < 1e-14
-                out = par & ((bi < a.lo_f()[i]) | (bi > a.hi_f()[i]))
-                ok &= ~out
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t1 = (a.lo_f()[i] - bi) / di
-                    t2 = (a.hi_f()[i] - bi) / di
-                tlo = np.where(par, -np.inf, np.minimum(t1, t2))
-                thi = np.where(par, np.inf, np.maximum(t1, t2))
-                lo = np.maximum(lo, tlo)
-                hi = np.minimum(hi, thi)
-            return ok & (lo <= hi)
-    raise ValueError(f"no flat test for body kind {a.kind!r} and "
-                     f"flat dimension {flat_dim}")
+    if flat_dim == n - 1:
+        # hyperplane with normal normals[:,0]: box straddles the offset
+        u = normals[:, 0, :]
+        c = (a.lo_f() + a.hi_f()) / 2
+        h = (a.hi_f() - a.lo_f()) / 2
+        centered = np.einsum("mn,n->m", u, c) - offsets[:, 0]
+        reach = np.einsum("mn,n->m", np.abs(u), h)
+        return np.abs(centered) <= reach
+    # line base + t d against an axis-aligned box: slab clipping
+    d = dirs[:, 0, :]
+    lo = np.full(m, -np.inf)
+    hi = np.full(m, np.inf)
+    ok = np.ones(m, dtype=bool)
+    for i in range(n):
+        di = d[:, i]
+        bi = base[:, i]
+        par = np.abs(di) < 1e-14
+        out = par & ((bi < a.lo_f()[i]) | (bi > a.hi_f()[i]))
+        ok &= ~out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (a.lo_f()[i] - bi) / di
+            t2 = (a.hi_f()[i] - bi) / di
+        tlo = np.where(par, -np.inf, np.minimum(t1, t2))
+        thi = np.where(par, np.inf, np.maximum(t1, t2))
+        lo = np.maximum(lo, tlo)
+        hi = np.minimum(hi, thi)
+    return ok & (lo <= hi)
 
 
 def estimate_crofton(a, k, samples, seed, name="crofton"):
@@ -307,6 +307,9 @@ def estimate_crofton(a, k, samples, seed, name="crofton"):
     n = a.dimension
     if not 1 <= k <= min(n - 1, 2):
         raise ValueError("crofton estimator needs 1 <= k <= n-1 and k <= 2")
+    if a.kind != "ball" and not (a.kind == "box" and k in (1, n - 1)):
+        raise ValueError(f"crofton estimator takes a ball, or a box against "
+                         f"hyperplanes or lines, not a {a.kind} against {n - k}-flats")
     pred = scalar_float(a.exact_intrinsic_volume(k))
     rho = a.circumradius()
     fiber_vol = scalar_float(omega(k)) * rho ** k
@@ -337,6 +340,8 @@ def estimate_crofton(a, k, samples, seed, name="crofton"):
 def cauchy_projection_check(box, samples, seed, name="cauchy"):
     """Sphere-average of exact box shadow volumes against mu_{n-1}."""
     _require_variance_samples(samples)
+    if box.kind != "box":
+        raise ValueError(f"cauchy projection check takes a box, not a {box.kind}")
     sides_f = [float(s) for s in box.sides]
     n = box.dimension
     if n < 2:
@@ -361,6 +366,8 @@ def cauchy_projection_check(box, samples, seed, name="cauchy"):
 def steiner_mc(box, r, samples, seed, name="steiner"):
     """Hit-or-miss volume of the r-neighborhood of a box vs. the exact
     tube-volume polynomial."""
+    if box.kind != "box":
+        raise ValueError(f"steiner estimator takes a box, not a {box.kind}")
     rf = float(r)
     lo = box.lo_f() - rf
     hi = box.hi_f() + rf

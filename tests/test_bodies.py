@@ -6,10 +6,16 @@ import pytest
 
 from intgeo import montecarlo as MC
 from intgeo.bodies import (ConvexBody, body_from_spec, ccw_order,
-                           intersects, kinematic_indicator, polygon_area,
-                           polygon_edges)
+                           kinematic_indicator, polygon_area, polygon_edges)
 from intgeo.scalars import Scalar
 from oracles import gjk_intersects, minkowski_sum_volume, moved
+
+
+def intersects(a, b):
+    """Whether two convex bodies meet (closed-set convention): the batched
+    kernel at the identity motion."""
+    n = a.dimension
+    return bool(kinematic_indicator(a, b)(np.zeros((1, n)), np.eye(n)[None])[0])
 
 
 def test_ball_ball():
@@ -42,6 +48,11 @@ def test_polytope_pairs():
     assert intersects(ConvexBody.cube(3, 2),
                       ConvexBody.polytope([[1, 0, 0], [2, 0, 0], [2, 1, 0], [2, 0, 1]]))
     assert intersects(ConvexBody.ball([0, 0], 1), ConvexBody.polytope([[1, 0], [2, 0], [2, 1]]))
+    # on the line, boxes and vertex lists are segments
+    assert intersects(ConvexBody.box([0], [1]), ConvexBody.polytope([[2], [1], ["3/2"]]))
+    assert not intersects(ConvexBody.box([0], [1]), ConvexBody.polytope([[2], [3]]))
+    assert intersects(ConvexBody.ball([0], 1), ConvexBody.polytope([[1], [3]]))
+    assert not intersects(ConvexBody.polytope([[-3]]), ConvexBody.ball([0], 1))
 
 
 def test_gjk_against_exact_balls():
@@ -215,7 +226,8 @@ def test_kernel_rejects_incomplete_pairs():
 def test_polytope_volumes_of_boxes():
     cube = ConvexBody.polytope(ConvexBody.cube(3, 1).vertices_f().tolist())
     assert cube.geometry().volumes == pytest.approx((1, 3, 3, 1), rel=1e-12)
-    for box in (ConvexBody.box([0, -1], [Fraction(3, 2), Fraction(1, 4)]),
+    for box in (ConvexBody.box([Fraction(-1, 3)], [Fraction(2, 7)]),
+                ConvexBody.box([0, -1], [Fraction(3, 2), Fraction(1, 4)]),
                 ConvexBody.box([0, -1, 2], [Fraction(3, 2), Fraction(1, 4), 5])):
         n = box.dimension
         as_polytope = ConvexBody.polytope(box.vertices_f().tolist())

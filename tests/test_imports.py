@@ -6,9 +6,9 @@ A name bound by an import statement counts as used when the module reads it
 anywhere (alone or as the base of an attribute) or lists it in ``__all__``.
 A module-level def, class or assignment under src/, and a method of a class
 there, counts as read when a module under src/, tests/ or perfbench/ names
-it outside that definition: as a name, an attribute, or a string (a lookup
-by name); imports and ``__all__`` do not count.  Dunder names and the
-console-script entry points of ``pyproject.toml`` are exempt.
+it outside that definition: as a loaded name or attribute, or in a string (a
+lookup by name); stores, imports and ``__all__`` do not count.  Dunder names
+and the console-script entry points of ``pyproject.toml`` are exempt.
 """
 
 import ast
@@ -84,7 +84,7 @@ def _reads(node):
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             out[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             out[sub.attr] += 1
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             out.update(sub.value.split("."))
@@ -110,8 +110,10 @@ def unread_definitions(defining, reading, exempt=()):
     ``reading`` reads outside the definition itself."""
     trees = {label: ast.parse(source)
              for sources in (defining, reading) for label, source in sources.items()}
-    reads = sum((_reads(stmt) for tree in trees.values() for stmt in tree.body),
-                Counter())
+    reads = Counter()
+    for tree in trees.values():
+        for stmt in tree.body:
+            reads.update(_reads(stmt))
     unread = []
     for label in defining:
         for name, node in _definitions(trees[label]):
@@ -132,10 +134,12 @@ def test_checker_sees_unread_definitions():
            "    def orphan(self):\n        return self.orphan()\n"
            "    def called(self):\n        return 1\n"
            "    def named(self):\n        return self.called()\n"
+           "    def assigned(self):\n        return 2\n"
            "def main():\n    pass\n")
-    user = "from lib import dead, used\nused()\ngetattr(lib, 'lib.Kept.named')\n"
+    user = ("from lib import dead, used\nused()\ngetattr(lib, 'lib.Kept.named')\n"
+            "lib.Kept().assigned = None\n")
     assert unread_definitions({"lib": lib}, {"user": user}, {("lib", "main")}) \
-        == [("lib", "Kept.orphan"), ("lib", "Y"), ("lib", "dead")]
+        == [("lib", "Kept.assigned"), ("lib", "Kept.orphan"), ("lib", "Y"), ("lib", "dead")]
 
 
 def test_every_src_definition_is_read():

@@ -225,3 +225,61 @@ def test_cli_two_sample_kinematic_has_finite_z(capsys):
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert 0.5 < abs(float(row[-1])) < 1.5
 
+
+
+# -- which inputs each estimator serves ----------------------------------------------
+
+def _bodies(n):
+    """One body of each kind in R^n: the polytope is a simplex, a segment on
+    the line."""
+    return {"ball": ConvexBody.ball([0] * n, 1),
+            "box": ConvexBody.box([0] * n, [1, 2, Fraction(1, 2), Fraction(3, 2)][:n]),
+            "polytope": ConvexBody.polytope([[0] * n] + np.eye(n, dtype=int).tolist()),
+            "point": ConvexBody.polytope([[Fraction(1, 3)] * n])}
+
+
+def _calls(estimator, bodies):
+    """(label, call) of every input the matrix gives an estimator."""
+    pairs = [(x, y) for x in bodies for y in bodies]
+    if estimator == "kinematic":
+        return [(p, lambda p=p: MC.estimate_principal_kinematic(
+            bodies[p[0]], bodies[p[1]], 200, 5)) for p in pairs]
+    if estimator == "additive":
+        return [(p, lambda p=p: MC.estimate_additive(
+            bodies[p[0]], bodies[p[1]], 200, 5)) for p in pairs]
+    if estimator == "crofton":
+        return [((x, k), lambda x=x, k=k: MC.estimate_crofton(bodies[x], k, 200, 5))
+                for x in bodies for k in (1, 2)]
+    if estimator == "steiner":
+        return [(x, lambda x=x: MC.steiner_mc(bodies[x], Fraction(1, 2), 200, 5))
+                for x in bodies]
+    return [(x, lambda x=x: MC.cauchy_projection_check(bodies[x], 200, 5))
+            for x in bodies]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("estimator",
+                         ["kinematic", "additive", "crofton", "steiner", "cauchy"])
+def test_estimators_serve_or_refuse_before_sampling(estimator, n, monkeypatch):
+    # each input either gets an estimate or raises ValueError with no chunk drawn
+    drawn, draw = [], MC.rng_chunk
+
+    def spy(seed, index):
+        drawn.append(index)
+        return draw(seed, index)
+
+    monkeypatch.setattr(MC, "rng_chunk", spy)
+    served = set()
+    for label, call in _calls(estimator, _bodies(n)):
+        del drawn[:]
+        try:
+            est = call()
+        except ValueError:
+            assert drawn == [], label
+        else:
+            assert isinstance(est, MC.MCEstimate) and est.samples == 200, label
+            served.add(label)
+    if estimator == "kinematic" and n == 1:
+        # boxes and vertex lists on the line are segments, served by one kernel
+        kinds = ("ball", "box", "polytope", "point")
+        assert served == {(x, y) for x in kinds for y in kinds} - {("point", "point")}

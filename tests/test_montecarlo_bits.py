@@ -106,27 +106,25 @@ def _hull(rng, k):
 _RNG = random.Random(16)
 _HEXAGON, _HEXAGON2 = _polygon(_RNG, 6), _polygon(_RNG, 6)
 _HULL, _HULL2 = _hull(_RNG, 8), _hull(_RNG, 8)
-THIRDS = (ConvexBody.box([Fraction(-1, 3), Fraction(-2, 7)], [Fraction(1, 2), Fraction(5, 7)]),
-          ConvexBody.box([Fraction(-1, 3), Fraction(-2, 7), Fraction(-3, 5)],
-                         [Fraction(1, 2), Fraction(5, 7), Fraction(1, 3)]))
+THIRDS = (ConvexBody.box(["-1/3", "-2/7"], ["1/2", "5/7"]),
+          ConvexBody.box(["-1/3", "-2/7", "-3/5"], ["1/2", "5/7", "1/3"]))
 # every kind of polytope pair the kinematic indicator serves, with a ball
 # against a polygon and a hull in either order
 KERNEL_PAIRS = {
     "square/box": BOX_PAIRS[0],
     "non-dyadic boxes 2-D": (THIRDS[0], ConvexBody.cube(2, Fraction(2, 3))),
-    "non-dyadic boxes 3-D": (THIRDS[1], ConvexBody.box([0, Fraction(-1, 5), 0],
-                                                       [Fraction(3, 7), 1, Fraction(2, 3)])),
-    "cube/box": (ConvexBody.cube(3, 1), ConvexBody.box([0, 0, 0], [1, 2, Fraction(1, 2)])),
-    "box/point": (ConvexBody.cube(3, 1), ConvexBody.polytope([[Fraction(1, 3), 0, 1]])),
-    "point/box": (ConvexBody.polytope([[0, Fraction(1, 5), 0]]), THIRDS[1]),
+    "non-dyadic boxes 3-D": (THIRDS[1], ConvexBody.box([0, "-1/5", 0], ["3/7", 1, "2/3"])),
+    "cube/box": (ConvexBody.cube(3, 1), ConvexBody.box([0, 0, 0], [1, 2, "1/2"])),
+    "box/point": (ConvexBody.cube(3, 1), ConvexBody.polytope([["1/3", 0, 1]])),
+    "point/box": (ConvexBody.polytope([[0, "1/5", 0]]), THIRDS[1]),
     "hexagons": (_HEXAGON, _HEXAGON2),
     "8-vertex hulls": (_HULL, _HULL2),
-    "ball/hexagon": (ConvexBody.ball([Fraction(1, 3), 0], Fraction(3, 5)), _HEXAGON),
-    "hexagon/ball": (_HEXAGON, ConvexBody.ball([0, Fraction(1, 7)], Fraction(2, 3))),
-    "ball/hull": (ConvexBody.ball([0, Fraction(1, 7), 0], Fraction(2, 3)), _HULL),
-    "hull/ball": (_HULL, ConvexBody.ball([Fraction(1, 3), 0, 0], Fraction(3, 5))),
-    "segments 1-D": (ConvexBody.box([0], [1]), ConvexBody.box([Fraction(-1, 3)], [Fraction(2, 7)])),
-    "segment/unit 1-D": (ConvexBody.box([Fraction(1, 5)], [Fraction(7, 3)]), ConvexBody.cube(1, 1)),
+    "ball/hexagon": (ConvexBody.ball(["1/3", 0], "3/5"), _HEXAGON),
+    "hexagon/ball": (_HEXAGON, ConvexBody.ball([0, "1/7"], "2/3")),
+    "ball/hull": (ConvexBody.ball([0, "1/7", 0], "2/3"), _HULL),
+    "hull/ball": (_HULL, ConvexBody.ball(["1/3", 0, 0], "3/5")),
+    "segments 1-D": (ConvexBody.box([0], [1]), ConvexBody.box(["-1/3"], ["2/7"])),
+    "segment/unit 1-D": (ConvexBody.box(["1/5"], ["7/3"]), ConvexBody.cube(1, 1)),
 }
 KERNEL_SAMPLES = 1 << 14
 
