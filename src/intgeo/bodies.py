@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 import math
 
 import numpy as np
@@ -450,7 +450,7 @@ def _hits_polytopes(ga, gb, xs, rots):
     per_sample = n * (n + 1 + 2 * (len(gb.vertices) + len(gb.edge_dirs)))
     for lo, hi in sample_blocks(m, per_sample):
         r, moved = _moved(gb, xs[lo:hi], rots[lo:hi])
-        for axis in [*ga.axes, *([_project(u, row) for row in r] for u in gb.axes)]:
+        for axis in chain(ga.axes, ([_project(u, row) for row in r] for u in gb.axes)):
             separated[lo:hi] |= _apart(ga.vertices, axis,
                                        _span(_project(p, axis) for p in moved))
     if not (len(ga.edge_dirs) and len(gb.edge_dirs)):

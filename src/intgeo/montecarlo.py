@@ -260,8 +260,7 @@ def _flat_hits(a, dirs, normals, offsets):
     """Whether the affine flat {sum_t t_i d_i + sum_u u_j n_j} meets the body.
 
     dirs: (m, n-k, n) spanning directions; normals: (m, k, n) fiber frame;
-    offsets: (m, k) coordinates in the fiber.  The body is a ball, or a box
-    against hyperplanes or lines: ``estimate_crofton`` refuses any other.
+    offsets: (m, k) coordinates in the fiber.
     """
     m = dirs.shape[0]
     n = dirs.shape[2]
@@ -272,33 +271,37 @@ def _flat_hits(a, dirs, normals, offsets):
         tang = np.einsum("mfn,mn->mf", dirs, rel)
         closest = rel - np.einsum("mf,mfn->mn", tang, dirs)
         return np.einsum("mn,mn->m", closest, closest) <= float(a.radius) ** 2
-    if flat_dim == n - 1:
-        # hyperplane with normal normals[:,0]: box straddles the offset
-        u = normals[:, 0, :]
-        c = (a.lo_f() + a.hi_f()) / 2
-        h = (a.hi_f() - a.lo_f()) / 2
-        centered = np.einsum("mn,n->m", u, c) - offsets[:, 0]
-        reach = np.einsum("mn,n->m", np.abs(u), h)
-        return np.abs(centered) <= reach
-    # line base + t d against an axis-aligned box: slab clipping
-    d = dirs[:, 0, :]
-    lo = np.full(m, -np.inf)
-    hi = np.full(m, np.inf)
-    ok = np.ones(m, dtype=bool)
-    for i in range(n):
-        di = d[:, i]
-        bi = base[:, i]
-        par = np.abs(di) < 1e-14
-        out = par & ((bi < a.lo_f()[i]) | (bi > a.hi_f()[i]))
-        ok &= ~out
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (a.lo_f()[i] - bi) / di
-            t2 = (a.hi_f()[i] - bi) / di
-        tlo = np.where(par, -np.inf, np.minimum(t1, t2))
-        thi = np.where(par, np.inf, np.maximum(t1, t2))
-        lo = np.maximum(lo, tlo)
-        hi = np.minimum(hi, thi)
-    return ok & (lo <= hi)
+    if a.kind == "box":
+        if flat_dim == n - 1:
+            # hyperplane with normal normals[:,0]: box straddles the offset
+            u = normals[:, 0, :]
+            c = (a.lo_f() + a.hi_f()) / 2
+            h = (a.hi_f() - a.lo_f()) / 2
+            centered = np.einsum("mn,n->m", u, c) - offsets[:, 0]
+            reach = np.einsum("mn,n->m", np.abs(u), h)
+            return np.abs(centered) <= reach
+        if flat_dim == 1:
+            # line base + t d against an axis-aligned box: slab clipping
+            d = dirs[:, 0, :]
+            lo = np.full(m, -np.inf)
+            hi = np.full(m, np.inf)
+            ok = np.ones(m, dtype=bool)
+            for i in range(n):
+                di = d[:, i]
+                bi = base[:, i]
+                par = np.abs(di) < 1e-14
+                out = par & ((bi < a.lo_f()[i]) | (bi > a.hi_f()[i]))
+                ok &= ~out
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t1 = (a.lo_f()[i] - bi) / di
+                    t2 = (a.hi_f()[i] - bi) / di
+                tlo = np.where(par, -np.inf, np.minimum(t1, t2))
+                thi = np.where(par, np.inf, np.maximum(t1, t2))
+                lo = np.maximum(lo, tlo)
+                hi = np.minimum(hi, thi)
+            return ok & (lo <= hi)
+    raise ValueError(f"no flat test for body kind {a.kind!r} and "
+                     f"flat dimension {flat_dim}")
 
 
 def estimate_crofton(a, k, samples, seed, name="crofton"):
