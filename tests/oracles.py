@@ -9,14 +9,20 @@ splitting off a power of pi per block; it serves graded matrices, whose
 minors are all single powers of pi.  The presentation checks are redone by
 computing both subspaces exactly: the evaluation kernels by
 ``kernel_basis``, the ideals by row-reducing every truncated multiple of
-their generators.  The Haar rotation sampler and the
-planar Minkowski-area kernel are the sample-minor versions the Monte Carlo
-estimators used before their sums were written out over per-entry vectors:
-numpy reductions over the short matrix axes, with a fancy-index sign flip.
-The separating-axis kernels are the forms the kinematic indicator used
-before it went sample-major: box pairs in center and half-width form, and
-the other polytope pairs and a ball against a polytope as batched matrix
+their generators.  The Haar rotation sampler, the
+planar Minkowski-area kernel and the Crofton flat kernel are the
+sample-minor versions the Monte Carlo estimators used before their sums were
+written out over per-entry vectors: numpy reductions over the short matrix
+axes, with a fancy-index sign flip.  The kinematic kernels are the forms the
+kinematic indicator used before it went sample-major: einsum closed forms
+for a ball against a ball or a box, box pairs in center and half-width form,
+and the other polytope pairs and a ball against a polytope as batched matrix
 products of vertex and axis arrays.
+
+Every oracle that reads rotations reads ``np.ascontiguousarray(rots)``:
+einsum and matmul choose their summation order, and whether they fuse a
+multiply and an add, from the strides of their operands, so the oracles
+see the memory layout the old estimators saw.
 """
 
 from fractions import Fraction
@@ -189,12 +195,100 @@ def random_rotations(n, gen, count):
 
 def planar_minkowski_areas(ga, gb, rots):
     """area(A + R B) per rotation by the mixed-area support formula."""
+    rots = np.ascontiguousarray(rots)
     normals = np.einsum("mij,kj->mki", rots, gb.facet_normals)
     h = np.max(np.einsum("vi,mki->mkv", ga.vertices, normals), axis=2)
     return ga.volumes[2] + gb.volumes[2] + np.einsum("mk,k->m", h, gb.facet_areas)
 
 
-# -- separating-axis kernels over matrix products --------------------------------
+def flat_hits(a, dirs, normals, offsets):
+    """Whether the affine flat {sum_t t_i d_i + sum_u u_j n_j} meets the body.
+
+    dirs: (m, n-k, n) spanning directions; normals: (m, k, n) fiber frame;
+    offsets: (m, k) coordinates in the fiber.
+    """
+    m = dirs.shape[0]
+    n = dirs.shape[2]
+    flat_dim = dirs.shape[1]
+    base = np.einsum("mk,mkn->mn", offsets, normals)
+    if a.kind == "ball":
+        rel = a.center_f() - base
+        tang = np.einsum("mfn,mn->mf", dirs, rel)
+        closest = rel - np.einsum("mf,mfn->mn", tang, dirs)
+        return np.einsum("mn,mn->m", closest, closest) <= float(a.radius) ** 2
+    if a.kind == "box":
+        if flat_dim == n - 1:
+            # hyperplane with normal normals[:,0]: box straddles the offset
+            u = normals[:, 0, :]
+            c = (a.lo_f() + a.hi_f()) / 2
+            h = (a.hi_f() - a.lo_f()) / 2
+            centered = np.einsum("mn,n->m", u, c) - offsets[:, 0]
+            reach = np.einsum("mn,n->m", np.abs(u), h)
+            return np.abs(centered) <= reach
+        if flat_dim == 1:
+            # line base + t d against an axis-aligned box: slab clipping
+            d = dirs[:, 0, :]
+            lo = np.full(m, -np.inf)
+            hi = np.full(m, np.inf)
+            ok = np.ones(m, dtype=bool)
+            for i in range(n):
+                di = d[:, i]
+                bi = base[:, i]
+                par = np.abs(di) < 1e-14
+                out = par & ((bi < a.lo_f()[i]) | (bi > a.hi_f()[i]))
+                ok &= ~out
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t1 = (a.lo_f()[i] - bi) / di
+                    t2 = (a.hi_f()[i] - bi) / di
+                tlo = np.where(par, -np.inf, np.minimum(t1, t2))
+                thi = np.where(par, np.inf, np.maximum(t1, t2))
+                lo = np.maximum(lo, tlo)
+                hi = np.minimum(hi, thi)
+            return ok & (lo <= hi)
+    raise ValueError(f"no flat test for body kind {a.kind!r} and "
+                     f"flat dimension {flat_dim}")
+
+
+def crofton_hits(a, k, rots, offsets):
+    """``flat_hits`` of the flats the Crofton estimator draws: the first n - k
+    columns of each rotation span the flat, the last k frame its fiber, and
+    offsets (m, k) place it in the fiber."""
+    rots = np.ascontiguousarray(rots)
+    n = rots.shape[1]
+    return flat_hits(a, np.transpose(rots[:, :, : n - k], (0, 2, 1)),
+                     np.transpose(rots[:, :, n - k:], (0, 2, 1)), offsets)
+
+
+# -- kinematic kernels over einsums and matrix products ---------------------------
+
+def kinematic_hits(a, b, xs, rots):
+    """Whether A meets x + R B: the einsum closed forms for a ball against a
+    ball or a box, and the matrix-product kernels for every other pair,
+    dispatched by kind as the kinematic indicator dispatched them."""
+    rots = np.ascontiguousarray(rots)
+    if a.kind == b.kind == "ball":
+        centers = xs + np.einsum("mij,j->mi", rots, b.center_f())
+        gap = centers - a.center_f()
+        rr = float(a.radius) + float(b.radius)
+        return np.einsum("mi,mi->m", gap, gap) <= rr * rr
+    if a.kind == b.kind == "box":
+        return hits_box_box(a, b, xs, rots)
+    if a.kind == "ball":
+        # the ball center in the moved body's frame
+        ball, other = a, b
+        centers = np.einsum("mji,mj->mi", rots, a.center_f() - xs)
+    elif b.kind == "ball":
+        ball, other = b, a
+        centers = xs + np.einsum("mij,j->mi", rots, b.center_f())
+    else:
+        return hits_polytopes(a.geometry(), b.geometry(), xs, rots)
+    radius = float(ball.radius)
+    if other.kind == "box":
+        gap = centers - np.clip(centers, other.lo_f(), other.hi_f())
+        return np.einsum("mi,mi->m", gap, gap) <= radius ** 2
+    return hits_ball_polytope(other.geometry(), centers, radius)
+
+
 
 def hits_box_box(a, b, xs, rots):
     """Separating-axis test for an axis-aligned box against moved boxes, in

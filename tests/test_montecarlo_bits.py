@@ -77,20 +77,6 @@ def test_planar_kernel_matches_oracle_bitwise():
 
 # -- the separating-axis kernels -------------------------------------------------
 
-def _old_indicator(a, b, xs, rots):
-    """The hit decisions of the matrix-product kernels, dispatched by kind as
-    the kinematic indicator dispatched them."""
-    if a.kind == b.kind == "box":
-        return oracles.hits_box_box(a, b, xs, rots)
-    if a.kind == "ball":
-        centers = np.einsum("mji,mj->mi", rots, a.center_f() - xs)
-        return oracles.hits_ball_polytope(b.geometry(), centers, float(a.radius))
-    if b.kind == "ball":
-        centers = xs + np.einsum("mij,j->mi", rots, b.center_f())
-        return oracles.hits_ball_polytope(a.geometry(), centers, float(b.radius))
-    return oracles.hits_polytopes(a.geometry(), b.geometry(), xs, rots)
-
-
 def _hull(rng, k):
     """k rational points of the sphere of radius 1/2 to 3/2 in R^3."""
     scale = Fraction(rng.randint(4, 12), 8)
@@ -108,8 +94,9 @@ _HEXAGON, _HEXAGON2 = _polygon(_RNG, 6), _polygon(_RNG, 6)
 _HULL, _HULL2 = _hull(_RNG, 8), _hull(_RNG, 8)
 THIRDS = (ConvexBody.box(["-1/3", "-2/7"], ["1/2", "5/7"]),
           ConvexBody.box(["-1/3", "-2/7", "-3/5"], ["1/2", "5/7", "1/3"]))
-# every kind of polytope pair the kinematic indicator serves, with a ball
-# against a polygon and a hull in either order
+# every kind of pair the kinematic indicator serves: the polytope pairs, a
+# ball against a polygon and a hull in either order, and the closed forms of
+# a ball against a box or a ball
 KERNEL_PAIRS = {
     "square/box": BOX_PAIRS[0],
     "non-dyadic boxes 2-D": (THIRDS[0], ConvexBody.cube(2, Fraction(2, 3))),
@@ -125,6 +112,13 @@ KERNEL_PAIRS = {
     "hull/ball": (_HULL, ConvexBody.ball(["1/3", 0, 0], "3/5")),
     "segments 1-D": (ConvexBody.box([0], [1]), ConvexBody.box(["-1/3"], ["2/7"])),
     "segment/unit 1-D": (ConvexBody.box(["1/5"], ["7/3"]), ConvexBody.cube(1, 1)),
+    "ball/box 2-D": (ConvexBody.ball(["1/3", 0], "3/5"), THIRDS[0]),
+    "box/ball 2-D": (THIRDS[0], ConvexBody.ball([0, "1/7"], "2/3")),
+    "balls 2-D": (ConvexBody.ball(["-1/5", "1/3"], "3/7"), ConvexBody.ball(["2/5", 0], "5/8")),
+    "ball/box 3-D": (ConvexBody.ball([0, "1/7", 0], "2/3"), THIRDS[1]),
+    "box/ball 3-D": (THIRDS[1], ConvexBody.ball(["1/3", 0, "-1/4"], "3/5")),
+    "balls 3-D": (ConvexBody.ball(["1/3", 0, 0], "3/5"),
+                  ConvexBody.ball([0, "-2/7", "1/5"], "1/2")),
 }
 KERNEL_SAMPLES = 1 << 14
 
@@ -138,5 +132,5 @@ def test_kinematic_kernels_match_oracle_bitwise(pair):
     half = a.circumradius() + b.circumradius()
     xs = gen.uniform(-half, half, size=(KERNEL_SAMPLES, n))
     hits = kinematic_indicator(a, b)(xs, rots)
-    assert np.array_equal(hits, _old_indicator(a, b, xs, rots))
+    assert np.array_equal(hits, oracles.kinematic_hits(a, b, xs, rots))
     assert 0 < np.count_nonzero(hits) < KERNEL_SAMPLES
