@@ -14,9 +14,10 @@ which is the complete axis set of two polytopes on the line, in the plane or
 in space.  A ball against a polytope uses the closest-feature axes (facet
 normals, vertex-to-center directions, edge perpendiculars through the
 center), so that test is exact too.  Separation is strict: tangency counts
-as intersection.  The kernels work sample-major, like the rotation sampler:
-each coordinate is one vector over the samples, and every projection onto an
-axis is one left-to-right sum of products (``_project``).
+as intersection.  The kernels work entry-major, like the rotation sampler:
+each coordinate, and each entry of the rotations, is one vector over the
+samples, and every projection onto an axis is one left-to-right sum of
+products (``_project``).
 """
 
 from __future__ import annotations
@@ -357,44 +358,48 @@ def kinematic_indicator(a, b):
     """
     if a.dimension != b.dimension:
         raise ValueError("bodies live in different dimensions")
-    kinds = (a.kind, b.kind)
-    if kinds == ("ball", "ball"):
+    if a.kind == b.kind == "ball":
         return lambda xs, rots: _hits_ball_ball(a, b, xs, rots)
-    if kinds == ("ball", "box"):
-        c, lo, hi, r = a.center_f(), b.lo_f(), b.hi_f(), float(a.radius)
-        # the ball center in the moved box's frame
-        return lambda xs, rots: _hits_box_balls(
-            np.einsum("mji,mj->mi", rots, c - xs), lo, hi, r)
-    if kinds == ("box", "ball"):
-        c, lo, hi, r = b.center_f(), a.lo_f(), a.hi_f(), float(b.radius)
-        return lambda xs, rots: _hits_box_balls(
-            xs + np.einsum("mij,j->mi", rots, c), lo, hi, r)
-    if a.kind == "ball":
-        gb, c, r = b.geometry(), a.center_f(), float(a.radius)
-        # the ball center in the moved body's frame
-        return lambda xs, rots: _hits_ball_polytope(
-            gb, np.einsum("mji,mj->mi", rots, c - xs), r)
-    if b.kind == "ball":
-        ga, c, r = a.geometry(), b.center_f(), float(b.radius)
-        return lambda xs, rots: _hits_ball_polytope(
-            ga, xs + np.einsum("mij,j->mi", rots, c), r)
+    if "ball" in (a.kind, b.kind):
+        ball, other = (a, b) if a.kind == "ball" else (b, a)
+        c, r = ball.center_f(), float(ball.radius)
+        if other.kind == "box":
+            lo, hi = other.lo_f(), other.hi_f()
+            test = lambda centers: _hits_box_balls(centers, lo, hi, r)
+        else:
+            g = other.geometry()
+            test = lambda centers: _hits_ball_polytope(g, centers, r)
+        if a.kind == "ball":
+            # the ball center in the moved body's frame, R^T (c - x)
+            return lambda xs, rots: test(
+                _turn(rots, [ci - x for ci, x in zip(c, xs.T)], inverse=True))
+        return lambda xs, rots: test([x + t for x, t in zip(xs.T, _turn(rots, c))])
     ga, gb = a.geometry(), b.geometry()
     if not (len(ga.axes) or len(gb.axes)):
         raise ValueError("two single points meet only on a null set of motions")
     return lambda xs, rots: _hits_polytopes(ga, gb, xs, rots)
 
 
+def _turn(rots, v, inverse=False):
+    """R v, or R^T v when inverse, per coordinate, summed over the entry
+    vectors of the rotations; v is one vector, or one vector over the
+    samples per coordinate."""
+    n = len(v)
+    return [_project([rots[:, j, i] if inverse else rots[:, i, j] for j in range(n)], v)
+            for i in range(n)]
+
+
 def _hits_ball_ball(a, b, xs, rots):
-    centers = xs + np.einsum("mij,j->mi", rots, b.center_f())
-    gap = centers - a.center_f()
+    centers = [x + t for x, t in zip(xs.T, _turn(rots, b.center_f()))]
+    gap = [ci - c for ci, c in zip(centers, a.center_f())]
     rr = float(a.radius) + float(b.radius)
-    return np.einsum("mi,mi->m", gap, gap) <= rr * rr
+    return _project(gap, gap) <= rr * rr
 
 
 def _hits_box_balls(centers, lo, hi, radius):
     """The axis-aligned box [lo, hi] against the balls B(c_m, radius)."""
-    gap = centers - np.clip(centers, lo, hi)
-    return np.einsum("mi,mi->m", gap, gap) <= radius ** 2
+    gap = [c - np.clip(c, low, high) for c, low, high in zip(centers, lo, hi)]
+    return _project(gap, gap) <= radius ** 2
 
 
 def sample_blocks(m, per_sample):
@@ -409,7 +414,7 @@ def _project(point, axis):
     coordinate of either is a float or a vector over the samples."""
     total = point[0] * axis[0]
     for p, u in zip(point[1:], axis[1:]):
-        total = total + p * u
+        total += p * u
     return total
 
 
@@ -429,11 +434,12 @@ def _apart(points, axis, span):
     return (high < span[0]) | (span[1] < low)
 
 
-def _moved(gb, xs, rots):
-    """The rows of the rotations and the vertices of x + R B, per coordinate."""
+def _moved(gb, xs, rots, idx):
+    """The rows of the rotations and the vertices of x + R B, per coordinate,
+    for the samples idx (a slice or an index array)."""
     n = xs.shape[1]
-    r = [[rots[:, i, j] for j in range(n)] for i in range(n)]
-    return r, [[xs[:, i] + _project(v, r[i]) for i in range(n)] for v in gb.vertices]
+    r = [[rots[idx, i, j] for j in range(n)] for i in range(n)]
+    return r, [[xs[idx, i] + _project(v, r[i]) for i in range(n)] for v in gb.vertices]
 
 
 def _hits_polytopes(ga, gb, xs, rots):
@@ -449,7 +455,7 @@ def _hits_polytopes(ga, gb, xs, rots):
     # a block holds B's vertices and turned edges, twice while it compacts them
     per_sample = n * (n + 1 + 2 * (len(gb.vertices) + len(gb.edge_dirs)))
     for lo, hi in sample_blocks(m, per_sample):
-        r, moved = _moved(gb, xs[lo:hi], rots[lo:hi])
+        r, moved = _moved(gb, xs, rots, slice(lo, hi))
         for axis in chain(ga.axes, ([_project(u, row) for row in r] for u in gb.axes)):
             separated[lo:hi] |= _apart(ga.vertices, axis,
                                        _span(_project(p, axis) for p in moved))
@@ -458,7 +464,7 @@ def _hits_polytopes(ga, gb, xs, rots):
     live = np.flatnonzero(~separated)
     for lo, hi in sample_blocks(len(live), per_sample):
         idx = live[lo:hi]
-        r, moved = _moved(gb, xs[idx], rots[idx])
+        r, moved = _moved(gb, xs, rots, idx)
         turned = [[_project(f, row) for row in r] for f in gb.edge_dirs]
         for e0, e1, e2 in ga.edge_dirs:
             cut = np.zeros(len(idx), dtype=bool)
@@ -471,15 +477,15 @@ def _hits_polytopes(ga, gb, xs, rots):
             moved, turned = ([[c[keep] for c in p] for p in ps] for ps in (moved, turned))
     return ~separated
 
-
 def _hits_ball_polytope(g, centers, radius):
-    """A fixed polytope against the balls B(c_m, radius), on the axes through
+    """A fixed polytope against the balls B(c_m, radius), one vector over the
+    samples per coordinate of the centers, on the axes through
     every possible closest feature: facet normals, vertex-to-center
     directions and, in space, edge perpendiculars through the center."""
-    m, n = centers.shape
+    m, n = len(centers[0]), len(centers)
     separated = np.zeros(m, dtype=bool)
     for lo, hi in sample_blocks(m, n * (len(g.vertices) + len(g.edge_points) + 2)):
-        c = [centers[lo:hi, i] for i in range(n)]
+        c = [ci[lo:hi] for ci in centers]
         axes = [*g.axes, *([ci - vi for ci, vi in zip(c, v)] for v in g.vertices)]
         for p, e in zip(g.edge_points, g.edge_units):
             w = [ci - pi for ci, pi in zip(c, p)]

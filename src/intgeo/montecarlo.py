@@ -10,18 +10,23 @@ facet and edge data of any other polytope.
 Randomness comes from the counter-based Philox generator.  A run is split
 into fixed-size chunks, which every estimator draws through
 ``_chunk_draws``: chunk c draws from ``Philox(key=seed).jumped(c)`` and
-partial sums are reduced in chunk order, so results are bit-identical for any
-worker count.  Rotations are orthonormalized Gaussian matrices (explicit
-Gram-Schmidt, no LAPACK) with the determinant flipped to +1.
+partial sums are reduced in chunk order, so a result depends only on
+``(seed, samples)``.  Rotations are orthonormalized Gaussian matrices
+(explicit Gram-Schmidt, no LAPACK) with the determinant flipped to +1.
 
-The rotation sampler and the planar additive kernel work sample-major: each
-matrix entry is one contiguous vector over the samples of a chunk, and every
-short inner product is written out as a left-to-right sum of elementwise
-products.  That is the order numpy's reductions over the short matrix axes
-used, so the bits match the older sample-minor code (pinned against it in
-``tests/oracles.py``).  The one reduction kept as an einsum is the weighted
-sum over the edges in the planar kernel: einsum splits that sum into
-interleaved partial sums, and a loop would round differently.  The
+The rotation sampler works entry-major: it orthonormalizes in a buffer of
+shape (n, n, count) whose entry (i, j) is one contiguous vector over the
+samples of a chunk, and hands out the sample-major view (count, n, n) of
+that buffer without copying.  The kernels read rotations through those entry
+vectors, ``rots[:, i, j]``, and write every short inner product out as a
+left-to-right sum of elementwise products (``bodies._project``).  That is
+the order numpy's reductions over the short matrix axes used, so the bits
+match the older sample-minor code (pinned against it in ``tests/oracles.py``).
+einsum and matmul pick their summation order from the strides of their
+operands, so the two kept here read contiguous arrays: the weighted sum over
+the edges in the planar kernel (einsum splits it into interleaved partial
+sums, and a loop would round differently), and the matrix products of
+``minkowski_volumes``, which copies its rotations sample-major first.  The
 separating-axis kernels of ``bodies`` work the same way; their projections
 round differently from the older matrix products, but every hit decision is
 pinned against those in ``tests/oracles.py``.
@@ -36,10 +41,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import euclid
-from .bodies import ConvexBody, kinematic_indicator, sample_blocks
+from .bodies import ConvexBody, _project, kinematic_indicator, sample_blocks
 from .scalars import omega
 
 CHUNK = 1 << 17
+# Samples the rotation sampler orthonormalizes at once, so that its block of
+# the draw and its temporaries stay in cache.
+ROTATION_BLOCK = 1 << 14
 
 # Fewest samples the estimators that take their stderr from the sample
 # variance (cauchy, additive) serve.  With fewer, that variance can come out
@@ -66,14 +74,6 @@ def rng_chunk(seed, chunk_index):
     return np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
 
 
-def _dot(a, b):
-    """Per-sample inner products of entry-major vectors, summed left to right."""
-    total = a[0] * b[0]
-    for k in range(1, len(a)):
-        total += a[k] * b[k]
-    return total
-
-
 def _det(e):
     """Determinants of an entry-major batch: e[i, j] holds entry (i, j) of
     every matrix.  Closed form for n <= 3."""
@@ -90,26 +90,33 @@ def _det(e):
 
 
 def random_rotations(n, gen, count):
-    """Haar-uniform elements of SO(n), batched sample-major (count, n, n).
+    """Haar-uniform elements of SO(n), batched (count, n, n).
 
-    Classical Gram-Schmidt on the columns of a Gaussian draw, run in place on
-    an entry-major copy; the last column is negated where the determinant is
-    negative, and the result is written back into the draw.
+    The work runs in an entry-major buffer e of shape (n, n, count): e[i, j]
+    is entry (i, j) of every matrix, one contiguous vector.  The Gaussian
+    draw comes ROTATION_BLOCK samples at a time, in the generator's order, is
+    copied into its block of e and orthonormalized there: classical
+    Gram-Schmidt on the columns, each inner product a left-to-right sum
+    (``_project``), and the last column negated where the determinant is
+    negative.  The result is the sample-major view of e, so every
+    ``rots[:, i, j]`` is contiguous; a caller that needs contiguous matrices
+    copies them.
     """
     if n == 1:
         return np.ones((count, 1, 1))
-    g = gen.standard_normal((count, n, n))
-    e = np.ascontiguousarray(np.moveaxis(g, 0, -1))
-    for j in range(n):
-        col = e[:, j]
-        # every projection reads the drawn column j, before any is removed
-        projs = [_dot(e[:, i], col) for i in range(j)]
-        for i, proj in enumerate(projs):
-            col -= proj * e[:, i]
-        col /= np.sqrt(_dot(col, col))
-    e[:, -1] *= np.where(_det(e) < 0, -1.0, 1.0)
-    g[...] = np.moveaxis(e, -1, 0)
-    return g
+    e = np.empty((n, n, count))
+    for lo in range(0, count, ROTATION_BLOCK):
+        b = e[..., lo:lo + ROTATION_BLOCK]
+        b[...] = np.moveaxis(gen.standard_normal((b.shape[-1], n, n)), 0, -1)
+        for j in range(n):
+            col = b[:, j]
+            # every projection reads the drawn column j, before any is removed
+            projs = [_project(b[:, i], col) for i in range(j)]
+            for i, proj in enumerate(projs):
+                col -= proj * b[:, i]
+            col /= np.sqrt(_project(col, col))
+        b[:, -1] *= np.where(_det(b) < 0, -1.0, 1.0)
+    return np.moveaxis(e, -1, 0)
 
 
 EXACT_TOL = 1e-12  # an estimate this close to its prediction is exact
@@ -182,6 +189,16 @@ def _chunk_draws(samples, seed):
         yield rng_chunk(seed, index), min(CHUNK, samples - done)
 
 
+def _require_within(hits, coords, radius, window):
+    """Raise unless every hit lies within radius (+1e-9) of the origin, so
+    that the sampled window dominates the integrand.  coords holds one vector
+    over the samples per coordinate; sqrt is monotone, so the largest norm is
+    the root of the largest left-to-right sum of squares."""
+    worst = np.max(_project(coords, coords) * hits, initial=0.0)
+    if math.sqrt(worst) > radius + 1e-9:
+        raise AssertionError(f"{window} does not dominate the integrand")
+
+
 # -- principal kinematic formula -------------------------------------------------
 
 def _intrinsic_volumes(body):
@@ -239,15 +256,11 @@ def estimate_principal_kinematic(a, b, samples, seed, name="kinematic"):
         raise ValueError("window underflow: degenerate bodies")
     vol_w = (2 * half) ** n
     total = 0.0
-    support_bound = half + 1e-9
     for gen, m in _chunk_draws(samples, seed):
         rots = random_rotations(n, gen, m)
         xs = gen.uniform(-half, half, size=(m, n))
         hits = hits_of(xs, rots)
-        if np.any(hits):
-            worst = float(np.max(np.linalg.norm(xs[hits], axis=1)))
-            if worst > support_bound:
-                raise AssertionError("window does not dominate the integrand")
+        _require_within(hits, xs.T, half, "window")
         total += float(np.count_nonzero(hits))
     # indicator values are vol_w * {0,1}
     return _hit_or_miss(name, vol_w, total, samples, seed, pred,
@@ -257,51 +270,45 @@ def estimate_principal_kinematic(a, b, samples, seed, name="kinematic"):
 # -- Crofton flats ---------------------------------------------------------------
 
 def _flat_hits(a, dirs, normals, offsets):
-    """Whether the affine flat {sum_t t_i d_i + sum_u u_j n_j} meets the body.
+    """Whether the affine flat {sum_f t_f d_f + sum_j u_j n_j} meets the body.
 
-    dirs: (m, n-k, n) spanning directions; normals: (m, k, n) fiber frame;
-    offsets: (m, k) coordinates in the fiber.
+    dirs are the n - k spanning directions and normals the k fiber
+    directions, each a list of its n coordinates; offsets are the k fiber
+    coordinates u_j.  Every coordinate is a vector over the samples.
     """
-    m = dirs.shape[0]
-    n = dirs.shape[2]
-    flat_dim = dirs.shape[1]
-    base = np.einsum("mk,mkn->mn", offsets, normals)
+    n = len(dirs[0])
+    base = [_project(offsets, [u[i] for u in normals]) for i in range(n)]
     if a.kind == "ball":
-        rel = a.center_f() - base
-        tang = np.einsum("mfn,mn->mf", dirs, rel)
-        closest = rel - np.einsum("mf,mfn->mn", tang, dirs)
-        return np.einsum("mn,mn->m", closest, closest) <= float(a.radius) ** 2
+        rel = [c - b for c, b in zip(a.center_f(), base)]
+        tang = [_project(d, rel) for d in dirs]
+        closest = [r - _project(tang, [d[i] for d in dirs]) for i, r in enumerate(rel)]
+        return _project(closest, closest) <= float(a.radius) ** 2
     if a.kind == "box":
-        if flat_dim == n - 1:
-            # hyperplane with normal normals[:,0]: box straddles the offset
-            u = normals[:, 0, :]
+        if len(dirs) == n - 1:
+            # hyperplane with normal normals[0]: box straddles the offset
+            u = normals[0]
             c = (a.lo_f() + a.hi_f()) / 2
             h = (a.hi_f() - a.lo_f()) / 2
-            centered = np.einsum("mn,n->m", u, c) - offsets[:, 0]
-            reach = np.einsum("mn,n->m", np.abs(u), h)
+            centered = _project(u, c) - offsets[0]
+            reach = _project([np.abs(ui) for ui in u], h)
             return np.abs(centered) <= reach
-        if flat_dim == 1:
+        if len(dirs) == 1:
             # line base + t d against an axis-aligned box: slab clipping
-            d = dirs[:, 0, :]
+            m = len(base[0])
             lo = np.full(m, -np.inf)
             hi = np.full(m, np.inf)
             ok = np.ones(m, dtype=bool)
-            for i in range(n):
-                di = d[:, i]
-                bi = base[:, i]
+            for di, bi, low, high in zip(dirs[0], base, a.lo_f(), a.hi_f()):
                 par = np.abs(di) < 1e-14
-                out = par & ((bi < a.lo_f()[i]) | (bi > a.hi_f()[i]))
-                ok &= ~out
+                ok &= ~(par & ((bi < low) | (bi > high)))
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    t1 = (a.lo_f()[i] - bi) / di
-                    t2 = (a.hi_f()[i] - bi) / di
-                tlo = np.where(par, -np.inf, np.minimum(t1, t2))
-                thi = np.where(par, np.inf, np.maximum(t1, t2))
-                lo = np.maximum(lo, tlo)
-                hi = np.minimum(hi, thi)
+                    t1 = (low - bi) / di
+                    t2 = (high - bi) / di
+                lo = np.maximum(lo, np.where(par, -np.inf, np.minimum(t1, t2)))
+                hi = np.minimum(hi, np.where(par, np.inf, np.maximum(t1, t2)))
             return ok & (lo <= hi)
     raise ValueError(f"no flat test for body kind {a.kind!r} and "
-                     f"flat dimension {flat_dim}")
+                     f"flat dimension {len(dirs)}")
 
 
 def estimate_crofton(a, k, samples, seed, name="crofton"):
@@ -320,19 +327,16 @@ def estimate_crofton(a, k, samples, seed, name="crofton"):
     hits_total = 0.0
     for gen, m in _chunk_draws(samples, seed):
         rots = random_rotations(n, gen, m)
-        dirs = np.transpose(rots[:, :, : n - k], (0, 2, 1))
-        normals = np.transpose(rots[:, :, n - k:], (0, 2, 1))
+        # the columns of the rotations: n - k span the flat, k frame its fiber
+        cols = [[rots[:, i, j] for i in range(n)] for j in range(n)]
         if k == 1:
-            offsets = gen.uniform(-rho, rho, size=(m, 1))
+            offsets = [gen.uniform(-rho, rho, size=m)]
         else:
             r = rho * np.sqrt(gen.uniform(0.0, 1.0, size=m))
             th = gen.uniform(0.0, 2 * math.pi, size=m)
-            offsets = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-        hits = _flat_hits(a, dirs, normals, offsets)
-        if np.any(hits):
-            worst = float(np.max(np.linalg.norm(offsets[hits], axis=1)))
-            if worst > rho + 1e-9:
-                raise AssertionError("fiber ball does not dominate the integrand")
+            offsets = [r * np.cos(th), r * np.sin(th)]
+        hits = _flat_hits(a, cols[: n - k], cols[n - k:], offsets)
+        _require_within(hits, offsets, rho, "fiber ball")
         hits_total += float(np.count_nonzero(hits))
     return _hit_or_miss(name, fiber_vol * const, hits_total, samples, seed, pred,
                         {"fiber_radius": rho})
@@ -413,7 +417,8 @@ def minkowski_volumes(ga, gb, rots):
     per_sample = (len(ga.facet_areas) * len(gb.vertices)
                   + len(gb.facet_areas) * len(ga.vertices))
     for lo, hi in sample_blocks(len(rots), per_sample):
-        r = rots[lo:hi]
+        # a sample-major copy: matmul rounds by the layout of its operands
+        r = np.ascontiguousarray(rots[lo:hi])
         # u_F^T R is (R^T u_F)^T, and u_G^T R^T is (R u_G)^T
         vals[lo:hi] = (base
                        + _support_sum(ga.facet_normals @ r, ga.facet_areas, gb.vertices)

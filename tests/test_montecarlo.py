@@ -150,6 +150,37 @@ def test_box_box_sat_against_gjk():
         assert hits3[i] == gjk_intersects(cube, moved(cube, xs3[i], rots3[i])), i
 
 
+def test_dominance_guards_raise(monkeypatch):
+    # a hit outside the sampled window, or outside the fiber ball, is an error
+    monkeypatch.setattr(MC, "kinematic_indicator",
+                        lambda a, b: lambda xs, rots: np.ones(len(xs), dtype=bool))
+    with pytest.raises(AssertionError, match="window does not dominate"):
+        MC.estimate_principal_kinematic(unit_square(), unit_square(), 200, 1)
+
+    class Stretched(np.random.Generator):
+        def uniform(self, *args, **kwargs):  # offsets up to twice the fiber radius
+            return 2 * super().uniform(*args, **kwargs)
+
+    monkeypatch.setattr(MC, "rng_chunk", lambda seed, index: Stretched(
+        np.random.Philox(key=seed).jumped(index)))
+    monkeypatch.setattr(MC, "_flat_hits", lambda a, dirs, normals, offsets:
+                        np.ones(len(offsets[0]), dtype=bool))
+    for k in (1, 2):
+        with pytest.raises(AssertionError, match="fiber ball does not dominate"):
+            MC.estimate_crofton(ConvexBody.ball([0, 0, 0], 1), k, 200, 1)
+
+
+def test_dominance_guard_bound():
+    # a hit may lie 1e-9 beyond the radius, and not one ulp further
+    radius = 1.5
+    edge = radius + 1e-9
+    for x in (edge, -edge):
+        MC._require_within(np.array([True, False]), [np.array([x, 9.0])], radius, "w")
+    with pytest.raises(AssertionError):
+        MC._require_within(np.array([True]), [np.array([np.nextafter(edge, 2)])],
+                           radius, "w")
+
+
 def test_minkowski_volumes_against_hull():
     gen = np.random.default_rng(5)
     pairs = [(ConvexBody.cube(3, 1), ConvexBody.box([0, 0, 0], [1, 2, Fraction(1, 2)]))]

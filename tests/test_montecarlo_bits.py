@@ -1,12 +1,12 @@
-"""The rotation sampler, the planar additive kernel and the kinematic
-indicator against their sample-minor oracles, bit for bit.
+"""The rotation sampler, the planar additive kernel, the Crofton flat kernel
+and the kinematic indicator against their sample-minor oracles, bit for bit.
 
 The fast code sums every short inner product left to right over per-entry
 sample vectors; the oracles reduce over the short matrix axes with numpy.
 ``np.array_equal`` pins that the two orders agree on seeded chunks, rather
-than assuming how numpy orders a short reduction.  The kinematic kernels
-round their projections differently from their oracles, so what must agree
-there is every hit decision.
+than assuming how numpy orders a short reduction.  The separating-axis
+kernels round their projections differently from their oracles, so what must
+agree there, as for the Crofton kernel, is every hit decision.
 """
 
 import random
@@ -20,9 +20,10 @@ from intgeo.bodies import ConvexBody, kinematic_indicator
 import oracles
 
 SEEDS = (1, 20260809, 987654321)
-# (seed, chunk index, count): full chunks at two chunk indices, and a ragged one
+# (seed, chunk index, count): full chunks at two chunk indices, a ragged one
+# within the sampler's first block, and one that ends in a ragged block
 DRAWS = ((SEEDS[0], 0, MC.CHUNK), (SEEDS[1], 5, MC.CHUNK), (SEEDS[2], 0, MC.CHUNK),
-         (SEEDS[0], 1, 1000))
+         (SEEDS[0], 1, 1000), (SEEDS[1], 2, 2 * MC.ROTATION_BLOCK + 7))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -133,4 +134,30 @@ def test_kinematic_kernels_match_oracle_bitwise(pair):
     xs = gen.uniform(-half, half, size=(KERNEL_SAMPLES, n))
     hits = kinematic_indicator(a, b)(xs, rots)
     assert np.array_equal(hits, oracles.kinematic_hits(a, b, xs, rots))
+    assert 0 < np.count_nonzero(hits) < KERNEL_SAMPLES
+
+
+# -- the Crofton flat kernel -------------------------------------------------------
+
+# a ball and a box in the plane and in space, against every flat dimension
+# the Crofton estimator serves them with
+CROFTON_CASES = {
+    f"{body.kind} {body.dimension}-D k={k}": (body, k)
+    for body in (ConvexBody.ball(["1/3", "-1/5"], "3/5"), THIRDS[0],
+                 ConvexBody.ball([0, "1/7", "-1/4"], "2/3"), THIRDS[1])
+    for k in (1, 2) if k < body.dimension
+}
+
+
+@pytest.mark.parametrize("case", CROFTON_CASES.values(), ids=list(CROFTON_CASES))
+def test_crofton_kernel_matches_oracle_bitwise(case):
+    body, k = case
+    n = body.dimension
+    gen = MC.rng_chunk(SEEDS[2], 4)
+    rots = MC.random_rotations(n, gen, KERNEL_SAMPLES)
+    rho = body.circumradius()
+    offsets = gen.uniform(-rho, rho, size=(KERNEL_SAMPLES, k))
+    cols = [[rots[:, i, j] for i in range(n)] for j in range(n)]
+    hits = MC._flat_hits(body, cols[: n - k], cols[n - k:], list(offsets.T))
+    assert np.array_equal(hits, oracles.crofton_hits(body, k, rots, offsets))
     assert 0 < np.count_nonzero(hits) < KERNEL_SAMPLES
