@@ -5,11 +5,12 @@ weights, a list of ideal generators, and a truncation degree D.  Every
 monomial of degree > D is zero in the quotient.  Construction enumerates
 every monomial of degree <= D, row-reduces the span of all ideal multiples
 (each cut off at degree D) over Q, and keeps the non-pivot monomials as the
-normal-form basis.  The reduction runs block by block: a homogeneous ideal
-never links two degrees, so each degree is reduced on its own, and a
-generator that mixes degrees (a filtered quotient) links only the degrees it
-spans.  The monomial order eliminates high exponents of heavier generators
-first, so low-s monomials survive as basis representatives.
+normal-form basis.  Rows are sparse, so the reduction keeps to the degrees
+by itself: a multiple of a homogeneous generator holds columns of one degree
+only, and one of a generator that mixes degrees (a filtered quotient) holds
+only the degrees it spans.  The monomial order eliminates high exponents of
+heavier generators first, so low-s monomials survive as basis
+representatives.
 """
 
 from __future__ import annotations
@@ -140,8 +141,9 @@ class GradedElement:
 class QuotientAlgebra:
     """Truncated quotient of a weighted polynomial ring.
 
-    ``rref`` reduces the ideal multiples per independent block: per degree
-    for a homogeneous ideal, per group of linked degrees for a filtered one.
+    The ideal multiples are sparse rows {column: coefficient} over
+    ``columns``, reduced by one ``rref``; its pivots are the monomials that
+    leave the basis.
     """
 
     def __init__(self, names, weights, ideal, truncation):
@@ -153,7 +155,6 @@ class QuotientAlgebra:
                         for m in sorted(gens.monomials_of_degree(d),
                                         key=gens.elimination_key)]
         self.col_index = {m: i for i, m in enumerate(self.columns)}
-        ncols = len(self.columns)
 
         rows = []
         for g in self.ideal:
@@ -162,17 +163,15 @@ class QuotientAlgebra:
                 for m in gens.monomials_of_degree(d):
                     # distinct generator monomials give distinct products,
                     # so no entry of the row is written twice
-                    row = [Fraction(0)] * ncols
-                    nonzero = False
+                    row = {}
                     for mg, c in g.items():
                         mm = mono_mul(m, mg)
                         if gens.degree(mm) <= D and c:
                             row[self.col_index[mm]] = c
-                            nonzero = True
-                    if nonzero:
+                    if row:
                         rows.append(row)
 
-        reduced, pivots = rref(rows, ncols)
+        reduced, pivots = rref(rows, len(self.columns))
         pivot_set = set(pivots)
 
         self.basis = {d: [] for d in range(D + 1)}
@@ -184,12 +183,13 @@ class QuotientAlgebra:
             self.basis[d] = sorted(self.basis[d],
                                    key=lambda m: tuple(reversed(gens.elimination_key(m))))
 
-        # reduction map: every monomial of degree <= D -> basis coordinates
+        # reduction map: every monomial of degree <= D -> basis coordinates,
+        # in column order whatever order the elimination left in a row
         self.reduction = {m: {m: Fraction(1)} for i, m in enumerate(self.columns)
                           if i not in pivot_set}
         for row, p in zip(reduced, pivots):
             self.reduction[self.columns[p]] = {
-                self.columns[j]: -c for j, c in enumerate(row) if j != p and c}
+                self.columns[j]: -c for j, c in sorted(row.items()) if j != p}
 
         self.basis_index = {
             d: {m: i for i, m in enumerate(self.basis[d])} for d in self.basis
@@ -242,18 +242,18 @@ class QuotientAlgebra:
         return vec
 
     def ideal_rows(self, monos):
-        """Rows e_m - nf(m) over ``monos``, one for each non-basis monomial m
-        among them: these span the ideal there.  ``monos`` must hold every
-        basis monomial those normal forms use (one degree of a homogeneous
-        ideal, or all of ``columns``).  Over ``columns`` the rows are the
-        reduced row echelon form of the ideal multiples."""
+        """Sparse rows e_m - nf(m), {position in ``monos``: coefficient}, one
+        for each non-basis monomial m among ``monos``: these span the ideal
+        there.  ``monos`` must hold every basis monomial those normal forms
+        use (one degree of a homogeneous ideal, or all of ``columns``).  Over
+        ``columns`` the rows are the reduced row echelon form of the ideal
+        multiples."""
         index = {m: i for i, m in enumerate(monos)}
         rows = []
         for m in monos:
             if m in self.basis_index[self.gens.degree(m)]:
                 continue
-            row = [Fraction(0)] * len(monos)
-            row[index[m]] = Fraction(1)
+            row = {index[m]: Fraction(1)}
             for bm, c in self.reduction[m].items():
                 row[index[bm]] = -c
             rows.append(row)

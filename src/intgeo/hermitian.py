@@ -500,10 +500,10 @@ def _chi_blocks(n):
     return out
 
 
-def _new_table(n, basis="monomial", normalization="standard"):
+def _new_table(n, basis="monomial"):
     model = un_model(n)
     labels = {d: model.basis_labels(d, basis) for d in range(2 * n + 1)}
-    return TensorTable("U", n, normalization, basis, basis_labels=labels)
+    return TensorTable("U", n, "standard", basis, basis_labels=labels)
 
 
 def kinematic_un(n, phi=None):
@@ -547,7 +547,7 @@ def convert_un_table(table, n, basis):
     if basis == "monomial":
         return table
     model = un_model(n)
-    out = _new_table(n, basis, table.normalization)
+    out = _new_table(n, basis)
     out.entries = _congruence(table.entries, lambda d: (d, model.display_inverse(d, basis)))
     return out
 

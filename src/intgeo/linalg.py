@@ -5,10 +5,10 @@ for the Poincare-pairing and basis-change matrices, reduced row echelon form
 used to build quotient-algebra normal forms, and a certificate that given
 rows span a matrix's kernel (exact containment plus the rank modulo a prime,
 with an exact comparison of reduced forms when that rank falls short), used
-to check presentations against evaluation kernels.  The row reduction
-splits the columns into the independent blocks of the rows' nonzero pattern
-and reduces each block densely.  Matrices are plain lists of lists of
-Fractions (ints are accepted).
+to check presentations against evaluation kernels.  Matrices are plain lists
+of lists of Fractions (ints are accepted).  The rows that row reduction
+takes and returns, and the vectors of a kernel, are sparse: mappings
+{column: entry}.
 """
 
 from __future__ import annotations
@@ -84,101 +84,55 @@ def invert_exact(m):
     return [[Fraction(a[i][n + j], det) for j in range(n)] for i in range(n)]
 
 
-def _rref_dense(rows, ncols):
-    """Gauss-Jordan reduction of one dense block, column by column.
-
-    Returns (reduced_rows, pivot_columns); zero rows never become pivot rows,
-    so they are dropped.  A pivot row is zero left of its pivot, and row
-    operations touch only the pivot row's nonzero columns.
-    """
-    work = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
-        support = [j for j in range(c, ncols) if prow[j]]
-        inv = Fraction(prow[c])
-        for j in support:
-            prow[j] = prow[j] / inv
-        for i in range(len(work)):
-            row = work[i]
-            if i != r and row[c]:
-                f = row[c]
-                for j in support:
-                    row[j] = row[j] - f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
-
-
 def rref(rows, ncols):
-    """Reduced row echelon form over Q.
+    """Reduced row echelon form over Q of sparse rows {column: int or Fraction}.
 
-    Returns (reduced_rows, pivot_columns).  Zero rows are dropped.
-
-    Two columns are linked when some row is nonzero in both; row operations
-    never leave a connected component of these links, so each component is
-    reduced on its own and its rows are expanded back to full width.  RREF is
-    unique for a fixed column order, so the result equals the reduction of
-    the whole matrix at once.  The components of a homogeneous ideal are its
-    degrees; those of the lam-filtered ideals are the two parities.
+    Gauss-Jordan, column by column: a remaining row that holds the column is
+    scaled to a leading 1 and clears the column from every other row.  Rows
+    that share no column (two degrees of a homogeneous ideal) never meet, so
+    the blocks are kept without being computed.  Returns (reduced, pivots):
+    Fraction rows without stored zeros, each with a pivot entry of 1, in the
+    order of their ascending pivots.  Zero rows are dropped.
     """
-    parent = list(range(ncols))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    supported = []
-    for row in rows:
-        cols = [j for j, x in enumerate(row) if x]
-        if cols:
-            supported.append((row, cols[0]))
-            root = find(cols[0])
-            for j in cols[1:]:
-                parent[find(j)] = root
-
-    block_cols = {}
+    rest = [r for r in ({j: Fraction(x) for j, x in row.items() if x}
+                        for row in rows) if r]
+    reduced, pivots = [], []
     for c in range(ncols):
-        block_cols.setdefault(find(c), []).append(c)
-    block_rows = {}
-    for row, first in supported:
-        block_rows.setdefault(find(first), []).append(row)
-
-    out = []
-    for root, members in block_rows.items():
-        cols = block_cols[root]
-        reduced, pivots = _rref_dense([[row[j] for j in cols] for row in members],
-                                      len(cols))
-        for sub, p in zip(reduced, pivots):
-            full = [Fraction(0)] * ncols
-            for j, x in zip(cols, sub):
-                if x:
-                    full[j] = x
-            out.append((cols[p], full))
-    out.sort(key=lambda item: item[0])
-    return [full for _, full in out], [p for p, _ in out]
+        i = next((i for i, r in enumerate(rest) if c in r), None)
+        if i is None:
+            continue
+        prow = rest.pop(i)
+        inv = prow[c]
+        prow = {j: x / inv for j, x in prow.items()}
+        for row in reduced + rest:
+            f = row.get(c)
+            if f:
+                for j, x in prow.items():
+                    v = row.get(j, 0) - f * x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+        reduced.append(prow)
+        pivots.append(c)
+    return reduced, pivots
 
 
 def kernel_basis(matrix, ncols):
-    """Basis of the right null space of ``matrix`` (rows over Q)."""
-    reduced, pivots = rref(matrix, ncols)
+    """Basis of the right null space of a dense ``matrix`` (rows over Q), as
+    sparse vectors {column: Fraction}: one per non-pivot column f, with 1 at
+    f and minus the reduced rows' f-entries at their pivots."""
+    reduced, pivots = rref([{j: x for j, x in enumerate(row) if x}
+                            for row in matrix], ncols)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = {f: Fraction(1)}
         for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
+            if f in row:
+                v[p] = -row[f]
         basis.append(v)
     return basis
 
@@ -224,7 +178,8 @@ def _rank_mod_p(rows, ncols, p):
 
 
 def kernel_equals_span(matrix, rows, ncols):
-    """Certify that the right null space of ``matrix`` is spanned by ``rows``.
+    """Certify that the right null space of the dense ``matrix`` is spanned
+    by the sparse ``rows`` ({column: entry} mappings).
 
     ``rows`` must be linearly independent, e.g. reduced rows with distinct
     pivots.  Every row of either side is scaled to integers, which changes
@@ -240,7 +195,7 @@ def kernel_equals_span(matrix, rows, ncols):
     """
     mat = [_scaled(row)[1] for row in matrix]
     for v in rows:
-        support = [(j, x) for j, x in enumerate(_scaled(v)[1]) if x]
+        support = list(zip(v, _scaled(list(v.values()))[1]))
         if any(sum(row[j] * x for j, x in support) for row in mat):
             return False
     if _rank_mod_p(mat, ncols, CERTIFICATE_PRIME) == ncols - len(rows):

@@ -20,7 +20,7 @@ equations.  The ideal generators are weighted-homogeneous, so the
 generic-lam normal form of a monomial m is its lam = 1 normal form with
 lam^((deg bm - deg m)/2) on each basis term bm, and only the rational
 lam = 1 quotient is row-reduced.  Each generator mixes degrees of one parity
-only, so that reduction splits into an even and an odd block.
+only, so no row of that reduction holds an even and an odd degree at once.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graded import QuotientAlgebra, TensorTable
-from .linalg import kernel_basis, kernel_equals_span
+from .linalg import kernel_equals_span
 from .scalars import alpha, binomial
 from .series import FormalSeries, binomial_coefficient_general, binomial_power
 from .hermitian import fk, poincare_series_coefficients
@@ -127,11 +127,9 @@ class RealSpaceFormAlgebra:
             out = out + self.phi(1 + 2 * m).scale(c, m)
         return out
 
-    def sphere_value(self, x, j, lam_value=1):
-        """Evaluation on the j-dimensional totally geodesic unit-curvature
-        sphere, a rational; only lam = 1 is exposed."""
-        if lam_value != 1:
-            raise ValueError("sphere evaluations are exposed only at lam = 1")
+    def sphere_value(self, x, j):
+        """Evaluation at lam = 1 on the j-dimensional totally geodesic
+        unit-curvature sphere, a rational."""
         if not 0 <= j <= self.n:
             raise ValueError("sphere dimension out of range")
         return x.substitute(1).get(j, Fraction(0)) * 2 ** (j + 1)
@@ -304,14 +302,6 @@ def _cp_pairing_matrix(n, columns):
             row.append(values[prod])
         matrix.append(row)
     return matrix
-
-
-def cp_evaluation_kernel(n):
-    """The kernel ideal of projective-space evaluations at lam = 1: all
-    truncated polynomials annihilated by every monomial pairing."""
-    columns = complex_space_form(n).at_one.columns
-    vecs = kernel_basis(_cp_pairing_matrix(n, columns), len(columns))
-    return [{m: c for m, c in zip(columns, v) if c} for v in vecs]
 
 
 def curved_ideal_matches_projective_kernel(n):

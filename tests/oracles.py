@@ -9,11 +9,11 @@ splitting off a power of pi per block; it serves graded matrices, whose
 minors are all single powers of pi.  The presentation checks are redone by
 computing both subspaces exactly: the evaluation kernels by
 ``kernel_basis``, the ideals by row-reducing every truncated multiple of
-their generators.  The Haar rotation sampler, the
-planar Minkowski-area kernel and the Crofton flat kernel are the
-sample-minor versions the Monte Carlo estimators used before their sums were
-written out over per-entry vectors: numpy reductions over the short matrix
-axes, with a fancy-index sign flip.  The kinematic kernels are the forms the
+their generators, built densely and summed entry by entry.  The Haar
+rotation sampler, the planar Minkowski-area kernel and the Crofton flat
+kernel are the sample-minor versions the Monte Carlo estimators used before
+their sums were written out over per-entry vectors: numpy reductions over
+the short matrix axes, with a fancy-index sign flip.  The kinematic kernels are the forms the
 kinematic indicator used before it went sample-major: einsum closed forms
 for a ball against a ball or a box, box pairs in center and half-width form,
 and the other polytope pairs and a ball against a polytope as batched matrix
@@ -34,7 +34,7 @@ from intgeo.bodies import sample_blocks
 from intgeo.graded import GeneratorSet, QuotientAlgebra, mono_mul
 from intgeo.linalg import SingularMatrixError, kernel_basis, rref
 from intgeo.scalars import Scalar, binomial
-from intgeo.spaceforms import complex_space_form, cp_evaluation_kernel
+from intgeo.spaceforms import _cp_pairing_matrix, complex_space_form
 
 GJK_TOL = 1e-10
 
@@ -435,6 +435,37 @@ def invert_exact_scalar(m):
 
 # -- presentations checked by exact kernels -----------------------------------
 
+def sparse_rows(rows):
+    """Dense rows as {column: entry} rows without zeros."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def truncated_multiples(alg):
+    """Dense rows over ``alg.columns`` of every multiple m * g of an ideal
+    generator g, cut off at the truncation, zero rows included."""
+    index = {m: i for i, m in enumerate(alg.columns)}
+    rows = []
+    for g in alg.ideal:
+        w = min(alg.gens.degree(m) for m in g)
+        for d in range(alg.truncation - w + 1):
+            for m in alg.gens.monomials_of_degree(d):
+                row = [Fraction(0)] * len(alg.columns)
+                for mg, c in g.items():
+                    mm = mono_mul(m, mg)
+                    if alg.gens.degree(mm) <= alg.truncation:
+                        row[index[mm]] += c
+                rows.append(row)
+    return rows
+
+
+def cp_evaluation_kernel(n):
+    """The kernel ideal of projective-space evaluations at lam = 1: all
+    truncated polynomials annihilated by every monomial pairing."""
+    columns = complex_space_form(n).at_one.columns
+    vecs = kernel_basis(_cp_pairing_matrix(n, columns), len(columns))
+    return [{columns[j]: c for j, c in v.items()} for v in vecs]
+
+
 def curved_ideal_exact_route(n):
     """(ok, dims) of the curved-ideal check with both sides row-reduced: the
     truncated multiples of the lam = 1 generators, and the exact kernel of
@@ -442,20 +473,8 @@ def curved_ideal_exact_route(n):
     alg = complex_space_form(n).at_one
     columns = alg.columns
     index = {m: i for i, m in enumerate(columns)}
-    rows = []
-    for g in alg.ideal:
-        w = min(alg.gens.degree(m) for m in g)
-        for d in range(2 * n - w + 1):
-            for m in alg.gens.monomials_of_degree(d):
-                row = [Fraction(0)] * len(columns)
-                for mg, c in g.items():
-                    mm = mono_mul(m, mg)
-                    if alg.gens.degree(mm) <= 2 * n:
-                        row[index[mm]] += c
-                rows.append(row)
-    red_b, piv_b = rref(rows, len(columns))
-    kernel = [[v.get(m, Fraction(0)) for m in columns]
-              for v in cp_evaluation_kernel(n)]
+    red_b, piv_b = rref(sparse_rows(truncated_multiples(alg)), len(columns))
+    kernel = [{index[m]: c for m, c in v.items()} for v in cp_evaluation_kernel(n)]
     red_c, piv_c = rref(kernel, len(columns))
     dims = {}
     for p in piv_b:
@@ -474,5 +493,5 @@ def un_evaluation_kernel_quotient(n):
         block = [[Fraction(binomial(b + b2, n - a - a2)) for a, b in cols]
                  for a2, b2 in gens.monomials_of_degree(2 * n - d)]
         for vec in kernel_basis(block, len(cols)):
-            ideal.append({m: c for m, c in zip(cols, vec) if c})
+            ideal.append({cols[j]: c for j, c in vec.items()})
     return QuotientAlgebra(("s", "t"), (2, 1), ideal, 2 * n)

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intgeo import linalg
-from intgeo.linalg import (SingularMatrixError, _rref_dense, identity,
-                           invert_exact, kernel_basis, kernel_equals_span,
-                           mat_mul, rref)
+from intgeo.hermitian import un_algebra
+from intgeo.linalg import (SingularMatrixError, identity, invert_exact,
+                           kernel_basis, kernel_equals_span, mat_mul, rref)
 from intgeo.scalars import MixedPiGrading, Scalar
-from oracles import invert_exact_scalar, scalar_mat_mul
+from intgeo.spaceforms import complex_space_form
+from oracles import (invert_exact_scalar, scalar_mat_mul, sparse_rows,
+                     truncated_multiples)
 
 F0, F1 = Fraction(0), Fraction(1)
 
@@ -63,32 +65,33 @@ def test_scalar_inverse_rejects_ungraded_input():
 def test_rref_and_kernel():
     rows = [[F1, Fraction(2), Fraction(3)],
             [Fraction(2), Fraction(4), Fraction(6)]]
-    reduced, pivots = rref(rows, 3)
+    reduced, pivots = rref(sparse_rows(rows), 3)
     assert pivots == [0]
-    assert reduced == [[F1, Fraction(2), Fraction(3)]]
+    assert reduced == [{0: F1, 1: Fraction(2), 2: Fraction(3)}]
     kern = kernel_basis(rows, 3)
-    assert len(kern) == 2
+    assert kern == [{1: F1, 0: Fraction(-2)}, {2: F1, 0: Fraction(-3)}]
     for v in kern:
-        assert all(sum(r[i] * v[i] for i in range(3)) == 0 for r in rows)
+        assert all(sum(r[j] * x for j, x in v.items()) == 0 for r in rows)
     # int rows reduce over Q: every entry is a Fraction, never a float
-    reduced, pivots = rref([[2, 1], [0, 3]], 2)
-    assert (reduced, pivots) == ([[F1, F0], [F0, F1]], [0, 1])
+    reduced, pivots = rref([{0: 2, 1: 1}, {1: 3}], 2)
+    assert (reduced, pivots) == ([{0: F1}, {1: F1}], [0, 1])
     kern = kernel_basis([[2, 1]], 2)
-    assert kern == [[Fraction(-1, 2), F1]]
-    assert all(type(x) is Fraction for row in reduced + kern for x in row)
+    assert kern == [{1: F1, 0: Fraction(-1, 2)}]
+    assert all(type(x) is Fraction
+               for row in reduced + kern for x in row.values())
 
 
 def test_kernel_equals_span_verdicts(monkeypatch):
     half = Fraction(1, 2)
     matrix = [[1, 1, 0], [0, 2, 2]]
     # the kernel is spanned by (1, -1, 1), given in any scaling
-    assert kernel_equals_span(matrix, [[half, -half, half]], 3) is True
+    assert kernel_equals_span(matrix, [{0: half, 1: -half, 2: half}], 3) is True
     # a row outside the kernel is refuted exactly
-    assert kernel_equals_span(matrix, [[F1, F0, F0]], 3) is False
+    assert kernel_equals_span(matrix, [{0: F1}], 3) is False
     # rows inside a larger kernel: the rank falls short, and the exact
     # comparison finds the kernel strictly larger than the span
-    assert kernel_equals_span([[1, 1, 0]], [[F1, -F1, F0]], 3) is False
-    assert kernel_equals_span([[1, 1, 0]], [[F1, -F1, F0], [F0, F0, F1]], 3) is True
+    assert kernel_equals_span([[1, 1, 0]], [{0: F1, 1: -F1}], 3) is False
+    assert kernel_equals_span([[1, 1, 0]], [{0: F1, 1: -F1}, {2: F1}], 3) is True
     # an entry divisible by the prime drops the rank modulo p only
     p = linalg.CERTIFICATE_PRIME
     assert kernel_equals_span([[p, 0], [0, 1]], [], 2) is True
@@ -96,15 +99,15 @@ def test_kernel_equals_span_verdicts(monkeypatch):
     assert kernel_equals_span([[p + 1, 0], [0, 1]], [], 2) is True
     # an unlucky prime: every rank falls short, and every verdict is exact
     monkeypatch.setattr(linalg, "CERTIFICATE_PRIME", 2)
-    assert kernel_equals_span(matrix, [[half, -half, half]], 3) is True
-    assert kernel_equals_span(matrix, [[2 * half, -F1, F1]], 3) is True
+    assert kernel_equals_span(matrix, [{0: half, 1: -half, 2: half}], 3) is True
+    assert kernel_equals_span(matrix, [{0: 2 * half, 1: -F1, 2: F1}], 3) is True
     assert kernel_equals_span(matrix, [], 3) is False
-    assert kernel_equals_span(matrix, [[F1, F0, F0]], 3) is False
+    assert kernel_equals_span(matrix, [{0: F1}], 3) is False
 
 
 def reference_rref(rows, ncols):
-    """Textbook Gauss-Jordan over the whole width: the oracle for both the
-    block split and the sparse row updates of the dense helper."""
+    """Textbook Gauss-Jordan on dense rows over the whole width: the oracle
+    for the sparse reduction."""
     work = [list(r) for r in rows if any(x != 0 for x in r)]
     pivots = []
     r = 0
@@ -151,19 +154,62 @@ def interleaved_blocks(draw):
     return [rows[i] for i in order], ncols
 
 
+def dense_rows(rows, ncols):
+    return [[row.get(j, F0) for j in range(ncols)] for row in rows]
+
+
+def assert_sparse_rref(reduced, pivots):
+    """No stored zeros, Fraction entries, ascending pivots, each pivot entry 1
+    and held by no other row."""
+    assert pivots == sorted(set(pivots)) and len(pivots) == len(reduced)
+    for row, p in zip(reduced, pivots):
+        assert all(type(x) is Fraction and x for x in row.values())
+        assert row[p] == 1 and min(row) == p
+        assert all(p not in other for other in reduced if other is not row)
+
+
+def assert_matches_reference(rows, ncols):
+    """rref of the sparse rows is the reference reduction of the dense rows."""
+    reduced, pivots = rref(sparse_rows(rows), ncols)
+    assert_sparse_rref(reduced, pivots)
+    ref_reduced, ref_pivots = reference_rref(rows, ncols)
+    assert (dense_rows(reduced, ncols), pivots) == (ref_reduced, ref_pivots)
+    assert reduced == sparse_rows(ref_reduced)
+    return reduced, pivots
+
+
 @given(interleaved_blocks())
 @settings(max_examples=40, deadline=None)
 def test_block_rref_matches_dense(case):
-    rows, ncols = case
-    expected = reference_rref(rows, ncols)
-    assert _rref_dense(rows, ncols) == expected
-    assert rref(rows, ncols) == expected
+    assert_matches_reference(*case)
 
 
 def test_block_rref_single_dense_block():
     rows = [[Fraction(2), Fraction(1), Fraction(-1), Fraction(3)],
             [Fraction(1), Fraction(1, 2), Fraction(4), F1],
             [Fraction(3), Fraction(3, 2), Fraction(3), Fraction(4)]]
-    reduced, pivots = rref(rows, 4)
-    assert (reduced, pivots) == _rref_dense(rows, 4) == reference_rref(rows, 4)
+    _, pivots = assert_matches_reference(rows, 4)
     assert pivots == [0, 2]
+
+
+def test_sparse_rref_invariants():
+    # int entries, a stored zero, an empty row and a zero row
+    rows = [{0: 2, 1: 0, 2: 4}, {}, {1: 0}, {0: 1, 1: 3, 2: 2}, {0: 3, 1: 3, 2: 6}]
+    reduced, pivots = rref(rows, 3)
+    assert_sparse_rref(reduced, pivots)
+    assert (reduced, pivots) == ([{0: F1, 2: Fraction(2)}, {1: F1}], [0, 1])
+    assert rref([], 5) == ([], [])
+    assert rref([{}, {2: 0}], 3) == ([], [])
+    # the input rows are left as they were
+    assert rows[0] == {0: 2, 1: 0, 2: 4}
+
+
+def test_ideal_multiples_reduce_as_reference():
+    """The real ideal multiples, built densely, reduce alike both ways, and
+    the quotient's ideal rows over its columns are that reduction."""
+    algebras = ([un_algebra(n) for n in range(1, 11)]
+                + [complex_space_form(n).at_one for n in range(1, 9)])
+    for alg in algebras:
+        reduced, _ = assert_matches_reference(truncated_multiples(alg),
+                                              len(alg.columns))
+        assert alg.ideal_rows(alg.columns) == reduced

@@ -40,8 +40,6 @@ def test_sphere_values():
     assert v.sphere_value(v.chi(), 3) == 0
     for j in range(4):
         assert v.sphere_value(v.tau(j), j) == 2 ** (j + 1)
-    with pytest.raises(ValueError):
-        v.sphere_value(v.chi(), 2, lam_value=4)
 
 
 def test_phi_powers_on_spheres():
