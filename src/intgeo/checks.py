@@ -93,15 +93,15 @@ def chi_kinematic_equals_volume_additive(n):
 @_check("euclidean", "additive operator equals Fourier-conjugated kinematic, "
         "n <= {top}")
 def additive_equals_fourier_conjugated_kinematic(n):
-    def leg_hat(leg):
-        d = leg[0]
-        return {(n - d, 0): euclid.t_mu_coefficient(d)
-                * euclid.t_mu_coefficient(n - d).inverse()}
+    # Fourier sends t^d to hat[d] t^(n-d) on each leg
+    hat = [euclid.t_mu_coefficient(d) * euclid.t_mu_coefficient(n - d).inverse()
+           for d in range(n + 1)]
     for k in range(n + 1):
         phi = euclid.SOValuation.from_coeffs(n, {k: Scalar.one()}, basis="psi")
-        conj = euclid.kinematic_so(n, euclid.fourier_so(n, phi)).map_legs(
-            leg_hat, leg_hat)
-        if conj.entries != euclid.additive_so(n, phi, basis="t").entries:
+        kin = euclid.kinematic_so(n, euclid.fourier_so(n, phi))
+        conj = {((n - a, 0), (n - b, 0)): c * hat[a] * hat[b]
+                for ((a, _), (b, _)), c in kin.entries.items()}
+        if conj != euclid.additive_so(n, phi, basis="t").entries:
             return False
     return True
 

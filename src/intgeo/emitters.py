@@ -3,7 +3,10 @@ Monte Carlo CSV log.  Check reports are ``checks.Report``.
 
 Every emitted table embeds its group, dimension, normalization tag and basis
 tag; coefficients are exact (rationals as strings, pi powers explicit, and a
-space-form entry {lam_pow: Scalar} as its list of lam powers).
+space-form entry {lam_pow: Scalar} as its list of lam powers).  Each format
+is written from the table itself: ``table_rows`` yields its entries with the
+labels every table carries for every degree, JSON turns each coefficient
+into data, and CSV and LaTeX format the table's own coefficients as text.
 Identical inputs produce identical bytes: keys are sorted, terms are sorted
 by bidegree and index, and no floats enter a formula document.
 """
@@ -40,13 +43,6 @@ def scalar_to_json(s):
     return s.to_json()
 
 
-def scalar_from_json(doc):
-    if "lam_terms" in doc:
-        return {t["lam_pow"]: Scalar.from_json(t["scalar"])
-                for t in doc["lam_terms"]}
-    return Scalar.from_json(doc)
-
-
 def _latex_frac(c):
     if c.denominator == 1:
         return str(c.numerator)
@@ -69,24 +65,25 @@ def scalar_to_latex(s):
     return f"{frac}\\,\\pi" if p == 1 else f"{frac}\\,\\pi^{{{p}}}"
 
 
+def table_rows(table):
+    """The entries sorted by bidegree and index, each as (left degree, left
+    index, left label, right degree, right index, right label, coefficient)."""
+    labels = table.basis_labels
+    for ((ld, li), (rd, ri)), c in table.sorted_items():
+        yield ld, li, labels[ld][li], rd, ri, labels[rd][ri], c
+
+
 def table_document(table):
     """FormulaTableDocument: a pure-data view of a coefficient table."""
-    terms = []
-    for ((ld, li), (rd, ri)), c in table.sorted_items():
-        labels = table.basis_labels
-        terms.append({
-            "left_degree": ld, "left_index": li,
-            "left_label": labels.get(ld, [None] * (li + 1))[li] if labels else None,
-            "right_degree": rd, "right_index": ri,
-            "right_label": labels.get(rd, [None] * (ri + 1))[ri] if labels else None,
-            "coefficient": scalar_to_json(c),
-        })
     return {
         "group": table.group,
         "dimension": table.dim,
         "normalization": table.normalization,
         "basis": table.basis,
-        "terms": terms,
+        "terms": [{"left_degree": ld, "left_index": li, "left_label": ll,
+                   "right_degree": rd, "right_index": ri, "right_label": rl,
+                   "coefficient": scalar_to_json(c)}
+                  for ld, li, ll, rd, ri, rl, c in table_rows(table)],
     }
 
 
@@ -94,45 +91,38 @@ def emit_json(doc):
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
-def emit_table_csv(doc):
+def emit_table_csv(table):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["group", "dimension", "normalization", "basis",
                      "left_degree", "left_index", "left_label",
                      "right_degree", "right_index", "right_label", "coefficient"])
-    for t in doc["terms"]:
-        writer.writerow([doc["group"], doc["dimension"], doc["normalization"],
-                         doc["basis"], t["left_degree"], t["left_index"],
-                         t["left_label"], t["right_degree"], t["right_index"],
-                         t["right_label"],
-                         scalar_to_string(scalar_from_json(t["coefficient"]))])
+    tags = [table.group, table.dim, table.normalization, table.basis]
+    for *legs, c in table_rows(table):
+        writer.writerow(tags + legs + [scalar_to_string(c)])
     return buf.getvalue().encode()
 
 
-def emit_table_latex(doc):
+def emit_table_latex(table):
     lines = [
-        f"% group {doc['group']}, dimension {doc['dimension']}, "
-        f"normalization {doc['normalization']}, basis {doc['basis']}",
+        f"% group {table.group}, dimension {table.dim}, "
+        f"normalization {table.normalization}, basis {table.basis}",
         "\\begin{array}{lll}",
         "\\text{left} & \\text{right} & \\text{coefficient} \\\\",
     ]
-    for t in doc["terms"]:
-        left = t["left_label"] or f"({t['left_degree']},{t['left_index']})"
-        right = t["right_label"] or f"({t['right_degree']},{t['right_index']})"
-        coeff = scalar_to_latex(scalar_from_json(t["coefficient"]))
-        lines.append(f"{left} & {right} & {coeff} \\\\")
+    for _, _, left, _, _, right, c in table_rows(table):
+        lines.append(f"{left} & {right} & {scalar_to_latex(c)} \\\\")
     lines.append("\\end{array}")
     return ("\n".join(lines) + "\n").encode()
 
 
 def emit_table(table, fmt):
-    doc = table_document(table)
     if fmt == "json":
-        return emit_json(doc)
+        return emit_json(table_document(table))
     if fmt == "csv":
-        return emit_table_csv(doc)
+        return emit_table_csv(table)
     if fmt == "latex":
-        return emit_table_latex(doc)
+        return emit_table_latex(table)
     raise ValueError(f"unknown format {fmt!r}")
 
 

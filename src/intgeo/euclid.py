@@ -230,9 +230,9 @@ def nijenhuis_constants(n):
 
     A single basis doing both jobs at once would need the kinematic table in
     the theta' basis to carry one uniform constant; for n >= 3 it does not
-    (the distinct values are reported), so the two unity presentations use
-    different bases.  The kinematic constant removed by the "unit" rescaling
-    is alpha_n / 2^(n+1).
+    (``joint_unity_basis_exists`` is false), so the two unity presentations
+    use different bases.  The kinematic constant removed by the "unit"
+    rescaling is alpha_n / 2^(n+1).
     """
     thetap = {i: _so_basis_coeff(n, "nijenhuis", i) for i in range(n + 1)}
 
@@ -254,15 +254,12 @@ def nijenhuis_constants(n):
     for c in range(n + 1):
         phi = SOValuation(n, t_power(n, c).scale(thetap[c]))
         for ((a, _), (b, _)), v in kinematic_so(n, phi).entries.items():
-            theta_consts.add(v / (thetap[a] * thetap[b]) * Scalar.one())
+            theta_consts.add(v / (thetap[a] * thetap[b]))
 
     return {
         "kinematic_all_ones": kin_t_unit_ok,
-        "kinematic_unity_basis": "t",
         "additive_all_ones": add_theta_ok,
-        "additive_unity_basis": "nijenhuis",
         "t_table_constant": alpha(n) * Fraction(1, 2 ** (n + 1)),
-        "theta_kinematic_constants": sorted(theta_consts, key=repr),
         "joint_unity_basis_exists": len(theta_consts) == 1,
     }
 

@@ -281,57 +281,38 @@ class LinearFunctional:
 class TensorTable:
     """Bidegree-indexed exact coefficients on basis x basis pairs.
 
-    Legs are addressed as (degree, index) into per-degree ordered bases.  The
-    table carries its group/normalization/basis tags so emitted documents are
-    never ambiguous about conventions.
+    Legs are addressed as (degree, index) into per-degree ordered bases, and
+    ``basis_labels`` names every index of every degree.  The table carries its
+    group/normalization/basis tags so emitted documents are never ambiguous
+    about conventions; every format is written from the table's own
+    coefficients and labels.
     """
 
-    def __init__(self, group, dim, normalization, basis, entries=None,
-                 basis_labels=None):
+    def __init__(self, group, dim, normalization, basis, basis_labels,
+                 entries=None):
         self.group = group
         self.dim = dim
         self.normalization = normalization
         self.basis = basis
+        self.basis_labels = basis_labels
         self.entries = dict(entries or {})
-        self.basis_labels = basis_labels or {}
-
-    def set(self, left, right, coeff):
-        if not coeff:
-            self.entries.pop((left, right), None)
-        else:
-            self.entries[(left, right)] = coeff
 
     def add(self, left, right, coeff):
+        """Add coeff to the (left, right) entry; a sum of zero drops it."""
         key = (left, right)
-        cur = self.entries.get(key)
-        new = coeff if cur is None else cur + coeff
-        self.set(left, right, new)
-
-    def swapped(self):
-        out = TensorTable(self.group, self.dim, self.normalization, self.basis,
-                          basis_labels=self.basis_labels)
-        for (l, r), c in self.entries.items():
-            out.add(r, l, c)
-        return out
+        total = self.entries[key] + coeff if key in self.entries else coeff
+        if total:
+            self.entries[key] = total
+        else:
+            self.entries.pop(key, None)
 
     def is_swap_symmetric(self):
-        return self.swapped().entries == self.entries
-
-    def map_legs(self, left_map=None, right_map=None, basis=None):
-        """Apply per-degree linear maps (deg, i) -> {(deg', i'): coeff} to the legs."""
-        out = TensorTable(self.group, self.dim, self.normalization,
-                          basis or self.basis, basis_labels=self.basis_labels)
-        for (l, r), c in self.entries.items():
-            limg = left_map(l) if left_map else {l: 1}
-            rimg = right_map(r) if right_map else {r: 1}
-            for l2, cl in limg.items():
-                for r2, cr in rimg.items():
-                    out.add(l2, r2, c * cl * cr)
-        return out
+        return all(self.entries.get((r, l)) == c
+                   for (l, r), c in self.entries.items())
 
     def __eq__(self, other):
         return isinstance(other, TensorTable) and self.entries == other.entries
 
     def sorted_items(self):
-        return sorted(self.entries.items(),
-                      key=lambda kv: (kv[0][0][0], kv[0][0][1], kv[0][1][0], kv[0][1][1]))
+        """Entries sorted by bidegree and index, left leg first."""
+        return sorted(self.entries.items(), key=lambda kv: kv[0])

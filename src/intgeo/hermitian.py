@@ -27,6 +27,7 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
+from .euclid import t_mu_coefficient
 from .graded import (GradedElement, LinearFunctional, QuotientAlgebra,
                      TensorTable, mono_mul)
 from .linalg import identity, invert_exact, kernel_equals_span, mat_mul
@@ -431,37 +432,32 @@ def _apply(vec, f):
     return (PiMatrix.read([vec]) @ f).scalars()[0]
 
 
-def _accumulate(acc, dl, dr, block):
-    """Add the bidegree-(dl, dr) block pi^e m to acc, which maps
-    ((dl, i), (dr, j)) to a Scalar."""
+def _write_block(entries, dl, dr, block):
+    """Store the nonzero entries of the bidegree-(dl, dr) block pi^e m in
+    entries, keyed ((dl, i), (dr, j)); each block is written once."""
     for i, row in enumerate(block.m):
         for j, v in enumerate(row):
             if v:
-                key = ((dl, i), (dr, j))
-                acc[key] = acc.get(key, _SZERO) + Scalar(v, block.e)
-
-
-def _entries(acc):
-    """Table entries of an accumulator; zero sums drop."""
-    return {key: s for key, s in acc.items() if s}
+                entries[(dl, i), (dr, j)] = Scalar(v, block.e)
 
 
 def _congruence(entries, leg):
-    """Entries of the table whose bidegree-(d', e') block is the sum, over
-    the bidegree-(d, e) blocks C, of A^T C B with leg(d) = (d', A) and
-    leg(e) = (e', B)."""
+    """Entries of the table whose bidegree-(d', e') block is A^T C B, for C
+    the bidegree-(d, e) block of ``entries``, leg(d) = (d', A) and
+    leg(e) = (e', B).  Every leg map is one-to-one on degrees, so each target
+    block comes from a single source block."""
     blocks = {}
     for ((dl, i), (dr, j)), c in entries.items():
         blocks.setdefault((dl, dr), {})[(i, j)] = c
-    acc = {}
+    out = {}
     for (dl, dr), cells in blocks.items():
         tl, a = leg(dl)
         tr, b = leg(dr)
         c = [[_SZERO] * len(b.m) for _ in a.m]
         for (i, j), v in cells.items():
             c[i][j] = v
-        _accumulate(acc, tl, tr, a.T @ PiMatrix.read(c) @ b)
-    return _entries(acc)
+        _write_block(out, tl, tr, a.T @ PiMatrix.read(c) @ b)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -500,10 +496,10 @@ def _chi_blocks(n):
     return out
 
 
-def _new_table(n, basis="monomial"):
+def _new_table(n, basis="monomial", entries=None):
     model = un_model(n)
     labels = {d: model.basis_labels(d, basis) for d in range(2 * n + 1)}
-    return TensorTable("U", n, "standard", basis, basis_labels=labels)
+    return TensorTable("U", n, "standard", basis, labels, entries)
 
 
 def kinematic_un(n, phi=None):
@@ -518,7 +514,7 @@ def kinematic_un(n, phi=None):
     if phi is None:
         phi = alg.one()
     chi = _chi_blocks(n)
-    acc = {}
+    table = _new_table(n)
     for k in range(2 * n + 1):
         kr = 2 * n - k
         dim = alg.dimension(k)
@@ -531,10 +527,9 @@ def kinematic_un(n, phi=None):
                     mult[d] = [[Fraction(0)] * alg.dimension(d) for _ in range(dim)]
                 mult[d][a] = alg.coordinates(prod, d)
         x = chi[k] if k <= n else chi[kr].T
+        # the block (d, 2n - k) is written once: by this source degree k
         for d, rows in mult.items():
-            _accumulate(acc, d, kr, PiMatrix.read(rows).T @ x)
-    table = _new_table(n)
-    table.entries = _entries(acc)
+            _write_block(table.entries, d, kr, PiMatrix.read(rows).T @ x)
     return table
 
 
@@ -547,9 +542,8 @@ def convert_un_table(table, n, basis):
     if basis == "monomial":
         return table
     model = un_model(n)
-    out = _new_table(n, basis)
-    out.entries = _congruence(table.entries, lambda d: (d, model.display_inverse(d, basis)))
-    return out
+    return _new_table(n, basis, _congruence(
+        table.entries, lambda d: (d, model.display_inverse(d, basis))))
 
 
 def tasaki_matrices(n):
@@ -570,10 +564,8 @@ def additive_un(n, phi=None):
     if phi is None:
         phi = volume_element(n)
     kin = kinematic_un(n, model.fourier(phi))
-    out = _new_table(n)
-    out.entries = _congruence(kin.entries,
-                              lambda d: (2 * n - d, model.fourier_matrix(d)))
-    return out
+    return _new_table(n, entries=_congruence(
+        kin.entries, lambda d: (2 * n - d, model.fourier_matrix(d))))
 
 
 def volume_element(n):
@@ -585,9 +577,7 @@ def volume_element(n):
 
 def intrinsic_volume_element(n, d):
     """The d-th intrinsic volume of R^(2n) inside the U(n) algebra."""
-    model = un_model(n)
-    c = omega(d) * Scalar.pi_power(-d, factorial(d))
-    return model.alg.normal_form_raw({(0, d): c.inverse()})
+    return un_model(n).alg.normal_form_raw({(0, d): t_mu_coefficient(d).inverse()})
 
 
 class FirstOrderKernel:
@@ -680,5 +670,6 @@ def mu_k0_fk_ratio(n, k):
 
 def complex_flat_constant(l):
     """The conversion factor l! omega_l / pi^l in the identity expressing a
-    monomial's action through intersections with complex flats."""
-    return omega(l) * Scalar.pi_power(-l, factorial(l))
+    monomial's action through intersections with complex flats: the
+    coefficient of t^l = c mu_l."""
+    return t_mu_coefficient(l)

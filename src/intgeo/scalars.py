@@ -108,11 +108,6 @@ class Scalar:
         return {"terms": [{"pi_pow": self.pi_pow, "num": str(self.coeff.numerator),
                            "den": str(self.coeff.denominator)}] if self else []}
 
-    @classmethod
-    def from_json(cls, doc):
-        return sum((cls(Fraction(int(t["num"]), int(t["den"])), t["pi_pow"])
-                    for t in doc["terms"]), cls.zero())
-
 
 def omega(k):
     """Volume of the k-dimensional unit ball, pi^(k/2) / Gamma(1 + k/2), as an

@@ -1,8 +1,8 @@
 """Truncated formal power series in one variable over Q.
 
 Coefficients are ints or Fractions; a zero coefficient is one that is falsy.
-Only what the curvature calculus needs: multiplication, composition,
-log(1+u) and binomial powers (1+u)^alpha with rational alpha.
+Only what the curvature calculus needs: multiplication, composition and
+binomial powers (1+u)^alpha with rational alpha.
 """
 
 from __future__ import annotations
@@ -74,18 +74,6 @@ class FormalSeries:
             if self.coeffs[k]:
                 out = out + power.scale(self.coeffs[k])
         return out
-
-
-def log1p(u):
-    """log(1 + u) for a series u with zero constant term."""
-    if u.coeffs[0]:
-        raise ValueError("log1p needs zero constant term")
-    out = FormalSeries.constant(0, u.order)
-    power = FormalSeries.constant(1, u.order)
-    for m in range(1, u.order + 1):
-        power = power * u
-        out = out + power.scale(Fraction((-1) ** (m + 1), m))
-    return out
 
 
 def binomial_power(u, alpha):

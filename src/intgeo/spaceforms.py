@@ -171,8 +171,8 @@ class RealSpaceFormAlgebra:
         entries = {}
         for (i, j, p), c in clean_a.items():
             entries.setdefault(((i, 0), (j, 0)), {})[p] = factor * c
-        return TensorTable("spaceform", n, "standard", "tau", entries,
-                           basis_labels={d: [f"tau_{d}"] for d in range(n + 1)})
+        return TensorTable("spaceform", n, "standard", "tau",
+                           {d: [f"tau_{d}"] for d in range(n + 1)}, entries)
 
     def kinematic_matches_flat(self):
         """lam = 0 specialization of the chi table equals the flat table."""

@@ -10,7 +10,7 @@ import pytest
 
 from intgeo import cli, emitters, euclid, hermitian
 from intgeo.graded import TensorTable
-from intgeo.scalars import MixedPiGrading, Scalar
+from intgeo.scalars import Scalar
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -20,14 +20,8 @@ def test_scalar_string_and_json():
     assert emitters.scalar_to_string(s) == "2*pi^-1"
     assert emitters.scalar_to_json(s) == {
         "terms": [{"pi_pow": -1, "num": "2", "den": "1"}]}
-    # a Scalar is one power of pi: a document with two does not load
-    multi = {"terms": [{"pi_pow": 0, "num": "1", "den": "2"},
-                       {"pi_pow": 2, "num": "-3", "den": "1"}]}
-    with pytest.raises(MixedPiGrading):
-        emitters.scalar_from_json(multi)
     # a curvature entry {lam_pow: Scalar}, as the space-form tables hold them
     lam = {0: Scalar.one(), 2: Scalar.pi_power(1)}
-    assert emitters.scalar_from_json(emitters.scalar_to_json(lam)) == lam
     assert emitters.scalar_to_string(lam) == "(1) + (1*pi^1)*lam^2"
     assert emitters.scalar_to_latex(lam) \
         == "\\left(1\\right) + \\left(1\\,\\pi\\right)\\lambda^{2}"
@@ -44,8 +38,8 @@ def test_table_document_round_trip():
     doc = emitters.table_document(table)
     assert doc["normalization"] == "standard"
     assert doc["basis"] == "mu"
-    for t in doc["terms"]:
-        emitters.scalar_from_json(t["coefficient"])
+    assert [t["coefficient"] for t in doc["terms"]] \
+        == [emitters.scalar_to_json(c) for _, c in table.sorted_items()]
 
 
 def test_emitters_deterministic():

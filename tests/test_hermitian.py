@@ -370,6 +370,26 @@ def test_kinematic_multiplicative():
             assert lhs.entries == {k: Scalar.zero() + v for k, v in rhs.items()}
 
 
+def test_tables_linear_in_phi_across_degrees():
+    """The table of a phi with a part in every degree is the sum of the
+    tables of its homogeneous parts, for both coproducts."""
+    rng = random.Random(19)
+    for n in (1, 2, 3, 4):
+        alg = H.un_model(n).alg
+        parts = [alg.element({m: Fraction(rng.choice((-2, -1, 1, 3)))
+                              for m in alg.basis[d]}) for d in range(2 * n + 1)]
+        phi = alg.zero()
+        for part in parts:
+            phi = phi + part
+        assert phi.degrees() == list(range(2 * n + 1))
+        for build in (H.kinematic_un, H.additive_un):
+            total = {}
+            for part in parts:
+                for key, c in build(n, part).entries.items():
+                    total[key] = total[key] + c if key in total else c
+            assert build(n, phi).entries == {k: c for k, c in total.items() if c}
+
+
 def test_tasaki_matrices_golden_n2():
     mats = H.tasaki_matrices(2)
     t22 = mats[2]
