@@ -670,6 +670,6 @@ def mu_k0_fk_ratio(n, k):
 
 def complex_flat_constant(l):
     """The conversion factor l! omega_l / pi^l in the identity expressing a
-    monomial's action through intersections with complex flats: the
-    coefficient of t^l = c mu_l."""
+    monomial's action through intersections with complex flats; it is the
+    euclidean c_l with t^l = c_l mu_l."""
     return t_mu_coefficient(l)
