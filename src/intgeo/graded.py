@@ -298,13 +298,14 @@ class TensorTable:
         self.entries = dict(entries or {})
 
     def add(self, left, right, coeff):
-        """Add coeff to the (left, right) entry; a sum of zero drops it."""
+        """Store coeff as the (left, right) entry unless it is zero.  Every
+        builder writes each entry once, so an entry already present raises
+        ValueError."""
         key = (left, right)
-        total = self.entries[key] + coeff if key in self.entries else coeff
-        if total:
-            self.entries[key] = total
-        else:
-            self.entries.pop(key, None)
+        if key in self.entries:
+            raise ValueError(f"table entry {key} written twice")
+        if coeff:
+            self.entries[key] = coeff
 
     def is_swap_symmetric(self):
         return all(self.entries.get((r, l)) == c

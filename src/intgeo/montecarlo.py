@@ -8,11 +8,16 @@ and single points (``ConvexBody.exact_intrinsic_volume``), a float from the
 facet and edge data of any other polytope.
 
 Randomness comes from the counter-based Philox generator.  A run is split
-into fixed-size chunks, which every estimator draws through
-``_chunk_draws``: chunk c draws from ``Philox(key=seed).jumped(c)`` and
-partial sums are reduced in chunk order, so a result depends only on
-``(seed, samples)``.  Rotations are orthonormalized Gaussian matrices
-(explicit Gram-Schmidt, no LAPACK) with the determinant flipped to +1.
+into fixed-size chunks, which every estimator runs through ``_map_chunks``:
+chunk c draws from its own generator ``Philox(key=seed).jumped(c)``, the
+chunks run concurrently on a thread pool with one worker per usable CPU, and
+their partial sums are reduced in chunk order.  Inside a chunk the draws
+keep their order, and the kernels then run over slices of ROTATION_BLOCK
+samples, elementwise, while the float sums over a chunk stay on the whole
+chunk vector (pairwise ``sum`` and BLAS ``dot`` round by length).  So a
+result depends only on ``(seed, samples)``, not on the thread count.
+Rotations are orthonormalized Gaussian matrices (explicit Gram-Schmidt, no
+LAPACK) with the determinant flipped to +1.
 
 The rotation sampler works entry-major: it orthonormalizes in a buffer of
 shape (n, n, count) whose entry (i, j) is one contiguous vector over the
@@ -35,6 +40,7 @@ pinned against those in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,8 +51,8 @@ from .bodies import ConvexBody, _project, kinematic_indicator, sample_blocks
 from .scalars import omega
 
 CHUNK = 1 << 17
-# Samples the rotation sampler orthonormalizes at once, so that its block of
-# the draw and its temporaries stay in cache.
+# Samples the rotation sampler orthonormalizes at once, and the kernels of a
+# chunk take at once, so that their blocks and temporaries stay in cache.
 ROTATION_BLOCK = 1 << 14
 
 # Fewest samples the estimators that take their stderr from the sample
@@ -105,8 +111,8 @@ def random_rotations(n, gen, count):
     if n == 1:
         return np.ones((count, 1, 1))
     e = np.empty((n, n, count))
-    for lo in range(0, count, ROTATION_BLOCK):
-        b = e[..., lo:lo + ROTATION_BLOCK]
+    for block in _blocks(count):
+        b = e[..., block]
         b[...] = np.moveaxis(gen.standard_normal((b.shape[-1], n, n)), 0, -1)
         for j in range(n):
             col = b[:, j]
@@ -159,6 +165,17 @@ def _estimate_from_values(name, total, total_sq, samples, seed, prediction, extr
                       prediction=prediction, extra=extra)
 
 
+def _sum_values(chunk_vals):
+    """(sum, sum of squares) of the values of a run, each summed over the
+    whole vector of a chunk and then added in chunk order."""
+    total = 0.0
+    total_sq = 0.0
+    for vals in chunk_vals:
+        total += float(vals.sum())
+        total_sq += float(np.dot(vals, vals))
+    return total, total_sq
+
+
 def _hit_or_miss(name, scale, hits, count, seed, prediction, extra):
     """Estimate of scale times a hit rate, from the hit count.
 
@@ -183,10 +200,39 @@ def _require_variance_samples(samples):
                          f"least {MIN_VARIANCE_SAMPLES} samples, got {samples}")
 
 
-def _chunk_draws(samples, seed):
-    """(generator, size) of each chunk of a run, in chunk order."""
-    for index, done in enumerate(range(0, samples, CHUNK)):
-        yield rng_chunk(seed, index), min(CHUNK, samples - done)
+def _blocks(m):
+    """Slices of ROTATION_BLOCK samples that cover m samples in order."""
+    return [slice(lo, lo + ROTATION_BLOCK) for lo in range(0, m, ROTATION_BLOCK)]
+
+
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_chunks(work, samples, seed):
+    """[work(gen, m) for each chunk of a run], in chunk order.
+
+    Every chunk's generator is made here, in the calling thread and in chunk
+    order.  The chunks then run on a pool of min(chunks, usable CPUs)
+    threads, or inline when that is one; numpy releases the interpreter lock
+    in the generator fills and the elementwise kernels.  Each chunk reads
+    only its own generator, so the partials do not depend on the thread
+    count.  An exception in a chunk reaches the caller after every running
+    chunk has ended, and no pool thread outlives the call.
+    """
+    draws = [(rng_chunk(seed, index), min(CHUNK, samples - done))
+             for index, done in enumerate(range(0, samples, CHUNK))]
+    workers = min(len(draws), _usable_cpus())
+    if workers <= 1:
+        return [work(gen, m) for gen, m in draws]
+    # imported here: exact commands and one-chunk runs never load it
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(lambda draw: work(*draw), draws))
 
 
 def _require_within(hits, coords, radius, window):
@@ -255,13 +301,19 @@ def estimate_principal_kinematic(a, b, samples, seed, name="kinematic"):
     if half <= 0:
         raise ValueError("window underflow: degenerate bodies")
     vol_w = (2 * half) ** n
-    total = 0.0
-    for gen, m in _chunk_draws(samples, seed):
+
+    def chunk_hits(gen, m):
         rots = random_rotations(n, gen, m)
         xs = gen.uniform(-half, half, size=(m, n))
-        hits = hits_of(xs, rots)
-        _require_within(hits, xs.T, half, "window")
-        total += float(np.count_nonzero(hits))
+        hits = 0
+        for block in _blocks(m):
+            x = xs[block]
+            hit = hits_of(x, rots[block])
+            _require_within(hit, x.T, half, "window")
+            hits += np.count_nonzero(hit)
+        return hits
+
+    total = float(sum(_map_chunks(chunk_hits, samples, seed)))
     # indicator values are vol_w * {0,1}
     return _hit_or_miss(name, vol_w, total, samples, seed, pred,
                         {"window_halfwidth": half, "hit_rate": total / samples})
@@ -324,20 +376,26 @@ def estimate_crofton(a, k, samples, seed, name="crofton"):
     rho = a.circumradius()
     fiber_vol = scalar_float(omega(k)) * rho ** k
     const = scalar_float(euclid.crofton_constant(n, k))
-    hits_total = 0.0
-    for gen, m in _chunk_draws(samples, seed):
+
+    def chunk_hits(gen, m):
         rots = random_rotations(n, gen, m)
-        # the columns of the rotations: n - k span the flat, k frame its fiber
-        cols = [[rots[:, i, j] for i in range(n)] for j in range(n)]
         if k == 1:
             offsets = [gen.uniform(-rho, rho, size=m)]
         else:
             r = rho * np.sqrt(gen.uniform(0.0, 1.0, size=m))
             th = gen.uniform(0.0, 2 * math.pi, size=m)
             offsets = [r * np.cos(th), r * np.sin(th)]
-        hits = _flat_hits(a, cols[: n - k], cols[n - k:], offsets)
-        _require_within(hits, offsets, rho, "fiber ball")
-        hits_total += float(np.count_nonzero(hits))
+        hits = 0
+        for block in _blocks(m):
+            # the columns of the rotations: n - k span the flat, k frame its fiber
+            cols = [[rots[block, i, j] for i in range(n)] for j in range(n)]
+            u = [o[block] for o in offsets]
+            hit = _flat_hits(a, cols[: n - k], cols[n - k:], u)
+            _require_within(hit, u, rho, "fiber ball")
+            hits += np.count_nonzero(hit)
+        return hits
+
+    hits_total = float(sum(_map_chunks(chunk_hits, samples, seed)))
     return _hit_or_miss(name, fiber_vol * const, hits_total, samples, seed, pred,
                         {"fiber_radius": rho})
 
@@ -353,17 +411,19 @@ def cauchy_projection_check(box, samples, seed, name="cauchy"):
     n = box.dimension
     if n < 2:
         raise ValueError("projection check needs n >= 2")
-    others = [math.prod(sides_f[:i] + sides_f[i + 1:]) for i in range(n)]
+    others = np.array([math.prod(sides_f[:i] + sides_f[i + 1:]) for i in range(n)])
     const = scalar_float(euclid.cauchy_constant(n))
-    total = 0.0
-    total_sq = 0.0
-    for gen, m in _chunk_draws(samples, seed):
+
+    def chunk_vals(gen, m):
         v = gen.standard_normal((m, n))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        shadow = np.abs(v) @ np.array(others)
-        vals = const * shadow
-        total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
+        vals = np.empty(m)
+        for block in _blocks(m):
+            u = v[block]
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            vals[block] = const * (np.abs(u) @ others)
+        return vals
+
+    total, total_sq = _sum_values(_map_chunks(chunk_vals, samples, seed))
     pred = scalar_float(box.exact_intrinsic_volume(n - 1))
     return _estimate_from_values(name, total, total_sq, samples, seed, pred, {})
 
@@ -380,13 +440,17 @@ def steiner_mc(box, r, samples, seed, name="steiner"):
     hi = box.hi_f() + rf
     n = box.dimension
     vol_w = float(np.prod(hi - lo))
-    hits_total = 0.0
-    for gen, m in _chunk_draws(samples, seed):
-        pts = gen.uniform(0.0, 1.0, size=(m, n)) * (hi - lo) + lo
-        q = np.clip(pts, box.lo_f(), box.hi_f())
-        gap = pts - q
-        hits = np.einsum("mi,mi->m", gap, gap) <= rf * rf
-        hits_total += float(np.count_nonzero(hits))
+
+    def chunk_hits(gen, m):
+        unit = gen.uniform(0.0, 1.0, size=(m, n))
+        hits = 0
+        for block in _blocks(m):
+            pts = unit[block] * (hi - lo) + lo
+            gap = pts - np.clip(pts, box.lo_f(), box.hi_f())
+            hits += np.count_nonzero(np.einsum("mi,mi->m", gap, gap) <= rf * rf)
+        return hits
+
+    hits_total = float(sum(_map_chunks(chunk_hits, samples, seed)))
     poly = euclid.steiner_polynomial(_intrinsic_volumes(box))
     pred = sum(scalar_float(c) * rf ** j for j, c in poly.items())
     return _hit_or_miss(name, vol_w, hits_total, samples, seed, pred,
@@ -434,17 +498,21 @@ def planar_minkowski_areas(ga, gb, rots):
     Each rotated normal and support value is built from the four entry
     vectors of the rotations; the weighted sum over G stays one einsum.
     """
-    r = [[rots[:, i, j] for j in range(2)] for i in range(2)]
-    h = np.empty((len(rots), len(gb.facet_areas)))
-    for k, (u0, u1) in enumerate(gb.facet_normals):
-        n0 = r[0][0] * u0 + r[0][1] * u1
-        n1 = r[1][0] * u0 + r[1][1] * u1
-        (v0, v1), *rest = ga.vertices
-        best = v0 * n0 + v1 * n1
-        for v0, v1 in rest:
-            np.maximum(best, v0 * n0 + v1 * n1, out=best)
-        h[:, k] = best
-    return ga.volumes[2] + gb.volumes[2] + np.einsum("mk,k->m", h, gb.facet_areas)
+    vals = np.empty(len(rots))
+    for block in _blocks(len(rots)):
+        r = [[rots[block, i, j] for j in range(2)] for i in range(2)]
+        h = np.empty((len(r[0][0]), len(gb.facet_areas)))
+        for k, (u0, u1) in enumerate(gb.facet_normals):
+            n0 = r[0][0] * u0 + r[0][1] * u1
+            n1 = r[1][0] * u0 + r[1][1] * u1
+            (v0, v1), *rest = ga.vertices
+            best = v0 * n0 + v1 * n1
+            for v0, v1 in rest:
+                np.maximum(best, v0 * n0 + v1 * n1, out=best)
+            h[:, k] = best
+        vals[block] = (ga.volumes[2] + gb.volumes[2]
+                       + np.einsum("mk,k->m", h, gb.facet_areas))
+    return vals
 
 
 def estimate_additive(a, b, samples, seed, name="additive"):
@@ -472,16 +540,9 @@ def estimate_additive(a, b, samples, seed, name="additive"):
     if n not in (2, 3):
         raise ValueError("additive estimator supports dimensions 2 and 3")
     ga, gb = a.geometry(), b.geometry()
-    total = 0.0
-    total_sq = 0.0
-    for gen, m in _chunk_draws(samples, seed):
-        rots = random_rotations(n, gen, m)
-        if n == 2:
-            vals = planar_minkowski_areas(ga, gb, rots)
-        else:
-            vals = minkowski_volumes(ga, gb, rots)
-        total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
+    volumes = planar_minkowski_areas if n == 2 else minkowski_volumes
+    total, total_sq = _sum_values(_map_chunks(
+        lambda gen, m: volumes(ga, gb, random_rotations(n, gen, m)), samples, seed))
     return _estimate_from_values(name, total, total_sq, samples, seed, pred, {})
 
 
