@@ -495,8 +495,9 @@ def planar_minkowski_areas(ga, gb, rots):
     """area(A + R B) for each rotation, exact for two polygons.
 
     With G over the edges of B, area(A + RB) = V(A) + V(B) + sum_G |G| h_A(R u_G).
-    Each rotated normal and support value is built from the four entry
-    vectors of the rotations; the weighted sum over G stays one einsum.
+    The rotations are taken ROTATION_BLOCK samples at a time.  Each rotated
+    normal and support value is built from the four entry vectors of the
+    block; the weighted sum over G stays one einsum per block.
     """
     vals = np.empty(len(rots))
     for block in _blocks(len(rots)):

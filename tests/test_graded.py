@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from intgeo.graded import GeneratorSet, LinearFunctional, QuotientAlgebra
+from intgeo.graded import GeneratorSet, LinearFunctional, QuotientAlgebra, TensorTable
 from intgeo.hermitian import disk_value, fk
 from intgeo.scalars import Scalar
 
@@ -170,3 +170,12 @@ def test_monomial_ideal_hilbert_against_divisibility():
             expect = [m for m in alg.gens.monomials_of_degree(d)
                       if not divisible(m)]
             assert sorted(alg.basis[d]) == sorted(expect), (trial, d)
+
+
+def test_table_entries_are_written_once():
+    table = TensorTable("SO", 1, "standard", "t", basis_labels={0: ["t_0"], 1: ["t_1"]})
+    table.add((0, 0), (1, 0), Scalar.one())
+    table.add((1, 0), (0, 0), Scalar.zero())
+    assert table.entries == {((0, 0), (1, 0)): Scalar.one()}
+    with pytest.raises(ValueError, match="written twice"):
+        table.add((0, 0), (1, 0), Scalar.one())

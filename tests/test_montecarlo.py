@@ -1,4 +1,5 @@
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -150,12 +151,24 @@ def test_box_box_sat_against_gjk():
         assert hits3[i] == gjk_intersects(cube, moved(cube, xs3[i], rots3[i])), i
 
 
-def test_dominance_guards_raise(monkeypatch):
-    # a hit outside the sampled window, or outside the fiber ball, is an error
-    monkeypatch.setattr(MC, "kinematic_indicator",
-                        lambda a, b: lambda xs, rots: np.ones(len(xs), dtype=bool))
+def _raise_dominance_guards(samples, monkeypatch):
+    """A hit outside the sampled window, or outside the fiber ball, is an
+    error; from a pool thread it reaches the caller, and the pool ends with
+    the run."""
+    monkeypatch.setattr(MC, "_usable_cpus", lambda: 2)
+    ran_in = set()
+
+    def hits(xs, rots):
+        ran_in.add(threading.get_ident())
+        return np.ones(len(xs), dtype=bool)
+
+    monkeypatch.setattr(MC, "kinematic_indicator", lambda a, b: hits)
+    before = threading.active_count()
     with pytest.raises(AssertionError, match="window does not dominate"):
-        MC.estimate_principal_kinematic(unit_square(), unit_square(), 200, 1)
+        MC.estimate_principal_kinematic(unit_square(), unit_square(), samples, 1)
+    # one chunk runs inline, more run on the pool
+    assert (threading.get_ident() in ran_in) == (samples <= MC.CHUNK)
+    assert threading.active_count() == before
 
     class Stretched(np.random.Generator):
         def uniform(self, *args, **kwargs):  # offsets up to twice the fiber radius
@@ -167,7 +180,16 @@ def test_dominance_guards_raise(monkeypatch):
                         np.ones(len(offsets[0]), dtype=bool))
     for k in (1, 2):
         with pytest.raises(AssertionError, match="fiber ball does not dominate"):
-            MC.estimate_crofton(ConvexBody.ball([0, 0, 0], 1), k, 200, 1)
+            MC.estimate_crofton(ConvexBody.ball([0, 0, 0], 1), k, samples, 1)
+        assert threading.active_count() == before
+
+
+def test_dominance_guards_raise(monkeypatch):
+    _raise_dominance_guards(200, monkeypatch)
+
+
+def test_dominance_guards_raise_from_pool_threads(monkeypatch):
+    _raise_dominance_guards(MC.CHUNK + 1, monkeypatch)  # two chunks
 
 
 def test_dominance_guard_bound():

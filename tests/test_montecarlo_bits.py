@@ -161,3 +161,44 @@ def test_crofton_kernel_matches_oracle_bitwise(case):
     hits = MC._flat_hits(body, cols[: n - k], cols[n - k:], list(offsets.T))
     assert np.array_equal(hits, oracles.crofton_hits(body, k, rots, offsets))
     assert 0 < np.count_nonzero(hits) < KERNEL_SAMPLES
+
+
+# -- chunks on threads, kernels over blocks ------------------------------------
+
+THREAD_SAMPLES = 2 * MC.CHUNK + 1000  # three chunks, the last ragged
+
+
+def _thread_runs():
+    disk, square = ConvexBody.ball([0, 0], 1), ConvexBody.cube(2, 1)
+    ball3, cube = ConvexBody.ball([0, 0, 0], 1), ConvexBody.cube(3, 1)
+    s = THREAD_SAMPLES
+    return {
+        "kinematic ball/box 2-D": lambda: [MC.estimate_principal_kinematic(disk, square, s, 11)],
+        "kinematic ball/box 3-D": lambda: [MC.estimate_principal_kinematic(ball3, cube, s, 12)],
+        "kinematic polygons": lambda: [MC.estimate_principal_kinematic(_HEXAGON, _HEXAGON2, s, 13)],
+        "crofton k=1": lambda: [MC.estimate_crofton(THIRDS[0], 1, s, 14)],
+        "crofton k=2": lambda: [MC.estimate_crofton(cube, 2, s, 15)],
+        "cauchy": lambda: [MC.cauchy_projection_check(cube, s, 16)],
+        "steiner": lambda: [MC.steiner_mc(square, Fraction(1, 2), s, 17)],
+        "additive 2-D": lambda: [MC.estimate_additive(_HEXAGON, square, s, 18)],
+        # two chunks per run: the suite's estimators are all covered above
+        "suite": lambda: MC.default_suite(MC.CHUNK + MC.MIN_VARIANCE_SAMPLES, 19),
+    }
+
+
+@pytest.mark.parametrize("case", list(_thread_runs()))
+def test_estimates_do_not_depend_on_thread_count(case, monkeypatch):
+    seen = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(MC, "_usable_cpus", lambda: workers)
+        seen.append([(r.row(), r.mean.hex(), r.stderr.hex()) for r in _thread_runs()[case]()])
+    assert seen[0] == seen[1] == seen[2]
+
+
+def test_blocked_planar_kernel_matches_whole_chunk(monkeypatch):
+    count = 2 * MC.ROTATION_BLOCK + 7  # the last block is ragged
+    rots = MC.random_rotations(2, MC.rng_chunk(SEEDS[0], 6), count)
+    ga, gb = _HEXAGON.geometry(), THIRDS[0].geometry()
+    blocked = MC.planar_minkowski_areas(ga, gb, rots)
+    monkeypatch.setattr(MC, "ROTATION_BLOCK", count)
+    assert np.array_equal(blocked, MC.planar_minkowski_areas(ga, gb, rots))
