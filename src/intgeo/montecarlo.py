@@ -221,8 +221,8 @@ def _map_chunks(work, samples, seed):
     threads, or inline when that is one; numpy releases the interpreter lock
     in the generator fills and the elementwise kernels.  Each chunk reads
     only its own generator, so the partials do not depend on the thread
-    count.  An exception in a chunk reaches the caller after every running
-    chunk has ended, and no pool thread outlives the call.
+    count.  An exception in a chunk reaches the caller once the pool has
+    run the other chunks, and no pool thread outlives the call.
     """
     draws = [(rng_chunk(seed, index), min(CHUNK, samples - done))
              for index, done in enumerate(range(0, samples, CHUNK))]
