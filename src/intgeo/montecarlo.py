@@ -16,13 +16,18 @@ keep their order, and the kernels then run over slices of ROTATION_BLOCK
 samples, elementwise, while the float sums over a chunk stay on the whole
 chunk vector (pairwise ``sum`` and BLAS ``dot`` round by length).  So a
 result depends only on ``(seed, samples)``, not on the thread count.
-Rotations are orthonormalized Gaussian matrices (explicit Gram-Schmidt, no
-LAPACK) with the determinant flipped to +1.
+Rotations follow Shoemake ("Uniform random rotations", Graphics Gems III,
+1992): a normalized Gaussian vector is uniform on its sphere, so SO(2) comes
+from a point of the unit circle (two normals per rotation) and SO(3) from a
+unit quaternion (four normals; S^3 covers SO(3) twice), each written in
+closed form.  n >= 4 orthonormalizes an n x n Gaussian matrix by explicit
+Gram-Schmidt and flips the determinant to +1.  Each rotation's normals are
+consecutive in its chunk's stream.
 
-The rotation sampler works entry-major: it orthonormalizes in a buffer of
-shape (n, n, count) whose entry (i, j) is one contiguous vector over the
-samples of a chunk, and hands out the sample-major view (count, n, n) of
-that buffer without copying.  The kernels read rotations through those entry
+The rotation sampler works entry-major: it writes a buffer of shape
+(n, n, count) whose entry (i, j) is one contiguous vector over the samples
+of a chunk, and hands out the sample-major view (count, n, n) of that
+buffer without copying.  The kernels read rotations through those entry
 vectors, ``rots[:, i, j]``, and write every short inner product out as a
 left-to-right sum of elementwise products (``bodies._project``).  That is
 the order numpy's reductions over the short matrix axes used, so the bits
@@ -80,48 +85,79 @@ def rng_chunk(seed, chunk_index):
     return np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
 
 
-def _det(e):
-    """Determinants of an entry-major batch: e[i, j] holds entry (i, j) of
-    every matrix.  Closed form for n <= 3."""
-    n = e.shape[0]
-    if n == 1:
-        return e[0, 0]
-    if n == 2:
-        return e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
-    if n == 3:
-        return (e[0, 0] * (e[1, 1] * e[2, 2] - e[1, 2] * e[2, 1])
-                - e[0, 1] * (e[1, 0] * e[2, 2] - e[1, 2] * e[2, 0])
-                + e[0, 2] * (e[1, 0] * e[2, 1] - e[1, 1] * e[2, 0]))
-    return np.linalg.det(np.moveaxis(e, -1, 0))
+def _fill_so2(b, gen):
+    """Fill the entry-major block b (2, 2, m): one (m, 2) Gaussian draw (c, s)
+    per block, scaled to the unit circle, as the rotation [[c, -s], [s, c]]."""
+    c, s = gen.standard_normal((b.shape[-1], 2)).T
+    r = np.sqrt(c * c + s * s)
+    np.divide(c, r, out=b[0, 0])
+    np.divide(s, r, out=b[1, 0])
+    np.negative(b[1, 0], out=b[0, 1])
+    b[1, 1] = b[0, 0]
+
+
+def _fill_so3(b, gen):
+    """Fill the entry-major block b (3, 3, m) from unit quaternions.
+
+    One (m, 4) Gaussian draw (w, x, y, z) per block, so each rotation's four
+    normals are consecutive in the stream; scaled to S^3 it is uniform there,
+    and S^3 covers SO(3) twice (Shoemake, "Uniform random rotations",
+    Graphics Gems III, 1992).  With t = 2 / |q|^2 (no square root) and
+    xy = x (y t) and so on, the entries are Shoemake's quaternion matrix.
+    """
+    w, x, y, z = gen.standard_normal((b.shape[-1], 4)).T
+    t = 2.0 / _project((w, x, y, z), (w, x, y, z))
+    xs, ys, zs = x * t, y * t, z * t
+    wx, wy, wz = w * xs, w * ys, w * zs
+    xx, xy, xz = x * xs, x * ys, x * zs
+    yy, yz, zz = y * ys, y * zs, z * zs
+    b[0, 0] = 1.0 - (yy + zz)
+    b[0, 1] = xy - wz
+    b[0, 2] = xz + wy
+    b[1, 0] = xy + wz
+    b[1, 1] = 1.0 - (xx + zz)
+    b[1, 2] = yz - wx
+    b[2, 0] = xz - wy
+    b[2, 1] = yz + wx
+    b[2, 2] = 1.0 - (xx + yy)
+
+
+def _fill_gram_schmidt(b, gen):
+    """Fill the entry-major block b (n, n, m): an (m, n, n) Gaussian draw,
+    orthonormalized by classical Gram-Schmidt on the columns, each inner
+    product a left-to-right sum (``_project``), and the last column negated
+    where the determinant is negative."""
+    n = b.shape[0]
+    b[...] = np.moveaxis(gen.standard_normal((b.shape[-1], n, n)), 0, -1)
+    for j in range(n):
+        col = b[:, j]
+        # every projection reads the drawn column j, before any is removed
+        projs = [_project(b[:, i], col) for i in range(j)]
+        for i, proj in enumerate(projs):
+            col -= proj * b[:, i]
+        col /= np.sqrt(_project(col, col))
+    b[:, -1] *= np.where(np.linalg.det(np.moveaxis(b, -1, 0)) < 0, -1.0, 1.0)
 
 
 def random_rotations(n, gen, count):
     """Haar-uniform elements of SO(n), batched (count, n, n).
 
     The work runs in an entry-major buffer e of shape (n, n, count): e[i, j]
-    is entry (i, j) of every matrix, one contiguous vector.  The Gaussian
-    draw comes ROTATION_BLOCK samples at a time, in the generator's order, is
-    copied into its block of e and orthonormalized there: classical
-    Gram-Schmidt on the columns, each inner product a left-to-right sum
-    (``_project``), and the last column negated where the determinant is
-    negative.  The result is the sample-major view of e, so every
-    ``rots[:, i, j]`` is contiguous; a caller that needs contiguous matrices
-    copies them.
+    is entry (i, j) of every matrix, one contiguous vector.  The draw comes
+    ROTATION_BLOCK samples at a time, in the generator's order, and each
+    block of e is written from it: SO(2) from a point of the unit circle
+    (``_fill_so2``), SO(3) from a unit quaternion (``_fill_so3``), and
+    n >= 4 by Gram-Schmidt on an n x n Gaussian matrix
+    (``_fill_gram_schmidt``).  The result is the sample-major view of e, so
+    every ``rots[:, i, j]`` is contiguous; a caller that needs contiguous
+    matrices copies them.
     """
     if n == 1:
         return np.ones((count, 1, 1))
+    fill = {2: _fill_so2, 3: _fill_so3}.get(n, _fill_gram_schmidt)
     e = np.empty((n, n, count))
     for block in _blocks(count):
-        b = e[..., block]
-        b[...] = np.moveaxis(gen.standard_normal((b.shape[-1], n, n)), 0, -1)
-        for j in range(n):
-            col = b[:, j]
-            # every projection reads the drawn column j, before any is removed
-            projs = [_project(b[:, i], col) for i in range(j)]
-            for i, proj in enumerate(projs):
-                col -= proj * b[:, i]
-            col /= np.sqrt(_project(col, col))
-        b[:, -1] *= np.where(_det(b) < 0, -1.0, 1.0)
+        fill(e[..., block], gen)
     return np.moveaxis(e, -1, 0)
 
 
@@ -165,14 +201,19 @@ def _estimate_from_values(name, total, total_sq, samples, seed, prediction, extr
                       prediction=prediction, extra=extra)
 
 
-def _sum_values(chunk_vals):
-    """(sum, sum of squares) of the values of a run, each summed over the
-    whole vector of a chunk and then added in chunk order."""
+def _value_sums(vals):
+    """(sum, sum of squares) of one chunk's whole value vector, taken in the
+    chunk's worker so that the vector dies there."""
+    return float(vals.sum()), float(np.dot(vals, vals))
+
+
+def _sum_values(chunk_sums):
+    """(sum, sum of squares) of a run: the chunks' pairs added in chunk order."""
     total = 0.0
     total_sq = 0.0
-    for vals in chunk_vals:
-        total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
+    for chunk_total, chunk_sq in chunk_sums:
+        total += chunk_total
+        total_sq += chunk_sq
     return total, total_sq
 
 
@@ -421,7 +462,7 @@ def cauchy_projection_check(box, samples, seed, name="cauchy"):
             u = v[block]
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             vals[block] = const * (np.abs(u) @ others)
-        return vals
+        return _value_sums(vals)
 
     total, total_sq = _sum_values(_map_chunks(chunk_vals, samples, seed))
     pred = scalar_float(box.exact_intrinsic_volume(n - 1))
@@ -543,7 +584,8 @@ def estimate_additive(a, b, samples, seed, name="additive"):
     ga, gb = a.geometry(), b.geometry()
     volumes = planar_minkowski_areas if n == 2 else minkowski_volumes
     total, total_sq = _sum_values(_map_chunks(
-        lambda gen, m: volumes(ga, gb, random_rotations(n, gen, m)), samples, seed))
+        lambda gen, m: _value_sums(volumes(ga, gb, random_rotations(n, gen, m))),
+        samples, seed))
     return _estimate_from_values(name, total, total_sq, samples, seed, pred, {})
 
 

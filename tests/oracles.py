@@ -10,7 +10,9 @@ minors are all single powers of pi.  The presentation checks are redone by
 computing both subspaces exactly: the evaluation kernels by
 ``kernel_basis``, the ideals by row-reducing every truncated multiple of
 their generators, built densely and summed entry by entry.  The Haar
-rotation sampler, the planar Minkowski-area kernel and the Crofton flat
+rotation sampler builds sample-major matrices from one draw per call: the
+textbook circle and quaternion formulas for SO(2) and SO(3), Gram-Schmidt
+above.  The planar Minkowski-area kernel and the Crofton flat
 kernel are the sample-minor versions the Monte Carlo estimators used before
 their sums were written out over per-entry vectors: numpy reductions over
 the short matrix axes, with a fancy-index sign flip.  The kinematic kernels are the forms the
@@ -172,24 +174,32 @@ def gram_schmidt(g):
     return q
 
 
-def det_small(q):
-    """Determinants of batched matrices, closed form for n <= 3."""
-    n = q.shape[1]
-    if n == 2:
-        return q[:, 0, 0] * q[:, 1, 1] - q[:, 0, 1] * q[:, 1, 0]
-    if n == 3:
-        return (q[:, 0, 0] * (q[:, 1, 1] * q[:, 2, 2] - q[:, 1, 2] * q[:, 2, 1])
-                - q[:, 0, 1] * (q[:, 1, 0] * q[:, 2, 2] - q[:, 1, 2] * q[:, 2, 0])
-                + q[:, 0, 2] * (q[:, 1, 0] * q[:, 2, 1] - q[:, 1, 1] * q[:, 2, 0]))
-    return np.linalg.det(q)
-
-
 def random_rotations(n, gen, count):
-    """Haar rotations: Gram-Schmidt on a Gaussian draw, last column flipped
-    where the determinant is negative."""
-    g = gen.standard_normal((count, n, n))
-    q = gram_schmidt(g)
-    q[det_small(q) < 0, :, -1] *= -1.0
+    """Haar rotations, sample-major, from one Gaussian draw of count samples.
+
+    SO(2): (c, s) scaled to the unit circle, [[c, -s], [s, c]].  SO(3): the
+    unit quaternion (w, x, y, z) as Shoemake's matrix ("Uniform random
+    rotations", Graphics Gems III, 1992), with s = 2 / |q|^2 and
+    xy = x (y s) and so on.  n >= 4: Gram-Schmidt on an n x n draw, last
+    column flipped where the determinant is negative.
+    """
+    if n == 2:
+        q = gen.standard_normal((count, 2))
+        c, s = (q / np.sqrt(np.sum(q * q, axis=1, keepdims=True))).T
+        return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=1)
+    if n == 3:
+        q = gen.standard_normal((count, 4))
+        w, x, y, z = q.T
+        xs, ys, zs = (q[:, 1:] * (2.0 / np.sum(q * q, axis=1))[:, None]).T
+        wx, wy, wz = w * xs, w * ys, w * zs
+        xx, xy, xz = x * xs, x * ys, x * zs
+        yy, yz, zz = y * ys, y * zs, z * zs
+        rows = [[1.0 - (yy + zz), xy - wz, xz + wy],
+                [xy + wz, 1.0 - (xx + zz), yz - wx],
+                [xz - wy, yz + wx, 1.0 - (xx + yy)]]
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=1)
+    q = gram_schmidt(gen.standard_normal((count, n, n)))
+    q[np.linalg.det(q) < 0, :, -1] *= -1.0
     return q
 
 

@@ -9,7 +9,12 @@ point in the kinematic formula, a box pair in space in the additive one) and
 the suite run ``SMALL`` samples, one ragged chunk, to keep the test short.
 The file was written before the rotation sampler and the planar additive
 kernel were rewritten over per-entry sample vectors, and must never be
-regenerated from the code it checks.
+regenerated from the code it checks.  Its rows that draw rotations were
+rewritten once, when SO(2) and SO(3) moved from Gram-Schmidt to the circle
+and quaternion samplers, which draw other normals: by running this script
+on the code before that change with ``montecarlo.random_rotations``
+replaced by ``oracles.random_rotations``.  The cauchy and steiner rows did
+not change.
 
     PYTHONPATH=src python3 tests/test_golden_mc.py > tests/golden/mc_rows.json
 """

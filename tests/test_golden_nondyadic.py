@@ -8,7 +8,12 @@ these sides, and the predictions and shadow weights must use the first.
 ``tests/golden/mc_nondyadic.json`` holds ``float.hex`` of the estimate,
 stderr and prediction of each run, with its exit code.  The file was written
 before the body model and the chunk loop of ``montecarlo`` were rewritten,
-and must never be regenerated from the code it checks.
+and must never be regenerated from the code it checks.  Its crofton and
+kinematic rows were rewritten once, when SO(2) and SO(3) moved from
+Gram-Schmidt to the circle and quaternion samplers, which draw other
+normals: by running this script on the code before that change with
+``montecarlo.random_rotations`` replaced by ``oracles.random_rotations``.
+The cauchy and steiner rows did not change.
 
     PYTHONPATH=src python3 tests/test_golden_nondyadic.py > tests/golden/mc_nondyadic.json
 """

@@ -53,6 +53,48 @@ def test_rotation_projection_law():
     assert stat3 <= 1e-2
 
 
+HAAR_SAMPLES = 1 << 17
+
+
+def _haar_moment_misses(rots):
+    """The Haar moments of SO(n) that a sample of rotations misses by more
+    than 5 standard errors: E[R_ij] = 0, E[R_ij^2] = 1/n, E[tr R] = 0."""
+    m, n, _ = rots.shape
+    moments = {"tr": (np.trace(rots, axis1=1, axis2=2), 0.0)}
+    for i in range(n):
+        for j in range(n):
+            moments[f"R{i}{j}"] = (rots[:, i, j], 0.0)
+            moments[f"R{i}{j}^2"] = (rots[:, i, j] ** 2, 1.0 / n)
+    return [name for name, (x, mean) in moments.items()
+            if abs(x.mean() - mean) > 5 * x.std(ddof=1) / math.sqrt(m)]
+
+
+def _euler_angle_rotations(gen, m):
+    """Rz(a) Ry(b) Rz(c) with each angle uniform: not Haar, since
+    E[R_22^2] = E[cos^2 b] = 1/2 where Haar gives 1/3."""
+    def axis_rotation(t, p, q):
+        r = np.zeros((m, 3, 3))
+        r[:, 3 - p - q, 3 - p - q] = 1.0
+        r[:, p, p] = r[:, q, q] = np.cos(t)
+        r[:, p, q], r[:, q, p] = -np.sin(t), np.sin(t)
+        return r
+    a, c = gen.uniform(0.0, 2 * math.pi, (2, m))
+    b = gen.uniform(0.0, math.pi, m)
+    return axis_rotation(a, 0, 1) @ axis_rotation(b, 2, 0) @ axis_rotation(c, 0, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rotations_have_haar_moments(n):
+    rots = MC.random_rotations(n, MC.rng_chunk(31, 0), HAAR_SAMPLES)
+    assert _haar_moment_misses(rots) == []
+
+
+def test_haar_moment_test_rejects_uniform_euler_angles():
+    rots = _euler_angle_rotations(MC.rng_chunk(31, 0), HAAR_SAMPLES)
+    assert np.allclose(np.linalg.det(rots), 1.0)
+    assert "R22^2" in _haar_moment_misses(rots)
+
+
 def test_bit_reproducibility():
     disk = ConvexBody.ball([0, 0], 1)
     a = MC.estimate_principal_kinematic(disk, unit_square(), 50_000, 99)
@@ -273,10 +315,15 @@ def test_sample_variance_estimators_refuse_tiny_runs():
 
 
 def test_cli_two_sample_kinematic_has_finite_z(capsys):
+    # two samples either split (sample variance) or agree (Laplace rate, see
+    # test_hit_or_miss_variance_when_all_samples_agree); either way the
+    # stderr is positive and z finite
     from intgeo import cli
     assert cli.main(["mc", "kinematic", "--samples", "2", "--seed", "1"]) == 0
-    row = capsys.readouterr().out.splitlines()[1].split(",")
-    assert 0.5 < abs(float(row[-1])) < 1.5
+    header, row = capsys.readouterr().out.splitlines()[:2]
+    row = dict(zip(header.split(","), row.split(",")))
+    assert float(row["stderr"]) > 0
+    assert math.isfinite(float(row["z"]))
 
 
 
