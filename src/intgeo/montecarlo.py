@@ -56,8 +56,8 @@ from .bodies import ConvexBody, _project, kinematic_indicator, sample_blocks
 from .scalars import omega
 
 CHUNK = 1 << 17
-# Samples the rotation sampler orthonormalizes at once, and the kernels of a
-# chunk take at once, so that their blocks and temporaries stay in cache.
+# Samples the rotation sampler writes at once, and the kernels of a chunk
+# take at once, so that their blocks and temporaries stay in cache.
 ROTATION_BLOCK = 1 << 14
 
 # Fewest samples the estimators that take their stderr from the sample
@@ -86,8 +86,8 @@ def rng_chunk(seed, chunk_index):
 
 
 def _fill_so2(b, gen):
-    """Fill the entry-major block b (2, 2, m): one (m, 2) Gaussian draw (c, s)
-    per block, scaled to the unit circle, as the rotation [[c, -s], [s, c]]."""
+    """Write the entry-major block b (2, 2, m): (c, s) from one (m, 2)
+    Gaussian draw, scaled to the unit circle, as [[c, -s], [s, c]]."""
     c, s = gen.standard_normal((b.shape[-1], 2)).T
     r = np.sqrt(c * c + s * s)
     np.divide(c, r, out=b[0, 0])
@@ -97,14 +97,9 @@ def _fill_so2(b, gen):
 
 
 def _fill_so3(b, gen):
-    """Fill the entry-major block b (3, 3, m) from unit quaternions.
-
-    One (m, 4) Gaussian draw (w, x, y, z) per block, so each rotation's four
-    normals are consecutive in the stream; scaled to S^3 it is uniform there,
-    and S^3 covers SO(3) twice (Shoemake, "Uniform random rotations",
-    Graphics Gems III, 1992).  With t = 2 / |q|^2 (no square root) and
-    xy = x (y t) and so on, the entries are Shoemake's quaternion matrix.
-    """
+    """Write the entry-major block b (3, 3, m): the quaternion (w, x, y, z)
+    of one (m, 4) Gaussian draw as Shoemake's rotation matrix, with
+    t = 2 / |q|^2 (no square root) and xy = x (y t) and so on."""
     w, x, y, z = gen.standard_normal((b.shape[-1], 4)).T
     t = 2.0 / _project((w, x, y, z), (w, x, y, z))
     xs, ys, zs = x * t, y * t, z * t
@@ -123,7 +118,7 @@ def _fill_so3(b, gen):
 
 
 def _fill_gram_schmidt(b, gen):
-    """Fill the entry-major block b (n, n, m): an (m, n, n) Gaussian draw,
+    """Write the entry-major block b (n, n, m): an (m, n, n) Gaussian draw,
     orthonormalized by classical Gram-Schmidt on the columns, each inner
     product a left-to-right sum (``_project``), and the last column negated
     where the determinant is negative."""
@@ -201,7 +196,7 @@ def _estimate_from_values(name, total, total_sq, samples, seed, prediction, extr
                       prediction=prediction, extra=extra)
 
 
-def _value_sums(vals):
+def _chunk_sums(vals):
     """(sum, sum of squares) of one chunk's whole value vector, taken in the
     chunk's worker so that the vector dies there."""
     return float(vals.sum()), float(np.dot(vals, vals))
@@ -462,7 +457,7 @@ def cauchy_projection_check(box, samples, seed, name="cauchy"):
             u = v[block]
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             vals[block] = const * (np.abs(u) @ others)
-        return _value_sums(vals)
+        return _chunk_sums(vals)
 
     total, total_sq = _sum_values(_map_chunks(chunk_vals, samples, seed))
     pred = scalar_float(box.exact_intrinsic_volume(n - 1))
@@ -584,7 +579,7 @@ def estimate_additive(a, b, samples, seed, name="additive"):
     ga, gb = a.geometry(), b.geometry()
     volumes = planar_minkowski_areas if n == 2 else minkowski_volumes
     total, total_sq = _sum_values(_map_chunks(
-        lambda gen, m: _value_sums(volumes(ga, gb, random_rotations(n, gen, m))),
+        lambda gen, m: _chunk_sums(volumes(ga, gb, random_rotations(n, gen, m))),
         samples, seed))
     return _estimate_from_values(name, total, total_sq, samples, seed, pred, {})
 

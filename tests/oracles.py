@@ -12,10 +12,10 @@ computing both subspaces exactly: the evaluation kernels by
 their generators, built densely and summed entry by entry.  The Haar
 rotation sampler builds sample-major matrices from one draw per call: the
 textbook circle and quaternion formulas for SO(2) and SO(3), Gram-Schmidt
-above.  The planar Minkowski-area kernel and the Crofton flat
-kernel are the sample-minor versions the Monte Carlo estimators used before
-their sums were written out over per-entry vectors: numpy reductions over
-the short matrix axes, with a fancy-index sign flip.  The kinematic kernels are the forms the
+with a fancy-index sign flip for n >= 4.  The planar Minkowski-area kernel
+and the Crofton flat kernel are the sample-minor versions the Monte Carlo
+estimators used before their sums were written out over per-entry vectors:
+numpy reductions over the short matrix axes.  The kinematic kernels are the forms the
 kinematic indicator used before it went sample-major: einsum closed forms
 for a ball against a ball or a box, box pairs in center and half-width form,
 and the other polytope pairs and a ball against a polytope as batched matrix
