@@ -5,8 +5,10 @@ and ``presentations_agree`` certifies that its ideal is the kernel of disk
 evaluations.  On top of the algebra sit the Tasaki and hermitian bases, Klain
 functions in elementary-symmetric coordinates of squared cosines of Kaehler
 angles, the degree-reversing Fourier transform, the kinematic and additive
-coproducts by Poincare-pairing inversion, Tasaki matrices, and the
-first-order integrand kernels for pairs of submanifold dimensions.
+coproducts by Poincare-pairing inversion and the multiplicative rule, Tasaki
+matrices, and the first-order integrand kernels for pairs of submanifold
+dimensions.  Kinematic blocks are read off the reduction map, and a
+first-order kernel builds only the one block it reads.
 
 Degrees above the middle are always handled through Fourier transforms of
 complementary-degree elements; the Kaehler-angle coordinates degenerate
@@ -502,34 +504,43 @@ def _new_table(n, basis="monomial", entries=None):
     return TensorTable("U", n, "standard", basis, labels, entries)
 
 
+def _product_block(n, part, k):
+    """Block (k + j, 2n - k) of the kinematic table of a degree-j part
+    {monomial: coefficient} of phi, k + j <= 2n: the rows of multiplication
+    out of degree k, read off the reduction map, times chi's degree-k block."""
+    alg = un_model(n).alg
+    d = k + alg.gens.degree(next(iter(part)))
+    coeffs = PiMatrix.read([list(part.values())])
+    index = alg.basis_index[d]
+    rows = []
+    for ma in alg.basis[k]:
+        row = [Fraction(0)] * len(index)
+        for m, c in zip(part, coeffs.m[0]):
+            for bm, r in alg.reduction[mono_mul(m, ma)].items():
+                row[index[bm]] += c * r
+        rows.append(row)
+    x = _chi_blocks(n)[k] if k <= n else _chi_blocks(n)[2 * n - k].T
+    return d, 2 * n - k, PiMatrix(coeffs.e, rows).T @ x
+
+
 def kinematic_un(n, phi=None):
     """Kinematic coproduct table of phi in canonical coordinates.
 
     With no argument: the image of chi, obtained by exact inversion of the
     Poincare pairing degree by degree; in general the multiplicative rule
-    image(phi) = (phi (x) chi) * image(chi).  Standard motion normalization;
-    the image of the volume is vol (x) vol.
+    image(phi) = (phi (x) chi) * image(chi).  Each degree-j part of phi writes
+    the block (k + j, 2n - k) of each source degree k, read off the reduction
+    map; a first-order kernel builds only the block it reads.  Standard motion
+    normalization; vol maps to vol (x) vol.
     """
     alg = un_model(n).alg
     if phi is None:
         phi = alg.one()
-    chi = _chi_blocks(n)
     table = _new_table(n)
-    for k in range(2 * n + 1):
-        kr = 2 * n - k
-        dim = alg.dimension(k)
-        # multiplication by phi out of degree k, per target degree
-        mult = {}
-        for a in range(dim):
-            prod = alg.multiply(phi, alg.basis_element(k, a))
-            for d in prod.degrees():
-                if d not in mult:
-                    mult[d] = [[Fraction(0)] * alg.dimension(d) for _ in range(dim)]
-                mult[d][a] = alg.coordinates(prod, d)
-        x = chi[k] if k <= n else chi[kr].T
-        # the block (d, 2n - k) is written once: by this source degree k
-        for d, rows in mult.items():
-            _write_block(table.entries, d, kr, PiMatrix.read(rows).T @ x)
+    for j in phi.degrees():
+        part = {m: c for m, c in phi.terms.items() if alg.gens.degree(m) == j}
+        for k in range(2 * n + 1 - j):
+            _write_block(table.entries, *_product_block(n, part, k))
     return table
 
 
@@ -597,8 +608,11 @@ def klain_expand_block(n, table, k, l):
     """Expand the bidegree-(k,l) block of a canonical-coordinate table with
     both legs as Klain polynomials, by the congruence with the sigma-coordinate
     blocks; returns ({(q_left, q_right): Scalar}, left_perp, right_perp)."""
-    block = {key: c for key, c in table.entries.items()
-             if key[0][0] == k and key[1][0] == l}
+    return _klain_congruence(n, {key: c for key, c in table.entries.items()
+                                 if key[0][0] == k and key[1][0] == l}, k, l)
+
+
+def _klain_congruence(n, block, k, l):
     coeffs = _congruence(block, lambda d: (d, _klain_columns(n, d)[0]))
     return ({(ql, qr): v for ((_, ql), (_, qr)), v in coeffs.items()},
             _klain_columns(n, k)[1], _klain_columns(n, l)[1])
@@ -614,9 +628,10 @@ def first_order_formula(n, k, l, space="euclidean"):
     """
     if not (k + l >= 2 * n and 0 <= k <= 2 * n and 0 <= l <= 2 * n):
         raise ValueError("first-order bidegrees need k + l >= 2n, each <= 2n")
-    d = k + l - 2 * n
-    table = kinematic_un(n, intrinsic_volume_element(n, d))
-    coeffs, left_perp, right_perp = klain_expand_block(n, table, k, l)
+    block = {}
+    phi = intrinsic_volume_element(n, k + l - 2 * n)
+    _write_block(block, *_product_block(n, phi.terms, 2 * n - l))
+    coeffs, left_perp, right_perp = _klain_congruence(n, block, k, l)
     if space == "projective":
         scale = Scalar.pi_power(-n, factorial(n))
         coeffs = {key: scale * v for key, v in coeffs.items()}

@@ -198,8 +198,11 @@ def _estimate_from_values(name, total, total_sq, samples, seed, prediction, extr
 
 def _chunk_sums(vals):
     """(sum, sum of squares) of one chunk's whole value vector, taken in the
-    chunk's worker so that the vector dies there."""
-    return float(vals.sum()), float(np.dot(vals, vals))
+    chunk's worker so that the vector dies there.  Both are numpy's pairwise
+    sums, the second over vals squared in place: a BLAS dot product rounds
+    differently with the number of BLAS threads."""
+    total = float(vals.sum())
+    return total, float(np.square(vals, out=vals).sum())
 
 
 def _sum_values(chunk_sums):

@@ -19,7 +19,9 @@ numpy reductions over the short matrix axes.  The kinematic kernels are the form
 kinematic indicator used before it went sample-major: einsum closed forms
 for a ball against a ball or a box, box pairs in center and half-width form,
 and the other polytope pairs and a ball against a polytope as batched matrix
-products of vertex and axis arrays.
+products of vertex and axis arrays.  A chunk's sum of squares is numpy's
+pairwise sum of a squared copy.  The U(n) kinematic table is built product
+by product, one algebra multiplication per basis element.
 
 Every oracle that reads rotations reads ``np.ascontiguousarray(rots)``:
 einsum and matmul choose their summation order, and whether they fuse a
@@ -34,6 +36,8 @@ import numpy as np
 
 from intgeo.bodies import sample_blocks
 from intgeo.graded import GeneratorSet, QuotientAlgebra, mono_mul
+from intgeo.hermitian import (PiMatrix, _chi_blocks, _new_table, _write_block,
+                              un_model)
 from intgeo.linalg import SingularMatrixError, kernel_basis, rref
 from intgeo.scalars import Scalar, binomial
 from intgeo.spaceforms import _cp_pairing_matrix, complex_space_form
@@ -267,6 +271,12 @@ def crofton_hits(a, k, rots, offsets):
     n = rots.shape[1]
     return flat_hits(a, np.transpose(rots[:, :, : n - k], (0, 2, 1)),
                      np.transpose(rots[:, :, n - k:], (0, 2, 1)), offsets)
+
+
+def chunk_sums(vals):
+    """(sum, sum of squares) of a chunk's value vector by numpy's pairwise
+    sum, the squares taken into a new array."""
+    return float(np.sum(vals)), float(np.sum(vals * vals))
 
 
 # -- kinematic kernels over einsums and matrix products ---------------------------
@@ -505,3 +515,33 @@ def un_evaluation_kernel_quotient(n):
         for vec in kernel_basis(block, len(cols)):
             ideal.append({cols[j]: c for j, c in vec.items()})
     return QuotientAlgebra(("s", "t"), (2, 1), ideal, 2 * n)
+
+
+# -- the U(n) kinematic table, product by product -------------------------------
+
+def kinematic_un_products(n, phi=None):
+    """The kinematic table of phi built as ``hermitian.kinematic_un`` was
+    before it read its blocks off the reduction map: for every basis element
+    of every source degree k, the product with phi through
+    ``QuotientAlgebra.multiply`` (``poly_mul`` and ``normal_form_raw`` over
+    Scalars), its coordinates per target degree d, and the block
+    (d, 2n - k) as those rows, transposed, times the chi block of degree k."""
+    alg = un_model(n).alg
+    if phi is None:
+        phi = alg.one()
+    chi = _chi_blocks(n)
+    table = _new_table(n)
+    for k in range(2 * n + 1):
+        kr = 2 * n - k
+        dim = alg.dimension(k)
+        mult = {}
+        for a in range(dim):
+            prod = alg.multiply(phi, alg.basis_element(k, a))
+            for d in prod.degrees():
+                if d not in mult:
+                    mult[d] = [[Fraction(0)] * alg.dimension(d) for _ in range(dim)]
+                mult[d][a] = alg.coordinates(prod, d)
+        x = chi[k] if k <= n else chi[kr].T
+        for d, rows in mult.items():
+            _write_block(table.entries, d, kr, PiMatrix.read(rows).T @ x)
+    return table

@@ -92,6 +92,11 @@ def test_cli_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+def test_cli_first_order_out_of_range_exits_2(capsys):
+    assert cli.main(["un", "firstorder", "--dim", "2", "--deg-a", "5", "--deg-b", "1"]) == 2
+    assert "first-order bidegrees" in capsys.readouterr().err
+
+
 def test_cli_verify_small(tmp_path, capsys):
     out = tmp_path / "report.txt"
     rc = cli.main(["verify", "--max-dim", "2", "--out", str(out)])

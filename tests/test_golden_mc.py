@@ -14,7 +14,11 @@ rewritten once, when SO(2) and SO(3) moved from Gram-Schmidt to the circle
 and quaternion samplers, which draw other normals: by running this script
 on the code before that change with ``montecarlo.random_rotations``
 replaced by ``oracles.random_rotations``.  The cauchy and steiner rows did
-not change.
+not change.  Its cauchy, additive and suite rows were rewritten once more,
+when a chunk's sum of squares moved from a BLAS dot product, whose rounding
+follows the BLAS thread setting, to numpy's pairwise sum: by running this
+script on the code before that change with ``montecarlo._chunk_sums``
+replaced by ``oracles.chunk_sums``.
 
     PYTHONPATH=src python3 tests/test_golden_mc.py > tests/golden/mc_rows.json
 """

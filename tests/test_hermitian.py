@@ -10,7 +10,7 @@ from intgeo import linalg
 from intgeo.graded import QuotientAlgebra, poly_mul
 from intgeo.linalg import identity
 from intgeo.scalars import Scalar, binomial, omega
-from oracles import (invert_exact_scalar, scalar_mat_mul,
+from oracles import (invert_exact_scalar, kinematic_un_products, scalar_mat_mul,
                      un_evaluation_kernel_quotient)
 
 
@@ -390,6 +390,44 @@ def test_tables_linear_in_phi_across_degrees():
             assert build(n, phi).entries == {k: c for k, c in total.items() if c}
 
 
+def _with_pi(entries):
+    return {key: (c.coeff, c.pi_pow) for key, c in entries.items()}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kinematic_blocks_match_product_oracle(n):
+    """kinematic_un reads its blocks off the reduction map; the oracle
+    multiplies phi into every basis element.  phi runs over chi, every basis
+    element, every Fourier image of one (Scalar coefficients), and a phi whose
+    two degrees carry different powers of pi."""
+    model = H.un_model(n)
+    basis = [model.alg.basis_element(k, i) for k in range(2 * n + 1)
+             for i in range(model.alg.dimension(k))]
+    mixed = H.volume_element(n) + H.intrinsic_volume_element(n, 1)
+    assert n == 1 or len({c.pi_pow for c in mixed.terms.values()}) == 2
+    for phi in [None, mixed] + basis + [model.fourier(b) for b in basis]:
+        assert _with_pi(H.kinematic_un(n, phi).entries) \
+            == _with_pi(kinematic_un_products(n, phi).entries), phi
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_first_order_is_one_block_of_the_oracle_table(n):
+    """Every first-order kernel, in both spaces, equals the Klain expansion of
+    its block of the oracle's full table, perp flags included."""
+    spaces = (("euclidean", Scalar.one()),
+              ("projective", Scalar.pi_power(-n, factorial(n))))
+    for d in range(2 * n + 1):
+        table = kinematic_un_products(n, H.intrinsic_volume_element(n, d))
+        for k in range(d, 2 * n + 1):
+            l = 2 * n + d - k
+            coeffs, lp, rp = H.klain_expand_block(n, table, k, l)
+            for space, scale in spaces:
+                ker = H.first_order_formula(n, k, l, space=space)
+                assert (ker.k, ker.l, ker.left_perp, ker.right_perp) == (k, l, lp, rp)
+                assert _with_pi(ker.coeffs) \
+                    == _with_pi({q: scale * v for q, v in coeffs.items()}), (k, l, space)
+
+
 def test_tasaki_matrices_golden_n2():
     mats = H.tasaki_matrices(2)
     t22 = mats[2]
@@ -430,8 +468,9 @@ def test_first_order_trivial_cases():
         for l in range(2 * n + 1):
             ker = H.first_order_formula(n, 2 * n, l)
             assert ker.coeffs == {(0, 0): Scalar.one()}, (n, l)
-    with pytest.raises(ValueError):
-        H.first_order_formula(2, 1, 1)
+    for k, l in ((1, 1), (5, 1), (1, 5), (-1, 5)):
+        with pytest.raises(ValueError):
+            H.first_order_formula(2, k, l)
 
 
 def test_mu_k0_ratio_reported():

@@ -6,11 +6,17 @@ sample vectors; the oracles reduce over the short matrix axes with numpy.
 ``np.array_equal`` pins that the two orders agree on seeded chunks, rather
 than assuming how numpy orders a short reduction.  The separating-axis
 kernels round their projections differently from their oracles, so what must
-agree there, as for the Crofton kernel, is every hit decision.
+agree there, as for the Crofton kernel, is every hit decision.  No estimate
+may depend on the number of chunk threads or of BLAS threads.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,3 +208,33 @@ def test_blocked_planar_kernel_matches_whole_chunk(monkeypatch):
     blocked = MC.planar_minkowski_areas(ga, gb, rots)
     monkeypatch.setattr(MC, "ROTATION_BLOCK", count)
     assert np.array_equal(blocked, MC.planar_minkowski_areas(ga, gb, rots))
+
+
+def test_chunk_sums_match_oracle_bitwise():
+    for seed, index, count in DRAWS:
+        vals = MC.rng_chunk(seed, index).standard_normal(count)
+        assert MC._chunk_sums(vals.copy()) == oracles.chunk_sums(vals), (seed, index)
+
+
+BLAS_PROBE = """
+import json
+from intgeo import montecarlo as MC
+from intgeo.bodies import ConvexBody
+r = MC.cauchy_projection_check(ConvexBody.cube(3, 1), 2 * MC.CHUNK, 5)
+print(json.dumps([r.mean.hex(), r.stderr.hex()]))
+"""
+
+
+def test_estimates_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    seen = []
+    for threads in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True,
+                              text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path,
+                                       OPENBLAS_NUM_THREADS=threads,
+                                       OMP_NUM_THREADS=threads))
+        assert done.returncode == 0, done.stderr
+        seen.append(json.loads(done.stdout))
+    assert seen[0] == seen[1]
