@@ -144,6 +144,8 @@ def cmd_so(args):
 
 def cmd_un(args):
     n = args.dim
+    if args.table == "verify" and n < 1:
+        return _usage_error(f"--dim must be at least 1 for un verify, got {n}")
     if args.table in ("kinematic", "additive"):
         build = {"kinematic": hermitian.kinematic_un,
                  "additive": hermitian.additive_un}[args.table]
@@ -196,6 +198,8 @@ def cmd_un(args):
 
 def cmd_spaceform(args):
     n = args.dim
+    if args.table == "complex" and args.check == "conjecture" and n < 1:
+        return _usage_error(f"--dim must be at least 1 for --check conjecture, got {n}")
     if args.lambda_eval is not None and Fraction(args.lambda_eval) != 1:
         return _usage_error("--lambda-eval takes only the value 1 (sphere values "
                             "at unit curvature)")

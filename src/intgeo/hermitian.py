@@ -10,9 +10,12 @@ matrices, and the first-order integrand kernels for pairs of submanifold
 dimensions.  Kinematic blocks are read off the reduction map, and a
 first-order kernel builds only the one block it reads.
 
-Degrees above the middle are always handled through Fourier transforms of
-complementary-degree elements; the Kaehler-angle coordinates degenerate
-there, so primal Tasaki/hermitian bases exist only in degree <= n.
+The Tasaki valuation tau_{k,q} has Klain function sigma_{k,q} (Bernig and Fu,
+Ann. of Math. 173, 2011), and above the middle degree the Tasaki basis is
+the Fourier image of the one below.  So a monomial's Tasaki coordinates are
+its Klain coordinates in every degree (in the complement's angles above the
+middle), the Fourier transform is the identity in them, and every display
+basis and Fourier matrix is read off one change of basis per degree.
 
 pi acts as a grading: every degree block of the operator assembly (Fourier
 matrices, display-basis rows, pairing blocks and their inverses) is one power
@@ -254,18 +257,16 @@ class KlainPolynomial:
 def _klain_columns(n, k):
     """sigma-coordinates of the degree-k normal-form basis monomials of the
     U(n) model, one row per monomial, as a PiMatrix; perp variables above the
-    middle degree.
+    middle degree (k > n), where k - n of the k-plane's angle cosines are 1.
+    These are also the monomials' Tasaki coordinates.
 
     A basis monomial is its own normal form, so its Klain data equals the
     relation-free computation through the Tasaki change of basis.
     """
-    basis = un_algebra(n).basis[k]
     inv = monomial_to_sigma(k)
-    if k <= n:
-        return PiMatrix(inv.e, [list(inv.m[m[0]]) for m in basis]), False
-    p_out = (2 * n - k) // 2
-    cols = [sigma_substitute_ones(inv.m[m[0]], k - n, p_out) for m in basis]
-    return PiMatrix(inv.e, cols), True
+    p = min(k, 2 * n - k) // 2
+    return PiMatrix(inv.e, [sigma_substitute_ones(inv.m[a], max(0, k - n), p)
+                            for a, _ in un_algebra(n).basis[k]])
 
 
 class UnModel:
@@ -309,8 +310,8 @@ class UnModel:
             k = degs[0]
         elif degs and degs != [k]:
             raise ValueError("element is not homogeneous of the stated degree")
-        cols, perp = _klain_columns(self.n, k)
-        return KlainPolynomial(k, _apply(self.alg.coordinates(x, k), cols), perp)
+        return KlainPolynomial(k, _apply(self.alg.coordinates(x, k),
+                                         _klain_columns(self.n, k)), k > self.n)
 
     # Fourier transform ------------------------------------------------------
 
@@ -318,20 +319,13 @@ class UnModel:
         """The transform from degree k to degree 2n-k as a PiMatrix; row a
         holds the image of the a-th basis monomial.
 
-        Up to the middle degree, F = src . dst^-1, where the rows of src and
-        dst are the sigma-coordinates of the degree-k and degree-(2n-k) basis
-        monomials (perp variables for the latter): the image of a monomial
-        has its Klain function in the complementary variables.  Above the
-        middle, F is the inverse of the complementary transform.
+        Fourier is the identity in Tasaki coordinates, which are the Klain
+        coordinates: F is the degree-k Tasaki coordinates times the
+        degree-(2n-k) Tasaki rows.
         """
-        n = self.n
         if k not in self._fourier:
-            if k <= n:
-                src = _klain_columns(n, k)[0]
-                dst = _klain_columns(n, 2 * n - k)[0]
-                self._fourier[k] = src @ dst.inverse()
-            else:
-                self._fourier[k] = self.fourier_matrix(2 * n - k).inverse()
+            self._fourier[k] = (self.display_inverse(k, "tasaki")
+                                @ self.display(2 * self.n - k, "tasaki"))
         return self._fourier[k]
 
     def fourier(self, x):
@@ -356,42 +350,32 @@ class UnModel:
         raise ValueError(f"unknown basis {tag!r}")
 
     def display(self, k, tag):
-        """The degree-k display basis as a PiMatrix: row i holds the
-        canonical coordinates of the i-th display element.
-
-        Tags: "monomial"; "tasaki" (primal up to the middle degree, Fourier
-        transforms above it); "hermitian" (all degrees, delta-Klain basis).
-        """
-        key = (k, tag)
-        if key not in self._display:
-            n = self.n
-            if tag not in ("monomial", "tasaki", "hermitian"):
-                raise ValueError(f"unknown basis {tag!r}")
-            if tag == "monomial":
-                rows = PiMatrix(0, identity(self.alg.dimension(k)))
-            elif k > n:
-                rows = self.display(2 * n - k, tag) @ self.fourier_matrix(2 * n - k)
-            elif tag == "tasaki":
-                monos = [(a, k - 2 * a) for a in range(k // 2 + 1)]
-                raw = PiMatrix.read([[row.get(m, 0) for m in monos]
-                                     for row in tasaki_monomial_rows(k)])
-                reduce = [self.alg.coordinates(self.alg.normal_form_raw({m: Fraction(1)}), k)
-                          for m in monos]
-                rows = raw @ PiMatrix(0, reduce)
-            else:
-                # mu_{k,q} = sum_l (-1)^(l-q) C(l,q) tau_{k,l}
-                p = k // 2
-                change = [[Fraction((-1) ** (l - q) * binomial(l, q)) for l in range(p + 1)]
-                          for q in range(p + 1)]
-                rows = PiMatrix(0, change) @ self.display(k, "tasaki")
-            self._display[key] = rows
-        return self._display[key]
+        """The degree-k display basis as a PiMatrix, the inverse of
+        ``display_inverse(k, tag)``: row i holds the canonical coordinates of
+        the i-th display element.  Tags: "monomial"; "tasaki" (primal up to
+        the middle degree, Fourier images above it: Tasaki coordinates are the
+        Klain coordinates, and Fourier is the identity in them); "hermitian"
+        (all degrees, delta-Klain basis)."""
+        if (k, tag) not in self._display:
+            self._display[k, tag] = self.display_inverse(k, tag).inverse()
+        return self._display[k, tag]
 
     def display_inverse(self, k, tag):
-        """Inverse of ``display(k, tag)``: row i holds the display
-        coordinates of the i-th canonical basis monomial."""
+        """Row i holds the display coordinates of the i-th canonical basis
+        monomial.  Tasaki coordinates are the Klain coordinates in every
+        degree (``_klain_columns``), and Fourier is the identity in them.  A
+        monomial's hermitian coordinates are its Klain values on the split
+        planes, sum_q C(l, q) sigma_q for l = 0..dim - 1."""
         if (k, tag) not in self._display_inverse:
-            self._display_inverse[k, tag] = self.display(k, tag).inverse()
+            if tag not in ("monomial", "tasaki", "hermitian"):
+                raise ValueError(f"unknown basis {tag!r}")
+            dim = self.alg.dimension(k)
+            rows = (PiMatrix(0, identity(dim)) if tag == "monomial"
+                    else _klain_columns(self.n, k))
+            if tag == "hermitian":
+                rows = rows @ PiMatrix(0, [[Fraction(binomial(l, q)) for l in range(dim)]
+                                           for q in range(dim)])
+            self._display_inverse[k, tag] = rows
         return self._display_inverse[k, tag]
 
     # involution on even degrees ------------------------------------------------
@@ -434,41 +418,54 @@ def _apply(vec, f):
     return (PiMatrix.read([vec]) @ f).scalars()[0]
 
 
-def _write_block(entries, dl, dr, block):
-    """Store the nonzero entries of the bidegree-(dl, dr) block pi^e m in
-    entries, keyed ((dl, i), (dr, j)); each block is written once."""
-    for i, row in enumerate(block.m):
-        for j, v in enumerate(row):
-            if v:
-                entries[(dl, i), (dr, j)] = Scalar(v, block.e)
-
-
-def _congruence(entries, leg):
-    """Entries of the table whose bidegree-(d', e') block is A^T C B, for C
-    the bidegree-(d, e) block of ``entries``, leg(d) = (d', A) and
-    leg(e) = (e', B).  Every leg map is one-to-one on degrees, so each target
-    block comes from a single source block."""
+def _read_blocks(n, table):
+    """The bidegree blocks of a U(n) table as {(dl, dr): PiMatrix}; a block
+    with no nonzero entry is left out."""
+    dim = un_model(n).alg.dimension
     blocks = {}
-    for ((dl, i), (dr, j)), c in entries.items():
-        blocks.setdefault((dl, dr), {})[(i, j)] = c
+    for ((dl, i), (dr, j)), c in table.entries.items():
+        if (dl, dr) not in blocks:
+            blocks[dl, dr] = [[0] * dim(dr) for _ in range(dim(dl))]
+        blocks[dl, dr][i][j] = c
+    return {key: PiMatrix.read(rows) for key, rows in blocks.items()}
+
+
+def _congruence(blocks, leg):
+    """The blocks A^T C B at bidegree (d', e'), for C the bidegree-(d, e)
+    block, leg(d) = (d', A) and leg(e) = (e', B).  Every leg map is one-to-one
+    on degrees, so each target block comes from one source block."""
     out = {}
-    for (dl, dr), cells in blocks.items():
+    for (dl, dr), c in blocks.items():
         tl, a = leg(dl)
         tr, b = leg(dr)
-        c = [[_SZERO] * len(b.m) for _ in a.m]
-        for (i, j), v in cells.items():
-            c[i][j] = v
-        _write_block(out, tl, tr, a.T @ PiMatrix.read(c) @ b)
+        out[tl, tr] = a.T @ c @ b
     return out
+
+
+def _cells(block):
+    """(i, j, Scalar) for each nonzero entry of the block pi^e m."""
+    return ((i, j, Scalar(v, block.e)) for i, row in enumerate(block.m)
+            for j, v in enumerate(row) if v)
+
+
+def _un_table(n, blocks, basis="monomial"):
+    """The U(n) table in a display basis whose bidegree-(dl, dr) block is
+    blocks[dl, dr]; each block is written once, as Scalars."""
+    model = un_model(n)
+    return TensorTable("U", n, "standard", basis,
+                       {d: model.basis_labels(d, basis) for d in range(2 * n + 1)},
+                       {((dl, i), (dr, j)): v for (dl, dr), block in blocks.items()
+                        for i, j, v in _cells(block)})
 
 
 @lru_cache(maxsize=None)
 def _pairing_block(model, k):
     """Symmetric pairing of the degree-k Tasaki basis against its transform.
 
-    Returns PiMatrix blocks (left, right, mat, inv): the Tasaki coordinates,
-    their Fourier transforms, mat = left . G . right^T with G[a][b] = ev(m_a
-    m_b) the disk evaluations of products of basis monomials, and its inverse.
+    Returns PiMatrix blocks (left, right, mat, inv): the Tasaki rows of
+    degree k and of degree 2n - k, which are their Fourier transforms,
+    mat = left . G . right^T with G[a][b] = ev(m_a m_b) the disk evaluations
+    of products of basis monomials, and its inverse.
     """
     alg = model.alg
     kk = min(k, 2 * model.n - k)
@@ -478,7 +475,7 @@ def _pairing_block(model, k):
                             for mb in alg.basis[2 * model.n - kk]]
                            for ma in alg.basis[kk]])
     left = model.display(kk, "tasaki")
-    right = left @ model.fourier_matrix(kk)
+    right = model.display(2 * model.n - kk, "tasaki")
     mat = left @ gram @ right.T
     if mat.m != mat.T.m:
         raise PresentationMismatch("pairing matrix is not symmetric")
@@ -498,12 +495,6 @@ def _chi_blocks(n):
     return out
 
 
-def _new_table(n, basis="monomial", entries=None):
-    model = un_model(n)
-    labels = {d: model.basis_labels(d, basis) for d in range(2 * n + 1)}
-    return TensorTable("U", n, "standard", basis, labels, entries)
-
-
 def _product_block(n, part, k):
     """Block (k + j, 2n - k) of the kinematic table of a degree-j part
     {monomial: coefficient} of phi, k + j <= 2n: the rows of multiplication
@@ -520,7 +511,17 @@ def _product_block(n, part, k):
                 row[index[bm]] += c * r
         rows.append(row)
     x = _chi_blocks(n)[k] if k <= n else _chi_blocks(n)[2 * n - k].T
-    return d, 2 * n - k, PiMatrix(coeffs.e, rows).T @ x
+    return (d, 2 * n - k), PiMatrix(coeffs.e, rows).T @ x
+
+
+def _kinematic_blocks(n, phi):
+    """The kinematic table of phi as {(dl, dr): PiMatrix}, one block per
+    degree-j part of phi and source degree k."""
+    parts = {}
+    for m, c in phi.terms.items():
+        parts.setdefault(phi.algebra.gens.degree(m), {})[m] = c
+    return dict(_product_block(n, part, k) for j, part in parts.items()
+                for k in range(2 * n + 1 - j))
 
 
 def kinematic_un(n, phi=None):
@@ -533,15 +534,9 @@ def kinematic_un(n, phi=None):
     map; a first-order kernel builds only the block it reads.  Standard motion
     normalization; vol maps to vol (x) vol.
     """
-    alg = un_model(n).alg
     if phi is None:
-        phi = alg.one()
-    table = _new_table(n)
-    for j in phi.degrees():
-        part = {m: c for m, c in phi.terms.items() if alg.gens.degree(m) == j}
-        for k in range(2 * n + 1 - j):
-            _write_block(table.entries, *_product_block(n, part, k))
-    return table
+        phi = un_model(n).alg.one()
+    return _un_table(n, _kinematic_blocks(n, phi))
 
 
 def convert_un_table(table, n, basis):
@@ -553,8 +548,8 @@ def convert_un_table(table, n, basis):
     if basis == "monomial":
         return table
     model = un_model(n)
-    return _new_table(n, basis, _congruence(
-        table.entries, lambda d: (d, model.display_inverse(d, basis))))
+    return _un_table(n, _congruence(
+        _read_blocks(n, table), lambda d: (d, model.display_inverse(d, basis))), basis)
 
 
 def tasaki_matrices(n):
@@ -569,14 +564,13 @@ def tasaki_matrices(n):
 
 
 def additive_un(n, phi=None):
-    """Additive coproduct: conjugate the kinematic table by Fourier on the
+    """Additive coproduct: conjugate the kinematic blocks by Fourier on the
     input and both output legs.  Probability rotation measure."""
     model = un_model(n)
     if phi is None:
         phi = volume_element(n)
-    kin = kinematic_un(n, model.fourier(phi))
-    return _new_table(n, entries=_congruence(
-        kin.entries, lambda d: (2 * n - d, model.fourier_matrix(d))))
+    return _un_table(n, _congruence(_kinematic_blocks(n, model.fourier(phi)),
+                                    lambda d: (2 * n - d, model.fourier_matrix(d))))
 
 
 def volume_element(n):
@@ -606,16 +600,12 @@ class FirstOrderKernel:
 
 def klain_expand_block(n, table, k, l):
     """Expand the bidegree-(k,l) block of a canonical-coordinate table with
-    both legs as Klain polynomials, by the congruence with the sigma-coordinate
-    blocks; returns ({(q_left, q_right): Scalar}, left_perp, right_perp)."""
-    return _klain_congruence(n, {key: c for key, c in table.entries.items()
-                                 if key[0][0] == k and key[1][0] == l}, k, l)
-
-
-def _klain_congruence(n, block, k, l):
-    coeffs = _congruence(block, lambda d: (d, _klain_columns(n, d)[0]))
-    return ({(ql, qr): v for ((_, ql), (_, qr)), v in coeffs.items()},
-            _klain_columns(n, k)[1], _klain_columns(n, l)[1])
+    both legs as Klain polynomials: its block in Tasaki coordinates, which are
+    the Klain coordinates in every degree (Fourier is the identity in them).
+    Returns ({(q_left, q_right): Scalar}, left_perp, right_perp)."""
+    entries = convert_un_table(table, n, "tasaki").entries
+    return ({(ql, qr): v for ((dl, ql), (dr, qr)), v in entries.items()
+             if (dl, dr) == (k, l)}, k > n, l > n)
 
 
 def first_order_formula(n, k, l, space="euclidean"):
@@ -628,16 +618,16 @@ def first_order_formula(n, k, l, space="euclidean"):
     """
     if not (k + l >= 2 * n and 0 <= k <= 2 * n and 0 <= l <= 2 * n):
         raise ValueError("first-order bidegrees need k + l >= 2n, each <= 2n")
-    block = {}
     phi = intrinsic_volume_element(n, k + l - 2 * n)
-    _write_block(block, *_product_block(n, phi.terms, 2 * n - l))
-    coeffs, left_perp, right_perp = _klain_congruence(n, block, k, l)
+    block = _product_block(n, phi.terms, 2 * n - l)[1]
+    left, right = (un_model(n).display_inverse(d, "tasaki") for d in (k, l))
+    coeffs = {(i, j): v for i, j, v in _cells(left.T @ block @ right)}
     if space == "projective":
         scale = Scalar.pi_power(-n, factorial(n))
         coeffs = {key: scale * v for key, v in coeffs.items()}
     elif space != "euclidean":
         raise ValueError(f"unknown space {space!r}")
-    return FirstOrderKernel(n, k, l, coeffs, left_perp, right_perp)
+    return FirstOrderKernel(n, k, l, coeffs, k > n, l > n)
 
 
 def basis_change(n, frm, to):

@@ -14,8 +14,9 @@ chunks run concurrently on a thread pool with one worker per usable CPU, and
 their partial sums are reduced in chunk order.  Inside a chunk the draws
 keep their order, and the kernels then run over slices of ROTATION_BLOCK
 samples, elementwise, while the float sums over a chunk stay on the whole
-chunk vector (pairwise ``sum`` and BLAS ``dot`` round by length).  So a
-result depends only on ``(seed, samples)``, not on the thread count.
+chunk vector: ``_chunk_sums`` takes the sum and the sum of squares as numpy
+pairwise sums, with no BLAS call.  So a result depends only on
+``(seed, samples)``, not on the thread count.
 Rotations follow Shoemake ("Uniform random rotations", Graphics Gems III,
 1992): a normalized Gaussian vector is uniform on its sphere, so SO(2) comes
 from a point of the unit circle (two normals per rotation) and SO(3) from a

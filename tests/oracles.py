@@ -21,7 +21,9 @@ for a ball against a ball or a box, box pairs in center and half-width form,
 and the other polytope pairs and a ball against a polytope as batched matrix
 products of vertex and axis arrays.  A chunk's sum of squares is numpy's
 pairwise sum of a squared copy.  The U(n) kinematic table is built product
-by product, one algebra multiplication per basis element.
+by product, one algebra multiplication per basis element.  The U(n) display
+bases come from the raw Tasaki rows reduced through normal forms, and above
+the middle degree from the Fourier images of the complementary degree.
 
 Every oracle that reads rotations reads ``np.ascontiguousarray(rots)``:
 einsum and matmul choose their summation order, and whether they fuse a
@@ -36,9 +38,9 @@ import numpy as np
 
 from intgeo.bodies import sample_blocks
 from intgeo.graded import GeneratorSet, QuotientAlgebra, mono_mul
-from intgeo.hermitian import (PiMatrix, _chi_blocks, _new_table, _write_block,
-                              un_model)
-from intgeo.linalg import SingularMatrixError, kernel_basis, rref
+from intgeo.hermitian import (PiMatrix, _chi_blocks, _klain_columns, _un_table,
+                              tasaki_monomial_rows, un_model)
+from intgeo.linalg import SingularMatrixError, identity, kernel_basis, rref
 from intgeo.scalars import Scalar, binomial
 from intgeo.spaceforms import _cp_pairing_matrix, complex_space_form
 
@@ -530,7 +532,7 @@ def kinematic_un_products(n, phi=None):
     if phi is None:
         phi = alg.one()
     chi = _chi_blocks(n)
-    table = _new_table(n)
+    blocks = {}
     for k in range(2 * n + 1):
         kr = 2 * n - k
         dim = alg.dimension(k)
@@ -543,5 +545,39 @@ def kinematic_un_products(n, phi=None):
                 mult[d][a] = alg.coordinates(prod, d)
         x = chi[k] if k <= n else chi[kr].T
         for d, rows in mult.items():
-            _write_block(table.entries, d, kr, PiMatrix.read(rows).T @ x)
-    return table
+            blocks[d, kr] = PiMatrix.read(rows).T @ x
+    return _un_table(n, blocks)
+
+
+# -- the U(n) display bases, through normal forms --------------------------------
+
+def display_route(n):
+    """({(k, tag): PiMatrix}, {k: PiMatrix}): the display rows and Fourier
+    matrices of U(n) as ``hermitian`` built them before it read both off the
+    Klain coordinates.  Up to the middle degree the Tasaki rows are the raw
+    Tasaki expansions with each monomial reduced through ``normal_form_raw``,
+    the hermitian rows are mu_{k,q} = sum_l (-1)^(l-q) C(l,q) tau_{k,l}, and
+    the Fourier matrix is src . dst^-1 for the sigma-coordinates of the
+    degree-k and degree-(2n-k) monomials.  Above the middle the Fourier matrix
+    is the inverse of the complementary one, and a display row is the Fourier
+    image of the complementary degree's row."""
+    alg = un_model(n).alg
+    fourier, display = {}, {}
+    for k in range(n + 1):
+        fourier[k] = _klain_columns(n, k) @ _klain_columns(n, 2 * n - k).inverse()
+        monos = [(a, k - 2 * a) for a in range(k // 2 + 1)]
+        raw = PiMatrix.read([[row.get(m, 0) for m in monos]
+                             for row in tasaki_monomial_rows(k)])
+        reduce = [alg.coordinates(alg.normal_form_raw({m: Fraction(1)}), k)
+                  for m in monos]
+        display[k, "tasaki"] = raw @ PiMatrix(0, reduce)
+        change = [[Fraction((-1) ** (l - q) * binomial(l, q)) for l in range(len(monos))]
+                  for q in range(len(monos))]
+        display[k, "hermitian"] = PiMatrix(0, change) @ display[k, "tasaki"]
+    for k in range(n + 1, 2 * n + 1):
+        fourier[k] = fourier[2 * n - k].inverse()
+        for tag in ("tasaki", "hermitian"):
+            display[k, tag] = display[2 * n - k, tag] @ fourier[2 * n - k]
+    for k in range(2 * n + 1):
+        display[k, "monomial"] = PiMatrix(0, identity(alg.dimension(k)))
+    return display, fourier

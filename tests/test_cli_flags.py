@@ -31,6 +31,7 @@ UN_FIRST = ("un", "firstorder", "--dim", "2", "--deg-a", "2", "--deg-b", "2")
 UN_VERIFY = ("un", "verify", "--dim", "2")
 SF_REAL = ("spaceform", "real", "--dim", "2")
 SF_COMPLEX = ("spaceform", "complex", "--dim", "2")
+SF_CONJECTURE = ("spaceform", "complex", "--dim", "2", "--check", "conjecture")
 MC_KIN = ("mc", "kinematic", "--samples", "200", "--seed", "1")
 MC_ADD = ("mc", "additive", "--samples", "200", "--seed", "1")
 MC_CROFTON = ("mc", "crofton", "--dim", "3", "--samples", "200", "--seed", "1")
@@ -93,6 +94,8 @@ CASES += [
     (SF_COMPLEX, ("--check", "conjecture"), CHANGES),
     (SF_COMPLEX, ("--check", "chapoton"), CHANGES),
     (SF_COMPLEX, ("--format", "json"), 2), (SF_COMPLEX, ("--lambda-eval", "1"), 2),
+    # every check over n = 1..dim would pass over an empty range
+    (UN_VERIFY, ("--dim", "0"), NAMED), (SF_CONJECTURE, ("--dim", "0"), NAMED),
 ]
 for base in (MC_KIN, MC_ADD, MC_CROFTON, MC_STEINER, MC_CAUCHY, MC_SUITE):
     CASES += [(base, ("--samples", "300"), CHANGES), (base, ("--samples", "1"), 2),

@@ -10,8 +10,8 @@ from intgeo import linalg
 from intgeo.graded import QuotientAlgebra, poly_mul
 from intgeo.linalg import identity
 from intgeo.scalars import Scalar, binomial, omega
-from oracles import (invert_exact_scalar, kinematic_un_products, scalar_mat_mul,
-                     un_evaluation_kernel_quotient)
+from oracles import (display_route, invert_exact_scalar, kinematic_un_products,
+                     scalar_mat_mul, un_evaluation_kernel_quotient)
 
 
 def poly_add(p, q):
@@ -301,8 +301,8 @@ def test_pairing_inverses_and_fourier_match_scalar_bareiss():
             left = [model.tasaki_element(k, q) for q in range(model.alg.dimension(k))]
             pairing = [[model.ev(li * model.fourier(lj)) for lj in left] for li in left]
             assert mats[k] == invert_exact_scalar(pairing), (n, k)
-            src = H._klain_columns(n, k)[0].scalars()
-            dst = H._klain_columns(n, 2 * n - k)[0].scalars()
+            src = H._klain_columns(n, k).scalars()
+            dst = H._klain_columns(n, 2 * n - k).scalars()
             s_inv = invert_exact_scalar([[dst[a][q] for a in range(len(dst))]
                                          for q in range(len(dst[0]))])
             fwd = [[sum((s_inv[i][q] * v[q] for q in range(len(v))), Scalar.zero())
@@ -408,6 +408,35 @@ def test_kinematic_blocks_match_product_oracle(n):
     for phi in [None, mixed] + basis + [model.fourier(b) for b in basis]:
         assert _with_pi(H.kinematic_un(n, phi).entries) \
             == _with_pi(kinematic_un_products(n, phi).entries), phi
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_display_and_fourier_match_the_normal_form_route(n):
+    """Every display basis, its inverse and every Fourier matrix, all read
+    off the Klain coordinates, equal the route through raw Tasaki rows,
+    normal forms and Fourier images, pi powers included."""
+    model = H.un_model(n)
+    display, fourier = display_route(n)
+    for k in range(2 * n + 1):
+        assert model.fourier_matrix(k) == fourier[k], k
+        for tag in ("monomial", "tasaki", "hermitian"):
+            assert model.display(k, tag) == display[k, tag], (k, tag)
+            assert model.display_inverse(k, tag) == display[k, tag].inverse(), (k, tag)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fourier_is_the_identity_in_tasaki_coordinates(n):
+    """In Tasaki coordinates the additive table of phi is the kinematic table
+    of Fourier(phi) with every leg degree d moved to 2n - d."""
+    model = H.un_model(n)
+    for k in range(2 * n + 1):
+        for i in range(model.alg.dimension(k)):
+            phi = model.alg.basis_element(k, i)
+            kin = H.convert_un_table(H.kinematic_un(n, model.fourier(phi)), n, "tasaki")
+            add = H.convert_un_table(H.additive_un(n, phi), n, "tasaki")
+            assert _with_pi({((2 * n - dl, a), (2 * n - dr, b)): c
+                             for ((dl, a), (dr, b)), c in kin.entries.items()}) \
+                == _with_pi(add.entries), (k, i)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
