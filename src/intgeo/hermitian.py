@@ -10,19 +10,24 @@ matrices, and the first-order integrand kernels for pairs of submanifold
 dimensions.  Kinematic blocks are read off the reduction map, and a
 first-order kernel builds only the one block it reads.
 
-The Tasaki valuation tau_{k,q} has Klain function sigma_{k,q} (Bernig and Fu,
-Ann. of Math. 173, 2011), and above the middle degree the Tasaki basis is
-the Fourier image of the one below.  So a monomial's Tasaki coordinates are
-its Klain coordinates in every degree (in the complement's angles above the
-middle), the Fourier transform is the identity in them, and every display
-basis and Fourier matrix is read off one change of basis per degree.
+The Poincare pairing of s^a t^b and s^a' t^b' is the disk value
+C(b + b', n - a - a') n!/pi^n (Bernig and Fu, Ann. of Math. 173, 2011).
+Each chi block inverts that integer Gram (``_disk_gram``), and the Tasaki
+matrices are the chi blocks in Tasaki coordinates.
+
+The Tasaki valuation tau_{k,q} has Klain function sigma_{k,q}, and above the
+middle degree the Tasaki basis is the Fourier image of the one below.  So a
+monomial's Tasaki coordinates are its Klain coordinates in every degree (in
+the complement's angles above the middle), the Fourier transform is the
+identity in them, and every display basis and Fourier matrix is read off one
+change of basis per degree.
 
 pi acts as a grading: every degree block of the operator assembly (Fourier
-matrices, display-basis rows, pairing blocks and their inverses) is one power
-of pi times a rational matrix, a ``PiMatrix``.  The exponent is read from the
-block's entries and must be uniform; products add exponents and inverses
-negate them, so all linear algebra runs over Q.  ``Scalar`` coefficients are
-built only when a table entry or a document value is written.
+matrices, display-basis rows, chi blocks) is one power of pi times a rational
+matrix, a ``PiMatrix``.  The exponent is read from the block's entries and
+must be uniform; products add exponents and inverses negate them, so all
+linear algebra runs over Q.  ``Scalar`` coefficients are built only when a
+table entry or a document value is written.
 """
 
 from __future__ import annotations
@@ -39,11 +44,6 @@ from .linalg import identity, invert_exact, kernel_equals_span, mat_mul
 from .scalars import MixedPiGrading, Scalar, binomial, omega
 
 _SZERO = Scalar.zero()
-
-
-class PresentationMismatch(AssertionError):
-    """A pairing block in Tasaki coordinates is not symmetric: the algebra's
-    disk pairing and its Fourier transform disagree."""
 
 
 class PiMatrix(NamedTuple):
@@ -114,6 +114,13 @@ def disk_value(n, mono):
     return Scalar.pi_power(-n, Fraction(binomial(b, n - a) * factorial(n)))
 
 
+def _disk_gram(n, rows, cols):
+    """The disk pairing over n!/pi^n of the monomials ``rows`` against the
+    monomials ``cols`` of complementary degree: the integers
+    C(b + b', n - a - a')."""
+    return [[binomial(b + b2, n - a - a2) for a2, b2 in cols] for a, b in rows]
+
+
 @lru_cache(maxsize=None)
 def un_algebra(n):
     """The U(n)-invariant valuation algebra on generators s (weight 2), t:
@@ -135,8 +142,7 @@ def presentations_agree(n):
     for d in range(2 * n + 1):
         cols = gens.monomials_of_degree(d)
         # x is in the kernel iff ev(x * m') = 0 for every m' of degree 2n - d
-        block = [[binomial(b + b2, n - a - a2) for a, b in cols]
-                 for a2, b2 in gens.monomials_of_degree(2 * n - d)]
+        block = _disk_gram(n, gens.monomials_of_degree(2 * n - d), cols)
         if not kernel_equals_span(block, rel.ideal_rows(cols), len(cols)):
             return False
     return True
@@ -459,40 +465,16 @@ def _un_table(n, blocks, basis="monomial"):
 
 
 @lru_cache(maxsize=None)
-def _pairing_block(model, k):
-    """Symmetric pairing of the degree-k Tasaki basis against its transform.
-
-    Returns PiMatrix blocks (left, right, mat, inv): the Tasaki rows of
-    degree k and of degree 2n - k, which are their Fourier transforms,
-    mat = left . G . right^T with G[a][b] = ev(m_a m_b) the disk evaluations
-    of products of basis monomials, and its inverse.
-    """
-    alg = model.alg
-    kk = min(k, 2 * model.n - k)
-    (top, value), = model.ev.values.items()
-    ev = PiMatrix.read([[value]])
-    gram = PiMatrix(ev.e, [[ev.m[0][0] * alg.reduction[mono_mul(ma, mb)].get(top, 0)
-                            for mb in alg.basis[2 * model.n - kk]]
-                           for ma in alg.basis[kk]])
-    left = model.display(kk, "tasaki")
-    right = model.display(2 * model.n - kk, "tasaki")
-    mat = left @ gram @ right.T
-    if mat.m != mat.T.m:
-        raise PresentationMismatch("pairing matrix is not symmetric")
-    return left, right, mat, mat.inverse()
-
-
-@lru_cache(maxsize=None)
-def _chi_blocks(n):
-    """Kinematic image of chi in canonical coordinates: {k: PiMatrix} for
-    k <= n, the bidegree-(k, 2n-k) block; the (2n-k, k) block is its
-    transpose."""
-    model = un_model(n)
-    out = {}
-    for k in range(n + 1):
-        left, right, _, inv = _pairing_block(model, k)
-        out[k] = left.T @ inv @ right
-    return out
+def _chi_block(n, k):
+    """Block (k, 2n - k) of the kinematic image of chi in canonical
+    coordinates, 0 <= k <= 2n: the inverse of the disk pairing of degree
+    2n - k against degree k, pi^n/n! times the inverse of the integer Gram.
+    The Gram is inverted before it is scaled, because Bareiss intermediates
+    grow with the scale."""
+    basis = un_algebra(n).basis
+    inv = invert_exact(_disk_gram(n, basis[2 * n - k], basis[k]))
+    scale = factorial(n)
+    return PiMatrix(n, [[v / scale for v in row] for row in inv])
 
 
 def _product_block(n, part, k):
@@ -510,8 +492,7 @@ def _product_block(n, part, k):
             for bm, r in alg.reduction[mono_mul(m, ma)].items():
                 row[index[bm]] += c * r
         rows.append(row)
-    x = _chi_blocks(n)[k] if k <= n else _chi_blocks(n)[2 * n - k].T
-    return (d, 2 * n - k), PiMatrix(coeffs.e, rows).T @ x
+    return (d, 2 * n - k), PiMatrix(coeffs.e, rows).T @ _chi_block(n, k)
 
 
 def _kinematic_blocks(n, phi):
@@ -527,8 +508,9 @@ def _kinematic_blocks(n, phi):
 def kinematic_un(n, phi=None):
     """Kinematic coproduct table of phi in canonical coordinates.
 
-    With no argument: the image of chi, obtained by exact inversion of the
-    Poincare pairing degree by degree; in general the multiplicative rule
+    With no argument: the image of chi, whose degree-k block is the inverse
+    of the integer disk Gram of degree 2n - k against degree k, scaled by
+    pi^n/n!; in general the multiplicative rule
     image(phi) = (phi (x) chi) * image(chi).  Each degree-j part of phi writes
     the block (k + j, 2n - k) of each source degree k, read off the reduction
     map; a first-order kernel builds only the block it reads.  Standard motion
@@ -553,14 +535,16 @@ def convert_un_table(table, n, basis):
 
 
 def tasaki_matrices(n):
-    """Blocks of the kinematic image of chi on tau (x) Fourier(tau) pairs.
-
-    Returns {k: matrix} for k = 0..n; each matrix is symmetric, and in even
-    degree 2l <= n satisfies the palindromic symmetry
-    T[i][j] = T[l-i][l-j].
+    """The chi blocks in Tasaki coordinates: {k: matrix} for k = 0..n, the
+    inverse of the pairing of the degree-k Tasaki basis against its Fourier
+    image.  No symmetry is assumed: that each is symmetric, and in even
+    degree 2l <= n palindromic (T[i][j] = T[l-i][l-j]), tests the Tasaki
+    coordinates against the disk Gram.
     """
     model = un_model(n)
-    return {k: _pairing_block(model, k)[3].scalars() for k in range(n + 1)}
+    return {k: (model.display_inverse(2 * n - k, "tasaki").T @ _chi_block(n, k).T
+                @ model.display_inverse(k, "tasaki")).scalars()
+            for k in range(n + 1)}
 
 
 def additive_un(n, phi=None):

@@ -23,7 +23,10 @@ products of vertex and axis arrays.  A chunk's sum of squares is numpy's
 pairwise sum of a squared copy.  The U(n) kinematic table is built product
 by product, one algebra multiplication per basis element.  The U(n) display
 bases come from the raw Tasaki rows reduced through normal forms, and above
-the middle degree from the Fourier images of the complementary degree.
+the middle degree from the Fourier images of the complementary degree.  The
+U(n) chi blocks and Tasaki matrices invert the pairing of the Tasaki basis
+against its Fourier image, with the monomial Gram read off the reduction map
+and the disk functional.
 
 Every oracle that reads rotations reads ``np.ascontiguousarray(rots)``:
 einsum and matmul choose their summation order, and whether they fuse a
@@ -38,7 +41,7 @@ import numpy as np
 
 from intgeo.bodies import sample_blocks
 from intgeo.graded import GeneratorSet, QuotientAlgebra, mono_mul
-from intgeo.hermitian import (PiMatrix, _chi_blocks, _klain_columns, _un_table,
+from intgeo.hermitian import (PiMatrix, _chi_block, _klain_columns, _un_table,
                               tasaki_monomial_rows, un_model)
 from intgeo.linalg import SingularMatrixError, identity, kernel_basis, rref
 from intgeo.scalars import Scalar, binomial
@@ -531,7 +534,6 @@ def kinematic_un_products(n, phi=None):
     alg = un_model(n).alg
     if phi is None:
         phi = alg.one()
-    chi = _chi_blocks(n)
     blocks = {}
     for k in range(2 * n + 1):
         kr = 2 * n - k
@@ -543,9 +545,8 @@ def kinematic_un_products(n, phi=None):
                 if d not in mult:
                     mult[d] = [[Fraction(0)] * alg.dimension(d) for _ in range(dim)]
                 mult[d][a] = alg.coordinates(prod, d)
-        x = chi[k] if k <= n else chi[kr].T
         for d, rows in mult.items():
-            blocks[d, kr] = PiMatrix.read(rows).T @ x
+            blocks[d, kr] = PiMatrix.read(rows).T @ _chi_block(n, k)
     return _un_table(n, blocks)
 
 
@@ -581,3 +582,30 @@ def display_route(n):
     for k in range(2 * n + 1):
         display[k, "monomial"] = PiMatrix(0, identity(alg.dimension(k)))
     return display, fourier
+
+
+# -- the U(n) chi blocks, through the Tasaki pairing -------------------------------
+
+def pairing_route(n):
+    """({k: PiMatrix}, {k: PiMatrix}) for k <= n: the chi blocks (k, 2n - k)
+    and the Tasaki matrices as ``hermitian`` built them before it inverted
+    the integer disk Gram.  G[a][b] = ev(m_a m_b) over the basis monomials of
+    degrees k and 2n - k, read off the reduction map and ``model.ev``; with L
+    and R the Tasaki rows of both degrees, L G R^T must be symmetric, the
+    Tasaki matrix is its inverse, and the chi block is L^T inv R."""
+    model = un_model(n)
+    alg = model.alg
+    (top, value), = model.ev.values.items()
+    ev = PiMatrix.read([[value]])
+    chi, tasaki = {}, {}
+    for k in range(n + 1):
+        gram = PiMatrix(ev.e, [[ev.m[0][0] * alg.reduction[mono_mul(ma, mb)].get(top, 0)
+                                for mb in alg.basis[2 * n - k]]
+                               for ma in alg.basis[k]])
+        left = model.display(k, "tasaki")
+        right = model.display(2 * n - k, "tasaki")
+        mat = left @ gram @ right.T
+        assert mat.m == mat.T.m, f"pairing matrix not symmetric, n={n}, k={k}"
+        tasaki[k] = mat.inverse()
+        chi[k] = left.T @ tasaki[k] @ right
+    return chi, tasaki

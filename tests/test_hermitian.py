@@ -7,11 +7,11 @@ import pytest
 from intgeo import euclid as E
 from intgeo import hermitian as H
 from intgeo import linalg
-from intgeo.graded import QuotientAlgebra, poly_mul
+from intgeo.graded import QuotientAlgebra, mono_mul, poly_mul
 from intgeo.linalg import identity
 from intgeo.scalars import Scalar, binomial, omega
 from oracles import (display_route, invert_exact_scalar, kinematic_un_products,
-                     scalar_mat_mul, un_evaluation_kernel_quotient)
+                     pairing_route, scalar_mat_mul, un_evaluation_kernel_quotient)
 
 
 def poly_add(p, q):
@@ -266,13 +266,15 @@ def test_iota_on_tasaki_and_relations():
             assert model.iota(tf) == rhs, (n, k)
 
 
-def test_pairing_blocks_symmetric_nonsingular():
-    for n in range(1, 6):
-        model = H.un_model(n)
+def test_chi_blocks_and_tasaki_matrices_match_pairing_route():
+    # the oracle inverts the Tasaki pairing, symmetric by assertion
+    for n in range(1, 9):
+        chi, tasaki = pairing_route(n)
+        mats = H.tasaki_matrices(n)
         for k in range(n + 1):
-            _, _, mat, inv = H._pairing_block(model, k)
-            assert mat.m == mat.T.m
-            assert (mat @ inv).m == identity(len(mat.m)) and mat.e + inv.e == 0
+            assert H._chi_block(n, k) == chi[k], (n, k)
+            assert H._chi_block(n, 2 * n - k) == chi[k].T, (n, k)
+            assert mats[k] == tasaki[k].scalars(), (n, k)
 
 
 def test_pi_matrix_reads_one_power_of_pi():
@@ -314,7 +316,7 @@ def test_pairing_inverses_and_fourier_match_scalar_bareiss():
 
 def test_kinematic_chi_matches_plain_monomial_inversion():
     # independent route: invert the raw monomial pairing and transpose
-    for n in (1, 2, 3):
+    for n in range(1, 9):
         model = H.un_model(n)
         table = H.kinematic_un(n)
         for k in range(2 * n + 1):
@@ -329,6 +331,55 @@ def test_kinematic_chi_matches_plain_monomial_inversion():
                 for b in range(dim_r):
                     got = table.entries.get(((k, a), (2 * n - k, b)), Scalar.zero())
                     assert got == inv[b][a], (n, k, a, b)
+
+
+def _positive_definite(form):
+    """Symmetric elimination over Q: every pivot is positive."""
+    q = [list(row) for row in form]
+    for i in range(len(q)):
+        if q[i][i] <= 0:
+            return False
+        for r in range(i + 1, len(q)):
+            f = q[r][i] / q[i][i]
+            q[r] = [x - f * y for x, y in zip(q[r], q[i])]
+    return True
+
+
+def _times_t_power(alg, k, j):
+    """Row a: the degree-(k + j) coordinates of m_a t^j, read off the
+    reduction map, for the degree-k basis monomials m_a."""
+    index = alg.basis_index[k + j]
+    rows = []
+    for m in alg.basis[k]:
+        row = [Fraction(0)] * len(index)
+        for bm, c in alg.reduction[mono_mul(m, (0, j))].items():
+            row[index[bm]] = c
+        rows.append(row)
+    return rows
+
+
+def test_hard_lefschetz():
+    # Alesker, J. Differential Geom. 65 (2003): t^(2n-2k) maps degree k onto
+    # degree 2n - k, and (phi, psi) -> top coefficient of phi psi t^(2n-2k)
+    # is positive definite on the primitive part ker t^(2n-2k+1)
+    for n in range(1, 17):
+        alg = H.un_algebra(n)
+        top = (0, 2 * n)
+        assert alg.basis[2 * n] == [top]
+        for k in range(n + 1):
+            dim = alg.dimension(k)
+            linalg.invert_exact(_times_t_power(alg, k, 2 * n - 2 * k))
+            if k == 0:
+                prim = identity(dim)
+            else:
+                cols = list(zip(*_times_t_power(alg, k, 2 * n - 2 * k + 1)))
+                prim = [[v.get(a, 0) for a in range(dim)]
+                        for v in linalg.kernel_basis(cols, dim)]
+            assert len(prim) == (k + 1) % 2, (n, k)
+            pair = [[alg.reduction[mono_mul(mono_mul(ma, mb), (0, 2 * n - 2 * k))].get(top, 0)
+                     for mb in alg.basis[k]] for ma in alg.basis[k]]
+            form = linalg.mat_mul(linalg.mat_mul(prim, pair), list(map(list, zip(*prim))))
+            assert _positive_definite(form), (n, k)
 
 
 def test_kinematic_un_examples():
@@ -455,6 +506,15 @@ def test_first_order_is_one_block_of_the_oracle_table(n):
                 assert (ker.k, ker.l, ker.left_perp, ker.right_perp) == (k, l, lp, rp)
                 assert _with_pi(ker.coeffs) \
                     == _with_pi({q: scale * v for q, v in coeffs.items()}), (k, l, space)
+
+
+def test_first_order_query_inverts_one_chi_block():
+    n = 4
+    for k in range(2 * n + 1):
+        for l in range(2 * n - k, 2 * n + 1):
+            H._chi_block.cache_clear()
+            H.first_order_formula(n, k, l)
+            assert H._chi_block.cache_info().currsize == 1, (k, l)
 
 
 def test_tasaki_matrices_golden_n2():
