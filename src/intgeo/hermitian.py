@@ -23,59 +23,85 @@ identity in them, and every display basis and Fourier matrix is read off one
 change of basis per degree.
 
 pi acts as a grading: every degree block of the operator assembly (Fourier
-matrices, display-basis rows, chi blocks) is one power of pi times a rational
-matrix, a ``PiMatrix``.  The exponent is read from the block's entries and
-must be uniform; products add exponents and inverses negate them, so all
-linear algebra runs over Q.  ``Scalar`` coefficients are built only when a
-table entry or a document value is written.
+matrices, display-basis rows, chi blocks, reduction rows) is one power of pi
+times an integer matrix over one denominator, a ``PiMatrix``.  The exponent
+is read from the block's entries and must be uniform; products add exponents
+and inverses negate them, so all linear algebra runs in integers.  A U(n)
+table keeps its canonical blocks and its legs per degree (the Fourier
+transform, then a display basis), so a query in a display basis runs one
+congruence; ``Scalar`` coefficients are built only when a table entry or a
+document value is first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import chain
+from math import factorial, gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .euclid import t_mu_coefficient
 from .graded import (GradedElement, LinearFunctional, QuotientAlgebra,
                      TensorTable, mono_mul)
-from .linalg import identity, invert_exact, kernel_equals_span, mat_mul
+from .linalg import identity, invert_integer, kernel_equals_span
 from .scalars import MixedPiGrading, Scalar, binomial, omega
 
 _SZERO = Scalar.zero()
 
 
 class PiMatrix(NamedTuple):
-    """The matrix pi^e * m, with m a list of rows of Fractions."""
+    """The matrix pi^e * m / d: m a list of rows of ints and d > 0 one
+    denominator with gcd(d, m) = 1; a zero block has e = 0 and d = 1.  This
+    normal form makes equal blocks equal tuples."""
 
     e: int
     m: list
+    d: int = 1
+
+    @classmethod
+    def of(cls, e, m, d=1):
+        """The block pi^e m / d of int rows m, in normal form."""
+        g = gcd(*chain.from_iterable(m))
+        if not g:
+            return cls(0, m, 1)
+        g = gcd(g, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            m = [[x // g for x in row] for row in m]
+        return cls(e, m, d // g)
 
     @classmethod
     def read(cls, rows):
         """Split a matrix of Scalars (or rationals) that are all c*pi^e for
-        one e; raises MixedPiGrading otherwise.  A zero block has e = 0."""
+        one e; raises MixedPiGrading otherwise."""
         powers = {c.pi_pow if isinstance(c, Scalar) else 0
                   for row in rows for c in row if c}
         if len(powers) > 1:
             raise MixedPiGrading(f"block mixes the powers of pi {sorted(powers)}")
-        e = powers.pop() if powers else 0
-        return cls(e, [[(c.coeff if isinstance(c, Scalar) else c) or Fraction(0)
-                        for c in row] for row in rows])
+        rows = [[c.coeff if isinstance(c, Scalar) else c for c in row] for row in rows]
+        d = lcm(*(c.denominator for row in rows for c in row))
+        return cls.of(powers.pop() if powers else 0,
+                      [[c.numerator * (d // c.denominator) for c in row] for row in rows], d)
 
     def __matmul__(self, other):
-        return PiMatrix(self.e + other.e, mat_mul(self.m, other.m))
+        cols = list(zip(*other.m))
+        return PiMatrix.of(self.e + other.e,
+                           [[sum(map(mul, row, col)) for col in cols] for row in self.m],
+                           self.d * other.d)
 
     @property
     def T(self):
-        return PiMatrix(self.e, [list(col) for col in zip(*self.m)])
+        return PiMatrix(self.e, [list(col) for col in zip(*self.m)], self.d)
 
     def inverse(self):
-        return PiMatrix(-self.e, invert_exact(self.m))
+        det, adj = invert_integer(self.m)  # (pi^e m/d)^-1 = pi^-e d adj/det
+        return PiMatrix.of(-self.e, [[self.d * x for x in row] for row in adj], det)
 
     def scalars(self):
-        return [[Scalar(v, self.e) if v else _SZERO for v in row]
+        return [[Scalar(Fraction(v, self.d), self.e) if v else _SZERO for v in row]
                 for row in self.m]
 
 
@@ -201,20 +227,23 @@ def monomial_to_sigma(k):
 
     T = D L with D the diagonal of Tasaki prefactors and
     L[q][a] = C(q,a) 4^a (-1)^(q-a) the substitution z -> 4z - 1, whose
-    inverse z -> (z + 1)/4 gives T^-1[a][q] = C(a,q) 4^-a / prefactor(k, q).
-    Returned as a PiMatrix; the prefactors of one degree share a power of pi.
+    inverse z -> (z + 1)/4 gives T^-1[a][q] = C(a,q) 4^-a / prefactor(k, q)
+    = C(a,q) 4^-a omega_k (k-2q)! (2q)! / pi^k, written in integers over the
+    one denominator 4^(k/2) times that of omega_k.
     """
     p = k // 2
-    inv_pref = PiMatrix.read([[tasaki_prefactor(k, q).inverse() for q in range(p + 1)]])
-    return PiMatrix(inv_pref.e, [[c * Fraction(binomial(a, q), 4 ** a)
-                                  for q, c in enumerate(inv_pref.m[0])]
-                                 for a in range(p + 1)])
+    om = omega(k)
+    return PiMatrix.of(om.pi_pow - k,
+                       [[om.coeff.numerator * binomial(a, q) * 4 ** (p - a)
+                         * factorial(k - 2 * q) * factorial(2 * q) for q in range(p + 1)]
+                        for a in range(p + 1)],
+                       om.coeff.denominator * 4 ** p)
 
 
 def sigma_substitute_ones(coeffs, m_ones, p_out):
     """Rewrite sum c_q sigma_{P,q}(1,..,1,x) with m_ones ones as a combination
     of sigma_{p_out, j}(x)."""
-    out = [Fraction(0)] * (p_out + 1)
+    out = [0] * (p_out + 1)
     for q, c in enumerate(coeffs):
         for j in range(p_out + 1):
             w = binomial(m_ones, q - j)
@@ -271,8 +300,8 @@ def _klain_columns(n, k):
     """
     inv = monomial_to_sigma(k)
     p = min(k, 2 * n - k) // 2
-    return PiMatrix(inv.e, [sigma_substitute_ones(inv.m[a], max(0, k - n), p)
-                            for a, _ in un_algebra(n).basis[k]])
+    return PiMatrix.of(inv.e, [sigma_substitute_ones(inv.m[a], max(0, k - n), p)
+                               for a, _ in un_algebra(n).basis[k]], inv.d)
 
 
 class UnModel:
@@ -301,9 +330,7 @@ class UnModel:
         qlo = max(0, k - self.n)
         if not qlo <= q <= k // 2:
             raise ValueError("hermitian index out of range")
-        rows = self.display(k, "hermitian")
-        return self.element_from_coords(
-            k, PiMatrix(rows.e, [rows.m[q - qlo]]).scalars()[0])
+        return self.element_from_coords(k, self.display(k, "hermitian").scalars()[q - qlo])
 
     # Klain functions -------------------------------------------------------
 
@@ -379,7 +406,7 @@ class UnModel:
             rows = (PiMatrix(0, identity(dim)) if tag == "monomial"
                     else _klain_columns(self.n, k))
             if tag == "hermitian":
-                rows = rows @ PiMatrix(0, [[Fraction(binomial(l, q)) for l in range(dim)]
+                rows = rows @ PiMatrix(0, [[binomial(l, q) for l in range(dim)]
                                            for q in range(dim)])
             self._display_inverse[k, tag] = rows
         return self._display_inverse[k, tag]
@@ -424,44 +451,57 @@ def _apply(vec, f):
     return (PiMatrix.read([vec]) @ f).scalars()[0]
 
 
-def _read_blocks(n, table):
-    """The bidegree blocks of a U(n) table as {(dl, dr): PiMatrix}; a block
-    with no nonzero entry is left out."""
-    dim = un_model(n).alg.dimension
-    blocks = {}
-    for ((dl, i), (dr, j)), c in table.entries.items():
-        if (dl, dr) not in blocks:
-            blocks[dl, dr] = [[0] * dim(dr) for _ in range(dim(dl))]
-        blocks[dl, dr][i][j] = c
-    return {key: PiMatrix.read(rows) for key, rows in blocks.items()}
-
-
-def _congruence(blocks, leg):
-    """The blocks A^T C B at bidegree (d', e'), for C the bidegree-(d, e)
-    block, leg(d) = (d', A) and leg(e) = (e', B).  Every leg map is one-to-one
-    on degrees, so each target block comes from one source block."""
-    out = {}
-    for (dl, dr), c in blocks.items():
-        tl, a = leg(dl)
-        tr, b = leg(dr)
-        out[tl, tr] = a.T @ c @ b
-    return out
-
-
 def _cells(block):
-    """(i, j, Scalar) for each nonzero entry of the block pi^e m."""
-    return ((i, j, Scalar(v, block.e)) for i, row in enumerate(block.m)
+    """(i, j, Scalar) for each nonzero entry of the block pi^e m / d."""
+    return ((i, j, Scalar(Fraction(v, block.d), block.e)) for i, row in enumerate(block.m)
             for j, v in enumerate(row) if v)
 
 
-def _un_table(n, blocks, basis="monomial"):
-    """The U(n) table in a display basis whose bidegree-(dl, dr) block is
-    blocks[dl, dr]; each block is written once, as Scalars."""
-    model = un_model(n)
-    return TensorTable("U", n, "standard", basis,
-                       {d: model.basis_labels(d, basis) for d in range(2 * n + 1)},
-                       {((dl, i), (dr, j)): v for (dl, dr), block in blocks.items()
-                        for i, j, v in _cells(block)})
+@lru_cache(maxsize=None)
+def _labels(n, basis):
+    """The labels of every degree of a U(n) display basis, which the tables
+    in that basis share."""
+    return {d: un_model(n).basis_labels(d, basis) for d in range(2 * n + 1)}
+
+
+class _UnTable(TensorTable):
+    """A U(n) table in a display basis, kept as its canonical-coordinate
+    blocks {(dl, dr): PiMatrix} and one leg map per degree: the identity
+    (kinematic) or the Fourier transform to degree 2n - d (additive), then
+    the display coordinates.  F_d composed with the display legs of degree
+    2n - d is ``display_inverse(d, basis)`` outside the monomial basis,
+    because F_d S_(2n-d) = S_d for the Klain coordinates S.  The Scalar
+    entries are written once, the first time they are read."""
+
+    def __init__(self, n, blocks, fourier=False, basis="monomial"):
+        super().__init__("U", n, "standard", basis, _labels(n, basis))
+        self.blocks, self.fourier, self._entries = blocks, fourier, None
+
+    def _leg(self, d):
+        """(d', A): the degree and the matrix a degree-d leg is carried to;
+        A = None is the identity."""
+        model, basis = un_model(self.dim), self.basis
+        if self.fourier:
+            return 2 * self.dim - d, (model.fourier_matrix(d) if basis == "monomial"
+                                      else model.display_inverse(d, basis))
+        return d, None if basis == "monomial" else model.display_inverse(d, basis)
+
+    @property
+    def entries(self):
+        """The block C of bidegree (d, e) gives the block A^T C B of bidegree
+        (d', e'), for (d', A) and (e', B) the legs of d and e; the legs are
+        one-to-one on degrees, so no entry is written twice."""
+        if self._entries is None:
+            self._entries = {}
+            for (dl, dr), c in self.blocks.items():
+                (tl, a), (tr, b) = self._leg(dl), self._leg(dr)
+                self._entries.update((((tl, i), (tr, j)), v) for i, j, v
+                                     in _cells(c if a is None else a.T @ c @ b))
+        return self._entries
+
+    @entries.setter
+    def entries(self, value):
+        self._entries = value
 
 
 @lru_cache(maxsize=None)
@@ -472,27 +512,36 @@ def _chi_block(n, k):
     The Gram is inverted before it is scaled, because Bareiss intermediates
     grow with the scale."""
     basis = un_algebra(n).basis
-    inv = invert_exact(_disk_gram(n, basis[2 * n - k], basis[k]))
-    scale = factorial(n)
-    return PiMatrix(n, [[v / scale for v in row] for row in inv])
+    det, adj = invert_integer(_disk_gram(n, basis[2 * n - k], basis[k]))
+    return PiMatrix.of(n, adj, det * factorial(n))
 
 
-def _product_block(n, part, k):
-    """Block (k + j, 2n - k) of the kinematic table of a degree-j part
-    {monomial: coefficient} of phi, k + j <= 2n: the rows of multiplication
-    out of degree k, read off the reduction map, times chi's degree-k block."""
-    alg = un_model(n).alg
-    d = k + alg.gens.degree(next(iter(part)))
-    coeffs = PiMatrix.read([list(part.values())])
-    index = alg.basis_index[d]
+@lru_cache(maxsize=None)
+def _reduction_rows(n, d):
+    """The reduction map of ``un_algebra(n)`` on the monomials of degree d as
+    one integer block: ({monomial: integer row over basis[d]}, denominator)."""
+    alg = un_algebra(n)
+    monos = alg.gens.monomials_of_degree(d)
+    block = PiMatrix.read([[alg.reduction[m].get(bm, 0) for bm in alg.basis[d]]
+                           for m in monos])
+    return dict(zip(monos, block.m)), block.d
+
+
+def _product_block(n, monos, coeffs, k):
+    """Block (k + j, 2n - k) of the kinematic table of a degree-j part of
+    phi, k + j <= 2n, whose coefficients on ``monos`` are the one-row
+    PiMatrix ``coeffs``: the rows of multiplication out of degree k, read
+    off the integer reduction map, times chi's degree-k block."""
+    alg = un_algebra(n)
+    d = k + alg.gens.degree(monos[0])
+    red, den = _reduction_rows(n, d)
     rows = []
     for ma in alg.basis[k]:
-        row = [Fraction(0)] * len(index)
-        for m, c in zip(part, coeffs.m[0]):
-            for bm, r in alg.reduction[mono_mul(m, ma)].items():
-                row[index[bm]] += c * r
+        row = [0] * alg.dimension(d)
+        for m, c in zip(monos, coeffs.m[0]):
+            row = [x + c * r for x, r in zip(row, red[mono_mul(m, ma)])]
         rows.append(row)
-    return (d, 2 * n - k), PiMatrix(coeffs.e, rows).T @ _chi_block(n, k)
+    return (d, 2 * n - k), PiMatrix.of(coeffs.e, rows, coeffs.d * den).T @ _chi_block(n, k)
 
 
 def _kinematic_blocks(n, phi):
@@ -501,8 +550,11 @@ def _kinematic_blocks(n, phi):
     parts = {}
     for m, c in phi.terms.items():
         parts.setdefault(phi.algebra.gens.degree(m), {})[m] = c
-    return dict(_product_block(n, part, k) for j, part in parts.items()
-                for k in range(2 * n + 1 - j))
+    blocks = {}
+    for j, part in parts.items():
+        coeffs = PiMatrix.read([list(part.values())])
+        blocks.update(_product_block(n, list(part), coeffs, k) for k in range(2 * n + 1 - j))
+    return blocks
 
 
 def kinematic_un(n, phi=None):
@@ -518,20 +570,20 @@ def kinematic_un(n, phi=None):
     """
     if phi is None:
         phi = un_model(n).alg.one()
-    return _un_table(n, _kinematic_blocks(n, phi))
+    return _UnTable(n, _kinematic_blocks(n, phi))
 
 
 def convert_un_table(table, n, basis):
     """Re-express a canonical-coordinate table in a display basis.
 
     A canonical basis vector's display coordinates form a row of the inverse
-    of the display-rows matrix, so each block C becomes inv^T C inv.
+    of the display-rows matrix, so each block C becomes inv^T C inv.  The
+    table keeps its blocks and composes the display legs into its leg map;
+    no entry is written before it is read.
     """
     if basis == "monomial":
         return table
-    model = un_model(n)
-    return _un_table(n, _congruence(
-        _read_blocks(n, table), lambda d: (d, model.display_inverse(d, basis))), basis)
+    return _UnTable(n, table.blocks, table.fourier, basis)
 
 
 def tasaki_matrices(n):
@@ -550,11 +602,9 @@ def tasaki_matrices(n):
 def additive_un(n, phi=None):
     """Additive coproduct: conjugate the kinematic blocks by Fourier on the
     input and both output legs.  Probability rotation measure."""
-    model = un_model(n)
     if phi is None:
         phi = volume_element(n)
-    return _un_table(n, _congruence(_kinematic_blocks(n, model.fourier(phi)),
-                                    lambda d: (2 * n - d, model.fourier_matrix(d))))
+    return _UnTable(n, _kinematic_blocks(n, un_model(n).fourier(phi)), fourier=True)
 
 
 def volume_element(n):
@@ -602,15 +652,15 @@ def first_order_formula(n, k, l, space="euclidean"):
     """
     if not (k + l >= 2 * n and 0 <= k <= 2 * n and 0 <= l <= 2 * n):
         raise ValueError("first-order bidegrees need k + l >= 2n, each <= 2n")
-    phi = intrinsic_volume_element(n, k + l - 2 * n)
-    block = _product_block(n, phi.terms, 2 * n - l)[1]
+    if space not in ("euclidean", "projective"):
+        raise ValueError(f"unknown space {space!r}")
+    terms = intrinsic_volume_element(n, k + l - 2 * n).terms
+    if space == "projective":
+        terms = {m: c * Scalar.pi_power(-n, factorial(n)) for m, c in terms.items()}
+    block = _product_block(n, list(terms), PiMatrix.read([list(terms.values())]),
+                           2 * n - l)[1]
     left, right = (un_model(n).display_inverse(d, "tasaki") for d in (k, l))
     coeffs = {(i, j): v for i, j, v in _cells(left.T @ block @ right)}
-    if space == "projective":
-        scale = Scalar.pi_power(-n, factorial(n))
-        coeffs = {key: scale * v for key, v in coeffs.items()}
-    elif space != "euclidean":
-        raise ValueError(f"unknown space {space!r}")
     return FirstOrderKernel(n, k, l, coeffs, k > n, l > n)
 
 

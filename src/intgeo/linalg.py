@@ -1,7 +1,8 @@
 """Exact linear algebra over Q.
 
 Three routines carry the whole load: a fraction-free (Bareiss) inverse used
-for the Poincare-pairing and basis-change matrices, reduced row echelon form
+for the Poincare-pairing and basis-change matrices (over Q, or in integers
+as a determinant and the determinant times the inverse), reduced row echelon form
 used to build quotient-algebra normal forms, and a certificate that given
 rows span a matrix's kernel (exact containment plus the rank modulo a prime,
 with an exact comparison of reduced forms when that rank falls short), used
@@ -22,7 +23,7 @@ class SingularMatrixError(ArithmeticError):
 
 
 def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _scaled(vec):
@@ -31,35 +32,20 @@ def _scaled(vec):
     return d, [x.numerator * (d // x.denominator) for x in vec]
 
 
-def mat_mul(a, b):
-    """Matrix product over Q in integer arithmetic: every row of ``a`` and
-    column of ``b`` is scaled to integers, and each entry is one division."""
-    cols = [_scaled(col) for col in zip(*b)]
-    out = []
-    for row in a:
-        da, ia = _scaled(row)
-        out.append([Fraction(sum(x * y for x, y in zip(ia, ib) if x), da * db)
-                    for db, ib in cols])
-    return out
+def invert_integer(m):
+    """(c, c m^-1) with c = +-det(m) for a square matrix of ints, all in
+    integers.
 
-
-def invert_exact(m):
-    """Exact inverse of a square matrix over Q.
-
-    Each row is scaled to integers (A = D M with D diagonal), and a
-    fraction-free (Bareiss) Gauss-Jordan pass on [A | D] runs in Python
-    integers, where every division is exact.  It ends with det(A) on the
-    diagonal and det(A) A^-1 D = det(A) M^-1 on the right.  Raises
-    SingularMatrixError when no pivot can be found -- callers treat that as
-    a hard bug (wrong basis or functional), so no fallback is attempted.
+    A fraction-free (Bareiss) Gauss-Jordan pass on [m | I], where every
+    division is exact, ends with c on the diagonal and c m^-1 on the right;
+    the sign of c follows the row swaps.  Raises SingularMatrixError when no pivot can be found --
+    callers treat that as a hard bug (wrong basis or functional), so no
+    fallback is attempted.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("invert_exact needs a square matrix")
-    a = []
-    for i, row in enumerate(m):
-        den, ints = _scaled(row)
-        a.append(ints + [den if j == i else 0 for j in range(n)])
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     width = 2 * n
     prev = 1
     for k in range(n):
@@ -80,8 +66,15 @@ def invert_exact(m):
                     ai[j] = (d * ai[j] - f * pk[j]) // prev
             ai[k] = 0
         prev = d
-    det = a[n - 1][n - 1] if n else 1
-    return [[Fraction(a[i][n + j], det) for j in range(n)] for i in range(n)]
+    return (a[n - 1][n - 1] if n else 1), [row[n:] for row in a]
+
+
+def invert_exact(m):
+    """Exact inverse of a square matrix over Q: each row is scaled to
+    integers, A = D M with D diagonal, and M^-1 = A^-1 D."""
+    scaled = [_scaled(row) for row in m]
+    det, adj = invert_integer([ints for _, ints in scaled])
+    return [[Fraction(x * den, det) for x, (den, _) in zip(row, scaled)] for row in adj]
 
 
 def rref(rows, ncols):

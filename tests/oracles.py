@@ -41,8 +41,8 @@ import numpy as np
 
 from intgeo.bodies import sample_blocks
 from intgeo.graded import GeneratorSet, QuotientAlgebra, mono_mul
-from intgeo.hermitian import (PiMatrix, _chi_block, _klain_columns, _un_table,
-                              tasaki_monomial_rows, un_model)
+from intgeo.hermitian import (PiMatrix, _chi_block, _klain_columns, _UnTable,
+                              kinematic_un, tasaki_monomial_rows, un_model)
 from intgeo.linalg import SingularMatrixError, identity, kernel_basis, rref
 from intgeo.scalars import Scalar, binomial
 from intgeo.spaceforms import _cp_pairing_matrix, complex_space_form
@@ -421,7 +421,13 @@ def hits_ball_polytope(g, centers, radius):
     return hits
 
 
-# -- exact inverse of a graded matrix of Scalars ------------------------------
+# -- exact products and inverses, entry by entry ----------------------------------
+
+def mat_mul(a, b):
+    """Matrix product over Q, one Fraction sum per entry."""
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
+
 
 def scalar_mat_mul(a, b):
     return [[sum((x * y for x, y in zip(row, col)), Scalar.zero()) for col in zip(*b)]
@@ -547,7 +553,7 @@ def kinematic_un_products(n, phi=None):
                 mult[d][a] = alg.coordinates(prod, d)
         for d, rows in mult.items():
             blocks[d, kr] = PiMatrix.read(rows).T @ _chi_block(n, k)
-    return _un_table(n, blocks)
+    return _UnTable(n, blocks)
 
 
 # -- the U(n) display bases, through normal forms --------------------------------
@@ -571,10 +577,10 @@ def display_route(n):
                              for row in tasaki_monomial_rows(k)])
         reduce = [alg.coordinates(alg.normal_form_raw({m: Fraction(1)}), k)
                   for m in monos]
-        display[k, "tasaki"] = raw @ PiMatrix(0, reduce)
+        display[k, "tasaki"] = raw @ PiMatrix.read(reduce)
         change = [[Fraction((-1) ** (l - q) * binomial(l, q)) for l in range(len(monos))]
                   for q in range(len(monos))]
-        display[k, "hermitian"] = PiMatrix(0, change) @ display[k, "tasaki"]
+        display[k, "hermitian"] = PiMatrix.read(change) @ display[k, "tasaki"]
     for k in range(n + 1, 2 * n + 1):
         fourier[k] = fourier[2 * n - k].inverse()
         for tag in ("tasaki", "hermitian"):
@@ -596,12 +602,11 @@ def pairing_route(n):
     model = un_model(n)
     alg = model.alg
     (top, value), = model.ev.values.items()
-    ev = PiMatrix.read([[value]])
     chi, tasaki = {}, {}
     for k in range(n + 1):
-        gram = PiMatrix(ev.e, [[ev.m[0][0] * alg.reduction[mono_mul(ma, mb)].get(top, 0)
-                                for mb in alg.basis[2 * n - k]]
-                               for ma in alg.basis[k]])
+        gram = PiMatrix.read([[value * alg.reduction[mono_mul(ma, mb)].get(top, 0)
+                               for mb in alg.basis[2 * n - k]]
+                              for ma in alg.basis[k]])
         left = model.display(k, "tasaki")
         right = model.display(2 * n - k, "tasaki")
         mat = left @ gram @ right.T
@@ -609,3 +614,51 @@ def pairing_route(n):
         tasaki[k] = mat.inverse()
         chi[k] = left.T @ tasaki[k] @ right
     return chi, tasaki
+
+
+# -- the additive U(n) table, through two congruences ------------------------------
+
+def _blocks(n, entries):
+    """The bidegree blocks of a U(n) table's entries as {(dl, dr): PiMatrix}."""
+    dim = un_model(n).alg.dimension
+    rows = {}
+    for ((dl, i), (dr, j)), c in entries.items():
+        if (dl, dr) not in rows:
+            rows[dl, dr] = [[0] * dim(dr) for _ in range(dim(dl))]
+        rows[dl, dr][i][j] = c
+    return {key: PiMatrix.read(block) for key, block in rows.items()}
+
+
+def _congruence_entries(blocks, leg):
+    """The Scalar entries of the blocks A^T C B, leg(d) = (d', A)."""
+    out = {}
+    for (dl, dr), c in blocks.items():
+        (tl, a), (tr, b) = leg(dl), leg(dr)
+        for i, row in enumerate((a.T @ c @ b).scalars()):
+            out.update((((tl, i), (tr, j)), v) for j, v in enumerate(row) if v)
+    return out
+
+
+def display_congruence(n, entries, basis):
+    """Canonical-coordinate entries of a U(n) table in a display basis, as
+    ``convert_un_table`` wrote them when it read the blocks back off a
+    table's Scalar entries: every block C becomes A^T C A' for the display
+    inverses A, A' of its degrees."""
+    if basis == "monomial":
+        return entries
+    model = un_model(n)
+    return _congruence_entries(_blocks(n, entries),
+                               lambda d: (d, model.display_inverse(d, basis)))
+
+
+def additive_two_congruences(n, phi, basis):
+    """The entries of the additive table of phi in a display basis, as
+    ``additive_un`` and ``convert_un_table`` wrote them before a table kept
+    its blocks: the kinematic table of Fourier(phi), conjugated by the
+    Fourier matrices onto degrees 2n - d and written as Scalars, then read
+    back and conjugated by the display inverses."""
+    model = un_model(n)
+    kin = kinematic_un(n, model.fourier(phi)).entries
+    add = _congruence_entries(_blocks(n, kin),
+                              lambda d: (2 * n - d, model.fourier_matrix(d)))
+    return display_congruence(n, add, basis)

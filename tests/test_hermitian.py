@@ -1,17 +1,19 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
+from intgeo import emitters
 from intgeo import euclid as E
 from intgeo import hermitian as H
 from intgeo import linalg
 from intgeo.graded import QuotientAlgebra, mono_mul, poly_mul
 from intgeo.linalg import identity
 from intgeo.scalars import Scalar, binomial, omega
-from oracles import (display_route, invert_exact_scalar, kinematic_un_products,
-                     pairing_route, scalar_mat_mul, un_evaluation_kernel_quotient)
+from oracles import (additive_two_congruences, display_congruence, display_route,
+                     invert_exact_scalar, kinematic_un_products, mat_mul, pairing_route,
+                     scalar_mat_mul, un_evaluation_kernel_quotient)
 
 
 def poly_add(p, q):
@@ -143,6 +145,11 @@ def tasaki_matrix(k):
 
 
 def test_monomial_to_sigma_closed_form_matches_bareiss():
+    for k in range(41):
+        # the same closed form with one Scalar inverse per prefactor
+        assert H.monomial_to_sigma(k).scalars() == [
+            [H.tasaki_prefactor(k, q).inverse() * Fraction(binomial(a, q), 4 ** a)
+             for q in range(k // 2 + 1)] for a in range(k // 2 + 1)], k
     for k in range(29):
         inv = H.monomial_to_sigma(k).scalars()
         assert scalar_mat_mul(inv, tasaki_matrix(k)) == identity(k // 2 + 1), k
@@ -280,7 +287,7 @@ def test_chi_blocks_and_tasaki_matrices_match_pairing_route():
 def test_pi_matrix_reads_one_power_of_pi():
     block = H.PiMatrix.read([[Scalar.pi_power(2, 3), Scalar.zero()],
                              [Fraction(0), Scalar.pi_power(2, -1)]])
-    assert block == (2, [[3, 0], [0, -1]])
+    assert block == (2, [[3, 0], [0, -1]], 1)
     assert block.inverse().scalars() == [[Scalar.pi_power(-2, Fraction(1, 3)), 0],
                                          [0, Scalar.pi_power(-2, -1)]]
     for rows in ([[Scalar.pi_power(1), Scalar.one()]],
@@ -291,6 +298,55 @@ def test_pi_matrix_reads_one_power_of_pi():
     # a single entry cannot mix powers either: the sum raises before any block
     with pytest.raises(H.MixedPiGrading):
         Scalar.pi_power(1) + Scalar.one()
+
+
+def _random_rows(rng, rows, cols):
+    """Rational rows with some zero rows, and now and then all zero."""
+    zero = rng.random() < 0.1
+    return [[Fraction(0) if zero or rng.random() < 0.2 else
+             Fraction(rng.randint(-20, 20), rng.randint(1, 36)) for _ in range(cols)]
+            if rng.random() > 0.15 else [Fraction(0)] * cols for _ in range(rows)]
+
+
+def _with_power(rows, e):
+    return [[Scalar(x, e) for x in row] for row in rows]
+
+
+def _in_normal_form(block):
+    if not any(map(any, block.m)):
+        return block.e == 0 and block.d == 1
+    return block.d > 0 and gcd(block.d, *(x for row in block.m for x in row)) == 1
+
+
+def test_integer_pi_matrix_matches_fraction_oracles():
+    """Products, transposes and inverses of integer blocks pi^e m / d equal
+    the Fraction product and inverse entry for entry, pi powers included,
+    and every result is in the gcd normal form."""
+    rng = random.Random(28)
+    for _ in range(300):
+        r, c, s = (rng.randint(1, 5) for _ in range(3))
+        a, b = _random_rows(rng, r, c), _random_rows(rng, c, s)
+        ea, eb = rng.randint(-4, 4), rng.randint(-4, 4)
+        pa, pb = (H.PiMatrix.read(_with_power(m, e)) for m, e in ((a, ea), (b, eb)))
+        assert pa.scalars() == _with_power(a, ea)
+        prod = pa @ pb
+        assert prod.scalars() == _with_power(mat_mul(a, b), ea + eb)
+        assert prod == H.PiMatrix.read(_with_power(mat_mul(a, b), ea + eb))
+        assert pa.T.scalars() == _with_power([list(col) for col in zip(*a)], ea)
+        for block in (pa, pb, prod, pa.T):
+            assert _in_normal_form(block), block
+        square = a[:c] if r >= c else None
+        if square is None:
+            continue
+        pa = H.PiMatrix.read(_with_power(square, ea))
+        try:
+            inv = linalg.invert_exact(square)
+        except linalg.SingularMatrixError:
+            with pytest.raises(linalg.SingularMatrixError):
+                pa.inverse()
+            continue
+        assert pa.inverse().scalars() == _with_power(inv, -ea)
+        assert _in_normal_form(pa.inverse())
 
 
 def test_pairing_inverses_and_fourier_match_scalar_bareiss():
@@ -378,7 +434,7 @@ def test_hard_lefschetz():
             assert len(prim) == (k + 1) % 2, (n, k)
             pair = [[alg.reduction[mono_mul(mono_mul(ma, mb), (0, 2 * n - 2 * k))].get(top, 0)
                      for mb in alg.basis[k]] for ma in alg.basis[k]]
-            form = linalg.mat_mul(linalg.mat_mul(prim, pair), list(map(list, zip(*prim))))
+            form = mat_mul(mat_mul(prim, pair), list(map(list, zip(*prim))))
             assert _positive_definite(form), (n, k)
 
 
@@ -488,6 +544,44 @@ def test_fourier_is_the_identity_in_tasaki_coordinates(n):
             assert _with_pi({((2 * n - dl, a), (2 * n - dr, b)): c
                              for ((dl, a), (dr, b)), c in kin.entries.items()}) \
                 == _with_pi(add.entries), (k, i)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_display_tables_match_two_congruences(n):
+    """A table in a display basis is one congruence of the kept blocks with
+    the composed legs; the oracles write the monomial table's Scalars and
+    read them back, for the Fourier legs and then the display legs.  The
+    composed additive leg F_d A_(2n-d) is display_inverse(d) outside the
+    monomial basis."""
+    model = H.un_model(n)
+    for d in range(2 * n + 1):
+        for tag in ("tasaki", "hermitian"):
+            assert model.fourier_matrix(d) @ model.display_inverse(2 * n - d, tag) \
+                == model.display_inverse(d, tag), (d, tag)
+    for k in range(2 * n + 1):
+        for i in range(model.alg.dimension(k)):
+            phi = model.alg.basis_element(k, i)
+            kin = H.kinematic_un(n, phi)
+            for basis in ("monomial", "tasaki", "hermitian"):
+                assert _with_pi(H.convert_un_table(kin, n, basis).entries) \
+                    == _with_pi(display_congruence(n, kin.entries, basis)), (k, i, basis)
+                add = H.convert_un_table(H.additive_un(n, phi), n, basis)
+                assert _with_pi(add.entries) \
+                    == _with_pi(additive_two_congruences(n, phi, basis)), (k, i, basis)
+
+
+def test_display_query_writes_only_its_own_entries():
+    """Converting a table and emitting it writes no Scalar of the monomial
+    table it came from, and a table writes its entries once."""
+    n = 4
+    phi = H.un_model(n).alg.basis_element(3, 1)
+    for build in (H.kinematic_un, H.additive_un):
+        for basis in ("tasaki", "hermitian"):
+            table = build(n, phi)
+            shown = H.convert_un_table(table, n, basis)
+            emitters.emit_table(shown, "json")
+            assert table._entries is None, (build, basis)
+            assert shown.entries is shown.entries
 
 
 @pytest.mark.parametrize("n", range(1, 7))

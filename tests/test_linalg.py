@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from intgeo import linalg
 from intgeo.hermitian import un_algebra
 from intgeo.linalg import (SingularMatrixError, identity, invert_exact,
-                           kernel_basis, kernel_equals_span, mat_mul, rref)
+                           kernel_basis, kernel_equals_span, rref)
 from intgeo.scalars import MixedPiGrading, Scalar
 from intgeo.spaceforms import complex_space_form
-from oracles import (invert_exact_scalar, scalar_mat_mul, sparse_rows,
+from oracles import (invert_exact_scalar, mat_mul, scalar_mat_mul, sparse_rows,
                      truncated_multiples)
 
 F0, F1 = Fraction(0), Fraction(1)
