@@ -651,14 +651,15 @@ def display_congruence(n, entries, basis):
                                lambda d: (d, model.display_inverse(d, basis)))
 
 
-def additive_two_congruences(n, phi, basis):
-    """The entries of the additive table of phi in a display basis, as
-    ``additive_un`` and ``convert_un_table`` wrote them before a table kept
-    its blocks: the kinematic table of Fourier(phi), conjugated by the
+def additive_two_congruences(n, phi):
+    """{basis: entries} of the additive table of phi in every display basis,
+    as ``additive_un`` and ``convert_un_table`` wrote them before a table
+    kept its blocks: the kinematic table of Fourier(phi), conjugated by the
     Fourier matrices onto degrees 2n - d and written as Scalars, then read
     back and conjugated by the display inverses."""
     model = un_model(n)
     kin = kinematic_un(n, model.fourier(phi)).entries
     add = _congruence_entries(_blocks(n, kin),
                               lambda d: (2 * n - d, model.fourier_matrix(d)))
-    return display_congruence(n, add, basis)
+    return {basis: display_congruence(n, add, basis)
+            for basis in ("monomial", "tasaki", "hermitian")}
