@@ -138,13 +138,22 @@ def _table(n, basis, normalization):
     return TensorTable("SO", n, normalization, basis, basis_labels=labels)
 
 
+@lru_cache(maxsize=None)
+def _scales(n, native, basis):
+    """Per degree d, the factor taking a coordinate on native_d to one on
+    basis_d: a table entry of bidegree (a, b) scales by s_a s_b."""
+    return [_so_basis_coeff(n, native, d) * _so_basis_coeff(n, basis, d).inverse()
+            for d in range(n + 1)]
+
+
 def kinematic_so(n, phi=None, basis="t", normalization="standard"):
     """Kinematic coproduct table of phi (default: the Euler characteristic).
 
     In the t basis with standard normalization the image of t^c is
     (alpha_n / 2^(n+1)) * sum of t^a (x) t^b over a+b = n+c; "unit"
-    normalization drops the constant.  Other display bases are exact diagonal
-    conversions of this table.
+    normalization drops the constant.  In another display basis each entry
+    is written once, as this value times the diagonal change of basis of both
+    legs.
     """
     if phi is None:
         phi = SOValuation.chi(n)
@@ -153,32 +162,32 @@ def kinematic_so(n, phi=None, basis="t", normalization="standard"):
     factor = alpha(n) * Scalar.from_rational(Fraction(1, 2 ** (n + 1)))
     if normalization == "unit":
         factor = Scalar.one()
-    table = _table(n, "t", normalization)
+    scale = _scales(n, "t", basis)
+    table = _table(n, basis, normalization)
     for c, coeff in phi.t_coeffs().items():
+        value = factor * coeff
         for a in range(c, n + 1):
             b = n + c - a
             if 0 <= b <= n:
-                table.add((a, 0), (b, 0), factor * coeff)
-    if basis != "t":
-        table = convert_so_table(table, n, basis)
+                table.add((a, 0), (b, 0), value * scale[a] * scale[b])
     return table
 
 
 def additive_so(n, phi=None, basis="psi"):
     """Additive (Minkowski-sum) coproduct table of phi, probability rotations.
 
-    The image of psi_k is sum of C(k,i) psi_i (x) psi_j over i+j = k; default
-    input is the volume, whose table equals the kinematic table of chi.
+    The image of psi_k is sum of C(k,i) psi_i (x) psi_j over i+j = k, written
+    once in the display basis as for ``kinematic_so``; default input is the
+    volume, whose table equals the kinematic table of chi.
     """
     if phi is None:
         phi = SOValuation.volume(n)
-    table = _table(n, "psi", "standard")
+    scale = _scales(n, "psi", basis)
+    table = _table(n, basis, "standard")
     for k, coeff in phi.in_basis("psi").items():
         for i in range(k + 1):
             j = k - i
-            table.add((i, 0), (j, 0), coeff * binomial(k, i))
-    if basis != "psi":
-        table = convert_so_table(table, n, basis)
+            table.add((i, 0), (j, 0), coeff * binomial(k, i) * scale[i] * scale[j])
     return table
 
 
@@ -194,18 +203,6 @@ def _so_basis_coeff(n, basis, i):
     if basis == "nijenhuis":
         return psi_coefficient(n, i) * Fraction(1, factorial(i))
     raise ValueError(f"unknown basis {basis!r}")
-
-
-def convert_so_table(table, n, basis):
-    """Re-express a table between the diagonal bases t / mu / psi."""
-    if basis == table.basis:
-        return table
-    out = _table(n, basis, table.normalization)
-    scale = [_so_basis_coeff(n, table.basis, d) * _so_basis_coeff(n, basis, d).inverse()
-             for d in range(n + 1)]
-    for ((a, _), (b, _)), c in table.entries.items():
-        out.add((a, 0), (b, 0), c * scale[a] * scale[b])
-    return out
 
 
 def kinematic_via_pairing(n):

@@ -28,9 +28,11 @@ times an integer matrix over one denominator, a ``PiMatrix``.  The exponent
 is read from the block's entries and must be uniform; products add exponents
 and inverses negate them, so all linear algebra runs in integers.  A U(n)
 table keeps its canonical blocks and its legs per degree (the Fourier
-transform, then a display basis), so a query in a display basis runs one
-congruence; ``Scalar`` coefficients are built only when a table entry or a
-document value is first read.
+transform, then a display basis), and ``_UnTable.block`` is the one place a
+canonical block meets its legs: table entries, Tasaki matrices and
+first-order kernels are all block reads, each one congruence.  ``Scalar``
+coefficients are built only when a table entry or a document value is
+first read.
 """
 
 from __future__ import annotations
@@ -466,37 +468,52 @@ def _labels(n, basis):
 
 class _UnTable(TensorTable):
     """A U(n) table in a display basis, kept as its canonical-coordinate
-    blocks {(dl, dr): PiMatrix} and one leg map per degree: the identity
+    blocks {(dl, dr): PiMatrix} and one leg per degree: the identity
     (kinematic) or the Fourier transform to degree 2n - d (additive), then
     the display coordinates.  F_d composed with the display legs of degree
     2n - d is ``display_inverse(d, basis)`` outside the monomial basis,
-    because F_d S_(2n-d) = S_d for the Klain coordinates S.  The Scalar
-    entries are written once, the first time they are read."""
+    because F_d S_(2n-d) = S_d for the Klain coordinates S.  ``block`` is the
+    one reader of the canonical blocks; the Scalar entries are written once,
+    the first time they are read."""
 
     def __init__(self, n, blocks, fourier=False, basis="monomial"):
         super().__init__("U", n, "standard", basis, _labels(n, basis))
         self.blocks, self.fourier, self._entries = blocks, fourier, None
 
+    def _across(self, d):
+        """The degree a leg carries degree d to, and back: 2n - d in an
+        additive table, else d."""
+        return 2 * self.dim - d if self.fourier else d
+
     def _leg(self, d):
-        """(d', A): the degree and the matrix a degree-d leg is carried to;
-        A = None is the identity."""
+        """The matrix carrying canonical degree d to degree ``_across(d)``;
+        None is the identity."""
         model, basis = un_model(self.dim), self.basis
-        if self.fourier:
-            return 2 * self.dim - d, (model.fourier_matrix(d) if basis == "monomial"
-                                      else model.display_inverse(d, basis))
-        return d, None if basis == "monomial" else model.display_inverse(d, basis)
+        if basis != "monomial":
+            return model.display_inverse(d, basis)
+        return model.fourier_matrix(d) if self.fourier else None
+
+    def block(self, dl, dr):
+        """The block of bidegree (dl, dr) in the table's basis: A^T C B, for
+        C the canonical block whose legs A and B land on (dl, dr)."""
+        sl, sr = self._across(dl), self._across(dr)
+        c = self.blocks.get((sl, sr))
+        if c is None:
+            dim = un_algebra(self.dim).dimension
+            return PiMatrix(0, [[0] * dim(dr) for _ in range(dim(dl))])
+        a = self._leg(sl)
+        return c if a is None else a.T @ c @ self._leg(sr)
 
     @property
     def entries(self):
-        """The block C of bidegree (d, e) gives the block A^T C B of bidegree
-        (d', e'), for (d', A) and (e', B) the legs of d and e; the legs are
-        one-to-one on degrees, so no entry is written twice."""
+        """Written once from the blocks; the legs are one-to-one on degrees,
+        so no entry is written twice."""
         if self._entries is None:
             self._entries = {}
-            for (dl, dr), c in self.blocks.items():
-                (tl, a), (tr, b) = self._leg(dl), self._leg(dr)
-                self._entries.update((((tl, i), (tr, j)), v) for i, j, v
-                                     in _cells(c if a is None else a.T @ c @ b))
+            for dl, dr in self.blocks:
+                tl, tr = self._across(dl), self._across(dr)
+                self._entries.update((((tl, i), (tr, j)), v)
+                                     for i, j, v in _cells(self.block(tl, tr)))
         return self._entries
 
     @entries.setter
@@ -577,26 +594,24 @@ def convert_un_table(table, n, basis):
     """Re-express a canonical-coordinate table in a display basis.
 
     A canonical basis vector's display coordinates form a row of the inverse
-    of the display-rows matrix, so each block C becomes inv^T C inv.  The
-    table keeps its blocks and composes the display legs into its leg map;
-    no entry is written before it is read.
+    of the display-rows matrix, so each block C becomes inv^T C inv when it
+    is read.  The table keeps its blocks and composes the display legs into
+    its legs; no entry is written before it is read.
     """
-    if basis == "monomial":
-        return table
     return _UnTable(n, table.blocks, table.fourier, basis)
 
 
 def tasaki_matrices(n):
     """The chi blocks in Tasaki coordinates: {k: matrix} for k = 0..n, the
     inverse of the pairing of the degree-k Tasaki basis against its Fourier
-    image.  No symmetry is assumed: that each is symmetric, and in even
+    image, which is block (k, 2n - k) of the chi table in the Tasaki basis,
+    transposed.  No symmetry is assumed: that each is symmetric, and in even
     degree 2l <= n palindromic (T[i][j] = T[l-i][l-j]), tests the Tasaki
     coordinates against the disk Gram.
     """
-    model = un_model(n)
-    return {k: (model.display_inverse(2 * n - k, "tasaki").T @ _chi_block(n, k).T
-                @ model.display_inverse(k, "tasaki")).scalars()
-            for k in range(n + 1)}
+    chi = _UnTable(n, {(k, 2 * n - k): _chi_block(n, k) for k in range(n + 1)},
+                   basis="tasaki")
+    return {k: chi.block(k, 2 * n - k).T.scalars() for k in range(n + 1)}
 
 
 def additive_un(n, phi=None):
@@ -632,19 +647,10 @@ class FirstOrderKernel:
         self.right_perp = right_perp
 
 
-def klain_expand_block(n, table, k, l):
-    """Expand the bidegree-(k,l) block of a canonical-coordinate table with
-    both legs as Klain polynomials: its block in Tasaki coordinates, which are
-    the Klain coordinates in every degree (Fourier is the identity in them).
-    Returns ({(q_left, q_right): Scalar}, left_perp, right_perp)."""
-    entries = convert_un_table(table, n, "tasaki").entries
-    return ({(ql, qr): v for ((dl, ql), (dr, qr)), v in entries.items()
-             if (dl, dr) == (k, l)}, k > n, l > n)
-
-
 def first_order_formula(n, k, l, space="euclidean"):
     """Klain-expanded bidegree-(k,l) component of the kinematic image of the
-    (k+l-2n)-dimensional volume valuation.
+    (k+l-2n)-dimensional volume valuation: that one block of a table in the
+    Tasaki basis, whose coordinates are the Klain coordinates of both legs.
 
     "euclidean" uses the standard flat motion normalization; "projective"
     divides by the volume of the compact model space (so the group carries the
@@ -657,22 +663,11 @@ def first_order_formula(n, k, l, space="euclidean"):
     terms = intrinsic_volume_element(n, k + l - 2 * n).terms
     if space == "projective":
         terms = {m: c * Scalar.pi_power(-n, factorial(n)) for m, c in terms.items()}
-    block = _product_block(n, list(terms), PiMatrix.read([list(terms.values())]),
-                           2 * n - l)[1]
-    left, right = (un_model(n).display_inverse(d, "tasaki") for d in (k, l))
-    coeffs = {(i, j): v for i, j, v in _cells(left.T @ block @ right)}
+    key, c = _product_block(n, list(terms), PiMatrix.read([list(terms.values())]),
+                            2 * n - l)
+    block = _UnTable(n, {key: c}, basis="tasaki").block(k, l)
+    coeffs = {(i, j): v for i, j, v in _cells(block)}
     return FirstOrderKernel(n, k, l, coeffs, k > n, l > n)
-
-
-def basis_change(n, frm, to):
-    """Per-degree exact matrices converting frm-coordinates to to-coordinates.
-
-    Tags as in ``UnModel.display``; row i of the degree-k matrix holds the
-    to-coordinates of the i-th frm-basis element.
-    """
-    model = un_model(n)
-    return {k: (model.display(k, frm) @ model.display_inverse(k, to)).scalars()
-            for k in range(2 * n + 1)}
 
 
 def pfaff_saalschutz_residual(n, k):

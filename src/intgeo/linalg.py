@@ -1,8 +1,8 @@
 """Exact linear algebra over Q.
 
 Three routines carry the whole load: a fraction-free (Bareiss) inverse used
-for the Poincare-pairing and basis-change matrices (over Q, or in integers as
-c and c times the inverse, c the determinant up to sign), reduced row echelon
+for the Poincare-pairing and basis-change matrices (in integers, as c and c
+times the inverse, c the determinant up to sign), reduced row echelon
 form used to build quotient-algebra normal forms, and a certificate that given
 rows span a matrix's kernel (exact containment plus the rank modulo a prime,
 with an exact comparison of reduced forms when that rank falls short), used
@@ -32,15 +32,16 @@ def _scaled(vec):
     return d, [x.numerator * (d // x.denominator) for x in vec]
 
 
-def _bareiss(a):
-    """Fraction-free (Bareiss) Gauss-Jordan on the integer rows [A | B] of a
-    square A, in place; every division is exact.  Returns c = +-det(A) (the
-    sign follows the row swaps) and leaves c A^-1 B on the right.  Raises
+def invert_integer(m):
+    """(c, c m^-1) with c = +-det(m) for a square matrix of ints, all in
+    integers: fraction-free (Bareiss) Gauss-Jordan on [m | I], where every
+    division is exact and the sign of c follows the row swaps.  Raises
     SingularMatrixError when no pivot can be found -- callers treat that as
     a hard bug (wrong basis or functional), so no fallback is attempted."""
-    n = len(a)
-    if any(len(row) != 2 * n for row in a):
-        raise ValueError("invert_exact needs a square matrix")
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("invert_integer needs a square matrix")
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     prev = 1
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k]), None)
@@ -60,30 +61,7 @@ def _bareiss(a):
                     ai[j] = (d * ai[j] - f * pk[j]) // prev
             ai[k] = 0
         prev = d
-    return a[n - 1][n - 1] if n else 1
-
-
-def invert_integer(m):
-    """(c, c m^-1) with c = +-det(m) for a square matrix of ints, all in
-    integers: the Bareiss pass on [m | I]."""
-    n = len(m)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    return _bareiss(a), [row[n:] for row in a]
-
-
-def invert_exact(m):
-    """Exact inverse of a square matrix over Q.
-
-    Each row is scaled to integers (A = D M with D diagonal), and the Bareiss
-    pass on [A | D] ends with det(A) A^-1 D = det(A) M^-1 on the right.
-    """
-    n = len(m)
-    a = []
-    for i, row in enumerate(m):
-        den, ints = _scaled(row)
-        a.append(ints + [den if j == i else 0 for j in range(n)])
-    det = _bareiss(a)
-    return [[Fraction(x, det) for x in row[n:]] for row in a]
+    return (a[n - 1][n - 1] if n else 1), [row[n:] for row in a]
 
 
 def rref(rows, ncols):

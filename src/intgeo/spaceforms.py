@@ -8,7 +8,8 @@ Real space forms: the n-dimensional algebra on the transfer basis tau_0..tau_n
 (tau_i of weight i) with the homogeneous product rule
 tau_i tau_j = tau_{i+j} - (lam/4) tau_{i+j+2}, the hyperplane-average
 generator phi, sphere evaluations at lam = 1, and the kinematic coproduct
-computed over Q by two routes that must agree.
+computed over Q from the transfer rule (``checks`` compares it with the
+factorized form).
 
 Complex space forms: the two-generator presentation whose ideal substitutes
 t/sqrt(1 + lam t^2/4) into the flat relation generators, cross-checked at
@@ -135,42 +136,22 @@ class RealSpaceFormAlgebra:
         return x.substitute(1).get(j, Fraction(0)) * 2 ** (j + 1)
 
     def kinematic(self, psi=None):
-        """Kinematic coproduct table on tau (x) tau, each entry {lam_pow: Scalar}.
-
-        Computed over Q from the transfer rule (image of tau_l is the sum of
-        tau_i (x) tau_j over i+j = n+l) and, independently, from the
-        factorized form (psi (x) tau_0) * sum of phi^i (x) phi^j; the two
-        must agree term by term.  The single power of pi, alpha_n/2^(n+1),
-        is attached as the entries are written.
+        """Kinematic coproduct table on tau (x) tau, each entry {lam_pow: Scalar},
+        from the transfer rule: the image of tau_l is the sum of tau_i (x) tau_j
+        over i+j = n+l, so every term lam^p tau_l of psi writes its own cells.
+        The single power of pi, alpha_n/2^(n+1), is attached as the entries
+        are written.  ``checks.kinematic_routes_agree`` compares the table term
+        by term with the factorized form (psi (x) tau_0) * sum of
+        phi^i (x) phi^j.
         """
         n = self.n
         if psi is None:
             psi = self.chi()
-
-        route_a = {}
-        for (l, p), c in psi.coeffs.items():
-            for i in range(l, n + 1):
-                key = (i, n + l - i, p)
-                route_a[key] = route_a.get(key, 0) + c
-
-        route_b = {}
-        tau0 = self.tau(0)
-        for i in range(n + 1):
-            left = psi * self.phi(i) if i else psi
-            right = tau0 * self.phi(n - i) if n - i else tau0
-            for (a, pa), ca in left.coeffs.items():
-                for (b, pb), cb in right.coeffs.items():
-                    key = (a, b, pa + pb)
-                    route_b[key] = route_b.get(key, 0) + ca * cb
-
-        clean_a = {k: v for k, v in route_a.items() if v}
-        if clean_a != {k: v for k, v in route_b.items() if v}:
-            raise AssertionError("space-form kinematic routes disagree")
-
         factor = alpha(n) * Fraction(1, 2 ** (n + 1))
         entries = {}
-        for (i, j, p), c in clean_a.items():
-            entries.setdefault(((i, 0), (j, 0)), {})[p] = factor * c
+        for (l, p), c in psi.coeffs.items():
+            for i in range(l, n + 1):
+                entries.setdefault(((i, 0), (n + l - i, 0)), {})[p] = factor * c
         return TensorTable("spaceform", n, "standard", "tau",
                            {d: [f"tau_{d}"] for d in range(n + 1)}, entries)
 

@@ -26,7 +26,9 @@ bases come from the raw Tasaki rows reduced through normal forms, and above
 the middle degree from the Fourier images of the complementary degree.  The
 U(n) chi blocks and Tasaki matrices invert the pairing of the Tasaki basis
 against its Fourier image, with the monomial Gram read off the reduction map
-and the disk functional.
+and the disk functional.  An SO(n) table in a display basis is built in two
+passes: the table in its native basis, then a second table that scales each
+entry by the diagonal change of basis of both legs.
 
 Every oracle that reads rotations reads ``np.ascontiguousarray(rots)``:
 einsum and matmul choose their summation order, and whether they fuse a
@@ -40,11 +42,12 @@ from itertools import combinations
 import numpy as np
 
 from intgeo.bodies import sample_blocks
+from intgeo.euclid import SOValuation, _so_basis_coeff
 from intgeo.graded import GeneratorSet, QuotientAlgebra, mono_mul
 from intgeo.hermitian import (PiMatrix, _chi_block, _klain_columns, _UnTable,
                               kinematic_un, tasaki_monomial_rows, un_model)
 from intgeo.linalg import SingularMatrixError, identity, kernel_basis, rref
-from intgeo.scalars import Scalar, binomial
+from intgeo.scalars import Scalar, alpha, binomial
 from intgeo.spaceforms import _cp_pairing_matrix, complex_space_form
 
 GJK_TOL = 1e-10
@@ -663,3 +666,32 @@ def additive_two_congruences(n, phi):
                               lambda d: (2 * n - d, model.fourier_matrix(d)))
     return {basis: display_congruence(n, add, basis)
             for basis in ("monomial", "tasaki", "hermitian")}
+
+
+# -- SO(n) tables, native basis first ----------------------------------------------
+
+def so_two_pass(table, n, phi=None, basis="t", normalization="standard"):
+    """The entries of ``euclid.kinematic_so`` (table "kinematic") or
+    ``euclid.additive_so`` ("additive") as ``euclid`` built them before it
+    wrote each entry once in its basis: first the table in its native basis
+    (t for the kinematic table, psi for the additive one), then a second
+    table whose entry (a, b) is the native one times s_a s_b, with
+    s_d = c(native, d) / c(basis, d) for basis_d = c(basis, d) t^d."""
+    native = {}
+    if table == "kinematic":
+        src, phi = "t", phi or SOValuation.chi(n)
+        factor = (alpha(n) * Fraction(1, 2 ** (n + 1)) if normalization == "standard"
+                  else Scalar.one())
+        for c, coeff in phi.t_coeffs().items():
+            for a in range(c, n + 1):
+                native[a, n + c - a] = factor * coeff
+    else:
+        src, phi = "psi", phi or SOValuation.volume(n)
+        for k, coeff in phi.in_basis("psi").items():
+            for i in range(k + 1):
+                native[i, k - i] = coeff * binomial(k, i)
+    if basis == src:
+        return {((a, 0), (b, 0)): v for (a, b), v in native.items()}
+    scale = [_so_basis_coeff(n, src, d) * _so_basis_coeff(n, basis, d).inverse()
+             for d in range(n + 1)]
+    return {((a, 0), (b, 0)): v * scale[a] * scale[b] for (a, b), v in native.items()}

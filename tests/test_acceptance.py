@@ -104,10 +104,11 @@ def test_criterion_10_first_order_brackets():
     assert ker.coeffs == {(0, 0): pref(30), (0, 1): pref(-6),
                           (1, 0): pref(-3), (1, 1): pref(7)}
     atab = hermitian.additive_un(4, hermitian.intrinsic_volume_element(4, 7))
-    coeffs, _, _ = hermitian.klain_expand_block(4, atab, 4, 3)
+    block = hermitian.convert_un_table(atab, 4, "tasaki").block(4, 3)
     e = Scalar.from_rational
-    assert coeffs == {(0, 0): e(Fraction(30, 120)), (0, 1): e(Fraction(-6, 120)),
-                      (1, 0): e(Fraction(-3, 120)), (1, 1): e(Fraction(7, 120))}
+    assert block.scalars() == [[e(Fraction(30, 120)), e(Fraction(-6, 120))],
+                               [e(Fraction(-3, 120)), e(Fraction(7, 120))],
+                               [Scalar.zero(), Scalar.zero()]]
     assert time.time() - t0 < 60
     report(10, "length-average and Minkowski-sum brackets are exactly "
                "(1/(5 pi^4)) resp. (1/120) times [30, -6, -3, +7]")

@@ -6,6 +6,7 @@ import pytest
 from intgeo import checks
 from intgeo import euclid as E
 from intgeo.scalars import Scalar, alpha, omega
+from oracles import so_two_pass
 
 
 def entries_by_degree(table):
@@ -180,11 +181,21 @@ def test_basis_round_trips():
             assert val.in_basis(basis) == coeffs
 
 
-def test_table_conversions_invertible():
-    for n in (2, 3):
-        t_table = E.kinematic_so(n)
-        back = E.convert_so_table(E.convert_so_table(t_table, n, "mu"), n, "t")
-        assert back.entries == t_table.entries
+def test_so_tables_match_two_pass_oracle():
+    """Every SO table, written once in its basis, equals its native table
+    converted by a second diagonal pass: n <= 16, every basis and
+    normalization, chi or the volume and every basis valuation."""
+    bases = ("t", "mu", "psi", "nijenhuis")
+    for n in range(1, 17):
+        for basis in bases:
+            phis = [None] + [E.SOValuation.from_coeffs(n, {i: Scalar.one()}, basis=basis)
+                             for i in range(n + 1)]
+            for i, phi in enumerate(phis):
+                for norm in ("standard", "unit"):
+                    assert E.kinematic_so(n, phi, basis, norm).entries \
+                        == so_two_pass("kinematic", n, phi, basis, norm), (n, basis, i, norm)
+                assert E.additive_so(n, phi, basis).entries \
+                    == so_two_pass("additive", n, phi, basis), (n, basis, i)
 
 
 def test_additive_coassociative():

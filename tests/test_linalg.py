@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intgeo import linalg
-from intgeo.hermitian import un_algebra
-from intgeo.linalg import (SingularMatrixError, identity, invert_exact,
+from intgeo.hermitian import PiMatrix, un_algebra
+from intgeo.linalg import (SingularMatrixError, identity, invert_integer,
                            kernel_basis, kernel_equals_span, rref)
 from intgeo.scalars import MixedPiGrading, Scalar
 from intgeo.spaceforms import complex_space_form
@@ -17,7 +17,10 @@ F0, F1 = Fraction(0), Fraction(1)
 
 def test_identity_inverse():
     eye = identity(3)
-    assert invert_exact(eye) == eye
+    assert invert_integer(eye) == (1, eye)
+    assert invert_integer([]) == (1, [])
+    with pytest.raises(ValueError):
+        invert_integer([[1, 2]])
 
 
 def test_scalar_one_by_one():
@@ -28,7 +31,9 @@ def test_scalar_one_by_one():
 
 def test_singular_raises():
     with pytest.raises(SingularMatrixError):
-        invert_exact([[F1, F1], [F1, F1]])
+        invert_integer([[1, 1], [1, 1]])
+    with pytest.raises(SingularMatrixError):
+        PiMatrix(1, [[1, 1], [1, 1]], 3).inverse()
     with pytest.raises(SingularMatrixError):
         invert_exact_scalar([[Scalar.pi_power(1), Scalar.one()],
                              [Scalar.pi_power(2), Scalar.pi_power(1)]])
@@ -38,12 +43,22 @@ def test_singular_raises():
                          min_size=4, max_size=4), min_size=4, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_random_inverse(rows):
+    """invert_integer on the integer part of a random rational block gives
+    (c, c m^-1); the block's inverse agrees with the Scalar Bareiss oracle
+    and is a two-sided inverse over Q."""
+    block = PiMatrix.read(rows)
     try:
-        inv = invert_exact(rows)
+        det, adj = invert_integer(block.m)
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError):
             invert_exact_scalar(rows)
+        with pytest.raises(SingularMatrixError):
+            block.inverse()
         return
+    scaled = [[det * x for x in row] for row in identity(4)]
+    assert mat_mul(block.m, adj) == mat_mul(adj, block.m) == scaled
+    assert block.inverse().scalars() == invert_exact_scalar(rows)
+    inv = [[x.coeff for x in row] for row in block.inverse().scalars()]
     assert mat_mul(rows, inv) == identity(4)
     assert mat_mul(inv, rows) == identity(4)
 

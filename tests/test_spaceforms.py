@@ -64,6 +64,7 @@ def test_kinematic_routes_and_flat_limit():
         assert checks.curved_kinematic_routes(n), n
         v = SF.real_space_form(n)
         for l in range(n + 1):
+            assert checks.kinematic_routes_agree(v, v.tau(l)), (n, l)
             table = v.kinematic(v.tau(l))
             factor = {0: alpha(n) * Fraction(1, 2 ** (n + 1))}
             for ((i, _), (j, _)), c in table.entries.items():
@@ -258,6 +259,8 @@ def test_series_utilities():
 
 
 def test_space_form_kinematic_multiplicative_and_cocommutative():
+    """The kinematic table is multiplicative, cocommutative, and agrees with
+    the factorized route for random psi, rho and psi * rho."""
     import random
     rng = random.Random(43)
     for n in (2, 3, 4):
@@ -271,6 +274,8 @@ def test_space_form_kinematic_multiplicative_and_cocommutative():
                              for i in range(n + 1)})
             rho = v.element({i: Fraction(rng.randint(-2, 2))
                              for i in range(n + 1)})
+            for x in (psi, rho, psi * rho):
+                assert checks.kinematic_routes_agree(v, x), n
             lhs = v.kinematic(psi * rho).entries
             rhs = {}
             for ((i, _), (j, _)), cs in v.kinematic(rho).entries.items():
