@@ -141,7 +141,10 @@ def _table(n, basis, normalization):
 @lru_cache(maxsize=None)
 def _scales(n, native, basis):
     """Per degree d, the factor taking a coordinate on native_d to one on
-    basis_d: a table entry of bidegree (a, b) scales by s_a s_b."""
+    basis_d: a table entry of bidegree (a, b) scales by s_a s_b.  None in
+    the native basis itself, where every factor is 1."""
+    if basis == native:
+        return None
     return [_so_basis_coeff(n, native, d) * _so_basis_coeff(n, basis, d).inverse()
             for d in range(n + 1)]
 
@@ -169,7 +172,8 @@ def kinematic_so(n, phi=None, basis="t", normalization="standard"):
         for a in range(c, n + 1):
             b = n + c - a
             if 0 <= b <= n:
-                table.add((a, 0), (b, 0), value * scale[a] * scale[b])
+                table.add((a, 0), (b, 0),
+                          value if scale is None else value * scale[a] * scale[b])
     return table
 
 
@@ -186,8 +190,9 @@ def additive_so(n, phi=None, basis="psi"):
     table = _table(n, basis, "standard")
     for k, coeff in phi.in_basis("psi").items():
         for i in range(k + 1):
-            j = k - i
-            table.add((i, 0), (j, 0), coeff * binomial(k, i) * scale[i] * scale[j])
+            j, value = k - i, coeff * binomial(k, i)
+            table.add((i, 0), (j, 0),
+                      value if scale is None else value * scale[i] * scale[j])
     return table
 
 

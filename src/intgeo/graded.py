@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import rref
-from .scalars import Scalar
+from .scalars import Scalar, cell_coefficient
 
 
 class GeneratorSet:
@@ -284,8 +284,8 @@ class TensorTable:
     Legs are addressed as (degree, index) into per-degree ordered bases, and
     ``basis_labels`` names every index of every degree.  The table carries its
     group/normalization/basis tags so emitted documents are never ambiguous
-    about conventions; every format is written from the table's own
-    coefficients and labels.
+    about conventions.  ``entries`` is the library view, {(left, right):
+    coefficient}; ``cells`` is the one stream every format is written from.
     """
 
     def __init__(self, group, dim, normalization, basis, basis_labels,
@@ -314,6 +314,15 @@ class TensorTable:
     def __eq__(self, other):
         return isinstance(other, TensorTable) and self.entries == other.entries
 
-    def sorted_items(self):
-        """Entries sorted by bidegree and index, left leg first."""
-        return sorted(self.entries.items(), key=lambda kv: kv[0])
+    def cells(self):
+        """The entries sorted by bidegree and index, left leg first, each as
+        (left degree, left index, right degree, right index, coefficient),
+        the coefficient read by ``cell_coefficient``."""
+        return sorted(left + right + (cell_coefficient(c),)
+                      for (left, right), c in self.entries.items())
+
+    def json_labels(self):
+        """``basis_labels`` with every label quoted as a JSON string."""
+        import json  # loaded with the emitters, which alone call this
+        return {d: [json.dumps(x) for x in labels]
+                for d, labels in self.basis_labels.items()}

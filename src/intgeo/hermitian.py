@@ -453,17 +453,17 @@ def _apply(vec, f):
     return (PiMatrix.read([vec]) @ f).scalars()[0]
 
 
-def _cells(block):
-    """(i, j, Scalar) for each nonzero entry of the block pi^e m / d."""
-    return ((i, j, Scalar(Fraction(v, block.d), block.e)) for i, row in enumerate(block.m)
-            for j, v in enumerate(row) if v)
-
-
 @lru_cache(maxsize=None)
 def _labels(n, basis):
     """The labels of every degree of a U(n) display basis, which the tables
     in that basis share."""
     return {d: un_model(n).basis_labels(d, basis) for d in range(2 * n + 1)}
+
+
+@lru_cache(maxsize=None)
+def _json_labels(n, basis):
+    """``_labels(n, basis)`` quoted as JSON strings, once per (n, basis)."""
+    return TensorTable("U", n, "standard", basis, _labels(n, basis)).json_labels()
 
 
 class _UnTable(TensorTable):
@@ -473,8 +473,9 @@ class _UnTable(TensorTable):
     the display coordinates.  F_d composed with the display legs of degree
     2n - d is ``display_inverse(d, basis)`` outside the monomial basis,
     because F_d S_(2n-d) = S_d for the Klain coordinates S.  ``block`` is the
-    one reader of the canonical blocks; the Scalar entries are written once,
-    the first time they are read."""
+    one reader of the canonical blocks and ``cells`` the one reader of
+    ``block``: the emitters format its integer cells, and ``entries`` is
+    their Scalar image, written once, the first time it is read."""
 
     def __init__(self, n, blocks, fourier=False, basis="monomial"):
         super().__init__("U", n, "standard", basis, _labels(n, basis))
@@ -504,16 +505,31 @@ class _UnTable(TensorTable):
         a = self._leg(sl)
         return c if a is None else a.T @ c @ self._leg(sr)
 
+    def cells(self):
+        """The nonzero cells of every block, each pi^e v/d reduced by one gcd,
+        sorted once; the legs are one-to-one on degrees, so no cell is
+        written twice.  No Scalar or Fraction is built."""
+        out = []
+        for dl, dr in self.blocks:
+            tl, tr = self._across(dl), self._across(dr)
+            e, m, d = self.block(tl, tr)
+            for i, row in enumerate(m):
+                for j, v in enumerate(row):
+                    if v:
+                        g = gcd(v, d)
+                        out.append((tl, i, tr, j, (v // g, d // g, e)))
+        out.sort()
+        return out
+
+    def json_labels(self):
+        return _json_labels(self.dim, self.basis)
+
     @property
     def entries(self):
-        """Written once from the blocks; the legs are one-to-one on degrees,
-        so no entry is written twice."""
+        """The Scalar image of ``cells``, written the first time it is read."""
         if self._entries is None:
-            self._entries = {}
-            for dl, dr in self.blocks:
-                tl, tr = self._across(dl), self._across(dr)
-                self._entries.update((((tl, i), (tr, j)), v)
-                                     for i, j, v in _cells(self.block(tl, tr)))
+            self._entries = {((ld, li), (rd, ri)): Scalar(Fraction(v, d), e)
+                             for ld, li, rd, ri, (v, d, e) in self.cells()}
         return self._entries
 
     @entries.setter
@@ -665,8 +681,8 @@ def first_order_formula(n, k, l, space="euclidean"):
         terms = {m: c * Scalar.pi_power(-n, factorial(n)) for m, c in terms.items()}
     key, c = _product_block(n, list(terms), PiMatrix.read([list(terms.values())]),
                             2 * n - l)
-    block = _UnTable(n, {key: c}, basis="tasaki").block(k, l)
-    coeffs = {(i, j): v for i, j, v in _cells(block)}
+    block = _UnTable(n, {key: c}, basis="tasaki").block(k, l).scalars()
+    coeffs = {(i, j): v for i, row in enumerate(block) for j, v in enumerate(row) if v}
     return FirstOrderKernel(n, k, l, coeffs, k > n, l > n)
 
 

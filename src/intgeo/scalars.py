@@ -109,6 +109,17 @@ class Scalar:
                            "den": str(self.coeff.denominator)}] if self else []}
 
 
+def cell_coefficient(s):
+    """A table coefficient as the emitters read it: (num, den, pi power) in
+    lowest terms for a Scalar or a rational, and {lam power: (num, den,
+    pi power)} for a curvature entry {lam power: Scalar}."""
+    if isinstance(s, dict):
+        return {j: cell_coefficient(c) for j, c in s.items()}
+    if not isinstance(s, Scalar):
+        s = Scalar.pi_power(0, s)
+    return s.coeff.numerator, s.coeff.denominator, s.pi_pow
+
+
 def omega(k):
     """Volume of the k-dimensional unit ball, pi^(k/2) / Gamma(1 + k/2), as an
     exact Scalar: pi^m / m! for k = 2m, and 2^k m! pi^m / k! for k = 2m + 1."""

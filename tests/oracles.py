@@ -28,7 +28,10 @@ U(n) chi blocks and Tasaki matrices invert the pairing of the Tasaki basis
 against its Fourier image, with the monomial Gram read off the reduction map
 and the disk functional.  An SO(n) table in a display basis is built in two
 passes: the table in its native basis, then a second table that scales each
-entry by the diagonal change of basis of both legs.
+entry by the diagonal change of basis of both legs.  A table's bytes come
+from one dict per term with both labels and its coefficient as
+``scalar_to_json`` data, dumped by ``emit_json``; CSV and LaTeX format the
+sorted Scalar entries; a U(n) table writes its Scalar entries block by block.
 
 Every oracle that reads rotations reads ``np.ascontiguousarray(rots)``:
 einsum and matmul choose their summation order, and whether they fuse a
@@ -36,10 +39,14 @@ multiply and an add, from the strides of their operands, so the oracles
 see the memory layout the old estimators saw.
 """
 
+import csv
+import io
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from intgeo import emitters
 
 from intgeo.bodies import sample_blocks
 from intgeo.euclid import SOValuation, _so_basis_coeff
@@ -695,3 +702,115 @@ def so_two_pass(table, n, phi=None, basis="t", normalization="standard"):
     scale = [_so_basis_coeff(n, src, d) * _so_basis_coeff(n, basis, d).inverse()
              for d in range(n + 1)]
     return {((a, 0), (b, 0)): v * scale[a] * scale[b] for (a, b), v in native.items()}
+
+
+# -- table bytes, through one dict per term ------------------------------------------
+
+def scalar_text(s):
+    """A rational, a Scalar or a curvature entry {lam_pow: Scalar} as CSV
+    text, formatted from the Scalar itself."""
+    if isinstance(s, (int, Fraction)):
+        s = Scalar.from_rational(s)
+    if isinstance(s, dict):
+        return " + ".join(
+            f"({scalar_text(c)})" + ("" if j == 0 else f"*lam^{j}")
+            for j, c in sorted(s.items())) or "0"
+    c, p = s.coeff, s.pi_pow
+    frac = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    return frac if p == 0 else f"{frac}*pi^{p}"
+
+
+def _latex_frac(c):
+    if c.denominator == 1:
+        return str(c.numerator)
+    sign = "-" if c.numerator < 0 else ""
+    return f"{sign}\\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+
+
+def scalar_to_latex(s):
+    if isinstance(s, (int, Fraction)):
+        s = Scalar.from_rational(s)
+    if isinstance(s, dict):
+        bits = []
+        for j, c in sorted(s.items()):
+            lam = "" if j == 0 else ("\\lambda" if j == 1 else f"\\lambda^{{{j}}}")
+            bits.append(f"\\left({scalar_to_latex(c)}\\right){lam}")
+        return " + ".join(bits) or "0"
+    frac, p = _latex_frac(s.coeff), s.pi_pow
+    if p == 0:
+        return frac
+    return f"{frac}\\,\\pi" if p == 1 else f"{frac}\\,\\pi^{{{p}}}"
+
+
+def sorted_items(table):
+    """A table's entries sorted by bidegree and index, left leg first."""
+    return sorted(table.entries.items(), key=lambda kv: kv[0])
+
+
+def table_rows(table):
+    """The entries sorted by bidegree and index, each as (left degree, left
+    index, left label, right degree, right index, right label, coefficient)."""
+    labels = table.basis_labels
+    for ((ld, li), (rd, ri)), c in sorted_items(table):
+        yield ld, li, labels[ld][li], rd, ri, labels[rd][ri], c
+
+
+def table_document(table):
+    """FormulaTableDocument: a pure-data view of a coefficient table."""
+    return {
+        "group": table.group,
+        "dimension": table.dim,
+        "normalization": table.normalization,
+        "basis": table.basis,
+        "terms": [{"left_degree": ld, "left_index": li, "left_label": ll,
+                   "right_degree": rd, "right_index": ri, "right_label": rl,
+                   "coefficient": emitters.scalar_to_json(c)}
+                  for ld, li, ll, rd, ri, rl, c in table_rows(table)],
+    }
+
+
+def table_csv(table):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["group", "dimension", "normalization", "basis",
+                     "left_degree", "left_index", "left_label",
+                     "right_degree", "right_index", "right_label", "coefficient"])
+    tags = [table.group, table.dim, table.normalization, table.basis]
+    for *legs, c in table_rows(table):
+        writer.writerow(tags + legs + [scalar_text(c)])
+    return buf.getvalue().encode()
+
+
+def table_latex(table):
+    lines = [
+        f"% group {table.group}, dimension {table.dim}, "
+        f"normalization {table.normalization}, basis {table.basis}",
+        "\\begin{array}{lll}",
+        "\\text{left} & \\text{right} & \\text{coefficient} \\\\",
+    ]
+    for _, _, left, _, _, right, c in table_rows(table):
+        lines.append(f"{left} & {right} & {scalar_to_latex(c)} \\\\")
+    lines.append("\\end{array}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def table_bytes(table, fmt):
+    """What ``emitters.emit_table`` wrote before every format read the
+    table's cells: the JSON document through ``emit_json``, and CSV and LaTeX
+    formatted from the sorted Scalar entries."""
+    if fmt == "json":
+        return emitters.emit_json(table_document(table))
+    return {"csv": table_csv, "latex": table_latex}[fmt](table)
+
+
+def un_block_entries(table):
+    """The Scalar entries of a U(n) table as ``_UnTable.entries`` wrote them
+    before it read ``cells``: block by block, one Scalar(Fraction(v, d), e)
+    per nonzero integer v of the block pi^e m / d."""
+    out = {}
+    for dl, dr in table.blocks:
+        tl, tr = table._across(dl), table._across(dr)
+        block = table.block(tl, tr)
+        out.update((((tl, i), (tr, j)), Scalar(Fraction(v, block.d), block.e))
+                   for i, row in enumerate(block.m) for j, v in enumerate(row) if v)
+    return out

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from intgeo import cli, emitters, euclid, hermitian
+from intgeo import cli, emitters, euclid, hermitian, spaceforms
 from intgeo.graded import TensorTable
 from intgeo.scalars import Scalar
+from oracles import sorted_items, table_bytes, table_document
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -23,23 +24,28 @@ def test_scalar_string_and_json():
     # a curvature entry {lam_pow: Scalar}, as the space-form tables hold them
     lam = {0: Scalar.one(), 2: Scalar.pi_power(1)}
     assert emitters.scalar_to_string(lam) == "(1) + (1*pi^1)*lam^2"
-    assert emitters.scalar_to_latex(lam) \
-        == "\\left(1\\right) + \\left(1\\,\\pi\\right)\\lambda^{2}"
 
 
 def test_latex_rendering():
-    assert emitters.scalar_to_latex(Scalar.pi_power(2, Fraction(1, 8))) \
-        == "\\tfrac{1}{8}\\,\\pi^{2}"
-    assert emitters.scalar_to_latex(Scalar.from_rational(3)) == "3"
+    labels = {0: ["a"], 1: ["b"]}
+    table = TensorTable("SO", 1, "standard", "t", labels, {
+        ((0, 0), (0, 0)): Scalar.pi_power(2, Fraction(1, 8)),
+        ((0, 0), (1, 0)): Scalar.from_rational(3),
+        ((1, 0), (1, 0)): {0: Scalar.one(), 2: Scalar.pi_power(1)}})
+    rows = emitters.emit_table(table, "latex").decode().splitlines()[3:-1]
+    assert rows == ["a & a & \\tfrac{1}{8}\\,\\pi^{2} \\\\",
+                    "a & b & 3 \\\\",
+                    "b & b & \\left(1\\right) + \\left(1\\,\\pi\\right)\\lambda^{2} \\\\"]
 
 
 def test_table_document_round_trip():
     table = euclid.kinematic_so(2, basis="mu")
-    doc = emitters.table_document(table)
+    doc = table_document(table)
     assert doc["normalization"] == "standard"
     assert doc["basis"] == "mu"
     assert [t["coefficient"] for t in doc["terms"]] \
-        == [emitters.scalar_to_json(c) for _, c in table.sorted_items()]
+        == [emitters.scalar_to_json(c) for _, c in sorted_items(table)]
+    assert json.loads(emitters.emit_table(table, "json").decode()) == doc
 
 
 def test_emitters_deterministic():
@@ -50,9 +56,89 @@ def test_emitters_deterministic():
 
 def test_empty_table_valid():
     empty = TensorTable("SO", 2, "standard", "t", basis_labels={0: ["t_0"]})
-    doc = emitters.table_document(empty)
+    doc = table_document(empty)
     assert doc["terms"] == []
-    json.loads(emitters.emit_json(doc).decode())
+    assert json.loads(emitters.emit_table(empty, "json").decode()) == doc
+    for fmt in ("json", "csv", "latex"):
+        assert emitters.emit_table(empty, fmt) == table_bytes(empty, fmt), fmt
+
+
+SO_BASES = ("t", "mu", "psi", "nijenhuis")
+UN_BASES = ("monomial", "tasaki", "hermitian")
+
+
+def _same_bytes(table, formats=("json", "csv", "latex")):
+    """The cell writers against the old route: the JSON document built as one
+    dict per term and dumped by ``emit_json``, CSV and LaTeX formatted from
+    the sorted Scalar entries."""
+    for fmt in formats:
+        assert emitters.emit_table(table, fmt) == table_bytes(table, fmt), fmt
+
+
+def test_cell_writers_match_document_route_on_golden_grid():
+    """Every table of the golden grid in the formats it pins: SO n <= 3 in
+    every basis and format, U(n) in every basis as JSON for n <= 10 and as
+    CSV and LaTeX for n <= 5, and the real space forms n <= 12 in every
+    format."""
+    for n in range(4):
+        for basis in SO_BASES:
+            _same_bytes(euclid.kinematic_so(n, basis=basis))
+            _same_bytes(euclid.additive_so(n, basis=basis))
+    for n in range(11):
+        for build in (hermitian.kinematic_un, hermitian.additive_un):
+            table = build(n)
+            for basis in UN_BASES:
+                _same_bytes(hermitian.convert_un_table(table, n, basis),
+                            ("json", "csv", "latex") if n <= 5 else ("json",))
+    for n in range(1, 13):
+        _same_bytes(spaceforms.real_space_form(n).kinematic())
+
+
+@pytest.mark.parametrize("n", (6, 8, 10))
+def test_cell_json_matches_document_route_on_warm_queries(n):
+    """The JSON of every U(n) query the exact-warm benchmark draws from: each
+    basis element, both tables, every basis."""
+    alg = hermitian.un_model(n).alg
+    for k in range(2 * n + 1):
+        for i in range(alg.dimension(k)):
+            phi = alg.basis_element(k, i)
+            for build in (hermitian.kinematic_un, hermitian.additive_un):
+                table = build(n, phi)
+                for basis in UN_BASES:
+                    _same_bytes(hermitian.convert_un_table(table, n, basis), ("json",))
+
+
+def test_cell_writers_match_document_route_on_so_tables():
+    """SO tables n <= 16, every basis and normalization, chi or the volume
+    and the basis valuation of degree n // 2, in every format."""
+    for n in range(17):
+        for basis in SO_BASES:
+            for phi in (None, euclid.SOValuation.from_coeffs(n, {n // 2: Scalar.one()}, basis)):
+                for norm in ("standard", "unit"):
+                    _same_bytes(euclid.kinematic_so(n, phi, basis, norm))
+                _same_bytes(euclid.additive_so(n, phi, basis))
+
+
+def test_cell_writers_match_document_route_on_lam_cells_and_escapes():
+    """Cells holding two powers of lam, and a hand-built table whose tags and
+    labels need JSON and CSV escaping, with a zero Scalar, rationals and an
+    empty curvature entry among its coefficients."""
+    v = spaceforms.real_space_form(4)
+    psi = v.element({i: Fraction(i + 1) for i in range(5)})
+    rho = v.element({i: Fraction(2 - i) for i in range(5)})
+    table = v.kinematic(psi * rho)
+    assert sum(len(c) > 1 for c in table.entries.values()) == 6
+    _same_bytes(table)
+    labels = {0: ['say "hi"', "back\\slash"], 1: ["\u03c8_1,\u00e9", "tab\tnew\nline"]}
+    table = TensorTable('U"\\', 2, "st\u00e4ndard", "b,\\", labels, {
+        ((1, 1), (0, 0)): Scalar.pi_power(-3, Fraction(-7, 12)),
+        ((0, 1), (1, 0)): Scalar.zero(),
+        ((0, 0), (1, 1)): Fraction(5, 2),
+        ((0, 0), (0, 1)): -4,
+        ((1, 0), (0, 1)): {},
+        ((1, 0), (1, 0)): {3: Scalar.pi_power(1, -1), 0: Scalar.from_rational(2)}})
+    _same_bytes(table)
+    assert json.loads(emitters.emit_table(table, "json").decode()) == table_document(table)
 
 
 def test_golden_so3_byte_equality():
@@ -235,8 +321,9 @@ def test_console_script_installed():
 
 def test_document_json_round_trip_lossless():
     table = hermitian.convert_un_table(hermitian.kinematic_un(2), 2, "tasaki")
-    doc = emitters.table_document(table)
+    doc = table_document(table)
     assert json.loads(emitters.emit_json(doc).decode()) == doc
+    assert json.loads(emitters.emit_table(table, "json").decode()) == doc
 
 
 def test_cli_flags_without_effect_exit_2(capsys):

@@ -13,7 +13,7 @@ from intgeo.linalg import identity
 from intgeo.scalars import Scalar, binomial, omega
 from oracles import (additive_two_congruences, display_congruence, display_route,
                      invert_exact_scalar, kinematic_un_products, mat_mul, pairing_route,
-                     scalar_mat_mul, un_evaluation_kernel_quotient)
+                     scalar_mat_mul, un_block_entries, un_evaluation_kernel_quotient)
 
 
 def poly_add(p, q):
@@ -583,6 +583,22 @@ def test_display_query_writes_only_its_own_entries():
             emitters.emit_table(shown, "json")
             assert table._entries is None, (build, basis)
             assert shown.entries is shown.entries
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_un_entries_are_the_scalar_image_of_the_cells(n):
+    """A U(n) table's entries, read off its cells, equal the Scalars its
+    blocks write one by one: chi or the volume and the first basis element
+    of every degree, both tables, every basis."""
+    alg = H.un_model(n).alg
+    phis = [None] + [alg.basis_element(k, 0) for k in range(2 * n + 1)]
+    for phi in phis:
+        for build in (H.kinematic_un, H.additive_un):
+            table = build(n, phi)
+            for basis in ("monomial", "tasaki", "hermitian"):
+                shown = H.convert_un_table(table, n, basis)
+                assert _with_pi(shown.entries) == _with_pi(un_block_entries(shown)), \
+                    (phi, build, basis)
 
 
 def _klain_block(table, n, k, l):
