@@ -1,16 +1,16 @@
 """Weighted-graded commutative polynomial algebras with exact quotients.
 
 A ``QuotientAlgebra`` is built from generator names with positive integer
-weights, a list of ideal generators, and a truncation degree D.  Every
-monomial of degree > D is zero in the quotient.  Construction enumerates
-every monomial of degree <= D, row-reduces the span of all ideal multiples
-(each cut off at degree D) over Q, and keeps the non-pivot monomials as the
-normal-form basis.  Rows are sparse, so the reduction keeps to the degrees
-by itself: a multiple of a homogeneous generator holds columns of one degree
-only, and one of a generator that mixes degrees (a filtered quotient) holds
-only the degrees it spans.  The monomial order eliminates high exponents of
-heavier generators first, so low-s monomials survive as basis
-representatives.
+weights, a list of ideal generators, and a truncation degree D above which
+every monomial is zero.  Construction row-reduces the span of all ideal
+multiples (each cut off at degree D) over Q, and keeps the non-pivot
+monomials as the normal-form basis.  Rows are sparse, so the reduction
+keeps to the degrees by itself: a multiple of a homogeneous generator holds
+columns of one degree only, and one of a generator that mixes degrees (a
+filtered quotient) holds only the degrees it spans.  The monomial order
+eliminates high exponents of heavier generators first, so low-s monomials
+survive as basis representatives.  ``from_normal_forms`` instead takes a
+basis and a reduction map found another way.
 """
 
 from __future__ import annotations
@@ -143,18 +143,15 @@ class QuotientAlgebra:
 
     The ideal multiples are sparse rows {column: coefficient} over
     ``columns``, reduced by one ``rref``; its pivots are the monomials that
-    leave the basis.
+    leave the basis.  ``from_normal_forms`` builds the quotient from a basis
+    and a reduction map computed another way.
     """
 
     def __init__(self, names, weights, ideal, truncation):
-        self.gens = gens = GeneratorSet(names, weights)
-        self.truncation = D = int(truncation)
+        self._grade(GeneratorSet(names, weights), int(truncation))
+        gens, D, columns = self.gens, self.truncation, self.columns
         self.ideal = [dict(g) for g in ideal if g]
-
-        self.columns = [m for d in range(D + 1)
-                        for m in sorted(gens.monomials_of_degree(d),
-                                        key=gens.elimination_key)]
-        self.col_index = {m: i for i, m in enumerate(self.columns)}
+        col_index = {m: i for i, m in enumerate(columns)}
 
         rows = []
         for g in self.ideal:
@@ -167,33 +164,45 @@ class QuotientAlgebra:
                     for mg, c in g.items():
                         mm = mono_mul(m, mg)
                         if gens.degree(mm) <= D and c:
-                            row[self.col_index[mm]] = c
+                            row[col_index[mm]] = c
                     if row:
                         rows.append(row)
 
-        reduced, pivots = rref(rows, len(self.columns))
+        reduced, pivots = rref(rows, len(columns))
         pivot_set = set(pivots)
 
-        self.basis = {d: [] for d in range(D + 1)}
-        for i, m in enumerate(self.columns):
+        basis = {d: [] for d in range(D + 1)}
+        for i, m in enumerate(columns):
             if i not in pivot_set:
-                self.basis[gens.degree(m)].append(m)
-        for d in self.basis:
+                basis[gens.degree(m)].append(m)
+        for d in basis:
             # display order: low exponents of heavy generators first
-            self.basis[d] = sorted(self.basis[d],
-                                   key=lambda m: tuple(reversed(gens.elimination_key(m))))
+            basis[d] = sorted(basis[d], key=lambda m: tuple(reversed(gens.elimination_key(m))))
 
         # reduction map: every monomial of degree <= D -> basis coordinates,
         # in column order whatever order the elimination left in a row
-        self.reduction = {m: {m: Fraction(1)} for i, m in enumerate(self.columns)
-                          if i not in pivot_set}
+        reduction = {m: {m: Fraction(1)} for i, m in enumerate(columns)
+                     if i not in pivot_set}
         for row, p in zip(reduced, pivots):
-            self.reduction[self.columns[p]] = {
-                self.columns[j]: -c for j, c in sorted(row.items()) if j != p}
+            reduction[columns[p]] = {columns[j]: -c for j, c in sorted(row.items()) if j != p}
+        self.basis, self.reduction = basis, reduction
+        self.basis_index = {d: {m: i for i, m in enumerate(ms)} for d, ms in basis.items()}
 
-        self.basis_index = {
-            d: {m: i for i, m in enumerate(self.basis[d])} for d in self.basis
-        }
+    @classmethod
+    def from_normal_forms(cls, names, weights, basis, reduction):
+        """The quotient with the given basis {degree: monomials in display
+        order} and reduction map, truncated at the top degree; no ``ideal``."""
+        self = cls.__new__(cls)
+        self._grade(GeneratorSet(names, weights), max(basis))
+        self.basis, self.reduction = basis, reduction
+        self.basis_index = {d: {m: i for i, m in enumerate(ms)} for d, ms in basis.items()}
+        return self
+
+    def _grade(self, gens, truncation):
+        """Every monomial up to the truncation, by degree in elimination order."""
+        self.gens, self.truncation = gens, truncation
+        self.columns = [m for d in range(truncation + 1)
+                        for m in sorted(gens.monomials_of_degree(d), key=gens.elimination_key)]
 
     # -- the algebra interface --------------------------------------------
 

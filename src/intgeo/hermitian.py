@@ -1,19 +1,21 @@
 """Hermitian integral geometry of (C^n, U(n)).
 
-The invariant-valuation algebra is the quotient by two generator relations,
-and ``presentations_agree`` certifies that its ideal is the kernel of disk
-evaluations.  On top of the algebra sit the Tasaki and hermitian bases, Klain
-functions in elementary-symmetric coordinates of squared cosines of Kaehler
-angles, the degree-reversing Fourier transform, the kinematic and additive
-coproducts by Poincare-pairing inversion and the multiplicative rule, Tasaki
-matrices, and the first-order integrand kernels for pairs of submanifold
-dimensions.  Kinematic blocks are read off the reduction map, and a
-first-order kernel builds only the one block it reads.
+The invariant-valuation algebra is read off its disk pairing, and
+``presentations_agree`` certifies that the pairing's kernel is the ideal of
+two generator relations.  On top of the algebra sit the Tasaki and
+hermitian bases, Klain functions in elementary-symmetric coordinates of
+squared cosines of Kaehler angles, the degree-reversing Fourier transform,
+the kinematic and additive coproducts by Poincare-pairing inversion and the
+multiplicative rule, Tasaki matrices, and the first-order integrand kernels
+for pairs of submanifold dimensions.  Kinematic blocks are read off the
+reduction map, and a first-order kernel builds only the one block it reads.
 
 The Poincare pairing of s^a t^b and s^a' t^b' is the disk value
-C(b + b', n - a - a') n!/pi^n (Bernig and Fu, Ann. of Math. 173, 2011).
-Each chi block inverts that integer Gram (``_disk_gram``), and the Tasaki
-matrices are the chi blocks in Tasaki coordinates.
+C(b + b', n - a - a') n!/pi^n (Bernig and Fu, Ann. of Math. 173, 2011), and
+it is perfect on the algebra (the source paper's ftaig).  So the basis keeps
+the monomials with independent pairing rows, each chi block inverts one
+integer Gram (``_disk_gram``), a normal form is a pairing row times a chi
+block, and the Tasaki matrices are the chi blocks in Tasaki coordinates.
 
 The Tasaki valuation tau_{k,q} has Klain function sigma_{k,q}, and above the
 middle degree the Tasaki basis is the Fourier image of the one below.  So a
@@ -88,6 +90,10 @@ class PiMatrix(NamedTuple):
         return cls.of(powers.pop() if powers else 0,
                       [[c.numerator * (d // c.denominator) for c in row] for row in rows], d)
 
+    @classmethod
+    def eye(cls, size):
+        return cls(0, identity(size))
+
     def __matmul__(self, other):
         cols = list(zip(*other.m))
         return PiMatrix.of(self.e + other.e,
@@ -149,29 +155,74 @@ def _disk_gram(n, rows, cols):
     return [[binomial(b + b2, n - a - a2) for a2, b2 in cols] for a, b in rows]
 
 
+def un_relations(n):
+    """(degree, generator) of f_(n+1) and f_(n+2), which generate the ideal."""
+    return [(n + 1, fk(n + 1)), (n + 2, fk(n + 2))]
+
+
+def _monomials(d):
+    """The monomials s^a t^(d-2a) of degree d, a ascending."""
+    return [(a, d - 2 * a) for a in range(d // 2 + 1)]
+
+
+@lru_cache(maxsize=None)
+def _disk_basis(n):
+    """{d: the basis of degree d}: each monomial of ``_monomials(d)`` whose
+    disk pairing row against degree 2n - d is independent of the rows kept
+    before it, by exact integer elimination."""
+    basis = {}
+    for d in range(2 * n + 1):
+        monos, basis[d], echelon = _monomials(d), [], []
+        for m, row in zip(monos, _disk_gram(n, monos, _monomials(2 * n - d))):
+            for p, prow in echelon:
+                if row[p]:
+                    row = [prow[p] * x - row[p] * y for x, y in zip(row, prow)]
+            if any(row):
+                g = gcd(*row)
+                echelon.append((next(j for j, x in enumerate(row) if x), [x // g for x in row]))
+                basis[d].append(m)
+    return basis
+
+
+@lru_cache(maxsize=None)
+def _reduction_rows(n, d):
+    """The reduction map of ``un_algebra(n)`` on the monomials of degree d as
+    one integer block: ({monomial: integer row over basis[d]}, denominator).
+    A normal form pairs with the basis of degree 2n - d as its monomial does:
+    its row is that pairing times the chi block, the inverse pairing."""
+    monos, f = _monomials(d), factorial(n)
+    pairing = [[f * x for x in row] for row in _disk_gram(n, monos, _disk_basis(n)[2 * n - d])]
+    block = PiMatrix(-n, pairing) @ _chi_block(n, 2 * n - d)
+    return dict(zip(monos, block.m)), block.d
+
+
 @lru_cache(maxsize=None)
 def un_algebra(n):
-    """The U(n)-invariant valuation algebra on generators s (weight 2), t:
-    the quotient by the two generators f_(n+1), f_(n+2) of the relation
-    ideal, truncated at degree 2n."""
-    return QuotientAlgebra(("s", "t"), (2, 1), [fk(n + 1), fk(n + 2)], 2 * n)
+    """The U(n)-invariant valuation algebra on generators s (weight 2), t,
+    truncated at degree 2n: basis ``_disk_basis`` and reduction map
+    ``_reduction_rows``, written in the relation quotient's order."""
+    basis, head, tail = _disk_basis(n), {}, {}
+    for d in range(2 * n + 1):
+        red, den = _reduction_rows(n, d)
+        for m in reversed(red):  # elimination order: high powers of s first
+            (head if m in basis[d] else tail)[m] = {
+                bm: Fraction(x, den) for bm, x in zip(basis[d][::-1], red[m][::-1]) if x}
+    return QuotientAlgebra.from_normal_forms(("s", "t"), (2, 1), basis, head | tail)
 
 
 def presentations_agree(n):
-    """Whether, in every degree d, the relation ideal of ``un_algebra(n)`` is
-    the kernel of the pairing against disk evaluations in degree 2n - d.
-
-    Each degree is certified by ``kernel_equals_span``: the ideal's rows
-    e_m - nf(m) lie in the kernel, and the pairing block has full
-    complementary rank modulo a prime (or, when it falls short, the exact
-    kernel has the same reduced form as the rows)."""
-    rel = un_algebra(n)
-    gens = rel.gens
+    """Whether, in every degree d, the ideal of ``un_relations(n)`` is the
+    kernel of the pairing against disk evaluations in degree 2n - d, so that
+    nf(m) - m lies in that ideal for ``un_algebra``, which is not read.
+    ``kernel_equals_span`` certifies each degree: the relations' multiples
+    lie in the kernel, and their rank plus the pairing's is full."""
     for d in range(2 * n + 1):
-        cols = gens.monomials_of_degree(d)
-        # x is in the kernel iff ev(x * m') = 0 for every m' of degree 2n - d
-        block = _disk_gram(n, gens.monomials_of_degree(2 * n - d), cols)
-        if not kernel_equals_span(block, rel.ideal_rows(cols), len(cols)):
+        cols = _monomials(d)
+        index = {m: i for i, m in enumerate(cols)}
+        multiples = [{index[mono_mul(m, mf)]: c for mf, c in f.items()}
+                     for w, f in un_relations(n) for m in _monomials(d - w)]
+        block = _disk_gram(n, _monomials(2 * n - d), cols)
+        if not kernel_equals_span(block, multiples, len(cols)):
             return False
     return True
 
@@ -405,7 +456,7 @@ class UnModel:
             if tag not in ("monomial", "tasaki", "hermitian"):
                 raise ValueError(f"unknown basis {tag!r}")
             dim = self.alg.dimension(k)
-            rows = (PiMatrix(0, identity(dim)) if tag == "monomial"
+            rows = (PiMatrix.eye(dim) if tag == "monomial"
                     else _klain_columns(self.n, k))
             if tag == "hermitian":
                 rows = rows @ PiMatrix(0, [[binomial(l, q) for l in range(dim)]
@@ -413,31 +464,17 @@ class UnModel:
             self._display_inverse[k, tag] = rows
         return self._display_inverse[k, tag]
 
-    # involution on even degrees ------------------------------------------------
 
-    def iota(self, x):
-        """The linear involution exchanging t^2 and 4s - t^2 on even degrees."""
-        return self.alg.normal_form_raw(iota_raw(x.terms))
-
-
-def iota_raw(terms):
-    """Formal involution on even-degree polynomials: rewrite each monomial
-    through powers of t^2 and u = 4s - t^2, swap those two, expand back."""
-    tu = {}
-    for (a, b), c in terms.items():
-        if b % 2:
-            raise ValueError("iota acts on even-degree (even t-power) elements")
-        for i in range(a + 1):
-            ci = Fraction(binomial(a, i), 4 ** a)
-            key = (i, (a - i) + b // 2)  # t^(2i) u^(...) after the swap
-            tu[key] = tu.get(key, 0) + c * ci
-    raw = {}
-    for (tpow, upow), c in tu.items():
-        for j in range(upow + 1):
-            cj = Fraction(binomial(upow, j) * 4 ** j * (-1) ** (upow - j))
-            mono = (j, 2 * tpow + 2 * (upow - j))
-            raw[mono] = raw.get(mono, 0) + c * cj
-    return raw
+def iota_block(n, k):
+    """The involution exchanging t^2 and 4s - t^2 on the even degree k of
+    ``un_algebra(n)`` as a PiMatrix whose row a is the image of the a-th
+    basis monomial, iota(s^a t^(2c)) = s^a (4s - t^2)^c, expanded and read
+    off the reduction rows."""
+    red, den = _reduction_rows(n, k)
+    rows = [[sum(binomial(b // 2, j) * 4 ** j * (-1) ** (b // 2 - j) * red[a + j, b - 2 * j][i]
+                 for j in range(b // 2 + 1)) for i in range(len(red[a, b]))]
+            for a, b in _disk_basis(n)[k]]
+    return PiMatrix.of(0, rows, den)
 
 
 @lru_cache(maxsize=None)
@@ -544,20 +581,9 @@ def _chi_block(n, k):
     2n - k against degree k, pi^n/n! times the inverse of the integer Gram.
     The Gram is inverted before it is scaled, because Bareiss intermediates
     grow with the scale."""
-    basis = un_algebra(n).basis
+    basis = _disk_basis(n)
     det, adj = invert_integer(_disk_gram(n, basis[2 * n - k], basis[k]))
     return PiMatrix.of(n, adj, det * factorial(n))
-
-
-@lru_cache(maxsize=None)
-def _reduction_rows(n, d):
-    """The reduction map of ``un_algebra(n)`` on the monomials of degree d as
-    one integer block: ({monomial: integer row over basis[d]}, denominator)."""
-    alg = un_algebra(n)
-    monos = alg.gens.monomials_of_degree(d)
-    block = PiMatrix.read([[alg.reduction[m].get(bm, 0) for bm in alg.basis[d]]
-                           for m in monos])
-    return dict(zip(monos, block.m)), block.d
 
 
 def _product_block(n, monos, coeffs, k):
@@ -700,22 +726,19 @@ def pfaff_saalschutz_residual(n, k):
 
 
 def mu_k0_fk_ratio(n, k):
-    """The constant c with mu_{k,0} = c f_k, computed from the Klain
-    normalization; raises if the two are not actually proportional."""
-    model = un_model(n)
-    mu = model.hermitian_element(k, 0)
-    f = model.alg.normal_form_raw(fk(k))
-    ratio = None
-    for m, c in f.terms.items():
-        if m in mu.terms:
-            ratio = mu.terms[m] / c
-            break
-    if ratio is None:
+    """The constant c with mu_{k,0} = c f_k, 1 <= k <= n, computed from the
+    Klain normalization on integer rows; raises if the two are not actually
+    proportional."""
+    e, (mu, *_), d = un_model(n).display(k, "hermitian")
+    red, den = _reduction_rows(n, k)
+    f = PiMatrix.read([list(fk(k).values())]) @ PiMatrix.of(0, [red[m] for m in fk(k)], den)
+    i = next((i for i, (x, y) in enumerate(zip(mu, f.m[0])) if x and y), None)
+    if i is None:
         raise ValueError("elements do not overlap")
-    if mu - f.scale(ratio) != model.alg.zero():
+    if any(x * f.m[0][i] != y * mu[i] for x, y in zip(mu, f.m[0])):
         raise ValueError(f"mu_{k},0 is not proportional to the weight-{k} "
                          "log component")
-    return ratio
+    return Scalar(Fraction(mu[i] * f.d, d * f.m[0][i]), e - f.e)
 
 
 def complex_flat_constant(l):

@@ -4,8 +4,8 @@ Three routines carry the whole load: a fraction-free (Bareiss) inverse used
 for the Poincare-pairing and basis-change matrices (in integers, as c and c
 times the inverse, c the determinant up to sign), reduced row echelon
 form used to build quotient-algebra normal forms, and a certificate that given
-rows span a matrix's kernel (exact containment plus the rank modulo a prime,
-with an exact comparison of reduced forms when that rank falls short), used
+rows span a matrix's kernel (exact containment plus ranks modulo a prime,
+with an exact comparison of reduced forms when they fall short), used
 to check presentations against evaluation kernels.  Matrices are plain lists
 of lists of Fractions (ints are accepted).  The rows that row reduction
 takes and returns, and the vectors of a kernel, are sparse: mappings
@@ -159,25 +159,29 @@ def _rank_mod_p(rows, ncols, p):
 
 def kernel_equals_span(matrix, rows, ncols):
     """Certify that the right null space of the dense ``matrix`` is spanned
-    by the sparse ``rows`` ({column: entry} mappings).
+    by the sparse ``rows`` ({column: entry} mappings), which need not be
+    independent.
 
-    ``rows`` must be linearly independent, e.g. reduced rows with distinct
-    pivots.  Every row of either side is scaled to integers, which changes
-    neither the kernel nor the span.  Returns
+    Every row of either side is scaled to integers, which changes neither
+    the kernel nor the span.  Returns
 
     * False when ``matrix . v != 0`` for some row v -- an exact test;
-    * True when every row lies in the kernel and the rank of the matrix
-      modulo CERTIFICATE_PRIME is ``ncols - len(rows)``: then
-      dim ker <= ncols - rank_p = len(rows), so the rows span the kernel;
-    * otherwise the rank modulo the prime falls short, which an unlucky prime
+    * True when every row lies in the kernel and the ranks of the rows and
+      of the matrix modulo CERTIFICATE_PRIME add up to ``ncols``: then
+      dim ker = ncols - rank(matrix) <= rank(rows), so the rows span the
+      kernel;
+    * otherwise a rank modulo the prime falls short, which an unlucky prime
       can cause as well as a kernel larger than the span, and the verdict is
       whether the exact kernel and the rows have the same reduced form.
     """
     mat = [_scaled(row)[1] for row in matrix]
+    dense = []
     for v in rows:
-        support = list(zip(v, _scaled(list(v.values()))[1]))
-        if any(sum(row[j] * x for j, x in support) for row in mat):
+        support = dict(zip(v, _scaled(list(v.values()))[1]))
+        if any(sum(row[j] * x for j, x in support.items()) for row in mat):
             return False
-    if _rank_mod_p(mat, ncols, CERTIFICATE_PRIME) == ncols - len(rows):
+        dense.append([support.get(j, 0) for j in range(ncols)])
+    p = CERTIFICATE_PRIME
+    if _rank_mod_p(dense, ncols, p) + _rank_mod_p(mat, ncols, p) == ncols:
         return True
     return rref(kernel_basis(matrix, ncols), ncols) == rref(rows, ncols)

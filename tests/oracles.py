@@ -9,7 +9,10 @@ splitting off a power of pi per block; it serves graded matrices, whose
 minors are all single powers of pi.  The presentation checks are redone by
 computing both subspaces exactly: the evaluation kernels by
 ``kernel_basis``, the ideals by row-reducing every truncated multiple of
-their generators, built densely and summed entry by entry.  The Haar
+their generators, built densely and summed entry by entry.  The U(n)
+algebra is the quotient by its two relations, row-reduced by ``rref``, and
+iota acts element by element on Scalars, through the formal swap of t^2 and
+4s - t^2 and ``normal_form_raw``.  The Haar
 rotation sampler builds sample-major matrices from one draw per call: the
 textbook circle and quaternion formulas for SO(2) and SO(3), Gram-Schmidt
 with a fancy-index sign flip for n >= 4.  The planar Minkowski-area kernel
@@ -42,6 +45,7 @@ see the memory layout the old estimators saw.
 import csv
 import io
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -51,7 +55,7 @@ from intgeo import emitters
 from intgeo.bodies import sample_blocks
 from intgeo.euclid import SOValuation, _so_basis_coeff
 from intgeo.graded import GeneratorSet, QuotientAlgebra, mono_mul
-from intgeo.hermitian import (PiMatrix, _chi_block, _klain_columns, _UnTable,
+from intgeo.hermitian import (PiMatrix, _chi_block, _klain_columns, _UnTable, fk,
                               kinematic_un, tasaki_monomial_rows, un_model)
 from intgeo.linalg import SingularMatrixError, identity, kernel_basis, rref
 from intgeo.scalars import Scalar, alpha, binomial
@@ -536,6 +540,47 @@ def un_evaluation_kernel_quotient(n):
         for vec in kernel_basis(block, len(cols)):
             ideal.append({cols[j]: c for j, c in vec.items()})
     return QuotientAlgebra(("s", "t"), (2, 1), ideal, 2 * n)
+
+
+@lru_cache(maxsize=None)
+def un_relation_quotient(n):
+    """The U(n) algebra as ``hermitian.un_algebra`` built it before it read
+    its basis and reduction map off the disk pairing: the quotient by the
+    relations f_(n+1) and f_(n+2), row-reduced by ``rref``."""
+    return QuotientAlgebra(("s", "t"), (2, 1), [fk(n + 1), fk(n + 2)], 2 * n)
+
+
+# -- the U(n) iota, element by element ----------------------------------------------
+
+def basis_elements(model, degrees):
+    return [model.alg.basis_element(k, i)
+            for k in degrees for i in range(model.alg.dimension(k))]
+
+
+def iota_raw(terms):
+    """Formal involution on even-degree polynomials: rewrite each monomial
+    through powers of t^2 and u = 4s - t^2, swap those two, expand back."""
+    tu = {}
+    for (a, b), c in terms.items():
+        if b % 2:
+            raise ValueError("iota acts on even-degree (even t-power) elements")
+        for i in range(a + 1):
+            ci = Fraction(binomial(a, i), 4 ** a)
+            key = (i, (a - i) + b // 2)  # t^(2i) u^(...) after the swap
+            tu[key] = tu.get(key, 0) + c * ci
+    raw = {}
+    for (tpow, upow), c in tu.items():
+        for j in range(upow + 1):
+            cj = Fraction(binomial(upow, j) * 4 ** j * (-1) ** (upow - j))
+            mono = (j, 2 * tpow + 2 * (upow - j))
+            raw[mono] = raw.get(mono, 0) + c * cj
+    return raw
+
+
+def iota(model, x):
+    """The involution exchanging t^2 and 4s - t^2 on an even-degree element,
+    through the formal swap and ``normal_form_raw``."""
+    return model.alg.normal_form_raw(iota_raw(x.terms))
 
 
 # -- the U(n) kinematic table, product by product -------------------------------

@@ -47,11 +47,11 @@ def test_criterion_03_mu_products_two_routes():
 
 def test_criterion_04_hilbert_series():
     t0 = time.time()
-    for n in range(1, 17):
+    for n in range(1, 25):
         assert checks.hilbert_function(n), n
     assert time.time() - t0 < 10
     report(4, "hermitian Hilbert functions match the rational generating "
-              "function, n <= 16")
+              "function, n <= 24")
 
 
 def test_criterion_05_reduction_consistency():
@@ -66,9 +66,9 @@ def test_criterion_05_reduction_consistency():
 
 
 def test_criterion_06_presentations_agree():
-    for n in range(1, 17):
+    for n in range(1, 25):
         assert checks.presentations_agree(n), n
-    report(6, "relation and evaluation-kernel presentations coincide, n <= 16")
+    report(6, "relation and evaluation-kernel presentations coincide, n <= 24")
 
 
 def test_criterion_07_binomial_identity():

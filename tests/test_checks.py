@@ -16,6 +16,7 @@ from intgeo.scalars import Scalar, omega
 
 MAX_DIM = 2
 TWO = Scalar.from_rational(2)
+DOUBLE = hermitian.PiMatrix(0, [[2]])
 
 
 class Entries:
@@ -73,20 +74,21 @@ MUTATIONS = {
     "ball_tube_polynomial": (
         euclid, "steiner_polynomial",
         lambda real, volumes: {**real(volumes), 0: real(volumes)[0] * 2}),
-    # the certificate sees the ideal of each degree with one row missing
+    # the certificate sees the multiples of each degree with one row missing
     "presentations_agree": (
         hermitian, "kernel_equals_span",
         lambda real, matrix, rows, ncols: real(matrix, rows[:-1], ncols)),
     "hilbert_function": (
         hermitian, "poincare_series_coefficients",
         lambda real, n: double_last(real(n)) if n == 2 else real(n)),
+    # F_0 doubled: F_0 F_2n = 2 I, while iota_0 F_0 = F_0 iota_2n still holds
     "fourier_involution": (
-        hermitian.UnModel, "fourier", lambda real, self, x: real(self, x).scale(TWO)),
+        hermitian.UnModel, "fourier_matrix",
+        lambda real, self, k: real(self, k) @ DOUBLE if k == 0 else real(self, k)),
     # wrong on degree 0 only, which the transform exchanges with the top degree
     "iota_commutes_with_fourier": (
-        hermitian.UnModel, "iota",
-        lambda real, self, x: real(self, x).scale(TWO) if x.degrees() == [0]
-        else real(self, x)),
+        hermitian, "iota_block",
+        lambda real, n, k: real(n, k) @ DOUBLE if k == 0 else real(n, k)),
     "tasaki_symmetric_palindromic": (hermitian, "tasaki_matrices", skew_tasaki),
     "reproductive_property": (
         spaceforms.RealSpaceFormAlgebra, "tau",

@@ -1,6 +1,11 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial, gcd
+from pathlib import Path
 
 import pytest
 
@@ -8,12 +13,15 @@ from intgeo import emitters
 from intgeo import euclid as E
 from intgeo import hermitian as H
 from intgeo import linalg
-from intgeo.graded import QuotientAlgebra, mono_mul, poly_mul
+from intgeo.graded import GradedElement, mono_mul, poly_mul
 from intgeo.linalg import identity
 from intgeo.scalars import Scalar, binomial, omega
-from oracles import (additive_two_congruences, display_congruence, display_route,
-                     invert_exact_scalar, kinematic_un_products, mat_mul, pairing_route,
-                     scalar_mat_mul, un_block_entries, un_evaluation_kernel_quotient)
+from oracles import (additive_two_congruences, basis_elements, display_congruence,
+                     display_route, invert_exact_scalar, iota, iota_raw, kinematic_un_products,
+                     mat_mul, pairing_route, scalar_mat_mul, un_block_entries,
+                     un_evaluation_kernel_quotient, un_relation_quotient)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def poly_add(p, q):
@@ -42,7 +50,7 @@ def test_fk_recursion():
 
 
 def test_hilbert_series_and_palindrome():
-    # criterion 4 checks the generating function for n <= 16
+    # criterion 4 checks the generating function for n <= 24
     for n in range(1, 17):
         hs = H.un_algebra(n).hilbert_series()
         assert hs == hs[::-1]
@@ -51,7 +59,7 @@ def test_hilbert_series_and_palindrome():
 
 
 def test_presentations_agree():
-    for n in range(1, 17):
+    for n in range(1, 25):
         assert H.presentations_agree(n), n
 
 
@@ -63,17 +71,28 @@ def test_presentation_certificate_matches_exact_kernel():
         assert (ker.basis, ker.reduction) == (alg.basis, alg.reduction), n
 
 
-def dropped_relation(n):
-    """The U(n) quotient by f_(n+1) alone: its ideal lies in the evaluation
+def test_pairing_algebra_is_the_relation_quotient():
+    for n in range(17):
+        alg, rel = H.un_algebra(n), un_relation_quotient(n)
+        assert alg.basis == rel.basis, n
+        assert alg.columns == rel.columns, n
+        # every reduction entry, in the same order
+        assert [(m, list(r.items())) for m, r in alg.reduction.items()] \
+            == [(m, list(r.items())) for m, r in rel.reduction.items()], n
+        assert alg.ideal_rows(alg.columns) == rel.ideal_rows(rel.columns), n
+        assert alg.hilbert_series() == rel.hilbert_series(), n
+
+
+def dropped_relation(real):
+    """The relation list without f_(n+2), whose ideal lies in the evaluation
     kernel but is smaller."""
-    return QuotientAlgebra(("s", "t"), (2, 1), [H.fk(n + 1)], 2 * n)
+    return lambda n: real(n)[:-1]
 
 
 def test_presentation_check_catches_mutations(monkeypatch):
     n = 5
-    H.un_algebra(n)
     with monkeypatch.context() as mp:
-        mp.setattr(H, "un_algebra", dropped_relation)
+        mp.setattr(H, "un_relations", dropped_relation(H.un_relations))
         assert not H.presentations_agree(n)
     binomial = H.binomial
     monkeypatch.setattr(H, "binomial", lambda a, b: binomial(a, b)
@@ -92,9 +111,34 @@ def test_presentation_check_decides_exactly_on_rank_shortfall(monkeypatch):
     assert calls
     # the exact comparison still refutes an ideal smaller than the kernel
     # (for n = 1, f_3 lies above the truncation, so nothing is dropped)
-    monkeypatch.setattr(H, "un_algebra", dropped_relation)
+    monkeypatch.setattr(H, "un_relations", dropped_relation(H.un_relations))
     for n in range(2, 6):
         assert not H.presentations_agree(n), n
+
+
+# Run in one fresh process, so that no cache hides a call: count the calls
+# of ``rref`` under each CLI run of argv.
+RREF_PROBE = """
+import contextlib, io, json, sys
+from intgeo import cli, graded, linalg
+calls = []
+rref = linalg.rref
+linalg.rref = graded.rref = lambda *args: calls.append(1) or rref(*args)
+for argv in json.loads(sys.argv[1]):
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    print(len(calls))
+"""
+
+
+def test_un_commands_never_row_reduce():
+    runs = [["un", "verify", "--dim", "8"], ["un", "kinematic", "--dim", "10"]]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", RREF_PROBE, json.dumps(runs)],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0"]
 
 
 def test_relations_die_in_their_algebra():
@@ -251,18 +295,27 @@ def test_klain_of_t_power_matches_disk_values():
             assert kl.vertex_value(p) == expect
 
 
+def iota_of(model, x):
+    """iota of an even-degree element through ``H.iota_block``."""
+    terms = {}
+    for k in x.degrees():
+        img = H._apply(model.alg.coordinates(x, k), H.iota_block(model.n, k))
+        terms.update(zip(model.alg.basis[k], img))
+    return GradedElement(model.alg, terms)
+
+
 def test_iota_on_tasaki_and_relations():
     for n in (2, 3, 4):
         model = H.un_model(n)
         for l in range(1, n // 2 + 1):
             for q in range(l + 1):
-                img = model.iota(model.tasaki_element(2 * l, q))
+                img = iota_of(model, model.tasaki_element(2 * l, q))
                 assert img == model.tasaki_element(2 * l, l - q), (n, l, q)
         for k in range(1, n + 1):
             f2k = model.alg.normal_form_raw(H.fk(2 * k)) if 2 * k <= 2 * n else None
             if f2k is None:
                 continue
-            assert model.iota(f2k) == f2k.scale(Fraction((-1) ** k)), (n, k)
+            assert iota_of(model, f2k) == f2k.scale(Fraction((-1) ** k)), (n, k)
         for k in range(1, n + 1):
             if 2 * k > 2 * n:
                 continue
@@ -271,7 +324,7 @@ def test_iota_on_tasaki_and_relations():
             f2k = model.alg.normal_form_raw(H.fk(2 * k))
             rhs = (f2k.scale(Fraction(4 * k, 2 * k - 1)) + tf).scale(
                 Fraction((-1) ** (k + 1)))
-            assert model.iota(tf) == rhs, (n, k)
+            assert iota_of(model, tf) == rhs, (n, k)
 
 
 def test_chi_blocks_and_tasaki_matrices_match_pairing_route():
@@ -768,12 +821,33 @@ def test_kinematic_multiplicative_dim4():
 
 
 def test_iota_is_an_involution():
-    for n in (2, 3, 4):
-        model = H.un_model(n)
+    for n in range(1, 11):
         for l in range(n + 1):
-            for i in range(model.alg.dimension(2 * l)):
-                e = model.alg.basis_element(2 * l, i)
-                assert model.iota(model.iota(e)) == e, (n, l, i)
+            block = H.iota_block(n, 2 * l)
+            assert block @ block == H.PiMatrix.eye(len(block.m)), (n, l)
+
+
+def test_iota_and_fourier_blocks_match_scalar_route():
+    """Row a of each block the checks multiply is the image of the a-th
+    basis element through ``UnModel.fourier`` and the formal iota."""
+    for n in range(1, 9):
+        model = H.un_model(n)
+
+        def rows(images, k):
+            return [model.alg.coordinates(x, k) for x in images]
+        for k in range(2 * n + 1):
+            fl, fr = model.fourier_matrix(k), model.fourier_matrix(2 * n - k)
+            elements = basis_elements(model, [k])
+            assert (fl @ fr).scalars() \
+                == rows([model.fourier(model.fourier(e)) for e in elements], k), (n, k)
+            if k % 2:
+                continue
+            ik, ir = H.iota_block(n, k), H.iota_block(n, 2 * n - k)
+            assert ik.scalars() == rows([iota(model, e) for e in elements], k), (n, k)
+            assert (ik @ fl).scalars() \
+                == rows([model.fourier(iota(model, e)) for e in elements], 2 * n - k), (n, k)
+            assert (fl @ ir).scalars() \
+                == rows([iota(model, model.fourier(e)) for e in elements], 2 * n - k), (n, k)
 
 
 def test_first_order_planar_line_pairs():
@@ -795,8 +869,8 @@ def test_iota_well_defined_on_quotient():
                 for m in model.alg.gens.monomials_of_degree(d):
                     raw[m] = Fraction(rng.randint(-3, 3))
             raw = {m: c for m, c in raw.items() if c}
-            via_nf = model.iota(model.alg.normal_form_raw(raw))
-            direct = model.alg.normal_form_raw(H.iota_raw(raw))
+            via_nf = iota_of(model, model.alg.normal_form_raw(raw))
+            direct = model.alg.normal_form_raw(iota_raw(raw))
             assert via_nf == direct, n
 
 

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intgeo import linalg
-from intgeo.hermitian import PiMatrix, un_algebra
+from intgeo.hermitian import PiMatrix
 from intgeo.linalg import (SingularMatrixError, identity, invert_integer,
                            kernel_basis, kernel_equals_span, rref)
 from intgeo.scalars import MixedPiGrading, Scalar
 from intgeo.spaceforms import complex_space_form
 from oracles import (invert_exact_scalar, mat_mul, scalar_mat_mul, sparse_rows,
-                     truncated_multiples)
+                     truncated_multiples, un_relation_quotient)
 
 F0, F1 = Fraction(0), Fraction(1)
 
@@ -107,6 +107,10 @@ def test_kernel_equals_span_verdicts(monkeypatch):
     # comparison finds the kernel strictly larger than the span
     assert kernel_equals_span([[1, 1, 0]], [{0: F1, 1: -F1}], 3) is False
     assert kernel_equals_span([[1, 1, 0]], [{0: F1, 1: -F1}, {2: F1}], 3) is True
+    # dependent rows count by their rank, not their number
+    assert kernel_equals_span([[1, 1, 0]], [{0: F1, 1: -F1}, {0: -2, 1: 2}], 3) is False
+    assert kernel_equals_span([[1, 1, 0]], [{0: F1, 1: -F1}, {2: F1}, {0: 1, 1: -1, 2: 3}],
+                              3) is True
     # an entry divisible by the prime drops the rank modulo p only
     p = linalg.CERTIFICATE_PRIME
     assert kernel_equals_span([[p, 0], [0, 1]], [], 2) is True
@@ -222,7 +226,7 @@ def test_sparse_rref_invariants():
 def test_ideal_multiples_reduce_as_reference():
     """The real ideal multiples, built densely, reduce alike both ways, and
     the quotient's ideal rows over its columns are that reduction."""
-    algebras = ([un_algebra(n) for n in range(1, 11)]
+    algebras = ([un_relation_quotient(n) for n in range(1, 11)]
                 + [complex_space_form(n).at_one for n in range(1, 9)])
     for alg in algebras:
         reduced, _ = assert_matches_reference(truncated_multiples(alg),
