@@ -24,8 +24,10 @@ from .scalars import Scalar, alpha, binomial, omega
 
 @lru_cache(maxsize=None)
 def so_algebra(n):
-    """The algebra of SO(n)-invariant valuations: one generator t, t^{n+1} = 0."""
-    return QuotientAlgebra(("t",), (1,), [{(n + 1,): Fraction(1)}], n)
+    """The algebra of SO(n)-invariant valuations: one generator t, t^{n+1} = 0,
+    so every power t^d with d <= n is its own normal form."""
+    return QuotientAlgebra(("t",), (1,), {d: [(d,)] for d in range(n + 1)},
+                           {(d,): {(d,): Fraction(1)} for d in range(n + 1)})
 
 
 def t_power(n, i):

@@ -1,23 +1,18 @@
 """Weighted-graded commutative polynomial algebras with exact quotients.
 
-A ``QuotientAlgebra`` is built from generator names with positive integer
-weights, a list of ideal generators, and a truncation degree D above which
-every monomial is zero.  Construction row-reduces the span of all ideal
-multiples (each cut off at degree D) over Q, and keeps the non-pivot
-monomials as the normal-form basis.  Rows are sparse, so the reduction
-keeps to the degrees by itself: a multiple of a homogeneous generator holds
-columns of one degree only, and one of a generator that mixes degrees (a
-filtered quotient) holds only the degrees it spans.  The monomial order
-eliminates high exponents of heavier generators first, so low-s monomials
-survive as basis representatives.  ``from_normal_forms`` instead takes a
-basis and a reduction map found another way.
+A ``QuotientAlgebra`` is given by generator names with positive integer
+weights, a normal-form basis {degree: monomials in display order} and a
+reduction map taking every monomial up to the top degree D to its basis
+coordinates; every monomial above D is zero.  The quotient does no linear
+algebra of its own: its callers read the basis and the reduction map off a
+perfect pairing (``hermitian.un_algebra``, ``spaceforms``), or write them
+down (``euclid.so_algebra``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import rref
 from .scalars import Scalar, cell_coefficient
 
 
@@ -36,32 +31,6 @@ class GeneratorSet:
 
     def degree(self, mono):
         return sum(e * w for e, w in zip(mono, self.weights))
-
-    def monomials_of_degree(self, d):
-        """All exponent tuples of weighted degree exactly d."""
-        out = []
-
-        def rec(i, rem, acc):
-            if i == len(self.weights) - 1:
-                w = self.weights[i]
-                if rem % w == 0:
-                    out.append(tuple(acc + [rem // w]))
-                return
-            w = self.weights[i]
-            for e in range(rem // w + 1):
-                rec(i + 1, rem - e * w, acc + [e])
-
-        if len(self.weights) == 0:
-            return [()] if d == 0 else []
-        rec(0, d, [])
-        return out
-
-    def elimination_key(self, mono):
-        # heavier generators first, high exponents first: those monomials are
-        # preferred as pivots, leaving low-weight monomials in the basis
-        order = sorted(range(len(self.weights)),
-                       key=lambda i: (-self.weights[i], i))
-        return tuple(-mono[i] for i in order)
 
     def format_monomial(self, mono):
         parts = []
@@ -139,70 +108,16 @@ class GradedElement:
 
 
 class QuotientAlgebra:
-    """Truncated quotient of a weighted polynomial ring.
+    """Truncated quotient of a weighted polynomial ring, given by its basis
+    {degree: monomials in display order} and its reduction map {monomial:
+    {basis monomial: coefficient}}, truncated at the top degree of the
+    basis."""
 
-    The ideal multiples are sparse rows {column: coefficient} over
-    ``columns``, reduced by one ``rref``; its pivots are the monomials that
-    leave the basis.  ``from_normal_forms`` builds the quotient from a basis
-    and a reduction map computed another way.
-    """
-
-    def __init__(self, names, weights, ideal, truncation):
-        self._grade(GeneratorSet(names, weights), int(truncation))
-        gens, D, columns = self.gens, self.truncation, self.columns
-        self.ideal = [dict(g) for g in ideal if g]
-        col_index = {m: i for i, m in enumerate(columns)}
-
-        rows = []
-        for g in self.ideal:
-            w = min(gens.degree(m) for m in g)
-            for d in range(D - w + 1):
-                for m in gens.monomials_of_degree(d):
-                    # distinct generator monomials give distinct products,
-                    # so no entry of the row is written twice
-                    row = {}
-                    for mg, c in g.items():
-                        mm = mono_mul(m, mg)
-                        if gens.degree(mm) <= D and c:
-                            row[col_index[mm]] = c
-                    if row:
-                        rows.append(row)
-
-        reduced, pivots = rref(rows, len(columns))
-        pivot_set = set(pivots)
-
-        basis = {d: [] for d in range(D + 1)}
-        for i, m in enumerate(columns):
-            if i not in pivot_set:
-                basis[gens.degree(m)].append(m)
-        for d in basis:
-            # display order: low exponents of heavy generators first
-            basis[d] = sorted(basis[d], key=lambda m: tuple(reversed(gens.elimination_key(m))))
-
-        # reduction map: every monomial of degree <= D -> basis coordinates,
-        # in column order whatever order the elimination left in a row
-        reduction = {m: {m: Fraction(1)} for i, m in enumerate(columns)
-                     if i not in pivot_set}
-        for row, p in zip(reduced, pivots):
-            reduction[columns[p]] = {columns[j]: -c for j, c in sorted(row.items()) if j != p}
+    def __init__(self, names, weights, basis, reduction):
+        self.gens = GeneratorSet(names, weights)
+        self.truncation = max(basis)
         self.basis, self.reduction = basis, reduction
         self.basis_index = {d: {m: i for i, m in enumerate(ms)} for d, ms in basis.items()}
-
-    @classmethod
-    def from_normal_forms(cls, names, weights, basis, reduction):
-        """The quotient with the given basis {degree: monomials in display
-        order} and reduction map, truncated at the top degree; no ``ideal``."""
-        self = cls.__new__(cls)
-        self._grade(GeneratorSet(names, weights), max(basis))
-        self.basis, self.reduction = basis, reduction
-        self.basis_index = {d: {m: i for i, m in enumerate(ms)} for d, ms in basis.items()}
-        return self
-
-    def _grade(self, gens, truncation):
-        """Every monomial up to the truncation, by degree in elimination order."""
-        self.gens, self.truncation = gens, truncation
-        self.columns = [m for d in range(truncation + 1)
-                        for m in sorted(gens.monomials_of_degree(d), key=gens.elimination_key)]
 
     # -- the algebra interface --------------------------------------------
 
@@ -249,24 +164,6 @@ class QuotientAlgebra:
             if self.gens.degree(m) == d:
                 vec[idx[m]] = c
         return vec
-
-    def ideal_rows(self, monos):
-        """Sparse rows e_m - nf(m), {position in ``monos``: coefficient}, one
-        for each non-basis monomial m among ``monos``: these span the ideal
-        there.  ``monos`` must hold every basis monomial those normal forms
-        use (one degree of a homogeneous ideal, or all of ``columns``).  Over
-        ``columns`` the rows are the reduced row echelon form of the ideal
-        multiples."""
-        index = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for m in monos:
-            if m in self.basis_index[self.gens.degree(m)]:
-                continue
-            row = {index[m]: Fraction(1)}
-            for bm, c in self.reduction[m].items():
-                row[index[bm]] = -c
-            rows.append(row)
-        return rows
 
 
 class LinearFunctional:

@@ -196,18 +196,31 @@ def _reduction_rows(n, d):
     return dict(zip(monos, block.m)), block.d
 
 
+def _st_quotient(basis, blocks):
+    """The quotient on s (weight 2) and t with ``basis`` and the reduction
+    map of ``blocks``: per degree d, (rows, den, cols), where the normal
+    form of the i-th monomial of ``_monomials(d)`` is rows[i] / den on the
+    basis monomials ``cols``.  The map is written in the relation quotient's
+    order: basis monomials before the others, each group by degree and then
+    high powers of s first, and each normal form's terms in that order too."""
+    head, tail = {}, {}
+    for d, (rows, den, cols) in enumerate(blocks):
+        order = sorted(range(len(cols)), key=lambda j: (2 * cols[j][0] + cols[j][1], -cols[j][0]))
+        for m, row in reversed(list(zip(_monomials(d), rows))):
+            (head if m in basis[d] else tail)[m] = {
+                cols[j]: Fraction(row[j], den) for j in order if row[j]}
+    return QuotientAlgebra(("s", "t"), (2, 1), basis, head | tail)
+
+
 @lru_cache(maxsize=None)
 def un_algebra(n):
     """The U(n)-invariant valuation algebra on generators s (weight 2), t,
     truncated at degree 2n: basis ``_disk_basis`` and reduction map
-    ``_reduction_rows``, written in the relation quotient's order."""
-    basis, head, tail = _disk_basis(n), {}, {}
-    for d in range(2 * n + 1):
-        red, den = _reduction_rows(n, d)
-        for m in reversed(red):  # elimination order: high powers of s first
-            (head if m in basis[d] else tail)[m] = {
-                bm: Fraction(x, den) for bm, x in zip(basis[d][::-1], red[m][::-1]) if x}
-    return QuotientAlgebra.from_normal_forms(("s", "t"), (2, 1), basis, head | tail)
+    ``_reduction_rows``, each normal form homogeneous."""
+    basis = _disk_basis(n)
+    rows = [_reduction_rows(n, d) for d in range(2 * n + 1)]
+    return _st_quotient(basis, [(list(red.values()), den, basis[d])
+                                for d, (red, den) in enumerate(rows)])
 
 
 def presentations_agree(n):

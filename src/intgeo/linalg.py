@@ -1,12 +1,12 @@
 """Exact linear algebra over Q.
 
-Three routines carry the whole load: a fraction-free (Bareiss) inverse used
-for the Poincare-pairing and basis-change matrices (in integers, as c and c
-times the inverse, c the determinant up to sign), reduced row echelon
-form used to build quotient-algebra normal forms, and a certificate that given
-rows span a matrix's kernel (exact containment plus ranks modulo a prime,
-with an exact comparison of reduced forms when they fall short), used
-to check presentations against evaluation kernels.  Matrices are plain lists
+Two routines carry the load: a fraction-free (Bareiss) inverse used for the
+Poincare-pairing and basis-change matrices (in integers, as c and c times
+the inverse, c the determinant up to sign), and a certificate that given
+rows span a matrix's kernel (exact containment plus ranks modulo a prime),
+used to check presentations against evaluation kernels, with a rank bound
+taken the same way.  Reduced row echelon form serves only when a rank
+modulo the prime falls short, and the test oracles.  Matrices are plain lists
 of lists of Fractions (ints are accepted).  The rows that row reduction
 takes and returns, and the vectors of a kernel, are sparse: mappings
 {column: entry}.
@@ -67,35 +67,42 @@ def invert_integer(m):
 def rref(rows, ncols):
     """Reduced row echelon form over Q of sparse rows {column: int or Fraction}.
 
-    Gauss-Jordan, column by column: a remaining row that holds the column is
-    scaled to a leading 1 and clears the column from every other row.  Rows
-    that share no column (two degrees of a homogeneous ideal) never meet, so
-    the blocks are kept without being computed.  Returns (reduced, pivots):
-    Fraction rows without stored zeros, each with a pivot entry of 1, in the
-    order of their ascending pivots.  Zero rows are dropped.
+    Fraction-free Gauss-Jordan, column by column, on the rows scaled to
+    integers: a remaining row that holds the column is the pivot row prow,
+    and every other row r holding it becomes p r - f prow over its gcd (p, f
+    the column's entries).  Rows that share no column (two degrees of a
+    homogeneous ideal) never meet.  Returns (reduced, pivots): Fraction rows
+    in column order, without stored zeros, each over its pivot entry, in
+    the order of their ascending pivots.  Zero rows are dropped.
     """
-    rest = [r for r in ({j: Fraction(x) for j, x in row.items() if x}
-                        for row in rows) if r]
+    rest = [dict(zip(r, _scaled(list(r.values()))[1]))
+            for r in ({j: x for j, x in row.items() if x} for row in rows) if r]
     reduced, pivots = [], []
     for c in range(ncols):
         i = next((i for i, r in enumerate(rest) if c in r), None)
         if i is None:
             continue
         prow = rest.pop(i)
-        inv = prow[c]
-        prow = {j: x / inv for j, x in prow.items()}
+        p = prow[c]
         for row in reduced + rest:
             f = row.get(c)
             if f:
+                for j in row:
+                    row[j] *= p
                 for j, x in prow.items():
                     v = row.get(j, 0) - f * x
                     if v:
                         row[j] = v
                     else:
                         del row[j]
+                g = math.gcd(*row.values())
+                if g > 1:
+                    for j in row:
+                        row[j] //= g
         reduced.append(prow)
         pivots.append(c)
-    return reduced, pivots
+    return [{j: Fraction(x, prow[c]) for j, x in sorted(prow.items())}
+            for prow, c in zip(reduced, pivots)], pivots
 
 
 def kernel_basis(matrix, ncols):
@@ -185,3 +192,11 @@ def kernel_equals_span(matrix, rows, ncols):
     if _rank_mod_p(dense, ncols, p) + _rank_mod_p(mat, ncols, p) == ncols:
         return True
     return rref(kernel_basis(matrix, ncols), ncols) == rref(rows, ncols)
+
+
+def rank_at_least(rows, ncols, r):
+    """Whether the sparse ``rows`` ({column: entry} mappings) have rank at
+    least r over Q: by their rank modulo CERTIFICATE_PRIME, which never
+    exceeds it, or else by their reduced form."""
+    dense = [_scaled([v.get(j, 0) for j in range(ncols)])[1] for v in rows]
+    return _rank_mod_p(dense, ncols, CERTIFICATE_PRIME) >= r or len(rref(rows, ncols)[1]) >= r

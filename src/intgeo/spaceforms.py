@@ -11,29 +11,33 @@ generator phi, sphere evaluations at lam = 1, and the kinematic coproduct
 computed over Q from the transfer rule (``checks`` compares it with the
 factorized form).
 
-Complex space forms: the two-generator presentation whose ideal substitutes
-t/sqrt(1 + lam t^2/4) into the flat relation generators, cross-checked at
-lam = 1 against the kernel of projective-space evaluations (the ideal lies in
-that kernel, and the evaluation matrix has full complementary rank modulo a
-prime, or else the exact kernel has the same reduced form), plus
+Complex space forms: the lam = 1 algebra is read off the CP^n evaluation
+pairing on the flat basis, by back-substitution through the flat Gram
+inverses (the source paper's compact ftaig: the algebra is determined by
+its Poincare pairing).  The two-generator presentation whose ideal
+substitutes t/sqrt(1 + lam t^2/4) into the flat relation generators is the
+check: its multiples span the pairing's kernel (exact containment, ranks
+modulo a prime, or else the exact kernel has the same reduced form), with
+the rank that makes the pairing-built quotient the quotient by them.  Then
 the conjectural closed-form relation series and its Chapoton functional
 equations.  The ideal generators are weighted-homogeneous, so the
 generic-lam normal form of a monomial m is its lam = 1 normal form with
-lam^((deg bm - deg m)/2) on each basis term bm, and only the rational
-lam = 1 quotient is row-reduced.  Each generator mixes degrees of one parity
-only, so no row of that reduction holds an even and an odd degree at once.
+lam^((deg bm - deg m)/2) on each basis term bm.  The pairing vanishes on
+odd total degree, so no normal form mixes even and odd degrees.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, lcm
 
-from .graded import QuotientAlgebra, TensorTable
-from .linalg import kernel_equals_span
+from .graded import TensorTable, mono_mul
+from .linalg import kernel_equals_span, rank_at_least
 from .scalars import alpha, binomial
 from .series import FormalSeries, binomial_coefficient_general, binomial_power
-from .hermitian import fk, poincare_series_coefficients
+from .hermitian import (PiMatrix, _chi_block, _disk_basis, _monomials, _reduction_rows,
+                        _st_quotient, fk, poincare_series_coefficients)
 from . import euclid
 
 
@@ -204,8 +208,38 @@ def curved_ideal_generators(n):
     return out
 
 
-class HilbertMismatch(AssertionError):
-    pass
+def _cp_gram(n, rows, cols):
+    """The CP^n pairing cp_values(n, m m') of the monomials ``rows`` against
+    the monomials ``cols``, as integer rows."""
+    return [[cp_values(n, (a + a2, b + b2)) for a2, b2 in cols] for a, b in rows]
+
+
+def _normal_form_rows(n, d):
+    """The lam = 1 normal forms of the degree-d monomials, as the integer
+    rows over one denominator on the basis monomials of degrees d, d + 2, ..
+    up to 2n that ``_st_quotient`` reads: (rows, den, cols).
+
+    A normal form x of m pairs with every basis monomial as m does.  The
+    CP^n pairing vanishes above total degree 2n and equals the flat disk
+    pairing (times pi^n/n!) at 2n, so the pairing of x with degree 2n - e
+    sees only the parts of x of degree <= e.  The part of degree d is the
+    flat reduction row; each later part of degree e is the pairing of m with
+    basis[2n - e], minus that of the parts before it, times the inverse
+    disk Gram, which is n!/pi^n times a chi block."""
+    basis, monos = _disk_basis(n), _monomials(d)
+    red, den = _reduction_rows(n, d)
+    rows, cols = list(red.values()), list(basis[d])
+    for e in range(d + 2, 2 * n + 1, 2):
+        dual = basis[2 * n - e]
+        low = (PiMatrix(0, rows) @ PiMatrix(0, _cp_gram(n, cols, dual))).m
+        rhs = [[factorial(n) * (den * v - w) for v, w in zip(vrow, lrow)]
+               for vrow, lrow in zip(_cp_gram(n, monos, dual), low)]
+        part = PiMatrix.of(-n, rhs, den) @ _chi_block(n, 2 * n - e)
+        lcd = lcm(den, part.d)
+        rows = [[v * (lcd // den) for v in row] + [v * (lcd // part.d) for v in prow]
+                for row, prow in zip(rows, part.m)]
+        den, cols = lcd, cols + basis[e]
+    return rows, den, cols
 
 
 class ComplexSpaceFormAlgebra:
@@ -214,22 +248,17 @@ class ComplexSpaceFormAlgebra:
     With lam of weight -2 every curved generator is weighted-homogeneous, so
     the quotient over Q(lam) is the rational quotient ``at_one`` (lam = 1)
     with lam^((deg bm - deg m)/2) attached to each reduction coefficient
-    m -> bm; the two share their basis and Hilbert function.  Construction
-    aborts unless that Hilbert function matches the flat one.
+    m -> bm; the two share their basis and Hilbert function.  ``at_one`` is
+    read off the CP^n pairing on the flat basis (``_normal_form_rows``), and
+    ``curved_ideal_matches_projective_kernel`` certifies that it is the
+    quotient by the curved generators.
     """
 
     def __init__(self, n):
         self.n = n
         self.ideal_lambda = curved_ideal_generators(n)
-        ideal_one = [{m: sum(cs.values(), Fraction(0)) for m, cs in g.items()}
-                     for g in self.ideal_lambda]
-        self.at_one = QuotientAlgebra(("s", "t"), (2, 1), ideal_one, 2 * n)
-
-        expected = poincare_series_coefficients(n)
-        if self.at_one.hilbert_series() != expected:
-            raise HilbertMismatch(
-                f"generic Hilbert function {self.at_one.hilbert_series()} "
-                f"differs from {expected}")
+        self.at_one = _st_quotient(_disk_basis(n), [_normal_form_rows(n, d)
+                                                    for d in range(2 * n + 1)])
 
     def flat_limit_generators(self):
         """The lam = 0 parts of the ideal generators (the flat relations)."""
@@ -260,53 +289,57 @@ def complex_space_form(n):
     return ComplexSpaceFormAlgebra(n)
 
 
+@lru_cache(maxsize=None)
 def cp_values(n, mono):
     """Exact evaluation of a monomial on the complex projective n-space with
-    unit-curvature normalization (lam = 1); zero above degree 2n."""
+    unit-curvature normalization (lam = 1), an integer; zero above degree
+    2n, and C(b, b/2) at degree 2n."""
     a, b = mono
     if b % 2:
-        return Fraction(0)
-    return Fraction(binomial(b, b // 2) * binomial(n - a + 1, b // 2 + 1))
-
-
-def _cp_pairing_matrix(n, columns):
-    """M[m][m'] = cp_values(n, m m'): x is in the evaluation kernel iff M x = 0.
-    Each distinct product is evaluated once."""
-    values = {}
-    matrix = []
-    for a, b in columns:
-        row = []
-        for a2, b2 in columns:
-            prod = (a + a2, b + b2)
-            if prod not in values:
-                values[prod] = cp_values(n, prod)
-            row.append(values[prod])
-        matrix.append(row)
-    return matrix
+        return 0
+    return binomial(b, b // 2) * binomial(n - a + 1, b // 2 + 1)
 
 
 def curved_ideal_matches_projective_kernel(n):
     """Acceptance check: the curved ideal at lam = 1 equals the kernel of
-    projective-space evaluations, as subspaces of the truncated model.
+    projective-space evaluations, as subspaces of the truncated model, and
+    ``complex_space_form(n).at_one`` is the quotient by it.
 
-    The reduced rows of the curved ideal are certified against the pairing
-    matrix by ``kernel_equals_span``."""
-    alg = complex_space_form(n).at_one
-    columns = alg.columns
-    return kernel_equals_span(_cp_pairing_matrix(n, columns),
-                              alg.ideal_rows(columns), len(columns))
+    Two certificates, neither of which reads ``at_one``:
+
+    * ``kernel_equals_span``: the truncated multiples of the lam = 1 curved
+      generators span the kernel of the pairing Q(m, m') = cp_values(n, m m');
+    * ``rank_at_least``: those multiples have rank at least ncols - |basis|,
+      |basis| the sum of the flat Hilbert function.
+
+    So rank Q <= |basis|.  On the flat basis Q is block-anti-triangular, with
+    the invertible disk Grams on its anti-diagonal, so rank Q = |basis| and
+    Q's basis columns span all its columns: a vector that pairs to zero with
+    every basis monomial lies in ker Q.
+    ``at_one`` builds nf(m) to pair with the basis as m does, so nf(m) - m
+    lies in ker Q, which is the curved ideal."""
+    columns = [m for d in range(2 * n + 1) for m in _monomials(d)]
+    index = {m: i for i, m in enumerate(columns)}
+    multiples = []
+    for gen in curved_ideal_generators(n):
+        g = {mg: sum(cs.values()) for mg, cs in gen.items()}
+        for m in columns:
+            # distinct generator monomials give distinct products, so no
+            # entry of a row is written twice
+            row = {index[p]: c for mg, c in g.items() if c and (p := mono_mul(m, mg)) in index}
+            if row:
+                multiples.append(row)
+    ncols = len(columns)
+    return (kernel_equals_span(_cp_gram(n, columns, columns), multiples, ncols)
+            and rank_at_least(multiples, ncols, ncols - sum(poincare_series_coefficients(n))))
 
 
 def curved_ideal_dims(n):
     """{degree: dimension} of the curved ideal at lam = 1 where it is
     nonzero: the monomials of each degree minus the quotient's basis."""
     alg = complex_space_form(n).at_one
-    dims = {}
-    for d in range(2 * n + 1):
-        k = len(alg.gens.monomials_of_degree(d)) - alg.dimension(d)
-        if k:
-            dims[d] = k
-    return dims
+    dims = {d: d // 2 + 1 - alg.dimension(d) for d in range(2 * n + 1)}
+    return {d: k for d, k in dims.items() if k}
 
 
 # -- the conjectural relation series ------------------------------------------

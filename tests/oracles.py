@@ -9,10 +9,13 @@ splitting off a power of pi per block; it serves graded matrices, whose
 minors are all single powers of pi.  The presentation checks are redone by
 computing both subspaces exactly: the evaluation kernels by
 ``kernel_basis``, the ideals by row-reducing every truncated multiple of
-their generators, built densely and summed entry by entry.  The U(n)
-algebra is the quotient by its two relations, row-reduced by ``rref``, and
-iota acts element by element on Scalars, through the formal swap of t^2 and
-4s - t^2 and ``normal_form_raw``.  The Haar
+their generators, built densely and summed entry by entry.  A quotient by
+ideal generators is built by row-reducing their truncated multiples with
+``rref`` (``RelationQuotient``, the constructor ``QuotientAlgebra`` had
+before its callers read their algebras off a pairing): the U(n) algebra by
+its two relations, and the lam = 1 complex space-form algebra by the curved
+generators.  iota acts element by element on Scalars, through the formal
+swap of t^2 and 4s - t^2 and ``normal_form_raw``.  The Haar
 rotation sampler builds sample-major matrices from one draw per call: the
 textbook circle and quaternion formulas for SO(2) and SO(3), Gram-Schmidt
 with a fancy-index sign flip for n >= 4.  The planar Minkowski-area kernel
@@ -59,7 +62,7 @@ from intgeo.hermitian import (PiMatrix, _chi_block, _klain_columns, _UnTable, fk
                               kinematic_un, tasaki_monomial_rows, un_model)
 from intgeo.linalg import SingularMatrixError, identity, kernel_basis, rref
 from intgeo.scalars import Scalar, alpha, binomial
-from intgeo.spaceforms import _cp_pairing_matrix, complex_space_form
+from intgeo.spaceforms import _cp_gram, curved_ideal_generators
 
 GJK_TOL = 1e-10
 
@@ -478,6 +481,132 @@ def invert_exact_scalar(m):
     return [[a[i][n + j] / det for j in range(n)] for i in range(n)]
 
 
+# -- the relation quotient, row-reduced -------------------------------------
+
+def monomials_of_degree(gens, d):
+    """All exponent tuples of weighted degree exactly d."""
+    out = []
+
+    def rec(i, rem, acc):
+        if i == len(gens.weights) - 1:
+            w = gens.weights[i]
+            if rem % w == 0:
+                out.append(tuple(acc + [rem // w]))
+            return
+        w = gens.weights[i]
+        for e in range(rem // w + 1):
+            rec(i + 1, rem - e * w, acc + [e])
+
+    if len(gens.weights) == 0:
+        return [()] if d == 0 else []
+    rec(0, d, [])
+    return out
+
+
+def elimination_key(gens, mono):
+    # heavier generators first, high exponents first: those monomials are
+    # preferred as pivots, leaving low-weight monomials in the basis
+    order = sorted(range(len(gens.weights)),
+                   key=lambda i: (-gens.weights[i], i))
+    return tuple(-mono[i] for i in order)
+
+
+def columns(gens, truncation):
+    """Every monomial up to the truncation, by degree in elimination order."""
+    return [m for d in range(truncation + 1)
+            for m in sorted(monomials_of_degree(gens, d), key=lambda m: elimination_key(gens, m))]
+
+
+class RelationQuotient(QuotientAlgebra):
+    """The quotient by a list of ideal generators, as ``QuotientAlgebra``
+    built it before its callers read the basis and the reduction map off a
+    pairing.
+
+    The ideal multiples (each cut off at the truncation degree D) are sparse
+    rows {column: coefficient} over ``columns``, reduced by one ``rref``; its
+    pivots are the monomials that leave the basis.  The monomial order
+    eliminates high exponents of heavier generators first, so low-s
+    monomials survive as basis representatives.
+    """
+
+    def __init__(self, names, weights, ideal, truncation):
+        gens, D = GeneratorSet(names, weights), int(truncation)
+        self.columns = cols = columns(gens, D)
+        self.ideal = [dict(g) for g in ideal if g]
+        col_index = {m: i for i, m in enumerate(cols)}
+
+        rows = []
+        for g in self.ideal:
+            w = min(gens.degree(m) for m in g)
+            for d in range(D - w + 1):
+                for m in monomials_of_degree(gens, d):
+                    # distinct generator monomials give distinct products,
+                    # so no entry of the row is written twice
+                    row = {}
+                    for mg, c in g.items():
+                        mm = mono_mul(m, mg)
+                        if gens.degree(mm) <= D and c:
+                            row[col_index[mm]] = c
+                    if row:
+                        rows.append(row)
+
+        reduced, pivots = rref(rows, len(cols))
+        pivot_set = set(pivots)
+
+        basis = {d: [] for d in range(D + 1)}
+        for i, m in enumerate(cols):
+            if i not in pivot_set:
+                basis[gens.degree(m)].append(m)
+        for d in basis:
+            # display order: low exponents of heavy generators first
+            basis[d] = sorted(basis[d], key=lambda m: tuple(reversed(elimination_key(gens, m))))
+
+        # reduction map: every monomial of degree <= D -> basis coordinates,
+        # in column order whatever order the elimination left in a row
+        reduction = {m: {m: Fraction(1)} for i, m in enumerate(cols)
+                     if i not in pivot_set}
+        for row, p in zip(reduced, pivots):
+            reduction[cols[p]] = {cols[j]: -c for j, c in sorted(row.items()) if j != p}
+        super().__init__(names, weights, basis, reduction)
+
+
+def ideal_rows(alg, monos):
+    """Sparse rows e_m - nf(m), {position in ``monos``: coefficient}, one
+    for each non-basis monomial m among ``monos``: these span the ideal
+    there.  ``monos`` must hold every basis monomial those normal forms
+    use (one degree of a homogeneous ideal, or all of ``columns``).  Over
+    ``columns`` the rows are the reduced row echelon form of the ideal
+    multiples."""
+    index = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for m in monos:
+        if m in alg.basis_index[alg.gens.degree(m)]:
+            continue
+        row = {index[m]: Fraction(1)}
+        for bm, c in alg.reduction[m].items():
+            row[index[bm]] = -c
+        rows.append(row)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def un_relation_quotient(n):
+    """The U(n) algebra as ``hermitian.un_algebra`` built it before it read
+    its basis and reduction map off the disk pairing: the quotient by the
+    relations f_(n+1) and f_(n+2), row-reduced by ``rref``."""
+    return RelationQuotient(("s", "t"), (2, 1), [fk(n + 1), fk(n + 2)], 2 * n)
+
+
+@lru_cache(maxsize=None)
+def curved_relation_quotient(n):
+    """``complex_space_form(n).at_one`` as it was built before it was read
+    off the CP^n pairing: the quotient by the curved generators at lam = 1,
+    row-reduced by ``rref``."""
+    ideal = [{m: sum(cs.values(), Fraction(0)) for m, cs in g.items()}
+             for g in curved_ideal_generators(n)]
+    return RelationQuotient(("s", "t"), (2, 1), ideal, 2 * n)
+
+
 # -- presentations checked by exact kernels -----------------------------------
 
 def sparse_rows(rows):
@@ -487,13 +616,14 @@ def sparse_rows(rows):
 
 def truncated_multiples(alg):
     """Dense rows over ``alg.columns`` of every multiple m * g of an ideal
-    generator g, cut off at the truncation, zero rows included."""
+    generator g of a ``RelationQuotient``, cut off at the truncation, zero
+    rows included."""
     index = {m: i for i, m in enumerate(alg.columns)}
     rows = []
     for g in alg.ideal:
         w = min(alg.gens.degree(m) for m in g)
         for d in range(alg.truncation - w + 1):
-            for m in alg.gens.monomials_of_degree(d):
+            for m in monomials_of_degree(alg.gens, d):
                 row = [Fraction(0)] * len(alg.columns)
                 for mg, c in g.items():
                     mm = mono_mul(m, mg)
@@ -506,24 +636,24 @@ def truncated_multiples(alg):
 def cp_evaluation_kernel(n):
     """The kernel ideal of projective-space evaluations at lam = 1: all
     truncated polynomials annihilated by every monomial pairing."""
-    columns = complex_space_form(n).at_one.columns
-    vecs = kernel_basis(_cp_pairing_matrix(n, columns), len(columns))
-    return [{columns[j]: c for j, c in v.items()} for v in vecs]
+    cols = curved_relation_quotient(n).columns
+    vecs = kernel_basis(_cp_gram(n, cols, cols), len(cols))
+    return [{cols[j]: c for j, c in v.items()} for v in vecs]
 
 
 def curved_ideal_exact_route(n):
     """(ok, dims) of the curved-ideal check with both sides row-reduced: the
     truncated multiples of the lam = 1 generators, and the exact kernel of
     projective-space evaluations.  dims counts the ideal's pivots by degree."""
-    alg = complex_space_form(n).at_one
-    columns = alg.columns
-    index = {m: i for i, m in enumerate(columns)}
-    red_b, piv_b = rref(sparse_rows(truncated_multiples(alg)), len(columns))
+    alg = curved_relation_quotient(n)
+    cols = alg.columns
+    index = {m: i for i, m in enumerate(cols)}
+    red_b, piv_b = rref(sparse_rows(truncated_multiples(alg)), len(cols))
     kernel = [{index[m]: c for m, c in v.items()} for v in cp_evaluation_kernel(n)]
-    red_c, piv_c = rref(kernel, len(columns))
+    red_c, piv_c = rref(kernel, len(cols))
     dims = {}
     for p in piv_b:
-        d = alg.gens.degree(columns[p])
+        d = alg.gens.degree(cols[p])
         dims[d] = dims.get(d, 0) + 1
     return red_b == red_c and piv_b == piv_c, dims
 
@@ -534,20 +664,12 @@ def un_evaluation_kernel_quotient(n):
     gens = GeneratorSet(("s", "t"), (2, 1))
     ideal = []
     for d in range(2 * n + 1):
-        cols = gens.monomials_of_degree(d)
+        cols = monomials_of_degree(gens, d)
         block = [[Fraction(binomial(b + b2, n - a - a2)) for a, b in cols]
-                 for a2, b2 in gens.monomials_of_degree(2 * n - d)]
+                 for a2, b2 in monomials_of_degree(gens, 2 * n - d)]
         for vec in kernel_basis(block, len(cols)):
             ideal.append({cols[j]: c for j, c in vec.items()})
-    return QuotientAlgebra(("s", "t"), (2, 1), ideal, 2 * n)
-
-
-@lru_cache(maxsize=None)
-def un_relation_quotient(n):
-    """The U(n) algebra as ``hermitian.un_algebra`` built it before it read
-    its basis and reduction map off the disk pairing: the quotient by the
-    relations f_(n+1) and f_(n+2), row-reduced by ``rref``."""
-    return QuotientAlgebra(("s", "t"), (2, 1), [fk(n + 1), fk(n + 2)], 2 * n)
+    return RelationQuotient(("s", "t"), (2, 1), ideal, 2 * n)
 
 
 # -- the U(n) iota, element by element ----------------------------------------------

@@ -17,9 +17,10 @@ from intgeo.graded import GradedElement, mono_mul, poly_mul
 from intgeo.linalg import identity
 from intgeo.scalars import Scalar, binomial, omega
 from oracles import (additive_two_congruences, basis_elements, display_congruence,
-                     display_route, invert_exact_scalar, iota, iota_raw, kinematic_un_products,
-                     mat_mul, pairing_route, scalar_mat_mul, un_block_entries,
-                     un_evaluation_kernel_quotient, un_relation_quotient)
+                     display_route, ideal_rows, invert_exact_scalar, iota, iota_raw,
+                     kinematic_un_products, mat_mul, monomials_of_degree, pairing_route,
+                     scalar_mat_mul, un_block_entries, un_evaluation_kernel_quotient,
+                     un_relation_quotient)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,11 +76,12 @@ def test_pairing_algebra_is_the_relation_quotient():
     for n in range(17):
         alg, rel = H.un_algebra(n), un_relation_quotient(n)
         assert alg.basis == rel.basis, n
-        assert alg.columns == rel.columns, n
+        assert (alg.gens.names, alg.gens.weights, alg.truncation) \
+            == (rel.gens.names, rel.gens.weights, rel.truncation), n
         # every reduction entry, in the same order
         assert [(m, list(r.items())) for m, r in alg.reduction.items()] \
             == [(m, list(r.items())) for m, r in rel.reduction.items()], n
-        assert alg.ideal_rows(alg.columns) == rel.ideal_rows(rel.columns), n
+        assert ideal_rows(alg, rel.columns) == ideal_rows(rel, rel.columns), n
         assert alg.hilbert_series() == rel.hilbert_series(), n
 
 
@@ -117,13 +119,17 @@ def test_presentation_check_decides_exactly_on_rank_shortfall(monkeypatch):
 
 
 # Run in one fresh process, so that no cache hides a call: count the calls
-# of ``rref`` under each CLI run of argv.
+# of ``rref`` under each CLI run of argv, after checking that no intgeo
+# module but ``linalg`` binds it.
 RREF_PROBE = """
 import contextlib, io, json, sys
-from intgeo import cli, graded, linalg
-calls = []
+from intgeo import cli, linalg
 rref = linalg.rref
-linalg.rref = graded.rref = lambda *args: calls.append(1) or rref(*args)
+print(json.dumps(sorted(name for name, mod in sys.modules.items()
+                        if name.startswith("intgeo") and name != "intgeo.linalg"
+                        and getattr(mod, "rref", None) is rref)))
+calls = []
+linalg.rref = lambda *args: calls.append(1) or rref(*args)
 for argv in json.loads(sys.argv[1]):
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     with contextlib.redirect_stdout(out):
@@ -131,14 +137,23 @@ for argv in json.loads(sys.argv[1]):
     print(len(calls))
 """
 
+# One run of every kind of exact command, each at a dimension no earlier run
+# has built, so that no cache hides a call.
+EXACT_COMMANDS = [
+    ["verify", "--max-dim", "5"], ["so", "kinematic", "--dim", "7"],
+    ["un", "verify", "--dim", "8"], ["un", "kinematic", "--dim", "10"],
+    ["spaceform", "complex", "--check", "bfs", "--dim", "9"],
+    ["spaceform", "complex", "--check", "conjecture", "--dim", "11"],
+]
 
-def test_un_commands_never_row_reduce():
-    runs = [["un", "verify", "--dim", "8"], ["un", "kinematic", "--dim", "10"]]
+
+def test_exact_commands_never_row_reduce():
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", RREF_PROBE, json.dumps(runs)],
+    done = subprocess.run([sys.executable, "-c", RREF_PROBE, json.dumps(EXACT_COMMANDS)],
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "0"]
+    assert done.stdout.split("\n", 1)[0] == "[]"
+    assert done.stdout.split()[1:] == ["0"] * len(EXACT_COMMANDS)
 
 
 def test_relations_die_in_their_algebra():
@@ -159,7 +174,7 @@ def test_restriction_compatibility():
         assert not big.normal_form_raw(H.fk(n + 1)).is_zero()
         for d in range(n + 1):
             assert small.basis[d] == big.basis[d]
-            for m in small.gens.monomials_of_degree(d):
+            for m in monomials_of_degree(small.gens, d):
                 assert small.element({m: Fraction(1)}).terms \
                     == big.element({m: Fraction(1)}).terms
 
@@ -866,7 +881,7 @@ def test_iota_well_defined_on_quotient():
         for _ in range(8):
             raw = {}
             for d in range(0, 2 * n + 1, 2):
-                for m in model.alg.gens.monomials_of_degree(d):
+                for m in monomials_of_degree(model.alg.gens, d):
                     raw[m] = Fraction(rng.randint(-3, 3))
             raw = {m: c for m, c in raw.items() if c}
             via_nf = iota_of(model, model.alg.normal_form_raw(raw))

@@ -8,9 +8,8 @@ from intgeo.hermitian import PiMatrix
 from intgeo.linalg import (SingularMatrixError, identity, invert_integer,
                            kernel_basis, kernel_equals_span, rref)
 from intgeo.scalars import MixedPiGrading, Scalar
-from intgeo.spaceforms import complex_space_form
-from oracles import (invert_exact_scalar, mat_mul, scalar_mat_mul, sparse_rows,
-                     truncated_multiples, un_relation_quotient)
+from oracles import (curved_relation_quotient, ideal_rows, invert_exact_scalar, mat_mul,
+                     scalar_mat_mul, sparse_rows, truncated_multiples, un_relation_quotient)
 
 F0, F1 = Fraction(0), Fraction(1)
 
@@ -227,8 +226,8 @@ def test_ideal_multiples_reduce_as_reference():
     """The real ideal multiples, built densely, reduce alike both ways, and
     the quotient's ideal rows over its columns are that reduction."""
     algebras = ([un_relation_quotient(n) for n in range(1, 11)]
-                + [complex_space_form(n).at_one for n in range(1, 9)])
+                + [curved_relation_quotient(n) for n in range(1, 9)])
     for alg in algebras:
         reduced, _ = assert_matches_reference(truncated_multiples(alg),
                                               len(alg.columns))
-        assert alg.ideal_rows(alg.columns) == reduced
+        assert ideal_rows(alg, alg.columns) == reduced

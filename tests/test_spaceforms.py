@@ -1,16 +1,14 @@
 import json
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from intgeo import checks, linalg
 from intgeo import spaceforms as SF
-from intgeo.graded import QuotientAlgebra
 from intgeo.scalars import alpha
 from intgeo.series import FormalSeries, binomial_power
-from oracles import curved_ideal_exact_route
+from oracles import curved_ideal_exact_route, curved_relation_quotient
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -95,6 +93,16 @@ def test_complex_space_form_build():
         assert m.at_one.hilbert_series() == SF.poincare_series_coefficients(n)
 
 
+def test_pairing_algebra_is_the_curved_relation_quotient():
+    for n in range(17):
+        alg, rel = SF.complex_space_form(n).at_one, curved_relation_quotient(n)
+        assert alg.basis == rel.basis, n
+        # every reduction entry, in the same order
+        assert [(m, list(r.items())) for m, r in alg.reduction.items()] \
+            == [(m, list(r.items())) for m, r in rel.reduction.items()], n
+        assert alg.hilbert_series() == rel.hilbert_series(), n
+
+
 def _mono_key(mono):
     return ",".join(str(e) for e in mono)
 
@@ -109,7 +117,7 @@ def test_generic_normal_forms_match_frozen_reductions():
         got = {_mono_key(mono): {
                    _mono_key(bm): {str(p): str(c) for p, c in cs.items()}
                    for bm, cs in m.normal_form_symbolic({mono: Fraction(1)}).items()}
-               for mono in m.at_one.columns}
+               for mono in m.at_one.reduction}
         assert got == table, n
 
 
@@ -179,19 +187,16 @@ def test_curved_certificate_matches_exact_kernel():
                 SF.curved_ideal_dims(n)) == curved_ideal_exact_route(n), n
 
 
-def one_generator_mutants(n):
-    """The lam = 1 quotients by one of the two curved generators alone."""
-    alg = SF.complex_space_form(n).at_one
-    return [QuotientAlgebra(alg.gens.names, alg.gens.weights, [kept], 2 * n)
-            for kept in alg.ideal]
+def one_generator_mutants(real):
+    """``curved_ideal_generators`` keeping one of the two generators."""
+    return [lambda n: real(n)[:1], lambda n: real(n)[1:]]
 
 
 def test_curved_check_catches_mutations(monkeypatch):
     n = 5
-    for mutant in one_generator_mutants(n):
+    for mutant in one_generator_mutants(SF.curved_ideal_generators):
         with monkeypatch.context() as mp:
-            mp.setattr(SF, "complex_space_form",
-                       lambda k: SimpleNamespace(at_one=mutant))
+            mp.setattr(SF, "curved_ideal_generators", mutant)
             assert not SF.curved_ideal_matches_projective_kernel(n)
     cp_values = SF.cp_values
     monkeypatch.setattr(SF, "cp_values", lambda k, mono: cp_values(k, mono)
@@ -211,10 +216,9 @@ def test_curved_check_decides_exactly_on_rank_shortfall(monkeypatch):
     assert calls
     # the exact comparison still refutes either generator alone
     n = 4
-    for mutant in one_generator_mutants(n):
+    for mutant in one_generator_mutants(SF.curved_ideal_generators):
         with monkeypatch.context() as mp:
-            mp.setattr(SF, "complex_space_form",
-                       lambda k: SimpleNamespace(at_one=mutant))
+            mp.setattr(SF, "curved_ideal_generators", mutant)
             assert not SF.curved_ideal_matches_projective_kernel(n)
 
 
